@@ -15,7 +15,6 @@ from .hypersurface import (
     CurvatureData,
     DiscreteHypersurface,
     RadiiReport,
-    compute_curvatures,
     contains_point,
     curvature_pinching_ratio,
     enclosed_volume,
@@ -32,7 +31,6 @@ from .reflection import (
     SymmetryOutcome,
     first_touch_time,
     monitor_reflection,
-    reflect_points,
     strict_reflection_check,
     symmetry_certificate,
 )

@@ -16,14 +16,17 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import families, flow_engine, reflection, rigidity, shapes, sphere_ode, speeds
 from .errors import (
     ConeExit,
+    ConfigError,
     CurvatureOutsideCone,
     DegenerateElement,
     HyperflowError,
@@ -183,64 +186,50 @@ def parse_config(command: str, file_values: dict, overrides: dict) -> RunConfig:
     return cfg
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValidationError(message)
+_SHAPES = ("circle", "ellipse", "square", "icosphere", "ellipsoid", "mesh")
+_AXES_COUNT = {"ellipse": 2, "ellipsoid": 3}
+
+# Checks that only the CLI can make, keyed by the config key they read; a
+# rule runs for every command that takes its key.  Value rules that a library
+# constructor owns (FlowConfig, speed_by_name, integrate_radius, the shapes,
+# the families, the audits) stay there, and main reports their ValueError as
+# a config error.  Messages are formatted with the config's fields.
+_RULES: dict[str, tuple[Callable[[RunConfig], bool], str]] = {
+    "seed": (lambda c: isinstance(c.seed, int) and c.seed >= 0, "seed must be a non-negative integer"),
+    # power speeds check their own alpha; the others ignore it
+    "alpha": (
+        lambda c: c.alpha is None or c.alpha > 0 or c.speed.strip().lower() in speeds._POWER_NAMES,
+        "alpha must be > 0, got {alpha}",
+    ),
+    "shape": (lambda c: c.shape in _SHAPES, "unknown shape {shape!r}"),
+    "axes": (
+        lambda c: c.shape not in _AXES_COUNT or len(c.axes or ()) == _AXES_COUNT[c.shape],
+        "shape = {shape} needs one semi-axis per coordinate in axes",
+    ),
+    "mesh_file": (lambda c: c.shape != "mesh" or c.mesh_file is not None, "shape = mesh requires mesh_file"),
+    "subdivisions": (lambda c: 0 <= c.subdivisions <= 6, "subdivisions must lie in [0, 6]"),
+    "dimension": (lambda c: c.dimension in (1, 2), "dimension must be 1 or 2"),
+    # dimension keeps its default 1 for the commands that do not take it
+    "resolution": (
+        lambda c: c.dimension == 1 or 0 <= c.resolution <= 6,
+        "with dimension = 2, resolution is the icosphere subdivision level and must lie in [0, 6]",
+    ),
+    "family": (lambda c: c.family in ("sphere", "ellipse"), "unknown family {family!r}"),
+    "frame_dt": (lambda c: c.frame_dt > 0, "frame_dt must be positive"),
+    "directions": (lambda c: c.directions >= 2, "need at least 2 directions"),
+    "c_schedule": (
+        lambda c: len(c.c_schedule) >= 1 and all(b < a for a, b in zip(c.c_schedule, c.c_schedule[1:])),
+        "c_schedule must be a non-empty, strictly decreasing list",
+    ),
+    "plane_offsets": (lambda c: len(c.plane_offsets) >= 1, "at least one plane offset required"),
+}
 
 
 def _validate(cfg: RunConfig) -> None:
-    _require(isinstance(cfg.seed, int) and cfg.seed >= 0, "seed must be a non-negative integer")
-    if cfg.command in ("simulate", "sphere-ode", "classify-speed", "rigidity-audit"):
-        if cfg.alpha is not None:
-            _require(cfg.alpha > 0, f"alpha must be > 0, got {cfg.alpha}")
-        if cfg.speed.lower() in ("h^alpha", "k^alpha"):
-            _require(cfg.alpha is not None, f"speed {cfg.speed!r} requires alpha")
-    if cfg.command in ("simulate", "sphere-ode", "rigidity-audit"):
-        _require(cfg.t_end > cfg.t0, "t_end must exceed t0")
-    if cfg.command in ("simulate", "sphere-ode"):
-        if cfg.dt is not None:
-            _require(cfg.dt > 0, "dt must be positive")
-    if cfg.command in ("simulate", "reflect-audit"):
-        _require(cfg.shape in ("circle", "ellipse", "square", "icosphere", "ellipsoid", "mesh"),
-                 f"unknown shape {cfg.shape!r}")
-        if cfg.shape == "mesh":
-            _require(cfg.mesh_file is not None, "shape = mesh requires mesh_file")
-            _require(Path(cfg.mesh_file).exists(), f"mesh file does not exist: {cfg.mesh_file}")
-        if cfg.shape in ("circle", "square", "icosphere"):
-            _require(cfg.radius > 0, "radius must be positive")
-        if cfg.shape == "ellipse":
-            _require(cfg.axes is not None and len(cfg.axes) == 2, "ellipse needs axes = a, b")
-        if cfg.shape == "ellipsoid":
-            _require(cfg.axes is not None and len(cfg.axes) == 3, "ellipsoid needs axes = a, b, c")
-        if cfg.axes is not None:
-            _require(all(a > 0 for a in cfg.axes), "axes must be positive")
-        _require(cfg.resolution >= 3, "resolution must be at least 3")
-        _require(0 <= cfg.subdivisions <= 6, "subdivisions must lie in [0, 6]")
-    if cfg.command == "simulate":
-        _require(0 < cfg.cfl <= 1, "cfl must lie in (0, 1]")
-        _require(cfg.scheme in ("rk4", "euler"), "scheme must be rk4 or euler")
-        _require(cfg.frame_interval > 0, "frame_interval must be positive")
-        if cfg.remesh:
-            _require(cfg.band_lo is not None and cfg.band_hi is not None,
-                     "remesh requires band_lo and band_hi")
-        if cfg.band_lo is not None and cfg.band_hi is not None:
-            _require(0 < cfg.band_lo < cfg.band_hi, "band must satisfy 0 < lo < hi")
-    if cfg.command == "sphere-ode":
-        _require(cfg.r0 > 0, "r0 must be positive")
-        _require(cfg.dimension in (1, 2), "dimension must be 1 or 2")
-    if cfg.command == "classify-speed":
-        _require(cfg.dimension in (1, 2), "dimension must be 1 or 2")
-    if cfg.command == "reflect-audit":
-        _require(len(cfg.plane_offsets) >= 1, "at least one plane offset required")
-    if cfg.command == "rigidity-audit":
-        _require(cfg.family in ("sphere", "ellipse"), f"unknown family {cfg.family!r}")
-        _require(cfg.dimension in (1, 2), "dimension must be 1 or 2")
-        _require(cfg.frame_dt > 0, "frame_dt must be positive")
-        _require(cfg.directions >= 2, "need at least 2 directions")
-        cs = cfg.c_schedule
-        _require(len(cs) >= 1 and all(c > 0 for c in cs), "c_schedule must be positive")
-        _require(all(b < a for a, b in zip(cs, cs[1:])), "c_schedule must be strictly decreasing")
-        _require(len(cfg.rates) == cfg.dimension + 1, "rates must have dimension + 1 entries")
+    keys = _COMMAND_KEYS[cfg.command]
+    for key, (ok, message) in _RULES.items():
+        if key in keys and not ok(cfg):
+            raise ValidationError(message.format(**vars(cfg)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +260,24 @@ def write_resolved_config(cfg: RunConfig, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+@contextmanager
+def _output_dir(cfg: RunConfig):
+    """Lock the output directory and echo the resolved configuration into it."""
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    lock = out / ".lock"
+    try:
+        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        os.close(fd)
+    except FileExistsError:
+        raise ValidationError(f"output directory is locked by another run: {lock}")
+    try:
+        write_resolved_config(cfg, out / "resolved_config.cfg")
+        yield out
+    finally:
+        lock.unlink(missing_ok=True)
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -286,33 +293,36 @@ def _build_shape(cfg: RunConfig) -> DiscreteHypersurface:
     if cfg.shape == "circle":
         return shapes.circle_polygon(cfg.radius, cfg.resolution)
     if cfg.shape == "ellipse":
-        a, b = cfg.axes
-        return shapes.ellipse_polygon(a, b, cfg.resolution)
+        return shapes.ellipse_polygon(*cfg.axes, cfg.resolution)
     if cfg.shape == "square":
         return shapes.square_polygon(2.0 * cfg.radius, per_side=max(1, cfg.resolution // 4))
     if cfg.shape == "icosphere":
         return shapes.icosphere(cfg.radius, cfg.subdivisions)
     if cfg.shape == "ellipsoid":
-        a, b, c = cfg.axes
-        return shapes.ellipsoid_mesh(a, b, c, cfg.subdivisions)
-    return read_surface(cfg.mesh_file)
-
-
-def _build_speed(cfg: RunConfig, n: int) -> speeds.SpeedFunction:
+        return shapes.ellipsoid_mesh(*cfg.axes, cfg.subdivisions)
     try:
-        return speeds.speed_by_name(cfg.speed, n, cfg.alpha)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+        return read_surface(cfg.mesh_file)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"mesh file {cfg.mesh_file}: {exc}") from exc
+
+
+def _ancientness(F: speeds.SpeedFunction) -> dict:
+    try:
+        return sphere_ode.is_ancient(F).to_json_dict()
+    except IndeterminateDivergence as exc:
+        return {"schema_version": 1, "verdict": "indeterminate", "detail": str(exc)}
 
 
 # ---------------------------------------------------------------------------
-# Command implementations (each returns an exit code)
+# Command implementations (each returns an exit code).  A runner computes its
+# results before it opens the output directory, so input that the library
+# rejects leaves no directory behind.
 
 
-def _run_simulate(cfg: RunConfig, out: Path) -> int:
+def _run_simulate(cfg: RunConfig) -> int:
     M0 = _build_shape(cfg)
     n = M0.dimension
-    F = _build_speed(cfg, n)
+    F = speeds.speed_by_name(cfg.speed, n, cfg.alpha)
     band = (cfg.band_lo, cfg.band_hi) if cfg.band_lo is not None and cfg.band_hi is not None else None
     flow_cfg = flow_engine.FlowConfig(
         t_end=cfg.t_end,
@@ -325,94 +335,90 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
         stop_on_cone_exit=cfg.stop_on_cone_exit,
     )
     traj = flow_engine.evolve(M0, F, cfg.t0, flow_cfg)
-
-    frames_dir = out / "frames"
-    frames_dir.mkdir(exist_ok=True)
-    ext = "txt" if n == 1 else "obj"
-    index_rows = []
-    diag_rows = []
-    for i, (t, M) in enumerate(traj.frames):
-        fname = f"frame_{i:06d}.{ext}"
-        write_surface(M, frames_dir / fname)
-        index_rows.append({"t": t, "file": f"frames/{fname}"})
-        centroid = M.vertices.mean(axis=0)
-        rr = inner_outer_radii(M, center=centroid)
-        lam = M.curvature_data.principal
-        lens = M.edge_lengths
-        diag_rows.append(
-            [t, enclosed_volume(M), rr.rho_minus, rr.rho_plus,
-             float(lam.min()), float(lam.max()), float(lens.min()), float(lens.max())]
+    with _output_dir(cfg) as out:
+        frames_dir = out / "frames"
+        frames_dir.mkdir(exist_ok=True)
+        ext = "txt" if n == 1 else "obj"
+        index_rows = []
+        diag_rows = []
+        for i, (t, M) in enumerate(traj.frames):
+            fname = f"frame_{i:06d}.{ext}"
+            write_surface(M, frames_dir / fname)
+            index_rows.append({"t": t, "file": f"frames/{fname}"})
+            centroid = M.vertices.mean(axis=0)
+            rr = inner_outer_radii(M, center=centroid)
+            lam = M.curvature_data.principal
+            lens = M.edge_lengths
+            diag_rows.append(
+                [t, enclosed_volume(M), rr.rho_minus, rr.rho_plus,
+                 float(lam.min()), float(lam.max()), float(lens.min()), float(lens.max())]
+            )
+        _write_json(out / "index.json", {
+            "schema_version": 1,
+            "speed": F.name,
+            "t0": traj.t0,
+            "t1": traj.t1,
+            "frames": index_rows,
+            "events": traj.events,
+        })
+        header = ["t", "volume", "rho_minus", "rho_plus", "lambda_min", "lambda_max", "h_min", "h_max"]
+        _write_csv(out / "diagnostics.csv", header, diag_rows)
+        _write_json(out / "diagnostics_schema.json", {
+            "schema_version": 1,
+            "columns": {
+                "t": "frame time",
+                "volume": "enclosed area (n=1) or volume (n=2)",
+                "rho_minus": "inradius about the vertex centroid",
+                "rho_plus": "circumradius about the vertex centroid",
+                "lambda_min": "smallest principal curvature over vertices",
+                "lambda_max": "largest principal curvature over vertices",
+                "h_min": "shortest edge",
+                "h_max": "longest edge",
+            },
+        })
+        (out / "run.log").write_text(
+            f"simulate: {len(traj.frames)} frames on [{traj.t0}, {traj.t1}], "
+            f"{len(traj.events)} events\n"
         )
-    _write_json(out / "index.json", {
-        "schema_version": 1,
-        "speed": F.name,
-        "t0": traj.t0,
-        "t1": traj.t1,
-        "frames": index_rows,
-        "events": traj.events,
-    })
-    header = ["t", "volume", "rho_minus", "rho_plus", "lambda_min", "lambda_max", "h_min", "h_max"]
-    _write_csv(out / "diagnostics.csv", header, diag_rows)
-    _write_json(out / "diagnostics_schema.json", {
-        "schema_version": 1,
-        "columns": {
-            "t": "frame time",
-            "volume": "enclosed area (n=1) or volume (n=2)",
-            "rho_minus": "inradius about the vertex centroid",
-            "rho_plus": "circumradius about the vertex centroid",
-            "lambda_min": "smallest principal curvature over vertices",
-            "lambda_max": "largest principal curvature over vertices",
-            "h_min": "shortest edge",
-            "h_max": "longest edge",
-        },
-    })
-    (out / "run.log").write_text(
-        f"simulate: {len(traj.frames)} frames on [{traj.t0}, {traj.t1}], "
-        f"{len(traj.events)} events\n"
-    )
     return EXIT_OK
 
 
-def _run_sphere_ode(cfg: RunConfig, out: Path) -> int:
-    F = _build_speed(cfg, cfg.dimension)
-    flow = sphere_ode.integrate_radius(F, cfg.r0, cfg.t0, cfg.t_end, cfg.dt or 1e-3)
-    _write_csv(out / "radius.csv", ["t", "r"], [[float(t), float(r)] for t, r in flow.samples])
-    try:
-        verdict = sphere_ode.is_ancient(F).to_json_dict()
-    except IndeterminateDivergence as exc:
-        verdict = {"schema_version": 1, "verdict": "indeterminate", "detail": str(exc)}
-    _write_json(out / "ancientness.json", verdict)
-    (out / "run.log").write_text(
-        f"sphere-ode: {flow.samples.shape[0]} samples, final radius {flow.samples[-1, 1]:.17g}\n"
-    )
+def _run_sphere_ode(cfg: RunConfig) -> int:
+    F = speeds.speed_by_name(cfg.speed, cfg.dimension, cfg.alpha)
+    flow = sphere_ode.integrate_radius(F, cfg.r0, cfg.t0, cfg.t_end, 1e-3 if cfg.dt is None else cfg.dt)
+    verdict = _ancientness(F)
+    with _output_dir(cfg) as out:
+        _write_csv(out / "radius.csv", ["t", "r"], [[float(t), float(r)] for t, r in flow.samples])
+        _write_json(out / "ancientness.json", verdict)
+        (out / "run.log").write_text(
+            f"sphere-ode: {flow.samples.shape[0]} samples, final radius {flow.samples[-1, 1]:.17g}\n"
+        )
     return EXIT_OK
 
 
-def _run_classify_speed(cfg: RunConfig, out: Path) -> int:
-    F = _build_speed(cfg, cfg.dimension)
+def _run_classify_speed(cfg: RunConfig) -> int:
+    F = speeds.speed_by_name(cfg.speed, cfg.dimension, cfg.alpha)
     plan = speeds.SamplePlan(seed=cfg.seed)
     report = speeds.check_admissibility(F, plan)
     try:
         degree = speeds.homogeneity_degree(F)
     except HyperflowError:
         degree = None
-    try:
-        ancient = sphere_ode.is_ancient(F).to_json_dict()
-    except IndeterminateDivergence as exc:
-        ancient = {"schema_version": 1, "verdict": "indeterminate", "detail": str(exc)}
-    _write_json(out / "classification.json", {
-        "schema_version": 1,
-        "speed": F.name,
-        "admissibility": report.to_json_dict(),
-        "homogeneity": degree,
-        "ancientness": ancient,
-    })
+    ancient = _ancientness(F)
+    with _output_dir(cfg) as out:
+        _write_json(out / "classification.json", {
+            "schema_version": 1,
+            "speed": F.name,
+            "admissibility": report.to_json_dict(),
+            "homogeneity": degree,
+            "ancientness": ancient,
+        })
     print(f"{F.name}: admissibility {'pass' if report.passed else 'FAIL'} (sampled), "
           f"ancientness {ancient['verdict']}")
     return EXIT_OK
 
 
-def _run_reflect_audit(cfg: RunConfig, out: Path) -> int:
+def _run_reflect_audit(cfg: RunConfig) -> int:
     M = _build_shape(cfg)
     verdicts = []
     all_strict = True
@@ -425,16 +431,17 @@ def _run_reflect_audit(cfg: RunConfig, out: Path) -> int:
         print(f"{'PASS' if strict else 'FAIL'} plane V={pretty_v} c={c:g}: {v.status.value} "
               f"(inclusion margin {v.inclusion_margin:.3e})")
         verdicts.append({"c": float(c), **v.to_json_dict()})
-    _write_json(out / "reflect_report.json", {
-        "schema_version": 1,
-        "direction": list(np.asarray(cfg.plane_direction, dtype=float)),
-        "verdicts": verdicts,
-        "passed": all_strict,
-    })
+    with _output_dir(cfg) as out:
+        _write_json(out / "reflect_report.json", {
+            "schema_version": 1,
+            "direction": list(np.asarray(cfg.plane_direction, dtype=float)),
+            "verdicts": verdicts,
+            "passed": all_strict,
+        })
     return EXIT_OK if all_strict else EXIT_AUDIT
 
 
-def _run_rigidity_audit(cfg: RunConfig, out: Path) -> int:
+def _run_rigidity_audit(cfg: RunConfig) -> int:
     n = cfg.dimension
     count = int(round((cfg.t_end - cfg.t0) / cfg.frame_dt))
     times = cfg.t0 + cfg.frame_dt * np.arange(count + 1)
@@ -442,7 +449,7 @@ def _run_rigidity_audit(cfg: RunConfig, out: Path) -> int:
         traj = families.sphere_family(times, lambda t: math.exp(t), n=n, resolution=cfg.resolution)
     else:
         traj = families.ellipsoid_family(times, rates=cfg.rates, n=n, resolution=cfg.resolution)
-    F = _build_speed(cfg, n)
+    F = speeds.speed_by_name(cfg.speed, n, cfg.alpha)
     report = rigidity.rigidity_audit(
         traj,
         F,
@@ -451,7 +458,8 @@ def _run_rigidity_audit(cfg: RunConfig, out: Path) -> int:
         c_schedule=cfg.c_schedule,
         symmetry_tol=cfg.symmetry_tol,
     )
-    _write_json(out / "rigidity_report.json", report.to_json_dict())
+    with _output_dir(cfg) as out:
+        _write_json(out / "rigidity_report.json", report.to_json_dict())
     print(f"rigidity audit: {'PASS' if report.overall else 'FAIL'}")
     print(report.narrative)
     return EXIT_OK if report.overall else EXIT_AUDIT
@@ -468,19 +476,7 @@ _RUNNERS = {
 
 def run(cfg: RunConfig) -> int:
     """Execute a validated config; artifacts land in cfg.out_dir."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    lock = out / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        os.close(fd)
-    except FileExistsError:
-        raise ValidationError(f"output directory is locked by another run: {lock}")
-    try:
-        write_resolved_config(cfg, out / "resolved_config.cfg")
-        return _RUNNERS[cfg.command](cfg, out)
-    finally:
-        lock.unlink(missing_ok=True)
+    return _RUNNERS[cfg.command](cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +519,7 @@ def main(argv=None) -> int:
             overrides["out_dir"] = args.out
         cfg = parse_config(args.command, file_values, overrides)
         return run(cfg)
-    except (ParseError, ValidationError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (

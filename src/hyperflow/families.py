@@ -14,7 +14,6 @@ import numpy as np
 from .flow_engine import Trajectory
 from .hypersurface import DiscreteHypersurface
 from .shapes import circle_polygon, icosphere
-from .speeds import SpeedFunction
 
 
 def _unit_template(n: int, resolution: int) -> DiscreteHypersurface:
@@ -25,29 +24,35 @@ def _unit_template(n: int, resolution: int) -> DiscreteHypersurface:
     raise ValueError("only n = 1 and n = 2 are supported")
 
 
+def _scaled_family(times, n: int, resolution: int, center, scale: Callable[[float], object]) -> Trajectory:
+    """One frame per time: the unit template scaled by scale(t) about the center."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.shape[0] < 2 or np.any(np.diff(times) <= 0.0):
+        raise ValueError("times must be strictly increasing, with at least two of them")
+    template = _unit_template(n, resolution)
+    center = np.zeros(n + 1) if center is None else np.asarray(center, dtype=float)
+    frames = [
+        (float(t), template.with_vertices(template.vertices * scale(float(t)) + center)) for t in times
+    ]
+    return Trajectory(frames=frames, t0=float(times[0]), t1=float(times[-1]))
+
+
 def sphere_family(
     times: Sequence[float],
     radius_fn: Callable[[float], float],
     n: int = 1,
     center=None,
     resolution: int = 256,
-    speed: SpeedFunction | None = None,
 ) -> Trajectory:
     """Round spheres with radius radius_fn(t), one frame per time."""
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.shape[0] < 1 or np.any(np.diff(times) <= 0.0):
-        raise ValueError("times must be strictly increasing")
-    template = _unit_template(n, resolution)
-    if center is None:
-        center = np.zeros(n + 1)
-    center = np.asarray(center, dtype=float)
-    frames = []
-    for t in times:
-        r = float(radius_fn(float(t)))
+
+    def radius(t: float) -> float:
+        r = float(radius_fn(t))
         if r <= 0.0:
             raise ValueError(f"radius_fn({t}) = {r} must be positive")
-        frames.append((float(t), template.with_vertices(template.vertices * r + center)))
-    return Trajectory(speed=speed, frames=frames, t0=float(times[0]), t1=float(times[-1]))
+        return r
+
+    return _scaled_family(times, n, resolution, center, radius)
 
 
 def exponential_sphere_family(
@@ -79,16 +84,7 @@ def ellipsoid_family(
     condition yet is spherical at no time with unequal axes.  It is not a
     solution of any admissible flow; the residual audit quantifies that.
     """
-    times = np.asarray(times, dtype=float)
     rates = np.asarray(rates, dtype=float)
     if rates.shape[0] != n + 1:
         raise ValueError(f"need {n + 1} axis rates for n = {n}")
-    template = _unit_template(n, resolution)
-    if center is None:
-        center = np.zeros(n + 1)
-    center = np.asarray(center, dtype=float)
-    frames = []
-    for t in times:
-        axes = np.exp(rates * float(t))
-        frames.append((float(t), template.with_vertices(template.vertices * axes + center)))
-    return Trajectory(speed=None, frames=frames, t0=float(times[0]), t1=float(times[-1]))
+    return _scaled_family(times, n, resolution, center, lambda t: np.exp(rates * t))

@@ -80,7 +80,6 @@ class FlowConfig:
 class Trajectory:
     """Time-ordered surface frames plus the event log of the run."""
 
-    speed: SpeedFunction | None
     frames: list[tuple[float, DiscreteHypersurface]]
     t0: float
     t1: float
@@ -231,7 +230,7 @@ def evolve(
     """
     if config.t_end <= t0:
         raise ValueError("t_end must exceed t0")
-    traj = Trajectory(speed=F, frames=[(t0, M0)], t0=t0, t1=t0)
+    traj = Trajectory(frames=[(t0, M0)], t0=t0, t1=t0)
     t = t0
     M = M0
     last_frame_t = t0

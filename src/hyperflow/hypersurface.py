@@ -344,11 +344,6 @@ def _mesh_curvatures(verts: np.ndarray, topo: _MeshTopology) -> tuple[np.ndarray
     return refined, principal
 
 
-def compute_curvatures(M: DiscreteHypersurface) -> CurvatureData:
-    """Per-vertex outward normals and principal curvature tuples."""
-    return M.curvature_data
-
-
 # ---------------------------------------------------------------------------
 # Containment and distance
 

@@ -43,9 +43,7 @@ class Hyperplane:
         norm = np.linalg.norm(v)
         if norm == 0.0:
             raise ValueError("plane direction must be nonzero")
-        if abs(norm - 1.0) > 1e-12:
-            v = v / norm
-        object.__setattr__(self, "V", v)
+        object.__setattr__(self, "V", v / norm)
         object.__setattr__(self, "c", float(self.c))
 
     def signed_coordinate(self, points: np.ndarray) -> np.ndarray:
@@ -89,12 +87,6 @@ class ReflectionVerdict:
                 for k, v in self.details.items()
             }
         return out
-
-
-def reflect_points(M, plane: Hyperplane) -> np.ndarray:
-    """Mirror vertices (or a raw point array) through the plane."""
-    pts = M.vertices if isinstance(M, DiscreteHypersurface) else np.asarray(M, dtype=float)
-    return plane.reflect(pts)
 
 
 def strict_reflection_check(
@@ -278,6 +270,15 @@ class SymmetryOutcome:
         }
 
 
+def _direction_set(dimension: int, directions: int | np.ndarray) -> np.ndarray:
+    """Unit plane normals: a count spread evenly, or the given array."""
+    if isinstance(directions, (int, np.integer)):
+        if dimension == 1:
+            return uniform_circle_directions(int(directions))
+        return fibonacci_sphere_directions(int(directions))
+    return np.atleast_2d(np.asarray(directions, dtype=float))
+
+
 def symmetry_certificate(
     M: DiscreteHypersurface,
     center,
@@ -294,15 +295,7 @@ def symmetry_certificate(
     center = np.asarray(center, dtype=float)
     if contains_point(M, center) is not Containment.INSIDE:
         raise CenterOutside(f"center {tuple(center)} is not inside the surface")
-    if isinstance(directions, (int, np.integer)):
-        count = int(directions)
-        dirs = (
-            uniform_circle_directions(count)
-            if M.dimension == 1
-            else fibonacci_sphere_directions(count)
-        )
-    else:
-        dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    dirs = _direction_set(M.dimension, directions)
     radii = np.linalg.norm(M.vertices - center, axis=1)
     mean_r = float(radii.mean())
     deviation = float((radii.max() - radii.min()) / mean_r)

@@ -25,7 +25,6 @@ from .errors import (
     PreconditionFailed,
 )
 from .flow_engine import FlowResidual, Trajectory, flow_residual
-from .geometry import fibonacci_sphere_directions, uniform_circle_directions
 from .hypersurface import (
     curvature_pinching_ratio,
     inner_outer_radii,
@@ -35,6 +34,7 @@ from .hypersurface import (
 from .reflection import (
     Hyperplane,
     ReflectionStatus,
+    _direction_set,
     first_touch_time,
     strict_reflection_check,
     symmetry_certificate,
@@ -176,17 +176,6 @@ class RigidityAuditReport:
         }
 
 
-def _direction_set(traj: Trajectory, directions) -> np.ndarray:
-    if isinstance(directions, (int, np.integer)):
-        n = traj.frames[0][1].dimension
-        return (
-            uniform_circle_directions(int(directions))
-            if n == 1
-            else fibonacci_sphere_directions(int(directions))
-        )
-    return np.atleast_2d(np.asarray(directions, dtype=float))
-
-
 def rigidity_audit(
     traj: Trajectory,
     F: SpeedFunction,
@@ -219,7 +208,7 @@ def rigidity_audit(
     if bad:
         raise ValueError(f"offsets {bad} outside (0, R_star = {R_star:.6g})")
 
-    dirs = _direction_set(traj, directions)
+    dirs = _direction_set(traj.frames[0][1].dimension, directions)
     times = traj.times()
     frame_dt = float(np.median(np.diff(times))) if times.shape[0] > 1 else 0.0
 

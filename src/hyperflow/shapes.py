@@ -107,6 +107,8 @@ def _subdivide_projected(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarr
 
 def ellipsoid_mesh(a: float, b: float, c: float, subdivisions: int = 3, center=(0.0, 0.0, 0.0)) -> DiscreteHypersurface:
     """Axis-aligned ellipsoid as a scaled icosphere."""
+    if min(a, b, c) <= 0:
+        raise ValueError("semi-axes must be positive")
     sphere = icosphere(1.0, subdivisions)
     verts = sphere.vertices * np.array([a, b, c], dtype=float) + np.asarray(center, dtype=float)
     return DiscreteHypersurface(verts, sphere.faces)

@@ -55,33 +55,21 @@ class Cone:
     def custom(cls, predicate: Callable[[np.ndarray], bool], description: str = "") -> "Cone":
         return cls(kind=CUSTOM, predicate=predicate, description=description)
 
-    def contains(self, lam: np.ndarray, margin: float = 0.0) -> bool:
-        lam = np.asarray(lam, dtype=float)
-        if not np.all(np.isfinite(lam)):
-            return False
-        if self.kind == POSITIVE:
-            scale = np.max(np.abs(lam))
-            if scale <= 0.0:
-                return False
-            return bool(np.min(lam) > margin * scale)
-        if self.kind == FULL:
-            return bool(np.max(np.abs(lam)) > 0.0)
-        if self.predicate is None:
-            raise ValueError("custom cone without predicate")
-        return bool(self.predicate(lam))
+    def contains(self, lam: np.ndarray) -> bool:
+        return bool(self.contains_many(lam)[0])
 
-    def contains_many(self, lams: np.ndarray, margin: float = 0.0) -> np.ndarray:
+    def contains_many(self, lams: np.ndarray) -> np.ndarray:
         """Vectorised membership test for an (m, n) array of tuples."""
-        lams = np.asarray(lams, dtype=float)
+        lams = np.atleast_2d(np.asarray(lams, dtype=float))
         finite = np.all(np.isfinite(lams), axis=-1)
         if self.kind == POSITIVE:
-            scale = np.max(np.abs(lams), axis=-1)
             with np.errstate(invalid="ignore"):
-                ok = (scale > 0.0) & (np.min(lams, axis=-1) > margin * scale)
-            return finite & ok
+                return finite & (self.interior_margin(lams) > 0.0)
         if self.kind == FULL:
             return finite & (np.max(np.abs(lams), axis=-1) > 0.0)
-        return finite & np.array([self.contains(row) for row in lams], dtype=bool)
+        if self.predicate is None:
+            raise ValueError("custom cone without predicate")
+        return np.array([ok and bool(self.predicate(row)) for ok, row in zip(finite, lams)], dtype=bool)
 
     def interior_margin(self, lams: np.ndarray) -> np.ndarray:
         """Relative depth inside the cone, positive for members.
@@ -139,9 +127,6 @@ class SpeedFunction:
     def __call__(self, lam) -> float:
         return eval_speed(self, lam)
 
-    def value(self, lam) -> float:
-        return eval_speed(self, lam)
-
     def values(self, lams: np.ndarray) -> np.ndarray:
         """Batched raw evaluation (no cone or sign checks)."""
         return np.asarray(self.fn(np.asarray(lams, dtype=float)), dtype=float)
@@ -150,9 +135,7 @@ class SpeedFunction:
         lam = _as_tuple(self, lam)
         if not self.cone.contains(lam):
             raise CurvatureOutsideCone(f"{tuple(lam)} outside cone of {self.name}")
-        if self.grad is not None:
-            return np.asarray(self.grad(lam), dtype=float).reshape(self.arity)
-        return finite_difference_gradient(self.fn, lam)
+        return _raw_gradient(self, lam)
 
 
 def _as_tuple(F: SpeedFunction, lam) -> np.ndarray:
@@ -160,6 +143,13 @@ def _as_tuple(F: SpeedFunction, lam) -> np.ndarray:
     if lam.shape[0] != F.arity:
         raise ValueError(f"expected {F.arity} curvatures, got {lam.shape[0]}")
     return lam
+
+
+def _raw_gradient(F: SpeedFunction, lam: np.ndarray) -> np.ndarray:
+    """Closed-form gradient when F declares one, central differences otherwise."""
+    if F.grad is not None:
+        return np.asarray(F.grad(lam), dtype=float).reshape(F.arity)
+    return finite_difference_gradient(F.fn, lam)
 
 
 def finite_difference_gradient(fn, lam: np.ndarray) -> np.ndarray:
@@ -385,10 +375,7 @@ def check_admissibility(F: SpeedFunction, plan: SamplePlan | None = None) -> Adm
     for lam in pts:
         v = float(F.fn(lam))
         positive = math.isfinite(v) and v > 0.0
-        if F.grad is not None:
-            g = np.asarray(F.grad(lam), dtype=float).reshape(F.arity)
-        else:
-            g = finite_difference_gradient(F.fn, lam)
+        g = _raw_gradient(F, lam)
         monotone = bool(np.all(np.isfinite(g)) and np.all(g > 0.0))
         residual = 0.0
         if F.arity >= 2:

@@ -45,10 +45,6 @@ def psi(F: SpeedFunction, r: float) -> float:
 class SphereFlow:
     """Time-stamped radius samples of one expanding round solution."""
 
-    center: np.ndarray
-    r0: float
-    t0: float
-    speed: SpeedFunction
     samples: np.ndarray  # (k, 2) columns (t, r)
 
     def __post_init__(self):
@@ -75,7 +71,6 @@ def integrate_radius(
     t0: float,
     t1: float,
     dt: float = 1e-3,
-    center=None,
 ) -> SphereFlow:
     """Integrate dr/dt = 1/psi(r) with a classical 4th-order one-step method."""
     if not (t1 > t0):
@@ -84,9 +79,6 @@ def integrate_radius(
         raise ValueError("dt must be positive")
     if not (r0 > 0.0):
         raise ValueError("r0 must be positive")
-    if center is None:
-        center = np.zeros(F.arity + 1)
-    center = np.asarray(center, dtype=float)
 
     def rate(r: float) -> float:
         try:
@@ -107,8 +99,7 @@ def integrate_radius(
         t = t + h
         ts.append(t)
         rs.append(r)
-    samples = np.column_stack([ts, rs])
-    return SphereFlow(center=center, r0=float(r0), t0=float(t0), speed=F, samples=samples)
+    return SphereFlow(samples=np.column_stack([ts, rs]))
 
 
 @dataclass(frozen=True)
@@ -169,27 +160,47 @@ def _shell_integrals(F: SpeedFunction, upper: float, shells: int) -> list[dict]:
     return rows
 
 
-def _classify_shells(rows: list[dict]) -> str:
-    """Return 'divergent', 'convergent' or 'indeterminate'."""
-    if len(rows) < 8:
-        return "indeterminate"
-    shells = [r["shell_integral"] for r in rows]
-    total = rows[-1]["cumulative"]
-    nondecreasing = all(shells[i + 1] >= shells[i] * (1.0 - 1e-6) for i in range(len(shells) - 1))
-    if nondecreasing and total > BLOWUP_TOTAL:
-        return "divergent"
-    tail_ratios = [shells[i + 1] / shells[i] for i in range(len(shells) - 9, len(shells) - 1) if shells[i] > 0]
-    if tail_ratios and max(tail_ratios) < CONVERGENT_RATIO:
-        return "convergent"
-    return "indeterminate"
+def _shell_growth(rows: list[dict]) -> float | None:
+    """Growth time read off the shell integrals: inf when they diverge.
+
+    Divergence needs non-decaying shells and a running total past
+    BLOWUP_TOTAL; convergence needs geometric decay, and the mass below the
+    last shell is then bounded by the geometric tail.  None when neither
+    holds.
+    """
+    if len(rows) >= 8:
+        shells = [r["shell_integral"] for r in rows]
+        total = rows[-1]["cumulative"]
+        nondecreasing = all(shells[i + 1] >= shells[i] * (1.0 - 1e-6) for i in range(len(shells) - 1))
+        if nondecreasing and total > BLOWUP_TOTAL:
+            return math.inf
+        tail_ratios = [shells[i + 1] / shells[i] for i in range(len(shells) - 9, len(shells) - 1) if shells[i] > 0]
+        if tail_ratios and max(tail_ratios) < CONVERGENT_RATIO:
+            q = max(tail_ratios)
+            return total + shells[-1] * q / (1.0 - q)
+    return None
 
 
-def _convergent_tail(rows: list[dict]) -> float:
-    """Geometric bound on the mass below the last shell."""
-    shells = [r["shell_integral"] for r in rows]
-    ratios = [shells[i + 1] / shells[i] for i in range(len(shells) - 9, len(shells) - 1) if shells[i] > 0]
-    q = max(ratios)
-    return shells[-1] * q / (1.0 - q)
+def _growth_time(F: SpeedFunction, r0: float, shells: int = SHELL_COUNT) -> tuple[float, str, tuple[dict, ...]]:
+    """Time for the round solution to grow from radius 0 to r0.
+
+    This is the integral of psi over (0, r0], infinite exactly when round
+    solutions are ancient.  Returns (time, method, evidence).
+    """
+    alpha = _known_homogeneity(F)
+    if alpha is not None:
+        psi1 = psi(F, 1.0)
+        evidence = ({"homogeneity": alpha, "psi_at_1": psi1},)
+        if alpha >= 1.0:
+            return math.inf, "homogeneous_closed_form", evidence
+        return psi1 * r0 ** (1.0 - alpha) / (1.0 - alpha), "homogeneous_closed_form", evidence
+    rows = _shell_integrals(F, upper=r0, shells=shells)
+    T = _shell_growth(rows)
+    if T is None:
+        raise IndeterminateDivergence(
+            f"shell probe inconclusive for {F.name} on (0, {r0}] and no homogeneity known"
+        )
+    return T, "numeric_shells", tuple(rows)
 
 
 def is_ancient(F: SpeedFunction, shells: int = SHELL_COUNT) -> AncientnessVerdict:
@@ -202,37 +213,12 @@ def is_ancient(F: SpeedFunction, shells: int = SHELL_COUNT) -> AncientnessVerdic
     when the increments decay geometrically.  Anything else raises
     IndeterminateDivergence rather than guessing.
     """
-    alpha = _known_homogeneity(F)
-    if alpha is not None:
-        psi1 = psi(F, 1.0)
-        if alpha >= 1.0:
-            return AncientnessVerdict(
-                verdict=ANCIENT,
-                T0_estimate=-math.inf,
-                evidence=({"homogeneity": alpha, "psi_at_1": psi1},),
-                method="homogeneous_closed_form",
-            )
-        T0 = -psi1 / (1.0 - alpha)  # r0 = 1, t0 = 0 reference
-        return AncientnessVerdict(
-            verdict=NON_ANCIENT,
-            T0_estimate=T0,
-            evidence=({"homogeneity": alpha, "psi_at_1": psi1},),
-            method="homogeneous_closed_form",
-        )
-
-    rows = _shell_integrals(F, upper=1.0, shells=shells)
-    kind = _classify_shells(rows)
-    if kind == "divergent":
-        return AncientnessVerdict(
-            verdict=ANCIENT, T0_estimate=-math.inf, evidence=tuple(rows), method="numeric_shells"
-        )
-    if kind == "convergent":
-        total = rows[-1]["cumulative"] + _convergent_tail(rows)
-        return AncientnessVerdict(
-            verdict=NON_ANCIENT, T0_estimate=-total, evidence=tuple(rows), method="numeric_shells"
-        )
-    raise IndeterminateDivergence(
-        f"shell probe inconclusive for {F.name} and no homogeneity known"
+    T, method, evidence = _growth_time(F, 1.0, shells)
+    return AncientnessVerdict(
+        verdict=ANCIENT if T == math.inf else NON_ANCIENT,
+        T0_estimate=-T,
+        evidence=evidence,
+        method=method,
     )
 
 
@@ -244,19 +230,4 @@ def initial_time_estimate(F: SpeedFunction, r0: float, t0: float) -> float:
     """
     if not (r0 > 0.0):
         raise ValueError("r0 must be positive")
-    alpha = _known_homogeneity(F)
-    if alpha is not None:
-        if alpha >= 1.0:
-            return -math.inf
-        psi1 = psi(F, 1.0)
-        return t0 - psi1 * r0 ** (1.0 - alpha) / (1.0 - alpha)
-
-    rows = _shell_integrals(F, upper=r0, shells=SHELL_COUNT)
-    kind = _classify_shells(rows)
-    if kind == "divergent":
-        return -math.inf
-    if kind == "convergent":
-        return t0 - (rows[-1]["cumulative"] + _convergent_tail(rows))
-    raise IndeterminateDivergence(
-        f"shell probe inconclusive for {F.name} on (0, {r0}]"
-    )
+    return t0 - _growth_time(F, r0)[0]

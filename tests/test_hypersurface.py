@@ -9,7 +9,6 @@ from hyperflow.hypersurface import (
     INSIDE_CODE,
     chebyshev_center,
     classify_points,
-    compute_curvatures,
     contains_point,
     curvature_pinching_ratio,
     enclosed_volume,
@@ -33,7 +32,7 @@ def ellipse_curvature(a, b, theta):
 
 
 def test_circle_curvature_is_exact(unit_circle_256):
-    data = compute_curvatures(unit_circle_256)
+    data = unit_circle_256.curvature_data
     assert np.abs(data.principal - 1.0).max() < 1e-3  # actually ~1e-13
     radial = unit_circle_256.vertices / np.linalg.norm(unit_circle_256.vertices, axis=1)[:, None]
     assert np.abs(data.normals - radial).max() < 1e-12
@@ -41,20 +40,20 @@ def test_circle_curvature_is_exact(unit_circle_256):
 
 def test_sphere_mesh_curvature():
     M = shapes.icosphere(2.0, 4)
-    lam = compute_curvatures(M).principal
+    lam = M.curvature_data.principal
     assert np.abs(lam - 0.5).max() / 0.5 < 0.02
 
 
 def test_normals_point_outward_on_convex_inputs():
     for M in (shapes.ellipse_polygon(2.0, 1.0, 64), shapes.ellipsoid_mesh(1.5, 1.0, 0.8, 2)):
-        data = compute_curvatures(M)
+        data = M.curvature_data
         rel = M.vertices - M.vertices.mean(axis=0)
         assert np.all(np.einsum("ij,ij->i", rel, data.normals) > 0.0)
 
 
 def test_ellipse_tip_curvature(ellipse_2_1):
     # vertex 0 sits exactly at (2, 0) where the analytic curvature is a/b^2 = 2
-    k0 = compute_curvatures(ellipse_2_1).principal[0, 0]
+    k0 = ellipse_2_1.curvature_data.principal[0, 0]
     assert k0 == pytest.approx(2.0, rel=0.01)
 
 

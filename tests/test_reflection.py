@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hyperflow.errors import CenterOutside, NeverTouches, StartNotStrict
 from hyperflow.flow_engine import FlowConfig, evolve
@@ -11,7 +11,6 @@ from hyperflow.reflection import (
     ReflectionStatus,
     first_touch_time,
     monitor_reflection,
-    reflect_points,
     strict_reflection_check,
     symmetry_certificate,
 )
@@ -28,9 +27,9 @@ def plane(v, c):
 
 
 def test_reflect_formula_examples():
-    assert reflect_points(np.array([[1.0, 0.0]]), plane([1, 0], 0.0))[0] == pytest.approx([-1.0, 0.0])
-    assert reflect_points(np.array([[1.0, 0.0]]), plane([1, 0], 0.25))[0] == pytest.approx([-0.5, 0.0])
-    assert reflect_points(np.array([[1.0, 2.0]]), plane([0, 1], 1.0))[0] == pytest.approx([1.0, 0.0])
+    assert plane([1, 0], 0.0).reflect(np.array([[1.0, 0.0]]))[0] == pytest.approx([-1.0, 0.0])
+    assert plane([1, 0], 0.25).reflect(np.array([[1.0, 0.0]]))[0] == pytest.approx([-0.5, 0.0])
+    assert plane([0, 1], 1.0).reflect(np.array([[1.0, 2.0]]))[0] == pytest.approx([1.0, 0.0])
 
 
 coords = st.floats(min_value=-10.0, max_value=10.0)
@@ -41,6 +40,7 @@ coords = st.floats(min_value=-10.0, max_value=10.0)
     vx=st.floats(min_value=-1.0, max_value=1.0), vy=st.floats(min_value=-1.0, max_value=1.0),
     c=coords,
 )
+@example(px=0.3, py=0.7, vx=1.0, vy=1e-6, c=1.0)  # |V| - 1 = 5e-13 must still be normalised
 def test_reflection_is_an_involution(px, py, vx, vy, c):
     if abs(vx) + abs(vy) < 1e-3:
         vx = 1.0

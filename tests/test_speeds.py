@@ -148,6 +148,27 @@ def test_positive_cone_convex_on_segments(a, b, w):
     assert cone.contains(mid)
 
 
+CONE_SAMPLES = np.array([
+    [1.0, 1.0], [1.0, 100.0], [1e-300, 1.0], [-1.0, 2.0], [0.0, 1.0], [0.0, 0.0],
+    [0.0, -1.0], [-2.0, -1.0], [np.inf, 1.0], [np.inf, np.inf], [-np.inf, 1.0],
+    [np.nan, 1.0], [np.nan, np.nan], [0.0, np.inf],
+])
+
+
+@pytest.mark.parametrize("cone", [
+    Cone.positive(),
+    Cone.full(),
+    Cone.custom(lambda lam: bool(lam.sum() > 1.0), "lambda_1 + lambda_2 > 1"),
+], ids=["positive", "full", "custom"])
+def test_cone_membership_forms_agree(cone):
+    one_by_one = np.array([cone.contains(row) for row in CONE_SAMPLES])
+    with np.errstate(invalid="ignore"):
+        by_margin = cone.interior_margin(CONE_SAMPLES) > 0.0
+    assert np.array_equal(cone.contains_many(CONE_SAMPLES), one_by_one)
+    assert np.array_equal(by_margin, one_by_one)
+    assert one_by_one.any() and not one_by_one.all()
+
+
 def test_interior_margin_values():
     cone = Cone.positive()
     margins = cone.interior_margin(np.array([[1.0, 1.0], [1.0, 100.0], [-1.0, 2.0]]))

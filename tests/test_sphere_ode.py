@@ -83,7 +83,9 @@ def test_initial_time_examples():
 def test_ancient_iff_infinite_birth_time():
     for n in (1, 2):
         for F in catalog(n):
-            ancient = is_ancient(F).is_ancient
+            verdict = is_ancient(F)
+            ancient = verdict.is_ancient
+            assert verdict.T0_estimate == initial_time_estimate(F, 1.0, 0.0), F.name
             for r0 in (0.1, 1.0, 10.0):
                 T0 = initial_time_estimate(F, r0, 0.0)
                 assert ancient == (T0 == -math.inf), (F.name, r0)
