@@ -31,6 +31,7 @@ from .speeds import SpeedFunction
 MARGIN_HARD = 1e-6  # relative cone-interior margin that aborts a step
 MARGIN_WARN = 1e-3  # margin that logs a near-boundary warning event
 EDGE_FLOOR_FACTOR = 1e-12  # min edge length relative to bbox diagonal
+MAX_STEPS = 10_000_000  # runaway guard on requested steps per evolve call
 
 
 @dataclass
@@ -55,8 +56,6 @@ class FlowConfig:
     remesh: bool = False
     band: tuple[float, float] | None = None
     stop_on_cone_exit: bool = True
-    stability_substeps: bool = True
-    max_steps: int = 10_000_000
 
     def __post_init__(self):
         if not (0.0 < self.cfl <= 1.0):
@@ -151,20 +150,13 @@ def step(M: DiscreteHypersurface, F: SpeedFunction, dt: float) -> DiscreteHypers
     """One forward-Euler update: x -> x + dt * normal / F(curvatures)."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    vel, _, _ = _velocity(M, F)
-    out = _stage_surface(M, M.vertices + dt * vel)
-    if float(out.edge_lengths.min()) <= EDGE_FLOOR_FACTOR * out.bbox_diagonal:
-        raise MeshDegeneracy("edge length fell below the quality floor")
-    return out
+    return _substep(M, F, dt, "euler")[0]
 
 
 def _local_min_edge(M: DiscreteHypersurface) -> np.ndarray:
     """Per-vertex length of the shortest incident edge."""
-    if M.dimension == 1:
-        lens = M.edge_lengths  # edge i joins vertex i and i+1
-        return np.minimum(lens, np.roll(lens, 1))
-    e = M.topology.unique_edges
-    lens = np.linalg.norm(M.vertices[e[:, 0]] - M.vertices[e[:, 1]], axis=1)
+    e = M.edges
+    lens = M.edge_lengths
     out = np.full(M.num_vertices, np.inf)
     np.minimum.at(out, e[:, 0], lens)
     np.minimum.at(out, e[:, 1], lens)
@@ -201,22 +193,28 @@ def stable_substep(M: DiscreteHypersurface, F: SpeedFunction, scheme: str = "rk4
     return _STAB_COEFF[scheme] / stiffest
 
 
-def _advance(
+def _substep(
     M: DiscreteHypersurface, F: SpeedFunction, dt: float, scheme: str
-) -> tuple[np.ndarray, float, float]:
-    """One step of the configured scheme on raw vertices."""
+) -> tuple[DiscreteHypersurface, float]:
+    """One step of the scheme: the new surface, checked against the edge
+    floor, and the smallest cone margin over its stages."""
     x = M.vertices
-    k1, m1, s1 = _velocity(M, F)
+    k1, margin, _ = _velocity(M, F)
     if scheme == "euler":
-        return x + dt * k1, m1, s1
-    M2 = _stage_surface(M, x + 0.5 * dt * k1)
-    k2, m2, _ = _velocity(M2, F)
-    M3 = _stage_surface(M, x + 0.5 * dt * k2)
-    k3, m3, _ = _velocity(M3, F)
-    M4 = _stage_surface(M, x + dt * k3)
-    k4, m4, _ = _velocity(M4, F)
-    new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return new, min(m1, m2, m3, m4), s1
+        new = x + dt * k1
+    else:
+        M2 = _stage_surface(M, x + 0.5 * dt * k1)
+        k2, m2, _ = _velocity(M2, F)
+        M3 = _stage_surface(M, x + 0.5 * dt * k2)
+        k3, m3, _ = _velocity(M3, F)
+        M4 = _stage_surface(M, x + dt * k3)
+        k4, m4, _ = _velocity(M4, F)
+        new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        margin = min(margin, m2, m3, m4)
+    out = _stage_surface(M, new)
+    if float(out.edge_lengths.min()) <= EDGE_FLOOR_FACTOR * out.bbox_diagonal:
+        raise MeshDegeneracy("edge length fell below the quality floor")
+    return out, margin
 
 
 def evolve(
@@ -238,7 +236,7 @@ def evolve(
     steps = 0
     substep_logged = False
     while t < config.t_end - 1e-15 * max(1.0, abs(config.t_end)):
-        if steps >= config.max_steps:
+        if steps >= MAX_STEPS:
             raise MeshDegeneracy("max step count exceeded")
         if config.dt is not None:
             dt = config.dt
@@ -246,27 +244,22 @@ def evolve(
             _, _, f_min = _velocity(M, F)
             dt = config.cfl * float(M.edge_lengths.min()) * f_min
         dt = min(dt, config.t_end - t)
-        n_sub = 1
-        if config.stability_substeps:
-            dt_stable = stable_substep(M, F, config.scheme)
-            n_sub = max(1, int(math.ceil(dt / dt_stable)))
-            if n_sub > 1 and not substep_logged:
-                traj.events.append(
-                    {
-                        "t": t,
-                        "type": "stability_substepping",
-                        "detail": f"requested dt {dt:.3e} executed as {n_sub} substeps",
-                    }
-                )
-                substep_logged = True
+        dt_stable = stable_substep(M, F, config.scheme)
+        n_sub = max(1, int(math.ceil(dt / dt_stable)))
+        if n_sub > 1 and not substep_logged:
+            traj.events.append(
+                {
+                    "t": t,
+                    "type": "stability_substepping",
+                    "detail": f"requested dt {dt:.3e} executed as {n_sub} substeps",
+                }
+            )
+            substep_logged = True
         margin = math.inf
         try:
             for _ in range(n_sub):
-                verts, m_sub, _ = _advance(M, F, dt / n_sub, config.scheme)
-                M = _stage_surface(M, verts)
+                M, m_sub = _substep(M, F, dt / n_sub, config.scheme)
                 margin = min(margin, m_sub)
-                if float(M.edge_lengths.min()) <= EDGE_FLOOR_FACTOR * M.bbox_diagonal:
-                    raise MeshDegeneracy("edge length fell below the quality floor")
         except ConeExit as exc:
             if config.stop_on_cone_exit:
                 raise

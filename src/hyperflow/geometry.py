@@ -97,20 +97,26 @@ def winding_number_3d(vertices: np.ndarray, faces: np.ndarray, points: np.ndarra
     return out
 
 
-def point_segment_distance(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
-    """Min distance from each point to a set of segments, shape (P,)."""
-    points = np.atleast_2d(points)
+def point_segment_pair_distance(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
+    """Distance from each point to its paired segment, all shapes (..., d)."""
     d = seg_b - seg_a
-    dd = np.einsum("ij,ij->i", d, d)
+    dd = np.einsum("...i,...i->...", d, d)
     dd = np.where(dd > 0.0, dd, 1.0)
+    t = np.clip(np.einsum("...i,...i->...", points - seg_a, d) / dd, 0.0, 1.0)
+    closest = seg_a + t[..., None] * d
+    return np.linalg.norm(points - closest, axis=-1)
+
+
+def point_segment_distance(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
+    """Min distance from each point to a set of segments, shape (P,).
+
+    All P x m pairs, so this is the exact reference for pruned searches.
+    """
+    points = np.atleast_2d(points)
     out = np.empty(points.shape[0], dtype=float)
     for s in range(0, points.shape[0], _CHUNK):
-        p = points[s : s + _CHUNK]
-        ap = p[:, None, :] - seg_a[None, :, :]
-        t = np.clip(np.einsum("qij,ij->qi", ap, d) / dd[None, :], 0.0, 1.0)
-        closest = seg_a[None, :, :] + t[:, :, None] * d[None, :, :]
-        dist = np.linalg.norm(p[:, None, :] - closest, axis=2)
-        out[s : s + _CHUNK] = np.min(dist, axis=1)
+        p = points[s : s + _CHUNK, None, :]
+        out[s : s + _CHUNK] = np.min(point_segment_pair_distance(p, seg_a[None], seg_b[None]), axis=1)
     return out
 
 

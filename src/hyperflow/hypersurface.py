@@ -4,8 +4,9 @@ A surface snapshot is immutable; evolution and remeshing build new instances.
 Per-vertex principal curvatures come from the circle through three consecutive
 vertices (curves) or from a quadratic height fit over the two-ring expressed in
 first/second fundamental form terms (meshes), so every speed function receives
-a full curvature tuple.  Containment queries use winding numbers, and distances
-are exact element distances with a spatial prune on meshes.
+a full curvature tuple.  Containment queries use winding numbers.  Distances
+and the embeddedness sweep share one element path: a curve's elements are its
+edges and a mesh's are its triangles, pruned by a tree over element centroids.
 
 The curve estimator reproduces circles exactly: three points of a circle
 determine it.  That choice keeps round flows free of discretisation bias, at
@@ -185,11 +186,17 @@ class DiscreteHypersurface:
         span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
         return float(np.linalg.norm(span))
 
+    @property
+    def edges(self) -> np.ndarray:
+        """Vertex index pairs, (i, i+1) in order around a curve, each mesh edge once."""
+        if self.dimension == 1:
+            i = np.arange(self.num_vertices)
+            return np.column_stack([i, np.roll(i, -1)])
+        return self.topology.unique_edges
+
     @cached_property
     def edge_lengths(self) -> np.ndarray:
-        if self.dimension == 1:
-            return np.linalg.norm(np.roll(self.vertices, -1, axis=0) - self.vertices, axis=1)
-        e = self.topology.unique_edges
+        e = self.edges
         return np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)
 
     def with_vertices(self, vertices: np.ndarray) -> "DiscreteHypersurface":
@@ -352,51 +359,47 @@ def _boundary_tolerance(M: DiscreteHypersurface, tol: float | None) -> float:
     return tol if tol is not None else BOUNDARY_TOL_FACTOR * M.bbox_diagonal
 
 
-def surface_distance(M: DiscreteHypersurface, points: np.ndarray) -> np.ndarray:
-    """Unsigned distance from each query point to the surface."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+def _elements(M: DiscreteHypersurface):
+    """Elements of the pruned queries: a curve's edges, a mesh's triangles.
+
+    Returns their vertex indices, their corner arrays, a tree over their
+    centroids and the largest distance from a centroid to its corners.
+    """
+    idx = M.edges if M.dimension == 1 else M.faces
+    corners = [M.vertices[idx[:, j]] for j in range(idx.shape[1])]
+    cent = sum(corners[1:], corners[0]) / len(corners)
+    reach = float(np.max(np.stack([np.linalg.norm(p - cent, axis=1) for p in corners])))
+    return idx, corners, cKDTree(cent), reach
+
+
+def _inside(M: DiscreteHypersurface, points: np.ndarray) -> np.ndarray:
+    """Winding-number inside test (nonzero in the plane, above 1/2 in space)."""
     if M.dimension == 1:
-        a = M.vertices
-        b = np.roll(M.vertices, -1, axis=0)
-        return geometry.point_segment_distance(points, a, b)
-    return _mesh_distance(M, points)
+        return geometry.winding_number_2d(M.vertices, points) != 0
+    return np.abs(geometry.winding_number_3d(M.vertices, M.faces, points)) > 0.5
 
 
-def _mesh_distance(M: DiscreteHypersurface, points: np.ndarray) -> np.ndarray:
-    faces = M.faces
-    verts = M.vertices
-    a = verts[faces[:, 0]]
-    b = verts[faces[:, 1]]
-    c = verts[faces[:, 2]]
-    cent = (a + b + c) / 3.0
-    reach = np.max(
-        np.stack(
-            [
-                np.linalg.norm(a - cent, axis=1),
-                np.linalg.norm(b - cent, axis=1),
-                np.linalg.norm(c - cent, axis=1),
-            ]
-        )
-    )
-    tree = cKDTree(cent)
-    k = min(32, faces.shape[0])
-    d_cent, idx = tree.query(points, k=k)
-    if k == 1:
-        d_cent = d_cent[:, None]
-        idx = idx[:, None]
-    cand = idx
-    d = geometry.point_triangle_distance(
-        points[:, None, :], a[cand], b[cand], c[cand]
-    )
-    best = np.min(d, axis=1)
-    # any triangle whose centroid is farther than the kth one is at distance
+def surface_distance(M: DiscreteHypersurface, points: np.ndarray) -> np.ndarray:
+    """Unsigned distance from each query point to the surface.
+
+    Exact: each point is measured against the elements with the nearest
+    centroids, and against all elements when that prune cannot be proved.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    idx, corners, tree, reach = _elements(M)
+    if M.dimension == 1:
+        kernel = geometry.point_segment_pair_distance
+        brute = lambda p: geometry.point_segment_distance(p, *corners)
+    else:
+        kernel = geometry.point_triangle_distance
+        brute = lambda p: np.min(kernel(p[:, None, :], *(c[None] for c in corners)), axis=1)
+    d_cent, cand = tree.query(points, k=min(32, idx.shape[0]))
+    best = np.min(kernel(points[:, None, :], *(c[cand] for c in corners)), axis=1)
+    # any element whose centroid is farther than the kth one is at distance
     # >= d_cent[:, -1] - reach; if our current best beats that, it is exact
     unsafe = best > d_cent[:, -1] - reach
     if np.any(unsafe):
-        full = geometry.point_triangle_distance(
-            points[unsafe][:, None, :], a[None, :, :], b[None, :, :], c[None, :, :]
-        )
-        best[unsafe] = np.min(full, axis=1)
+        best[unsafe] = brute(points[unsafe])
     return best
 
 
@@ -404,24 +407,14 @@ def classify_points(M: DiscreteHypersurface, points: np.ndarray, tol: float | No
     """Vector of containment codes: +1 inside, -1 outside, 0 within tol of M."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     band = _boundary_tolerance(M, tol)
-    if M.dimension == 1:
-        wn = geometry.winding_number_2d(M.vertices, points)
-        inside = wn != 0
-        dist = surface_distance(M, points)
-        near = dist < band
-    else:
-        w = geometry.winding_number_3d(M.vertices, M.faces, points)
-        inside = np.abs(w) > 0.5
-        # cheap screen before exact distances: a point farther from the
-        # vertex set than the largest element extent cannot be near the mesh
-        vtree = cKDTree(M.vertices)
-        d_vert, _ = vtree.query(points)
-        h_max = float(M.edge_lengths.max())
-        maybe_near = d_vert <= band + h_max
-        near = np.zeros(points.shape[0], dtype=bool)
-        if np.any(maybe_near):
-            near[maybe_near] = _mesh_distance(M, points[maybe_near]) < band
-    out = np.where(inside, INSIDE_CODE, OUTSIDE_CODE)
+    # exact screen before distances: every point of an element lies within
+    # the longest edge of a vertex, so distance >= vertex distance - h_max
+    d_vert, _ = cKDTree(M.vertices).query(points)
+    maybe_near = d_vert <= band + float(M.edge_lengths.max())
+    near = np.zeros(points.shape[0], dtype=bool)
+    if np.any(maybe_near):
+        near[maybe_near] = surface_distance(M, points[maybe_near]) < band
+    out = np.where(_inside(M, points), INSIDE_CODE, OUTSIDE_CODE)
     out[near] = BOUNDARY_CODE
     return out
 
@@ -440,11 +433,7 @@ def signed_interior_distance(M: DiscreteHypersurface, points: np.ndarray) -> np.
     """Distance to the surface, positive inside the enclosed region."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     dist = surface_distance(M, points)
-    if M.dimension == 1:
-        inside = geometry.winding_number_2d(M.vertices, points) != 0
-    else:
-        inside = np.abs(geometry.winding_number_3d(M.vertices, M.faces, points)) > 0.5
-    return np.where(inside, dist, -dist)
+    return np.where(_inside(M, points), dist, -dist)
 
 
 def enclosed_volume(M: DiscreteHypersurface) -> float:
@@ -473,27 +462,17 @@ def chebyshev_center(M: DiscreteHypersurface, grid: int | None = None) -> np.nda
         axes = [np.linspace(lo_[i], hi_[i], res) for i in range(dim)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.column_stack([m.ravel() for m in mesh])
-        if dim == 2:
-            inside = geometry.winding_number_2d(M.vertices, pts) != 0
-            if not np.any(inside):
-                return None, -np.inf
-            pts_in = pts[inside]
-            d = surface_distance(M, pts_in)
-            j = int(np.argmax(d))
-            return pts_in[j], float(d[j])
-        # meshes: rank by cheap vertex distance, verify the leaders exactly
-        vtree = cKDTree(M.vertices)
-        pts = np.vstack([pts, M.vertices.mean(axis=0)[None, :]])
-        proxy, _ = vtree.query(pts)
-        order = np.argsort(proxy)[::-1][: max(256, res)]
-        cand = pts[order]
-        w = geometry.winding_number_3d(M.vertices, M.faces, cand)
-        cand = cand[np.abs(w) > 0.5]
-        if cand.shape[0] == 0:
+        if dim == 3:
+            # meshes: rank by cheap vertex distance, verify the leaders exactly
+            pts = np.vstack([pts, M.vertices.mean(axis=0)[None, :]])
+            proxy, _ = cKDTree(M.vertices).query(pts)
+            pts = pts[np.argsort(proxy)[::-1][: max(256, res)]]
+        pts = pts[_inside(M, pts)]
+        if pts.shape[0] == 0:
             return None, -np.inf
-        d = _mesh_distance(M, cand)
+        d = surface_distance(M, pts)
         j = int(np.argmax(d))
-        return cand[j], float(d[j])
+        return pts[j], float(d[j])
 
     best, _ = search(lo, hi, resolution)
     if best is None:
@@ -549,59 +528,19 @@ def support_max(M: DiscreteHypersurface, direction) -> float:
 def is_embedded(M: DiscreteHypersurface) -> bool:
     """Mesh-scale self-intersection sweep.
 
-    Exact pair tests after adjacency and spatial pruning.  Quadratic worst
-    case for polygons (fine at audit sizes); meshes prune with a centroid
-    tree first.
+    Two elements can only meet when their centroids lie within twice the
+    largest reach, so a centroid tree yields the candidate pairs.  Pairs that
+    share a vertex are dropped and the rest get an exact pair test.
     """
+    idx, _, tree, reach = _elements(M)
+    pairs = tree.query_pairs(2.0 * reach, output_type="ndarray")
+    shares = np.any(idx[pairs[:, 0]][:, :, None] == idx[pairs[:, 1]][:, None, :], axis=(1, 2))
+    i, j = pairs[~shares].T
+    corners = M.vertices[idx]
     if M.dimension == 1:
-        return _polygon_embedded(M.vertices)
-    return _mesh_embedded(M)
-
-
-def _polygon_embedded(verts: np.ndarray) -> bool:
-    m = verts.shape[0]
-    a = verts
-    b = np.roll(verts, -1, axis=0)
-    i_idx, j_idx = np.triu_indices(m, k=2)
-    adjacent = ((i_idx == 0) & (j_idx == m - 1))
-    i_idx, j_idx = i_idx[~adjacent], j_idx[~adjacent]
-    hits = geometry.segments_intersect(a[i_idx], b[i_idx], a[j_idx], b[j_idx])
-    return not bool(np.any(hits))
-
-
-def _mesh_embedded(M: DiscreteHypersurface) -> bool:
-    verts = M.vertices
-    faces = M.faces
-    a = verts[faces[:, 0]]
-    b = verts[faces[:, 1]]
-    c = verts[faces[:, 2]]
-    cent = (a + b + c) / 3.0
-    reach = np.max(
-        np.stack(
-            [
-                np.linalg.norm(a - cent, axis=1),
-                np.linalg.norm(b - cent, axis=1),
-                np.linalg.norm(c - cent, axis=1),
-            ]
-        ),
-        axis=0,
-    )
-    tree = cKDTree(cent)
-    pairs = tree.query_pairs(2.0 * float(reach.max()), output_type="ndarray")
-    if pairs.shape[0] == 0:
-        return True
-    fi = faces[pairs[:, 0]]
-    fj = faces[pairs[:, 1]]
-    shares = np.zeros(pairs.shape[0], dtype=bool)
-    for p in range(3):
-        for q in range(3):
-            shares |= fi[:, p] == fj[:, q]
-    pairs = pairs[~shares]
-    tris = verts[faces]
-    for i, j in pairs:
-        if geometry.triangles_intersect(tris[i], tris[j]):
-            return False
-    return True
+        hits = geometry.segments_intersect(corners[i, 0], corners[i, 1], corners[j, 0], corners[j, 1])
+        return not bool(np.any(hits))
+    return not any(geometry.triangles_intersect(corners[p], corners[q]) for p, q in zip(i, j))
 
 
 def assert_embedded(M: DiscreteHypersurface) -> None:

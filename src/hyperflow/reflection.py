@@ -103,6 +103,11 @@ def strict_reflection_check(
     no near-tangency gives Strict; any clearly outside gives Fails with
     witnesses; anything within the band gives NonStrict.
     """
+    if plane.V.shape != (M.dimension + 1,):
+        raise ValueError(
+            f"plane direction has {plane.V.size} components, "
+            f"but the surface lies in {M.dimension + 1} dimensions"
+        )
     band = tol if tol is not None else INCLUSION_BAND_FACTOR * M.bbox_diagonal
     s = plane.signed_coordinate(M.vertices)
 
@@ -165,15 +170,9 @@ def strict_reflection_check(
 
 def _crossing_endpoints(M: DiscreteHypersurface, s: np.ndarray) -> np.ndarray:
     mask = np.zeros(M.num_vertices, dtype=bool)
-    if M.dimension == 1:
-        nxt = np.roll(np.arange(M.num_vertices), -1)
-        cross = s * s[nxt] < 0.0
-        mask[np.nonzero(cross)[0]] = True
-        mask[nxt[cross]] = True
-    else:
-        e = M.topology.unique_edges
-        cross = s[e[:, 0]] * s[e[:, 1]] < 0.0
-        mask[e[cross].ravel()] = True
+    e = M.edges
+    cross = s[e[:, 0]] * s[e[:, 1]] < 0.0
+    mask[e[cross].ravel()] = True
     return mask
 
 

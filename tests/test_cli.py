@@ -293,6 +293,11 @@ def _bad_input(tmp_path, case):
     if case == "offsets above R_star":
         return ["rigidity-audit", "--set", "t0=-6", "--set", "t_end=-3", "--set", "frame_dt=0.05",
                 "--set", "c_schedule=0.4,0.2,0.1"], "R_star"
+    if case == "curve plane on a surface":
+        return ["reflect-audit", "--set", "shape=icosphere"], "2 components, but the surface lies in 3"
+    if case == "surface plane on a curve":
+        return (["reflect-audit", "--set", "shape=circle", "--set", "plane_direction=1,0,0"],
+                "3 components, but the surface lies in 2")
     path = tmp_path / ("bad.txt" if case == "clockwise polygon" else "bad.obj")
     if case == "short vertex line":
         path.write_text("v 0 0 0\nv 1 0\nv 0 1 0\nv 0 0 1\nf 1 3 2\nf 1 2 4\nf 2 3 4\nf 3 1 4\n")
@@ -306,6 +311,7 @@ def _bad_input(tmp_path, case):
 
 @pytest.mark.parametrize("case", [
     "short vertex line", "clockwise polygon", "open mesh", "unknown speed", "offsets above R_star",
+    "curve plane on a surface", "surface plane on a curve",
 ])
 def test_bad_input_is_a_one_line_config_error(tmp_path, capsys, case):
     args, named = _bad_input(tmp_path, case)

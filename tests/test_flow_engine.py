@@ -14,6 +14,7 @@ from hyperflow.flow_engine import (
 )
 from hyperflow.hypersurface import (
     INSIDE_CODE,
+    DiscreteHypersurface,
     classify_points,
     enclosed_volume,
 )
@@ -55,6 +56,17 @@ def test_step_increases_enclosed_volume(n):
 def test_step_rejects_nonconvex_for_positive_cone():
     with pytest.raises(ConeExit):
         step(shapes.peanut_polygon(128), F_K, 1e-3)
+
+
+def test_step_and_evolve_stop_at_the_edge_floor():
+    # a 64-gon with one extra vertex 1e-13 along the circle: that edge sits
+    # below the floor of 1e-12 bbox diagonals, and a tiny step keeps it there
+    th = np.sort(np.append(2.0 * np.pi * np.arange(64) / 64, 1e-13))
+    M = DiscreteHypersurface(np.column_stack([np.cos(th), np.sin(th)]))
+    with pytest.raises(MeshDegeneracy, match="quality floor"):
+        step(M, F_K, 1e-20)
+    with pytest.raises(MeshDegeneracy, match="quality floor"):
+        evolve(M, F_K, 0.0, FlowConfig(t_end=0.01, dt=1e-3))
 
 
 def test_step_rejects_nonpositive_dt(unit_circle_256):

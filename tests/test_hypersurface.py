@@ -18,9 +18,10 @@ from hyperflow.hypersurface import (
     starshapedness_ratio,
     signed_interior_distance,
     support_max,
+    surface_distance,
     write_surface,
 )
-from hyperflow import shapes
+from hyperflow import geometry, shapes
 
 
 def ellipse_curvature(a, b, theta):
@@ -148,6 +149,94 @@ def test_mesh_containment_agrees_with_convex_oracle(icosphere_sub3):
     codes = classify_points(M, pts)
     decided = (codes != BOUNDARY_CODE) & (margin > 1e-9)
     assert np.array_equal(codes[decided] == INSIDE_CODE, oracle[decided])
+
+
+def _curve_distance_oracle(M, points):
+    # every point against every edge, with the arithmetic of the original
+    # brute-force kernel
+    a = M.vertices
+    d = np.roll(a, -1, axis=0) - a
+    dd = np.einsum("ij,ij->i", d, d)
+    dd = np.where(dd > 0.0, dd, 1.0)
+    ap = points[:, None, :] - a[None, :, :]
+    t = np.clip(np.einsum("qij,ij->qi", ap, d) / dd[None, :], 0.0, 1.0)
+    closest = a[None, :, :] + t[:, :, None] * d[None, :, :]
+    return np.min(np.linalg.norm(points[:, None, :] - closest, axis=2), axis=1)
+
+
+def _mesh_distance_oracle(M, points):
+    a, b, c = (M.vertices[M.faces[:, j]][None, :, :] for j in range(3))
+    return np.concatenate([
+        np.min(geometry.point_triangle_distance(p[:, None, :], a, b, c), axis=1)
+        for p in np.array_split(points, -(-points.shape[0] // 256))
+    ])
+
+
+def _distance_queries(M, seed):
+    rng = np.random.default_rng(seed)
+    dim = M.vertices.shape[1]
+    lo, hi = M.vertices.min(axis=0), M.vertices.max(axis=0)
+    boxed = rng.uniform(lo - 0.2, hi + 0.2, size=(400, dim))
+    v = rng.normal(size=dim)
+    v /= np.linalg.norm(v)
+    reflected = []
+    for c in (-0.3, 0.0, 0.4):
+        s = M.vertices @ v - c
+        reflected.append(M.vertices - 2.0 * s[:, None] * v[None, :])
+    centre = M.vertices.mean(axis=0)[None, :]
+    far = 50.0 * rng.normal(size=(20, dim))
+    return np.vstack([boxed, *reflected, centre, far])
+
+
+def _half_disc(count=200):
+    th = np.linspace(0.0, np.pi, count)
+    return DiscreteHypersurface(np.column_stack([np.cos(th), np.sin(th)]))
+
+
+def _half_ball(lon=24, lat=12):
+    # dome rings from the equator up, then the pole, then the centre of a
+    # flat base fanned into long thin triangles
+    phi = 0.5 * np.pi * np.arange(lat) / lat
+    th = 2.0 * np.pi * np.arange(lon) / lon
+    ring = np.column_stack([np.cos(th), np.sin(th), np.zeros(lon)])
+    verts = np.vstack([ring * np.cos(p) + [0.0, 0.0, np.sin(p)] for p in phi] + [[[0.0, 0.0, 1.0]], [[0.0, 0.0, 0.0]]])
+    pole, base = lat * lon, lat * lon + 1
+    faces = [[base, (i + 1) % lon, i] for i in range(lon)]
+    for k in range(lat):
+        for i in range(lon):
+            a, b = k * lon + i, k * lon + (i + 1) % lon
+            faces += [[a, b, b + lon], [a, b + lon, a + lon]] if k + 1 < lat else [[a, b, pole]]
+    return DiscreteHypersurface(verts, np.array(faces))
+
+
+# the half disc's diameter and the half ball's base fan are elements whose
+# centroids sit far from parts of them, so the pruned search must fall back
+@pytest.mark.parametrize("shape", [
+    "circle", "ellipse 2:1", "square", "noisy circle", "peanut", "half disc",
+    "icosphere s2", "noisy sphere", "half ball",
+])
+def test_distances_equal_the_all_pairs_oracle_bitwise(shape):
+    M = {
+        "circle": lambda: shapes.circle_polygon(1.0, 256),
+        "ellipse 2:1": lambda: shapes.ellipse_polygon(2.0, 1.0, 256),
+        "square": lambda: shapes.square_polygon(2.0, 1),
+        "noisy circle": lambda: shapes.noisy_circle(1.0, 0.05, 300, seed=3),
+        "peanut": lambda: shapes.peanut_polygon(128),
+        "half disc": _half_disc,
+        "icosphere s2": lambda: shapes.icosphere(1.0, 2),
+        "noisy sphere": lambda: shapes.noisy_sphere(1.0, 0.05, 2, seed=4),
+        "half ball": _half_ball,
+    }[shape]()
+    pts = _distance_queries(M, seed=len(shape))
+    if M.dimension == 1:
+        oracle = _curve_distance_oracle(M, pts)
+        inside = geometry.winding_number_2d(M.vertices, pts) != 0
+        assert np.array_equal(geometry.point_segment_distance(pts, M.vertices, np.roll(M.vertices, -1, axis=0)), oracle)
+    else:
+        oracle = _mesh_distance_oracle(M, pts)
+        inside = np.abs(geometry.winding_number_3d(M.vertices, M.faces, pts)) > 0.5
+    assert np.array_equal(surface_distance(M, pts), oracle)
+    assert np.array_equal(signed_interior_distance(M, pts), np.where(inside, oracle, -oracle))
 
 
 def test_signed_interior_distance_signs(unit_circle_256):
@@ -285,8 +374,48 @@ def test_self_intersection_detected():
     assert not is_embedded(ico.with_vertices(v))
 
 
+def _quadratic_polygon_embedded(verts):
+    # every pair of non-adjacent edges
+    m = verts.shape[0]
+    a = verts
+    b = np.roll(verts, -1, axis=0)
+    i_idx, j_idx = np.triu_indices(m, k=2)
+    adjacent = (i_idx == 0) & (j_idx == m - 1)
+    i_idx, j_idx = i_idx[~adjacent], j_idx[~adjacent]
+    return not bool(np.any(geometry.segments_intersect(a[i_idx], b[i_idx], a[j_idx], b[j_idx])))
+
+
+def test_embeddedness_agrees_with_the_quadratic_sweep():
+    t = 2.0 * np.pi * np.arange(64) / 64
+    polygons = [np.column_stack([np.cos(t), np.sin(2.0 * t) / 2.0])]
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        m = int(rng.integers(4, 40))
+        theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, m))
+        r = rng.uniform(0.2, 1.0, m)
+        verts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+        # swapping two vertices of a star-shaped polygon usually crosses edges
+        if rng.uniform() < 0.5:
+            i, j = rng.choice(m, 2, replace=False)
+            verts[[i, j]] = verts[[j, i]]
+        if geometry.polygon_area(verts) < 0.0:
+            verts = verts[::-1]
+        polygons.append(verts)
+    verdicts = [is_embedded(DiscreteHypersurface(v)) for v in polygons]
+    assert verdicts == [_quadratic_polygon_embedded(v) for v in polygons]
+    assert not verdicts[0] and True in verdicts and verdicts.count(False) > 10
+
+
 # ---------------------------------------------------------------------------
 # snapshots and files
+
+
+def test_edges_run_around_a_curve_and_list_each_mesh_edge_once(unit_circle_256, icosphere_sub3):
+    e = unit_circle_256.edges
+    assert np.array_equal(e, np.column_stack([np.arange(256), (np.arange(256) + 1) % 256]))
+    assert np.array_equal(icosphere_sub3.edges, icosphere_sub3.topology.unique_edges)
+    M = unit_circle_256
+    assert np.array_equal(M.edge_lengths, np.linalg.norm(np.roll(M.vertices, -1, axis=0) - M.vertices, axis=1))
 
 
 def test_with_vertices_shares_topology():

@@ -1,0 +1,63 @@
+"""The benchmark's span tracer still finds every function it wraps.
+
+``perfbench/tracer.py`` patches hyperflow functions by name, so a rename in
+the package would break traced benchmark runs; this installs the tracer
+unedited and checks that it wraps every reported name and restores every
+binding it touched.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from hyperflow import hypersurface, shapes
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings() -> dict:
+    """Every module-level and class-level binding in the hyperflow modules."""
+    out = {}
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is None or not (mod_name == "hyperflow" or mod_name.startswith("hyperflow.")):
+            continue
+        for key, value in vars(mod).items():
+            out[(mod_name, key)] = value
+            if isinstance(value, type) and value.__module__ == mod_name:
+                for attr, member in vars(value).items():
+                    out[(mod_name, key, attr)] = member
+    return out
+
+
+def test_tracer_wraps_every_traced_name_and_restores_it():
+    tracing = _load_tracer()
+    before = _bindings()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        during = _bindings()
+        assert set(tracing.REPORTED) <= set(tracer.names)
+        changed = {".".join(k) for k, v in before.items() if during[k] is not v}
+        assert changed == tracer.patched_sites
+        assert "hyperflow.geometry.point_segment_distance" in changed
+
+        # the all-pairs segment kernel is now only the exactness fallback:
+        # the circle's centre needs it, a point next to an edge does not
+        M = shapes.circle_polygon(1.0, 256)
+        hypersurface.surface_distance(M, np.array([[0.0, 0.0]]))
+        hypersurface.surface_distance(M, np.array([[1.01, 0.0]]))
+        assert tracer.calls["geometry.point_segment_distance"] == 1
+        assert tracer.counts["geometry.point_segment_distance.pairs"] == 256
+    finally:
+        tracer.uninstall()
+    after = _bindings()
+    assert all(after[k] is v for k, v in before.items())
