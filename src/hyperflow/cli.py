@@ -43,6 +43,7 @@ from .hypersurface import (
     DiscreteHypersurface,
     enclosed_volume,
     inner_outer_radii,
+    is_embedded,
     read_surface,
     write_surface,
 )
@@ -420,6 +421,10 @@ def _run_classify_speed(cfg: RunConfig) -> int:
 
 def _run_reflect_audit(cfg: RunConfig) -> int:
     M = _build_shape(cfg)
+    # the reflection check signs distances by pseudonormals, which needs an
+    # embedded surface; the built-in shapes are embedded by construction
+    if cfg.shape == "mesh" and not is_embedded(M):
+        raise ValidationError(f"mesh file {cfg.mesh_file}: the surface intersects itself")
     verdicts = []
     all_strict = True
     for c in cfg.plane_offsets:

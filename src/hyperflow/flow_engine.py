@@ -25,7 +25,7 @@ from .errors import (
     NonFiniteState,
     NonPositiveSpeed,
 )
-from .hypersurface import DiscreteHypersurface, enclosed_volume
+from .hypersurface import DiscreteHypersurface, _edge_table, enclosed_volume
 from .speeds import SpeedFunction
 
 MARGIN_HARD = 1e-6  # relative cone-interior margin that aborts a step
@@ -469,31 +469,26 @@ def _remesh_mesh(M: DiscreteHypersurface, lo: float, hi: float) -> DiscreteHyper
     faces = M.faces.copy()
     for _ in range(64):
         arr = np.array(verts)
-        e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-        und = np.unique(np.sort(e, axis=1), axis=0)
+        und, edge_faces, _ = _edge_table(faces)
         lens = np.linalg.norm(arr[und[:, 0]] - arr[und[:, 1]], axis=1)
-        long_edges = und[lens > hi]
+        long_edges = np.flatnonzero(lens > hi)
         if long_edges.shape[0] == 0:
             break
         # split an independent set per round: no two chosen edges share a face
-        edge_to_faces: dict[tuple[int, int], list[int]] = {}
-        for fi, (i, j, k) in enumerate(faces):
-            for key in ((i, j), (j, k), (k, i)):
-                edge_to_faces.setdefault(tuple(sorted(key)), []).append(fi)
-        used_faces: set[int] = set()
-        replacements: list[tuple[int, int]] = []
-        for i, j in long_edges:
-            fs = edge_to_faces[(int(i), int(j))]
-            if any(f in used_faces for f in fs):
+        used = np.zeros(faces.shape[0], dtype=bool)
+        replacements: list[int] = []
+        for e in long_edges:
+            if np.any(used[edge_faces[e]]):
                 continue
-            used_faces.update(fs)
-            replacements.append((int(i), int(j)))
+            used[edge_faces[e]] = True
+            replacements.append(e)
         new_faces = faces.tolist()
-        for i, j in replacements:
+        for e in replacements:
+            i, j = und[e].tolist()
             mid = 0.5 * (np.array(verts[i]) + np.array(verts[j]))
             m_idx = len(verts)
             verts.append(mid)
-            for fi in edge_to_faces[(min(i, j), max(i, j))]:
+            for fi in edge_faces[e].tolist():
                 tri = faces[fi].tolist()
                 a, b, c = tri
                 # rotate so the split edge is (a, b)

@@ -1,9 +1,13 @@
 """Vectorised geometric primitives used by the surface and reflection code.
 
 Everything here operates on raw numpy arrays; the mesh containers live in
-``hypersurface``.  Point classification uses winding numbers (signed crossing
-count in the plane, summed solid angle in space) so it stays robust for the
-nearly-touching configurations the reflection audits produce.
+``hypersurface``.  The closest-point kernels also report which feature of a
+segment or triangle holds the closest point, so a caller can take the
+inside/outside sign of a signed distance from that feature's pseudonormal.
+Containment queries, and signed distances of points within rounding of the
+surface, use winding numbers (signed crossing count in the plane, summed
+solid angle in space).  The all-pairs ``point_segment_distance`` is the
+exact reference for pruned searches.
 """
 
 from __future__ import annotations
@@ -97,14 +101,22 @@ def winding_number_3d(vertices: np.ndarray, faces: np.ndarray, points: np.ndarra
     return out
 
 
-def point_segment_pair_distance(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
-    """Distance from each point to its paired segment, all shapes (..., d)."""
+def closest_point_segment(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray):
+    """Closest point of each paired segment, all shapes (..., d), and its feature.
+
+    Features: 0 the segment's interior, 1 endpoint a, 2 endpoint b.
+    """
     d = seg_b - seg_a
     dd = np.einsum("...i,...i->...", d, d)
     dd = np.where(dd > 0.0, dd, 1.0)
     t = np.clip(np.einsum("...i,...i->...", points - seg_a, d) / dd, 0.0, 1.0)
     closest = seg_a + t[..., None] * d
-    return np.linalg.norm(points - closest, axis=-1)
+    return closest, np.select([t <= 0.0, t >= 1.0], [1, 2], 0)
+
+
+def point_segment_pair_distance(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
+    """Distance from each point to its paired segment, all shapes (..., d)."""
+    return np.linalg.norm(points - closest_point_segment(points, seg_a, seg_b)[0], axis=-1)
 
 
 def point_segment_distance(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
@@ -120,11 +132,11 @@ def point_segment_distance(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndar
     return out
 
 
-def point_triangle_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Distance from each point to its paired triangle, all shapes (..., 3).
+def closest_point_triangle(points: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Closest point of each paired triangle, all shapes (..., 3), and its feature.
 
-    Vectorised closest-point-on-triangle classification over the seven
-    Voronoi regions of the triangle.
+    Vectorised classification over the seven Voronoi regions of the triangle.
+    Features: 0 the interior, 1-3 the edges ab, bc, ca, 4-6 the corners a, b, c.
     """
     ab = b - a
     ac = c - a
@@ -153,18 +165,27 @@ def point_triangle_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray, c:
     t_ab = np.clip(d1 / np.where(np.abs(d1 - d3) > eps, d1 - d3, 1.0), 0.0, 1.0)
     t_ac = np.clip(d2 / np.where(np.abs(d2 - d6) > eps, d2 - d6, 1.0), 0.0, 1.0)
 
+    on_ab = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
+    on_ca = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
+    on_bc = (va <= 0) & ((d4 - d3) >= 0) & ((d5 - d6) >= 0)
+    at_a = (d1 <= 0) & (d2 <= 0)
+    at_b = (d3 >= 0) & (d4 <= d3)
+    at_c = (d6 >= 0) & (d5 <= d6)
     closest = a + v_in[..., None] * ab + w_in[..., None] * ac  # interior default
-    closest = np.where(((vc <= 0) & (d1 >= 0) & (d3 <= 0))[..., None], a + t_ab[..., None] * ab, closest)
-    closest = np.where(((vb <= 0) & (d2 >= 0) & (d6 <= 0))[..., None], a + t_ac[..., None] * ac, closest)
-    closest = np.where(
-        ((va <= 0) & ((d4 - d3) >= 0) & ((d5 - d6) >= 0))[..., None],
-        b + w_bc[..., None] * (c - b),
-        closest,
-    )
-    closest = np.where(((d1 <= 0) & (d2 <= 0))[..., None], a, closest)
-    closest = np.where(((d3 >= 0) & (d4 <= d3))[..., None], b, closest)
-    closest = np.where(((d6 >= 0) & (d5 <= d6))[..., None], c, closest)
-    return np.linalg.norm(points - closest, axis=-1)
+    closest = np.where(on_ab[..., None], a + t_ab[..., None] * ab, closest)
+    closest = np.where(on_ca[..., None], a + t_ac[..., None] * ac, closest)
+    closest = np.where(on_bc[..., None], b + w_bc[..., None] * (c - b), closest)
+    closest = np.where(at_a[..., None], a, closest)
+    closest = np.where(at_b[..., None], b, closest)
+    closest = np.where(at_c[..., None], c, closest)
+    # later regions override earlier ones above, so the last match names the feature
+    feature = np.select([at_c, at_b, at_a, on_bc, on_ca, on_ab], [6, 5, 4, 2, 3, 1], 0)
+    return closest, feature
+
+
+def point_triangle_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Distance from each point to its paired triangle, all shapes (..., 3)."""
+    return np.linalg.norm(points - closest_point_triangle(points, a, b, c)[0], axis=-1)
 
 
 def segments_intersect(a1, a2, b1, b2) -> np.ndarray:

@@ -4,9 +4,12 @@ A surface snapshot is immutable; evolution and remeshing build new instances.
 Per-vertex principal curvatures come from the circle through three consecutive
 vertices (curves) or from a quadratic height fit over the two-ring expressed in
 first/second fundamental form terms (meshes), so every speed function receives
-a full curvature tuple.  Containment queries use winding numbers.  Distances
-and the embeddedness sweep share one element path: a curve's elements are its
-edges and a mesh's are its triangles, pruned by a tree over element centroids.
+a full curvature tuple.  Distances and the embeddedness sweep share one
+element path: a curve's elements are its edges and a mesh's are its
+triangles, pruned by a tree over element centroids.  Signed distances take
+their sign from the angle-weighted pseudonormal of the closest feature and
+fall back to winding numbers only within the boundary band; containment
+queries and the centre search use winding numbers.
 
 The curve estimator reproduces circles exactly: three points of a circle
 determine it.  That choice keeps round flows free of discretisation bias, at
@@ -17,9 +20,11 @@ curvature.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -34,6 +39,7 @@ from .errors import (
 )
 
 BOUNDARY_TOL_FACTOR = 1e-9  # default OnBoundary band, relative to bbox diagonal
+_BALL_PAIRS = 1 << 15  # point-element pairs per block of the centroid-ball pass
 
 
 class Containment(enum.Enum):
@@ -70,6 +76,22 @@ class RadiiReport:
         return self.rho_plus / self.rho_minus
 
 
+def _edge_table(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each edge of a closed triangle mesh once, with the two faces on it.
+
+    Returns the sorted vertex pairs in lexicographic order, the two faces of
+    each edge in ascending order, and per face the ids of its edges ab, bc
+    and ca.  Raises ValueError when an edge is not on exactly two faces.
+    """
+    und = np.sort(np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]]), axis=1)
+    edges, inverse, counts = np.unique(und, axis=0, return_inverse=True, return_counts=True)
+    if np.any(counts != 2):
+        raise ValueError("mesh is not closed: some edge is not shared by two faces")
+    inverse = inverse.reshape(3, faces.shape[0])
+    on_edge = np.argsort(inverse.ravel(), kind="stable") % faces.shape[0]
+    return edges, np.sort(on_edge.reshape(-1, 2), axis=1), inverse.T
+
+
 class _MeshTopology:
     """Connectivity derived from a face array, shared across frames.
 
@@ -81,14 +103,9 @@ class _MeshTopology:
     def __init__(self, faces: np.ndarray, num_vertices: int):
         self.faces = faces
         self.num_vertices = num_vertices
-        edges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-        self.directed_edges = edges
-        und = np.sort(edges, axis=1)
-        self.unique_edges, counts = np.unique(und, axis=0, return_counts=True)
-        self.edge_counts = counts
-        if np.any(counts != 2):
-            raise ValueError("mesh is not closed: some edge is not shared by two faces")
-        if np.unique(edges, axis=0).shape[0] != edges.shape[0]:
+        self.unique_edges, self.edge_faces, self.face_edges = _edge_table(faces)
+        directed = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+        if np.unique(directed, axis=0).shape[0] != directed.shape[0]:
             raise ValueError("inconsistent face orientation: repeated directed edge")
         if num_vertices - self.unique_edges.shape[0] + faces.shape[0] != 2:
             raise ValueError("mesh is not a topological sphere")
@@ -99,7 +116,6 @@ class _MeshTopology:
             (np.ones(ii.shape[0], dtype=np.int8), (ii, jj)),
             shape=(num_vertices, num_vertices),
         )
-        self.adjacency = adj
         two = ((adj + adj @ adj) > 0).tolil()
         two.setdiag(0)
         two = two.tocsr()
@@ -110,7 +126,6 @@ class _MeshTopology:
         for v in range(num_vertices):
             nbrs = two.indices[two.indptr[v] : two.indptr[v + 1]]
             idx[v, : nbrs.shape[0]] = nbrs
-        self.two_ring = idx
         self.two_ring_mask = idx >= 0
         # padded rows point at vertex 0 so gathers stay in bounds
         self.two_ring_safe = np.where(self.two_ring_mask, idx, 0)
@@ -220,24 +235,27 @@ class DiscreteHypersurface:
 # Curvature estimation
 
 
-def _curve_curvatures(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    prev = np.roll(verts, 1, axis=0)
-    nxt = np.roll(verts, -1, axis=0)
-    e_prev = verts - prev
-    e_next = nxt - verts
-    lp = np.linalg.norm(e_prev, axis=1)
-    ln = np.linalg.norm(e_next, axis=1)
-    if np.any(lp <= 0.0) or np.any(ln <= 0.0):
+def _curve_normals(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outward unit normals of the edges (i, i+1) and of the vertices.
+
+    A vertex normal bisects the normals of its two edges.
+    """
+    edge = np.roll(verts, -1, axis=0) - verts
+    length = np.linalg.norm(edge, axis=1)
+    if np.any(length <= 0.0):
         raise DegenerateElement("zero-length polygon edge")
     # outward edge normals for a counter-clockwise curve: rotate tangent by -90 deg
-    n_prev = np.column_stack([e_prev[:, 1], -e_prev[:, 0]]) / lp[:, None]
-    n_next = np.column_stack([e_next[:, 1], -e_next[:, 0]]) / ln[:, None]
-    bisector = n_prev + n_next
+    edge_normals = np.column_stack([edge[:, 1], -edge[:, 0]]) / length[:, None]
+    bisector = np.roll(edge_normals, 1, axis=0) + edge_normals
     norm = np.linalg.norm(bisector, axis=1)
     if np.any(norm <= 1e-14):
         raise MeshDegeneracy("cusp vertex: adjacent edge normals cancel")
-    normals = bisector / norm[:, None]
-    k = geometry.circumcircle_curvature(prev, verts, nxt)
+    return edge_normals, bisector / norm[:, None]
+
+
+def _curve_curvatures(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    _, normals = _curve_normals(verts)
+    k = geometry.circumcircle_curvature(np.roll(verts, 1, axis=0), verts, np.roll(verts, -1, axis=0))
     return normals, k[:, None]
 
 
@@ -253,7 +271,12 @@ def _tangent_basis(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def _accumulated_vertex_normals(verts: np.ndarray, topo: _MeshTopology) -> np.ndarray:
+def _mesh_normals(verts: np.ndarray, topo: _MeshTopology) -> tuple[np.ndarray, np.ndarray]:
+    """Outward unit normals of the faces and of the vertices.
+
+    A vertex normal sums its incident face normals weighted by the face
+    angles at the vertex.
+    """
     faces = topo.faces
     a = verts[faces[:, 0]]
     b = verts[faces[:, 1]]
@@ -283,7 +306,7 @@ def _accumulated_vertex_normals(verts: np.ndarray, topo: _MeshTopology) -> np.nd
     norms = np.linalg.norm(out, axis=1)
     if np.any(norms <= 0.0):
         raise MeshDegeneracy("vertex with vanishing accumulated normal")
-    return out / norms[:, None]
+    return fn_unit, out / norms[:, None]
 
 
 def _mesh_curvatures(verts: np.ndarray, topo: _MeshTopology) -> tuple[np.ndarray, np.ndarray]:
@@ -295,7 +318,7 @@ def _mesh_curvatures(verts: np.ndarray, topo: _MeshTopology) -> tuple[np.ndarray
     Signs follow the convention that a sphere with outward normals has
     principal curvatures +1/r.
     """
-    n0 = _accumulated_vertex_normals(verts, topo)
+    _, n0 = _mesh_normals(verts, topo)
     e1, e2 = _tangent_basis(n0)
 
     nbr = topo.two_ring_safe
@@ -359,17 +382,26 @@ def _boundary_tolerance(M: DiscreteHypersurface, tol: float | None) -> float:
     return tol if tol is not None else BOUNDARY_TOL_FACTOR * M.bbox_diagonal
 
 
-def _elements(M: DiscreteHypersurface):
-    """Elements of the pruned queries: a curve's edges, a mesh's triangles.
+class _Elements(NamedTuple):
+    """Elements of the pruned queries: a curve's edges, a mesh's triangles."""
 
-    Returns their vertex indices, their corner arrays, a tree over their
-    centroids and the largest distance from a centroid to its corners.
-    """
-    idx = M.edges if M.dimension == 1 else M.faces
+    idx: np.ndarray  # vertex indices per element
+    corners: list  # corner arrays, one per element vertex
+    tree: cKDTree  # over the element centroids
+    reach: float  # largest distance from a centroid to its corners
+    distance: Callable  # paired point-element distance kernel
+    closest_point: Callable  # paired closest point and its feature
+
+
+def _elements(M: DiscreteHypersurface) -> _Elements:
+    if M.dimension == 1:
+        idx, distance, closest_point = M.edges, geometry.point_segment_pair_distance, geometry.closest_point_segment
+    else:
+        idx, distance, closest_point = M.faces, geometry.point_triangle_distance, geometry.closest_point_triangle
     corners = [M.vertices[idx[:, j]] for j in range(idx.shape[1])]
     cent = sum(corners[1:], corners[0]) / len(corners)
     reach = float(np.max(np.stack([np.linalg.norm(p - cent, axis=1) for p in corners])))
-    return idx, corners, cKDTree(cent), reach
+    return _Elements(idx, corners, cKDTree(cent), reach, distance, closest_point)
 
 
 def _inside(M: DiscreteHypersurface, points: np.ndarray) -> np.ndarray:
@@ -379,28 +411,53 @@ def _inside(M: DiscreteHypersurface, points: np.ndarray) -> np.ndarray:
     return np.abs(geometry.winding_number_3d(M.vertices, M.faces, points)) > 0.5
 
 
-def surface_distance(M: DiscreteHypersurface, points: np.ndarray) -> np.ndarray:
-    """Unsigned distance from each query point to the surface.
+def _nearest(points: np.ndarray, el: _Elements) -> tuple[np.ndarray, np.ndarray]:
+    """Exact distance from each point to the surface and a nearest element.
 
-    Exact: each point is measured against the elements with the nearest
-    centroids, and against all elements when that prune cannot be proved.
+    The element with the nearest centroid gives a first distance ``best``.
+    Every element closer than that has its centroid within ``best + reach``,
+    so the point is then measured against the elements in that ball.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    idx, corners, tree, reach = _elements(M)
+    _, near = el.tree.query(points)
+    best = el.distance(points, *(c[near] for c in el.corners))
+    radius = (best + el.reach) * (1.0 + 1e-12)  # rounding margin for the tree
+    counts = el.tree.query_ball_point(points, radius, return_length=True)
+    # blocks of about _BALL_PAIRS pairs keep the kernel's temporaries small
+    block = (np.cumsum(counts) - counts) // _BALL_PAIRS
+    for part in np.split(np.arange(points.shape[0]), np.flatnonzero(np.diff(block)) + 1):
+        balls = el.tree.query_ball_point(points[part], radius[part])
+        elems = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp, count=counts[part].sum())
+        owner = np.repeat(part, counts[part])
+        d = el.distance(points[owner], *(c[elems] for c in el.corners))
+        np.minimum.at(best, owner, d)
+        hit = d == best[owner]
+        near[owner[hit]] = elems[hit]
+    return best, near
+
+
+def _feature_normals(M: DiscreteHypersurface, idx: np.ndarray) -> np.ndarray:
+    """Outward unit pseudonormals of every element feature, (elements, features, d).
+
+    ``idx`` holds the elements' vertex indices.  Features are numbered as in
+    the closest-point kernels: the element itself, then a triangle's edges
+    ab, bc and ca, then the corners.  A mesh edge's pseudonormal is the sum
+    of its two face normals; the vertex normals are those of
+    ``_curve_normals`` and ``_mesh_normals``.
+    """
     if M.dimension == 1:
-        kernel = geometry.point_segment_pair_distance
-        brute = lambda p: geometry.point_segment_distance(p, *corners)
-    else:
-        kernel = geometry.point_triangle_distance
-        brute = lambda p: np.min(kernel(p[:, None, :], *(c[None] for c in corners)), axis=1)
-    d_cent, cand = tree.query(points, k=min(32, idx.shape[0]))
-    best = np.min(kernel(points[:, None, :], *(c[cand] for c in corners)), axis=1)
-    # any element whose centroid is farther than the kth one is at distance
-    # >= d_cent[:, -1] - reach; if our current best beats that, it is exact
-    unsafe = best > d_cent[:, -1] - reach
-    if np.any(unsafe):
-        best[unsafe] = brute(points[unsafe])
-    return best
+        element_n, vertex_n = _curve_normals(M.vertices)
+        return np.concatenate([element_n[:, None], vertex_n[idx]], axis=1)
+    topo = M.topology
+    element_n, vertex_n = _mesh_normals(M.vertices, topo)
+    edge_n = element_n[topo.edge_faces].sum(axis=1)
+    edge_n /= np.linalg.norm(edge_n, axis=1)[:, None]
+    return np.concatenate([element_n[:, None], edge_n[topo.face_edges], vertex_n[idx]], axis=1)
+
+
+def surface_distance(M: DiscreteHypersurface, points: np.ndarray) -> np.ndarray:
+    """Unsigned distance from each query point to the surface, exact."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    return _nearest(points, _elements(M))[0]
 
 
 def classify_points(M: DiscreteHypersurface, points: np.ndarray, tol: float | None = None) -> np.ndarray:
@@ -430,10 +487,26 @@ def contains_point(M: DiscreteHypersurface, point, tol: float | None = None) -> 
 
 
 def signed_interior_distance(M: DiscreteHypersurface, points: np.ndarray) -> np.ndarray:
-    """Distance to the surface, positive inside the enclosed region."""
+    """Distance to the surface, positive inside the enclosed region.
+
+    The sign comes from the nearest element: with q the closest point and n
+    the angle-weighted pseudonormal of the feature (element, edge or vertex)
+    that holds q, the point is inside when (p - q) . n < 0 (Baerentzen and
+    Aanaes, IEEE TVCG 2005).  That rule needs an embedded surface.  Points
+    with |(p - q) . n| within the boundary band (``BOUNDARY_TOL_FACTOR``
+    times the bounding-box diagonal), where rounding could flip it, take the
+    winding-number sign instead.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    dist = surface_distance(M, points)
-    return np.where(_inside(M, points), dist, -dist)
+    el = _elements(M)
+    dist, near = _nearest(points, el)
+    q, feature = el.closest_point(points, *(c[near] for c in el.corners))
+    offset = np.einsum("ij,ij->i", points - q, _feature_normals(M, el.idx)[near, feature])
+    inside = offset < 0.0
+    unsure = ~(np.abs(offset) > _boundary_tolerance(M, None))
+    if np.any(unsure):
+        inside[unsure] = _inside(M, points[unsure])
+    return np.where(inside, dist, -dist)
 
 
 def enclosed_volume(M: DiscreteHypersurface) -> float:
@@ -532,8 +605,9 @@ def is_embedded(M: DiscreteHypersurface) -> bool:
     largest reach, so a centroid tree yields the candidate pairs.  Pairs that
     share a vertex are dropped and the rest get an exact pair test.
     """
-    idx, _, tree, reach = _elements(M)
-    pairs = tree.query_pairs(2.0 * reach, output_type="ndarray")
+    el = _elements(M)
+    idx = el.idx
+    pairs = el.tree.query_pairs(2.0 * el.reach, output_type="ndarray")
     shares = np.any(idx[pairs[:, 0]][:, :, None] == idx[pairs[:, 1]][:, None, :], axis=(1, 2))
     i, j = pairs[~shares].T
     corners = M.vertices[idx]

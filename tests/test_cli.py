@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hyperflow.cli import (
@@ -14,7 +15,7 @@ from hyperflow.cli import (
 )
 from hyperflow.errors import ParseError, ValidationError
 from hyperflow import shapes
-from hyperflow.hypersurface import write_surface
+from hyperflow.hypersurface import DiscreteHypersurface, write_surface
 
 
 def run_cli(*args):
@@ -298,7 +299,14 @@ def _bad_input(tmp_path, case):
     if case == "surface plane on a curve":
         return (["reflect-audit", "--set", "shape=circle", "--set", "plane_direction=1,0,0"],
                 "3 components, but the surface lies in 2")
-    path = tmp_path / ("bad.txt" if case == "clockwise polygon" else "bad.obj")
+    path = tmp_path / ("bad.txt" if case in ("clockwise polygon", "unequal figure-eight") else "bad.obj")
+    if case == "unequal figure-eight":
+        # a large counter-clockwise lobe and a small clockwise one: positive
+        # area, but the edges cross at the origin
+        t = 2.0 * np.pi * (np.arange(64) + 0.5) / 64
+        lobes = np.column_stack([np.cos(t), np.sin(t) * np.cos(t) * (1.0 + 0.5 * np.cos(t))])
+        write_surface(DiscreteHypersurface(lobes), path)
+        return ["reflect-audit", "--set", "shape=mesh", "--set", f"mesh_file={path}"], str(path)
     if case == "short vertex line":
         path.write_text("v 0 0 0\nv 1 0\nv 0 1 0\nv 0 0 1\nf 1 3 2\nf 1 2 4\nf 2 3 4\nf 3 1 4\n")
     elif case == "clockwise polygon":
@@ -311,7 +319,7 @@ def _bad_input(tmp_path, case):
 
 @pytest.mark.parametrize("case", [
     "short vertex line", "clockwise polygon", "open mesh", "unknown speed", "offsets above R_star",
-    "curve plane on a surface", "surface plane on a curve",
+    "curve plane on a surface", "surface plane on a curve", "unequal figure-eight",
 ])
 def test_bad_input_is_a_one_line_config_error(tmp_path, capsys, case):
     args, named = _bad_input(tmp_path, case)

@@ -270,6 +270,21 @@ def test_remesh_collapses_short_edges():
     assert abs(enclosed_volume(out) - enclosed_volume(c)) < 1e-3 * enclosed_volume(c)
 
 
+def test_remesh_splits_long_mesh_edges():
+    M = shapes.ellipsoid_mesh(1.5, 1.0, 0.5, 2)
+    h = M.edge_lengths
+    hi = 0.8 * float(h.max())
+    out = remesh(M, (0.5 * float(h.min()), hi))
+    added = out.num_vertices - M.num_vertices
+    assert added > 0
+    assert out.edge_lengths.max() <= hi
+    # a split appends its midpoint and turns two faces into four; the
+    # surface itself does not move
+    assert np.array_equal(out.vertices[: M.num_vertices], M.vertices)
+    assert out.faces.shape[0] == M.faces.shape[0] + 2 * added
+    assert enclosed_volume(out) == pytest.approx(enclosed_volume(M), rel=1e-12)
+
+
 def test_remesh_band_validation(unit_circle_256):
     with pytest.raises(ValueError):
         remesh(unit_circle_256, (1.0, 0.5))

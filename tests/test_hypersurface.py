@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -209,11 +211,25 @@ def _half_ball(lon=24, lat=12):
     return DiscreteHypersurface(verts, np.array(faces))
 
 
+def _bumpy_sphere():
+    # a radial graph over an icosphere stays embedded; the modulation makes
+    # sharp concave and convex edges and vertices, where a face normal alone
+    # gives the wrong sign
+    ico = shapes.icosphere(1.0, 2)
+    x, y, z = ico.vertices.T
+    r = 1.0 + 0.5 * np.sin(9.0 * x) * np.sin(9.0 * y) * np.cos(9.0 * z)
+    return DiscreteHypersurface(ico.vertices * r[:, None], ico.faces)
+
+
 # the half disc's diameter and the half ball's base fan are elements whose
-# centroids sit far from parts of them, so the pruned search must fall back
+# centroids sit far from parts of them, so their centroid balls are large;
+# on the bumpy sphere edge and vertex pseudonormals decide signs, and the
+# mirrored shapes add vertices and edge midpoints reflected through an exact
+# symmetry plane, which land on the surface up to rounding
 @pytest.mark.parametrize("shape", [
     "circle", "ellipse 2:1", "square", "noisy circle", "peanut", "half disc",
-    "icosphere s2", "noisy sphere", "half ball",
+    "icosphere s2", "noisy sphere", "half ball", "bumpy sphere", "circle mirrored",
+    "icosphere mirrored",
 ])
 def test_distances_equal_the_all_pairs_oracle_bitwise(shape):
     M = {
@@ -226,8 +242,15 @@ def test_distances_equal_the_all_pairs_oracle_bitwise(shape):
         "icosphere s2": lambda: shapes.icosphere(1.0, 2),
         "noisy sphere": lambda: shapes.noisy_sphere(1.0, 0.05, 2, seed=4),
         "half ball": _half_ball,
+        "bumpy sphere": _bumpy_sphere,
+        "circle mirrored": lambda: shapes.circle_polygon(1.0, 256),
+        "icosphere mirrored": lambda: shapes.icosphere(1.0, 2),
     }[shape]()
     pts = _distance_queries(M, seed=len(shape))
+    if shape.endswith("mirrored"):
+        e = M.edges
+        on_surface = np.vstack([M.vertices, 0.5 * (M.vertices[e[:, 0]] + M.vertices[e[:, 1]])])
+        pts = np.vstack([pts, on_surface * np.r_[-1.0, np.ones(M.dimension)]])
     if M.dimension == 1:
         oracle = _curve_distance_oracle(M, pts)
         inside = geometry.winding_number_2d(M.vertices, pts) != 0
@@ -237,6 +260,22 @@ def test_distances_equal_the_all_pairs_oracle_bitwise(shape):
         inside = np.abs(geometry.winding_number_3d(M.vertices, M.faces, pts)) > 0.5
     assert np.array_equal(surface_distance(M, pts), oracle)
     assert np.array_equal(signed_interior_distance(M, pts), np.where(inside, oracle, -oracle))
+
+
+def test_mesh_ball_pass_memory_stays_bounded():
+    # the half ball's base fan has a large reach, so nearly every query's
+    # centroid ball holds hundreds of faces; an all-faces broadcast over these
+    # 3900 points peaks near 800 MiB
+    M = _half_ball(32, 12)
+    pts = np.random.default_rng(11).uniform([-1.2, -1.2, -0.2], [1.2, 1.2, 1.2], size=(3900, 3))
+    tracemalloc.start()
+    try:
+        got = surface_distance(M, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2**20
+    assert np.array_equal(got, _mesh_distance_oracle(M, pts))
 
 
 def test_signed_interior_distance_signs(unit_circle_256):

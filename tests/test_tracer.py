@@ -12,7 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from hyperflow import hypersurface, shapes
+# the tracer patches every layer, cli included: load them all before the
+# bindings are recorded, so the test does not depend on test order
+from hyperflow import cli, geometry, hypersurface, shapes  # noqa: F401
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -39,6 +41,8 @@ def _bindings() -> dict:
 
 
 def test_tracer_wraps_every_traced_name_and_restores_it():
+    M = shapes.circle_polygon(1.0, 256)
+    expected = geometry.point_segment_distance(np.zeros((1, 2)), M.vertices, np.roll(M.vertices, -1, axis=0))
     tracing = _load_tracer()
     before = _bindings()
     tracer = tracing.Tracer()
@@ -50,13 +54,22 @@ def test_tracer_wraps_every_traced_name_and_restores_it():
         assert changed == tracer.patched_sites
         assert "hyperflow.geometry.point_segment_distance" in changed
 
-        # the all-pairs segment kernel is now only the exactness fallback:
-        # the circle's centre needs it, a point next to an edge does not
-        M = shapes.circle_polygon(1.0, 256)
-        hypersurface.surface_distance(M, np.array([[0.0, 0.0]]))
+        # the paired kernel measures one nearest-centroid edge, then the
+        # ball of centroids within that distance plus the reach: from the
+        # circle's centre the ball holds all 256 edges and gives the
+        # all-pairs value, next to a vertex it holds only the two edges there
+        tracer.patch_function(
+            geometry, "point_segment_pair_distance", "pair_kernel",
+            lambda a, k, r: {"pair_kernel.pairs": r.size},
+        )
+        centre = hypersurface.surface_distance(M, np.array([[0.0, 0.0]]))
+        assert tracer.calls["pair_kernel"] == 2
+        assert tracer.counts["pair_kernel.pairs"] == 1 + 256
+        assert np.array_equal(centre, expected)
         hypersurface.surface_distance(M, np.array([[1.01, 0.0]]))
-        assert tracer.calls["geometry.point_segment_distance"] == 1
-        assert tracer.counts["geometry.point_segment_distance.pairs"] == 256
+        assert tracer.calls["pair_kernel"] == 4
+        assert tracer.counts["pair_kernel.pairs"] == 1 + 256 + 1 + 2
+        assert tracer.calls["geometry.point_segment_distance"] == 0
     finally:
         tracer.uninstall()
     after = _bindings()
