@@ -25,7 +25,7 @@ from .errors import (
     NonFiniteState,
     NonPositiveSpeed,
 )
-from .hypersurface import DiscreteHypersurface, _edge_table, enclosed_volume
+from .hypersurface import DiscreteHypersurface, _edge_table, _polygon, enclosed_volume
 from .speeds import SpeedFunction
 
 MARGIN_HARD = 1e-6  # relative cone-interior margin that aborts a step
@@ -431,7 +431,7 @@ def _remesh_curve(M: DiscreteHypersurface, lo: float, hi: float) -> DiscreteHype
     verts = M.vertices.copy()
     changed = False
     for _ in range(64):
-        lens = np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)
+        lens = _polygon(verts).edge_lengths
         long_edges = np.nonzero(lens > hi)[0]
         if long_edges.shape[0] == 0:
             break
@@ -447,7 +447,7 @@ def _remesh_curve(M: DiscreteHypersurface, lo: float, hi: float) -> DiscreteHype
         raise MeshDegeneracy("edge splitting did not terminate")
 
     for _ in range(10 * verts.shape[0]):
-        lens = np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)
+        lens = _polygon(verts).edge_lengths
         j = int(np.argmin(lens))
         if lens[j] >= lo:
             break

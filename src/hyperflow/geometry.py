@@ -17,38 +17,12 @@ import numpy as np
 _CHUNK = 256  # query points per broadcast block
 
 
-def polygon_area(vertices: np.ndarray) -> float:
-    """Signed area of a closed polygon (positive for counter-clockwise)."""
-    x, y = vertices[:, 0], vertices[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    return 0.5 * float(np.sum(x * yn - xn * y))
-
-
 def mesh_volume(vertices: np.ndarray, faces: np.ndarray) -> float:
     """Signed enclosed volume of an oriented triangle mesh (divergence theorem)."""
     a = vertices[faces[:, 0]]
     b = vertices[faces[:, 1]]
     c = vertices[faces[:, 2]]
     return float(np.einsum("ij,ij->", a, np.cross(b, c))) / 6.0
-
-
-def circumcircle_curvature(prev: np.ndarray, cur: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-    """Signed curvature 1/R of the circle through three consecutive points.
-
-    Positive where the triple turns counter-clockwise.  Exact (up to
-    rounding) whenever the three points lie on a common circle.
-    """
-    ab = cur - prev
-    bc = nxt - cur
-    ca = prev - nxt
-    cross = ab[:, 0] * (-ca[:, 1]) - ab[:, 1] * (-ca[:, 0])  # cross(ab, ac)
-    la = np.linalg.norm(ab, axis=1)
-    lb = np.linalg.norm(bc, axis=1)
-    lc = np.linalg.norm(ca, axis=1)
-    denom = la * lb * lc
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = 2.0 * cross / denom
-    return np.where(denom > 0.0, k, 0.0)
 
 
 def winding_number_2d(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -111,7 +85,7 @@ def closest_point_segment(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarr
     dd = np.where(dd > 0.0, dd, 1.0)
     t = np.clip(np.einsum("...i,...i->...", points - seg_a, d) / dd, 0.0, 1.0)
     closest = seg_a + t[..., None] * d
-    return closest, np.select([t <= 0.0, t >= 1.0], [1, 2], 0)
+    return closest, np.where(t <= 0.0, 1, np.where(t >= 1.0, 2, 0))
 
 
 def point_segment_pair_distance(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:

@@ -4,12 +4,15 @@ A surface snapshot is immutable; evolution and remeshing build new instances.
 Per-vertex principal curvatures come from the circle through three consecutive
 vertices (curves) or from a quadratic height fit over the two-ring expressed in
 first/second fundamental form terms (meshes), so every speed function receives
-a full curvature tuple.  Distances and the embeddedness sweep share one
-element path: a curve's elements are its edges and a mesh's are its
-triangles, pruned by a tree over element centroids.  Signed distances take
-their sign from the angle-weighted pseudonormal of the closest feature and
-fall back to winding numbers only within the boundary band; containment
-queries and the centre search use winding numbers.
+a full curvature tuple.  On curves, construction, edge lengths, normals,
+curvatures and the enclosed area all come from one cyclic-neighbour kernel
+(``_polygon``): it pads the coordinate rows once so that each vertex's
+neighbours are slices, and works per component.  Distances and the
+embeddedness sweep share one element path: a curve's elements are its edges
+and a mesh's are its triangles, pruned by a tree over element centroids.
+Signed distances take their sign from the angle-weighted pseudonormal of the
+closest feature and fall back to winding numbers only within the boundary
+band; containment queries and the centre search use winding numbers.
 
 The curve estimator reproduces circles exactly: three points of a circle
 determine it.  That choice keeps round flows free of discretisation bias, at
@@ -144,7 +147,7 @@ class DiscreteHypersurface:
         vertices = np.ascontiguousarray(np.asarray(vertices, dtype=float))
         if vertices.ndim != 2 or vertices.shape[1] not in (2, 3):
             raise ValueError("vertices must be (m, 2) or (m, 3)")
-        if not np.all(np.isfinite(vertices)):
+        if not np.isfinite(vertices).all():
             raise ValueError("vertices must be finite")
         self.vertices = vertices
         self.vertices.setflags(write=False)
@@ -155,10 +158,10 @@ class DiscreteHypersurface:
             if vertices.shape[0] < 3:
                 raise ValueError("closed curve needs at least 3 vertices")
             self.faces = None
-            edge = np.roll(vertices, -1, axis=0) - vertices
-            if np.any(np.linalg.norm(edge, axis=1) <= 0.0):
+            poly = _polygon(vertices)
+            if poly.length.min() <= 0.0:
                 raise DegenerateElement("zero-length polygon edge")
-            if geometry.polygon_area(vertices) <= 0.0:
+            if poly.area() <= 0.0:
                 raise ValueError("polygon must be counter-clockwise (positive area)")
         else:
             if faces is None:
@@ -211,6 +214,8 @@ class DiscreteHypersurface:
 
     @cached_property
     def edge_lengths(self) -> np.ndarray:
+        if self.dimension == 1:
+            return _polygon(self.vertices).edge_lengths
         e = self.edges
         return np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)
 
@@ -223,7 +228,8 @@ class DiscreteHypersurface:
     @cached_property
     def curvature_data(self) -> CurvatureData:
         if self.dimension == 1:
-            normals, principal = _curve_curvatures(self.vertices)
+            poly = _polygon(self.vertices)
+            normals, principal = poly.normals()[1], poly.curvature()[:, None]
         else:
             normals, principal = _mesh_curvatures(self.vertices, self.topology)
         normals.setflags(write=False)
@@ -232,31 +238,80 @@ class DiscreteHypersurface:
 
 
 # ---------------------------------------------------------------------------
-# Curvature estimation
+# Curve kernel
+
+_TURN = np.array([[1.0], [-1.0]])  # (y, x) rows -> (y, -x): a -90 degree turn
 
 
-def _curve_normals(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Outward unit normals of the edges (i, i+1) and of the vertices.
+class _Polygon(NamedTuple):
+    """A closed polygon's vertices with their cyclic neighbours, formed once.
 
-    A vertex normal bisects the normals of its two edges.
+    ``ext`` holds the coordinate rows x and y padded cyclically: vertex m - 1,
+    the vertices 0 .. m - 1, then vertex 0.  Its slices ``[:, :-2]``,
+    ``[:, 1:-1]`` and ``[:, 2:]`` are each vertex's previous, own and next
+    coordinates, so one ``np.concatenate`` serves both shifts.  Column j of
+    ``edge`` is ``ext[:, j + 1] - ext[:, j]``: column i + 1 is the edge
+    (i, i + 1) and column 0 repeats the edge (m - 1, 0).  The arithmetic is
+    per component and gives the same bits as the ``np.roll`` and
+    ``np.linalg.norm`` forms kept as oracles in the tests.
     """
-    edge = np.roll(verts, -1, axis=0) - verts
-    length = np.linalg.norm(edge, axis=1)
-    if np.any(length <= 0.0):
-        raise DegenerateElement("zero-length polygon edge")
-    # outward edge normals for a counter-clockwise curve: rotate tangent by -90 deg
-    edge_normals = np.column_stack([edge[:, 1], -edge[:, 0]]) / length[:, None]
-    bisector = np.roll(edge_normals, 1, axis=0) + edge_normals
-    norm = np.linalg.norm(bisector, axis=1)
-    if np.any(norm <= 1e-14):
-        raise MeshDegeneracy("cusp vertex: adjacent edge normals cancel")
-    return edge_normals, bisector / norm[:, None]
+
+    ext: np.ndarray  # (2, m + 2) padded coordinate rows
+    edge: np.ndarray  # (2, m + 1) vectors between consecutive padded vertices
+    length: np.ndarray  # (m + 1,) their lengths
+
+    @property
+    def edge_lengths(self) -> np.ndarray:
+        """Length of each edge (i, i + 1)."""
+        return self.length[1:]
+
+    def area(self) -> float:
+        """Signed enclosed area, positive for a counter-clockwise polygon."""
+        x, y = self.ext[:, 1:-1]
+        xn, yn = self.ext[:, 2:]
+        return 0.5 * float((x * yn - xn * y).sum())
+
+    def normals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Outward unit normals of the edges (i, i + 1) and of the vertices, (m, 2).
+
+        On a counter-clockwise curve an edge's outward normal is the edge
+        turned by -90 degrees.  A vertex normal bisects its two edge normals.
+        """
+        edge_n = self.edge[::-1] * _TURN / self.length
+        bisector = edge_n[:, :-1] + edge_n[:, 1:]
+        bx, by = bisector
+        norm = np.sqrt(bx * bx + by * by)
+        if (norm <= 1e-14).any():
+            raise MeshDegeneracy("cusp vertex: adjacent edge normals cancel")
+        vertex_n = np.empty((norm.shape[0], 2))
+        np.divide(bisector, norm, out=vertex_n.T)
+        return edge_n[:, 1:].T, vertex_n
+
+    def curvature(self) -> np.ndarray:
+        """Signed curvature 1/R of the circle through each vertex and its neighbours.
+
+        Positive where the polygon turns counter-clockwise, 0 where the three
+        points do not determine a circle.  Exact (up to rounding) whenever
+        they lie on a common circle.
+        """
+        abx, aby = self.edge[:, :-1]  # previous vertex -> vertex
+        cax, cay = self.ext[:, :-2] - self.ext[:, 2:]  # next vertex -> previous
+        cross = aby * cax - abx * cay  # cross(ab, ac) with ac = -ca
+        denom = self.length[:-1] * self.length[1:] * np.sqrt(cax * cax + cay * cay)
+        return np.divide(2.0 * cross, denom, out=np.zeros_like(denom), where=denom > 0.0)
 
 
-def _curve_curvatures(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    _, normals = _curve_normals(verts)
-    k = geometry.circumcircle_curvature(np.roll(verts, 1, axis=0), verts, np.roll(verts, -1, axis=0))
-    return normals, k[:, None]
+def _polygon(verts: np.ndarray) -> _Polygon:
+    """The curve kernel of a closed polygon with vertices (m, 2)."""
+    xy = verts.T
+    ext = np.concatenate([xy[:, -1:], xy, xy[:, :1]], axis=1)
+    edge = ext[:, 1:] - ext[:, :-1]
+    ex, ey = edge
+    return _Polygon(ext, edge, np.sqrt(ex * ex + ey * ey))
+
+
+# ---------------------------------------------------------------------------
+# Mesh curvature estimation
 
 
 def _tangent_basis(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -442,10 +497,10 @@ def _feature_normals(M: DiscreteHypersurface, idx: np.ndarray) -> np.ndarray:
     the closest-point kernels: the element itself, then a triangle's edges
     ab, bc and ca, then the corners.  A mesh edge's pseudonormal is the sum
     of its two face normals; the vertex normals are those of
-    ``_curve_normals`` and ``_mesh_normals``.
+    ``_Polygon.normals`` and ``_mesh_normals``.
     """
     if M.dimension == 1:
-        element_n, vertex_n = _curve_normals(M.vertices)
+        element_n, vertex_n = _polygon(M.vertices).normals()
         return np.concatenate([element_n[:, None], vertex_n[idx]], axis=1)
     topo = M.topology
     element_n, vertex_n = _mesh_normals(M.vertices, topo)
@@ -512,7 +567,7 @@ def signed_interior_distance(M: DiscreteHypersurface, points: np.ndarray) -> np.
 def enclosed_volume(M: DiscreteHypersurface) -> float:
     """Enclosed area (n = 1) or volume (n = 2), positive by orientation."""
     if M.dimension == 1:
-        return geometry.polygon_area(M.vertices)
+        return _polygon(M.vertices).area()
     return geometry.mesh_volume(M.vertices, M.faces)
 
 

@@ -1,11 +1,14 @@
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from hyperflow.errors import ConeExit, InsufficientFrames, MeshDegeneracy
+from hyperflow.errors import ConeExit, DegenerateElement, InsufficientFrames, MeshDegeneracy, NonFiniteState
 from hyperflow.flow_engine import (
     FlowConfig,
+    _stage_surface,
+    _substep,
     evolve,
     flow_residual,
     remesh,
@@ -150,6 +153,62 @@ def test_stability_substepping_reported():
     assert any(e["type"] == "stability_substepping" for e in traj.events)
     r = radii(traj.frames[-1][1])
     assert r.max() - r.min() < 1e-9
+
+
+def test_curve_errors_keep_their_types_and_messages():
+    M = shapes.circle_polygon(1.0, 16)
+    repeated = np.insert(M.vertices, 1, M.vertices[1], axis=0)
+    with pytest.raises(DegenerateElement, match="^zero-length polygon edge$"):
+        DiscreteHypersurface(repeated)
+    # a stage snapshot reports the same fault as a numerical failure
+    with pytest.raises(MeshDegeneracy, match="^zero-length polygon edge$"):
+        _stage_surface(M, repeated)
+    with pytest.raises(ValueError, match=r"^polygon must be counter-clockwise \(positive area\)$"):
+        DiscreteHypersurface(M.vertices[::-1])
+    with pytest.raises(MeshDegeneracy, match=r"^polygon must be counter-clockwise \(positive area\)$"):
+        _stage_surface(M, M.vertices[::-1])
+    nan = M.vertices.copy()
+    nan[3, 0] = np.nan
+    with pytest.raises(NonFiniteState, match="^non-finite vertex coordinates$"):
+        _stage_surface(M, nan)
+    with pytest.raises(ValueError, match="^vertices must be finite$"):
+        DiscreteHypersurface(nan)
+    # a spike up to (1, 3) and back down: the two edge normals there cancel
+    cusp = DiscreteHypersurface([[0, 0], [2, 0], [2, 2], [1, 2], [1, 3], [1, 2.5], [0, 2]])
+    with pytest.raises(MeshDegeneracy, match="^cusp vertex: adjacent edge normals cancel$"):
+        step(cusp, F_K, 1e-3)
+
+
+def test_one_rk4_substep_of_a_curve_builds_four_snapshots_and_four_curvatures(monkeypatch):
+    # the benchmark tracer's flow_engine.stages_per_step is curvature
+    # evaluations per requested step, so it reads 4 x the substep count
+    counts = {"construct": 0, "curvature": 0}
+    init = DiscreteHypersurface.__init__
+    curvature = DiscreteHypersurface.__dict__["curvature_data"].func
+
+    def counting_init(self, *args, **kwargs):
+        counts["construct"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_curvature(self):
+        counts["curvature"] += 1
+        return curvature(self)
+
+    prop = cached_property(counting_curvature)
+    prop.__set_name__(DiscreteHypersurface, "curvature_data")
+    n_sub = math.ceil(1e-3 / stable_substep(shapes.ellipse_polygon(2.0, 1.0, 256), F_K))
+    assert n_sub > 1
+    monkeypatch.setattr(DiscreteHypersurface, "__init__", counting_init)
+    monkeypatch.setattr(DiscreteHypersurface, "curvature_data", prop)
+    M = shapes.ellipse_polygon(2.0, 1.0, 256)
+    counts.update(construct=0)
+    _substep(M, F_K, 1e-5, "rk4")
+    assert counts == {"construct": 4, "curvature": 4}
+
+    M = shapes.ellipse_polygon(2.0, 1.0, 256)
+    counts.update(construct=0, curvature=0)
+    evolve(M, F_K, 0.0, FlowConfig(t_end=1e-3, dt=1e-3))
+    assert counts == {"construct": 4 * n_sub, "curvature": 4 * n_sub}
 
 
 def test_stable_substep_scales_with_resolution():

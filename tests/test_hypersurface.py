@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hyperflow.errors import CenterOutside, DegenerateElement, NonConvexInput
+from hyperflow.errors import CenterOutside, DegenerateElement, MeshDegeneracy, NonConvexInput
 from hyperflow.hypersurface import (
     BOUNDARY_CODE,
     Containment,
@@ -22,12 +22,93 @@ from hyperflow.hypersurface import (
     support_max,
     surface_distance,
     write_surface,
+    _polygon,
 )
 from hyperflow import geometry, shapes
 
 
 def ellipse_curvature(a, b, theta):
     return a * b / (a * a * np.sin(theta) ** 2 + b * b * np.cos(theta) ** 2) ** 1.5
+
+
+# ---------------------------------------------------------------------------
+# roll oracles: the curve arithmetic before the cyclic-neighbour kernel
+
+
+def _polygon_area(verts):
+    x, y = verts[:, 0], verts[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    return 0.5 * float(np.sum(x * yn - xn * y))
+
+
+def _circumcircle_curvature(prev, cur, nxt):
+    ab = cur - prev
+    bc = nxt - cur
+    ca = prev - nxt
+    cross = ab[:, 0] * (-ca[:, 1]) - ab[:, 1] * (-ca[:, 0])  # cross(ab, ac)
+    la = np.linalg.norm(ab, axis=1)
+    lb = np.linalg.norm(bc, axis=1)
+    lc = np.linalg.norm(ca, axis=1)
+    denom = la * lb * lc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = 2.0 * cross / denom
+    return np.where(denom > 0.0, k, 0.0)
+
+
+def _curve_normals(verts):
+    edge = np.roll(verts, -1, axis=0) - verts
+    length = np.linalg.norm(edge, axis=1)
+    edge_normals = np.column_stack([edge[:, 1], -edge[:, 0]]) / length[:, None]
+    bisector = np.roll(edge_normals, 1, axis=0) + edge_normals
+    return edge_normals, bisector / np.linalg.norm(bisector, axis=1)[:, None]
+
+
+def _curve_curvatures(verts):
+    _, normals = _curve_normals(verts)
+    k = _circumcircle_curvature(np.roll(verts, 1, axis=0), verts, np.roll(verts, -1, axis=0))
+    return normals, k[:, None]
+
+
+@pytest.mark.parametrize("shape", [
+    "triangle", "square", "circle", "ellipse 2:1", "noisy circle", "peanut", "4096-gon", "circle at 1e6",
+])
+def test_curve_kernel_equals_the_roll_oracles_bitwise(shape):
+    M = {
+        "triangle": lambda: DiscreteHypersurface([[0.0, 0.0], [1.0, 0.0], [0.3, 0.7]]),
+        "square": lambda: shapes.square_polygon(2.0, 1),
+        "circle": lambda: shapes.circle_polygon(1.0, 256),
+        "ellipse 2:1": lambda: shapes.ellipse_polygon(2.0, 1.0, 256),
+        "noisy circle": lambda: shapes.noisy_circle(1.0, 0.05, 300, seed=3),
+        "peanut": lambda: shapes.peanut_polygon(128),
+        "4096-gon": lambda: shapes.circle_polygon(1.0, 4096),
+        "circle at 1e6": lambda: shapes.circle_polygon(1.0, 256, center=(1e6, -1e6)),
+    }[shape]()
+    v = M.vertices
+    normals, principal = _curve_curvatures(v)
+    data = M.curvature_data
+    assert np.array_equal(data.normals, normals)
+    assert np.array_equal(data.principal, principal)
+    # same memory layout too, so reductions downstream sum in the same order
+    assert data.normals.flags.c_contiguous
+    for got, want in zip(_polygon(v).normals(), _curve_normals(v)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(M.edge_lengths, np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1))
+    assert enclosed_volume(M) == _polygon_area(v)
+
+
+def test_closest_segment_feature_equals_the_select_oracle():
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(2, 300, 2))
+    # points beyond either end, on the segment and at both endpoints
+    points = np.concatenate([a + rng.uniform(-1.0, 2.0, size=(300, 1)) * (b - a), a[:50], b[:50]])
+    a, b = np.concatenate([a, a[:50], a[:50]]), np.concatenate([b, b[:50], b[:50]])
+    _, feature = geometry.closest_point_segment(points, a, b)
+    d = b - a
+    t = np.clip(np.einsum("ij,ij->i", points - a, d) / np.einsum("ij,ij->i", d, d), 0.0, 1.0)
+    oracle = np.select([t <= 0.0, t >= 1.0], [1, 2], 0)
+    assert feature.dtype == oracle.dtype == np.int64
+    assert np.array_equal(feature, oracle)
+    assert set(np.unique(feature)) == {0, 1, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +518,7 @@ def test_embeddedness_agrees_with_the_quadratic_sweep():
         if rng.uniform() < 0.5:
             i, j = rng.choice(m, 2, replace=False)
             verts[[i, j]] = verts[[j, i]]
-        if geometry.polygon_area(verts) < 0.0:
+        if _polygon_area(verts) < 0.0:
             verts = verts[::-1]
         polygons.append(verts)
     verdicts = [is_embedded(DiscreteHypersurface(v)) for v in polygons]
