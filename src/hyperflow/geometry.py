@@ -30,8 +30,8 @@ def winding_number_2d(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
     points = np.atleast_2d(points)
     x1 = vertices[:, 0]
     y1 = vertices[:, 1]
-    x2 = np.roll(x1, -1)
-    y2 = np.roll(y1, -1)
+    x2 = np.concatenate([x1[1:], x1[:1]])
+    y2 = np.concatenate([y1[1:], y1[:1]])
     out = np.empty(points.shape[0], dtype=np.int64)
     for s in range(0, points.shape[0], _CHUNK):
         px = points[s : s + _CHUNK, 0][:, None]

@@ -7,9 +7,13 @@ first/second fundamental form terms (meshes), so every speed function receives
 a full curvature tuple.  On curves, construction, edge lengths, normals,
 curvatures and the enclosed area all come from one cyclic-neighbour kernel
 (``_polygon``): it pads the coordinate rows once so that each vertex's
-neighbours are slices, and works per component.  Distances and the
-embeddedness sweep share one element path: a curve's elements are its edges
-and a mesh's are its triangles, pruned by a tree over element centroids.
+neighbours are slices, and works per component.  On meshes the two-ring rows
+are stored K-major and padded with the vertex itself; the fit (``_mesh_jet``)
+projects the per-component coordinate differences onto each vertex's frame,
+sums twelve moments and five height moments over the rows, and solves the
+5x5 normal equations by an LDL^T factorisation on (V,) arrays.  Distances and
+the embeddedness sweep share one element path: a curve's elements are its
+edges and a mesh's are its triangles, pruned by a tree over element centroids.
 Signed distances take their sign from the angle-weighted pseudonormal of the
 closest feature and fall back to winding numbers only within the boundary
 band; containment queries and the centre search use winding numbers.
@@ -87,9 +91,12 @@ def _edge_table(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and ca.  Raises ValueError when an edge is not on exactly two faces.
     """
     und = np.sort(np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]]), axis=1)
-    edges, inverse, counts = np.unique(und, axis=0, return_inverse=True, return_counts=True)
+    # the key i * n + j of a pair (i, j) sorts as the pair does lexicographically
+    n = int(faces.max()) + 1
+    keys, inverse, counts = np.unique(und[:, 0] * n + und[:, 1], return_inverse=True, return_counts=True)
     if np.any(counts != 2):
         raise ValueError("mesh is not closed: some edge is not shared by two faces")
+    edges = np.column_stack([keys // n, keys % n])
     inverse = inverse.reshape(3, faces.shape[0])
     on_edge = np.argsort(inverse.ravel(), kind="stable") % faces.shape[0]
     return edges, np.sort(on_edge.reshape(-1, 2), axis=1), inverse.T
@@ -100,7 +107,10 @@ class _MeshTopology:
 
     Construction also validates the purely topological invariants
     (closedness, orientability, sphere topology) so that moving vertices
-    under a shared topology never re-pays those checks.
+    under a shared topology never re-pays those checks.  ``two_ring`` is
+    K-major, (K, V): column v lists the two-ring of vertex v in ascending
+    order, padded with v itself, so a padded slot's coordinate difference is
+    exactly zero and reductions over K run along contiguous rows.
     """
 
     def __init__(self, faces: np.ndarray, num_vertices: int):
@@ -108,7 +118,7 @@ class _MeshTopology:
         self.num_vertices = num_vertices
         self.unique_edges, self.edge_faces, self.face_edges = _edge_table(faces)
         directed = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-        if np.unique(directed, axis=0).shape[0] != directed.shape[0]:
+        if np.unique(directed[:, 0] * num_vertices + directed[:, 1]).shape[0] != directed.shape[0]:
             raise ValueError("inconsistent face orientation: repeated directed edge")
         if num_vertices - self.unique_edges.shape[0] + faces.shape[0] != 2:
             raise ValueError("mesh is not a topological sphere")
@@ -119,19 +129,15 @@ class _MeshTopology:
             (np.ones(ii.shape[0], dtype=np.int8), (ii, jj)),
             shape=(num_vertices, num_vertices),
         )
-        two = ((adj + adj @ adj) > 0).tolil()
-        two.setdiag(0)
-        two = two.tocsr()
-
-        counts2 = np.diff(two.indptr)
-        kmax = int(counts2.max())
-        idx = np.full((num_vertices, kmax), -1, dtype=np.int64)
-        for v in range(num_vertices):
-            nbrs = two.indices[two.indptr[v] : two.indptr[v + 1]]
-            idx[v, : nbrs.shape[0]] = nbrs
-        self.two_ring_mask = idx >= 0
-        # padded rows point at vertex 0 so gathers stay in bounds
-        self.two_ring_safe = np.where(self.two_ring_mask, idx, 0)
+        two = (adj + adj @ adj) > 0
+        two.sort_indices()
+        rows = np.repeat(np.arange(num_vertices), np.diff(two.indptr))
+        off = rows != two.indices  # drop the diagonal
+        rows, cols = rows[off], two.indices[off]
+        counts = np.bincount(rows, minlength=num_vertices)
+        slot = np.arange(rows.shape[0]) - (np.cumsum(counts) - counts)[rows]  # place within the row
+        self.two_ring = np.tile(np.arange(num_vertices), (int(counts.max()), 1))
+        self.two_ring[slot, rows] = cols
 
 
 class DiscreteHypersurface:
@@ -208,8 +214,9 @@ class DiscreteHypersurface:
     def edges(self) -> np.ndarray:
         """Vertex index pairs, (i, i+1) in order around a curve, each mesh edge once."""
         if self.dimension == 1:
-            i = np.arange(self.num_vertices)
-            return np.column_stack([i, np.roll(i, -1)])
+            i = np.arange(self.num_vertices + 1)
+            i[-1] = 0  # pad cyclically, as _polygon does
+            return np.column_stack([i[:-1], i[1:]])
         return self.topology.unique_edges
 
     @cached_property
@@ -315,14 +322,18 @@ def _polygon(verts: np.ndarray) -> _Polygon:
 
 
 def _tangent_basis(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    helper = np.where(
-        (np.abs(normals[:, 0]) < 0.9)[:, None],
-        np.tile(np.array([1.0, 0.0, 0.0]), (normals.shape[0], 1)),
-        np.tile(np.array([0.0, 1.0, 0.0]), (normals.shape[0], 1)),
-    )
-    e1 = np.cross(normals, helper)
-    e1 /= np.linalg.norm(e1, axis=1)[:, None]
-    e2 = np.cross(normals, e1)
+    """Unit tangent vectors e1 = n x h / |n x h| and e2 = n x e1, as (3, V) rows.
+
+    The helper h is the x axis, or the y axis where n is within about 26
+    degrees of the x axis.
+    """
+    nx, ny, nz = normals.T
+    x_helper = np.abs(nx) < 0.9
+    # n x (1, 0, 0) = (0, nz, -ny) and n x (0, 1, 0) = (-nz, 0, nx)
+    e1 = np.stack([np.where(x_helper, 0.0, -nz), np.where(x_helper, nz, 0.0), np.where(x_helper, -ny, nx)])
+    ax, ay, az = e1
+    e1 /= np.sqrt(ax * ax + ay * ay + az * az)
+    e2 = np.stack([ny * az - nz * ay, nz * ax - nx * az, nx * ay - ny * ax])
     return e1, e2
 
 
@@ -364,42 +375,81 @@ def _mesh_normals(verts: np.ndarray, topo: _MeshTopology) -> tuple[np.ndarray, n
     return fn_unit, out / norms[:, None]
 
 
-def _mesh_curvatures(verts: np.ndarray, topo: _MeshTopology) -> tuple[np.ndarray, np.ndarray]:
-    """Two-ring quadratic height fit -> shape operator -> principal curvatures.
+def _solve_ldl(a: list, b: list) -> list:
+    """Solve symmetric positive definite systems A x = b by A = L D L^T.
+
+    ``a[i][j]`` (j <= i) and ``b[i]`` are arrays holding one system per
+    element; the loops run over the matrix indices only.
+    """
+    n = len(b)
+    low = [[None] * n for _ in range(n)]
+    diag = []
+    for j in range(n):
+        ld = [low[j][k] * diag[k] for k in range(j)]  # row j of L D
+        diag.append(a[j][j] - sum(ld[k] * low[j][k] for k in range(j)))
+        for i in range(j + 1, n):
+            low[i][j] = (a[i][j] - sum(low[i][k] * ld[k] for k in range(j))) / diag[j]
+    y = []
+    for i in range(n):
+        y.append(b[i] - sum(low[i][k] * y[k] for k in range(i)))
+    x = [None] * n
+    for i in reversed(range(n)):
+        x[i] = y[i] / diag[i] - sum(low[k][i] * x[k] for k in range(i + 1, n))
+    return x
+
+
+def _mesh_jet(verts: np.ndarray, topo: _MeshTopology) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """Two-ring quadratic height fit: vertex normals, tangent basis and jet.
 
     The height of each two-ring neighbour over the vertex tangent plane is
-    fit by w = b1 u + b2 v + b3 u^2/2 + b4 uv + b5 v^2/2; the linear terms
-    absorb normal-estimate error so curvature stays second-order accurate.
-    Signs follow the convention that a sphere with outward normals has
-    principal curvatures +1/r.
+    fit by w = b1 u + b2 v + b3 u^2/2 + b4 uv + b5 v^2/2, the osculating jet
+    of Cazals and Pouget (SGP 2003).  The normal equations depend only on the
+    moments sum u^a v^b (2 <= a + b <= 4) and sum w u^a v^b (1 <= a + b <= 2)
+    over the two-ring, so they are assembled from those, per vertex, and
+    solved by an LDL^T factorisation on (V,) arrays.  Returns n, e1 and e2 as
+    (3, V) rows and the coefficients b1 .. b5 as (V,) arrays.
     """
     _, n0 = _mesh_normals(verts, topo)
     e1, e2 = _tangent_basis(n0)
+    n = np.ascontiguousarray(n0.T)
 
-    nbr = topo.two_ring_safe
-    mask = topo.two_ring_mask
-    d = (verts[nbr] - verts[:, None, :]) * mask[:, :, None]  # (V, K, 3), padded rows zeroed
-    frame = np.stack([e1, e2, n0], axis=2)  # columns are the local axes
-    uvw = d @ frame
-    u, v, w = uvw[..., 0], uvw[..., 1], uvw[..., 2]
+    # coordinate differences to the two-ring, per component, (K, V) each;
+    # padded slots are exactly 0
+    dx, dy, dz = (c[topo.two_ring] - c for c in np.ascontiguousarray(verts.T))
+    u, v, w = (dx * a[0] + dy * a[1] + dz * a[2] for a in (e1, e2, n))
 
-    cols = np.empty(u.shape + (5,))
-    cols[..., 0] = u
-    cols[..., 1] = v
-    cols[..., 2] = 0.5 * u * u
-    cols[..., 3] = u * v
-    cols[..., 4] = 0.5 * v * v
+    def total(x):
+        return x.sum(axis=0)
 
-    cols_t = cols.transpose(0, 2, 1)
-    ata = cols_t @ cols
-    atb = (cols_t @ w[..., None])[..., 0]
+    # moments m_ab = sum of u^a v^b over the two-ring, 2 <= a + b <= 4
+    uu, uv, vv = u * u, u * v, v * v
+    m20, m11, m02 = total(uu), total(uv), total(vv)
+    m30, m21, m12, m03 = total(uu * u), total(uu * v), total(u * vv), total(vv * v)
+    m40, m31, m22, m13, m04 = total(uu * uu), total(uu * uv), total(uu * vv), total(uv * vv), total(vv * vv)
+    # normal equations of the columns (u, v, u^2/2, uv, v^2/2), lower triangle
+    ata = [
+        [m20],
+        [m11, m02],
+        [0.5 * m30, 0.5 * m21, 0.25 * m40],
+        [m21, m12, 0.5 * m31, m22],
+        [0.5 * m12, 0.5 * m03, 0.25 * m22, 0.5 * m13, 0.25 * m04],
+    ]
+    atb = [total(w * u), total(w * v), 0.5 * total(w * uu), total(w * uv), 0.5 * total(w * vv)]
     # tiny Tikhonov term keeps thin-ring fits solvable
-    trace = np.trace(ata, axis1=1, axis2=2)
-    ata = ata + (1e-12 * np.maximum(trace, 1e-30))[:, None, None] * np.eye(5)[None, :, :]
-    beta = np.linalg.solve(ata, atb[:, :, None])[:, :, 0]
+    ridge = 1e-12 * np.maximum(sum(row[-1] for row in ata), 1e-30)
+    for row in ata:
+        row[-1] = row[-1] + ridge
+    return n, e1, e2, _solve_ldl(ata, atb)
 
-    gu, gv = beta[:, 0], beta[:, 1]
-    huu, huv, hvv = beta[:, 2], beta[:, 3], beta[:, 4]
+
+def _mesh_curvatures(verts: np.ndarray, topo: _MeshTopology) -> tuple[np.ndarray, np.ndarray]:
+    """Two-ring jet (``_mesh_jet``) -> shape operator -> principal curvatures.
+
+    The linear jet terms absorb normal-estimate error so curvature stays
+    second-order accurate.  Signs follow the convention that a sphere with
+    outward normals has principal curvatures +1/r.
+    """
+    n, e1, e2, (gu, gv, huu, huv, hvv) = _mesh_jet(verts, topo)
     grad2 = gu * gu + gv * gv
     inv_len = 1.0 / np.sqrt(1.0 + grad2)
 
@@ -424,8 +474,9 @@ def _mesh_curvatures(verts: np.ndarray, topo: _MeshTopology) -> tuple[np.ndarray
     k2 = -(0.5 * tr - disc)
     principal = np.sort(np.column_stack([k1, k2]), axis=1)
 
-    refined = n0 - gu[:, None] * e1 - gv[:, None] * e2
-    refined /= np.linalg.norm(refined, axis=1)[:, None]
+    rx, ry, rz = n - gu * e1 - gv * e2
+    refined = np.column_stack([rx, ry, rz])
+    refined /= np.sqrt(rx * rx + ry * ry + rz * rz)[:, None]
     return refined, principal
 
 
@@ -681,19 +732,14 @@ def assert_embedded(M: DiscreteHypersurface) -> None:
 # File formats: closed polyline text (curves), OBJ-style text (meshes)
 
 
-
 def write_surface(M: DiscreteHypersurface, path) -> None:
-    path = Path(path)
-    lines = []
+    # one %-format call per row kind; Python floats print as the numpy scalars did
     if M.dimension == 1:
-        for x, y in M.vertices:
-            lines.append(f"{x:.17g} {y:.17g}")
+        text = ("%.17g %.17g\n" * M.num_vertices) % tuple(M.vertices.ravel().tolist())
     else:
-        for x, y, z in M.vertices:
-            lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
-        for i, j, k in M.faces:
-            lines.append(f"f {i + 1} {j + 1} {k + 1}")
-    path.write_text("\n".join(lines) + "\n")
+        text = ("v %.17g %.17g %.17g\n" * M.num_vertices) % tuple(M.vertices.ravel().tolist())
+        text += ("f %d %d %d\n" * M.faces.shape[0]) % tuple((M.faces + 1).ravel().tolist())
+    Path(path).write_text(text)
 
 
 def read_surface(path) -> DiscreteHypersurface:

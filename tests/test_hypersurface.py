@@ -22,9 +22,13 @@ from hyperflow.hypersurface import (
     support_max,
     surface_distance,
     write_surface,
+    _edge_table,
+    _mesh_jet,
+    _mesh_normals,
     _polygon,
 )
 from hyperflow import geometry, shapes
+from hyperflow.flow_engine import _remesh_mesh
 
 
 def ellipse_curvature(a, b, theta):
@@ -156,6 +160,158 @@ def test_circle_estimator_stays_at_noise_floor_under_doubling():
     for m in (64, 128):
         M = shapes.circle_polygon(1.0, m)
         assert np.abs(M.curvature_data.principal - 1.0).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# batched oracles: the mesh fit and topology before the moment form
+
+
+def _two_ring_oracle(faces, num_vertices):
+    """Per vertex, its two-ring in ascending order; rows padded with the vertex."""
+    one = [set() for _ in range(num_vertices)]
+    for tri in faces.tolist():
+        for a in tri:
+            one[a].update(tri)
+    rings = [sorted(set().union(*(one[b] for b in one[a])) - {a}) for a in range(num_vertices)]
+    width = max(len(r) for r in rings)
+    return np.array([r + [a] * (width - len(r)) for a, r in enumerate(rings)])
+
+
+def _edge_table_oracle(faces):
+    und = np.sort(np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]]), axis=1)
+    edges, inverse, counts = np.unique(und, axis=0, return_inverse=True, return_counts=True)
+    assert np.all(counts == 2)
+    inverse = inverse.reshape(3, faces.shape[0])
+    on_edge = np.argsort(inverse.ravel(), kind="stable") % faces.shape[0]
+    return edges, np.sort(on_edge.reshape(-1, 2), axis=1), inverse.T
+
+
+def _tangent_basis_oracle(normals):
+    helper = np.where(
+        (np.abs(normals[:, 0]) < 0.9)[:, None],
+        np.tile(np.array([1.0, 0.0, 0.0]), (normals.shape[0], 1)),
+        np.tile(np.array([0.0, 1.0, 0.0]), (normals.shape[0], 1)),
+    )
+    e1 = np.cross(normals, helper)
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    return e1, np.cross(normals, e1)
+
+
+def _batched_mesh_fit(M):
+    """The (V, K, 5) design-tensor fit: jet coefficients (V, 5), normals, principal."""
+    verts, topo = M.vertices, M.topology
+    _, n0 = _mesh_normals(verts, topo)
+    e1, e2 = _tangent_basis_oracle(n0)
+    nbr = topo.two_ring.T
+    mask = nbr != np.arange(M.num_vertices)[:, None]
+    d = (verts[nbr] - verts[:, None, :]) * mask[:, :, None]
+    uvw = d @ np.stack([e1, e2, n0], axis=2)
+    u, v, w = uvw[..., 0], uvw[..., 1], uvw[..., 2]
+    cols = np.stack([u, v, 0.5 * u * u, u * v, 0.5 * v * v], axis=2)
+    cols_t = cols.transpose(0, 2, 1)
+    ata = cols_t @ cols
+    atb = (cols_t @ w[..., None])[..., 0]
+    trace = np.trace(ata, axis1=1, axis2=2)
+    ata = ata + (1e-12 * np.maximum(trace, 1e-30))[:, None, None] * np.eye(5)[None, :, :]
+    beta = np.linalg.solve(ata, atb[:, :, None])[:, :, 0]
+
+    gu, gv, huu, huv, hvv = beta.T
+    inv_len = 1.0 / np.sqrt(1.0 + gu * gu + gv * gv)
+    E, Fm, G = 1.0 + gu * gu, gu * gv, 1.0 + gv * gv
+    det_I = E * G - Fm * Fm
+    L, Mm, N = huu * inv_len, huv * inv_len, hvv * inv_len
+    s00 = (G * L - Fm * Mm) / det_I
+    s01 = (G * Mm - Fm * N) / det_I
+    s10 = (E * Mm - Fm * L) / det_I
+    s11 = (E * N - Fm * Mm) / det_I
+    tr = s00 + s11
+    disc = np.sqrt(np.maximum(0.25 * tr * tr - (s00 * s11 - s01 * s10), 0.0))
+    principal = np.sort(np.column_stack([-(0.5 * tr + disc), -(0.5 * tr - disc)]), axis=1)
+    refined = n0 - gu[:, None] * e1 - gv[:, None] * e2
+    refined /= np.linalg.norm(refined, axis=1)[:, None]
+    return beta, refined, principal
+
+
+_FIT_MESHES = {
+    **{f"icosphere s{s}": (lambda s=s: shapes.icosphere(1.0, s)) for s in range(2, 6)},
+    "ellipsoid s4": lambda: shapes.ellipsoid_mesh(1.5, 1.0, 0.75, 4),
+    "noisy sphere": lambda: shapes.noisy_sphere(),
+}
+
+
+def _relative(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("shape", list(_FIT_MESHES))
+def test_mesh_fit_equals_the_batched_oracle(shape):
+    M = _FIT_MESHES[shape]()
+    beta, refined, principal = _batched_mesh_fit(M)
+    jet = np.column_stack(_mesh_jet(M.vertices, M.topology)[3])
+    # relative to each vertex's largest coefficient: on a sphere the slopes
+    # and the uv term vanish up to rounding
+    assert np.all(np.abs(jet - beta).max(axis=1) <= 1e-12 * np.abs(beta).max(axis=1))
+    data = M.curvature_data
+    assert _relative(data.normals, refined) <= 1e-12
+    assert _relative(data.principal.sum(axis=1), principal.sum(axis=1)) <= 1e-12
+    assert _relative(data.principal.prod(axis=1), principal.prod(axis=1)) <= 1e-12
+    # at umbilics sqrt(max(tr^2/4 - det, 0)) lifts a rounding change in its
+    # argument to about 1e-8 in the principal pair
+    assert np.all(np.abs(data.principal - principal) <= 1e-7 * np.abs(principal))
+
+
+@pytest.mark.parametrize("shape", ["icosphere s0", "icosphere s3", "ellipsoid s2", "half ball", "remeshed"])
+def test_mesh_topology_equals_the_loop_and_unique_oracles(shape):
+    M = {
+        "icosphere s0": lambda: shapes.icosphere(1.0, 0),
+        "icosphere s3": lambda: shapes.icosphere(1.0, 3),
+        "ellipsoid s2": lambda: shapes.ellipsoid_mesh(1.5, 1.0, 0.75, 2),
+        "half ball": _half_ball,
+        # irregular valences and face order from edge splits
+        "remeshed": lambda: _remesh_mesh(shapes.icosphere(1.0, 1), 0.05, 0.4),
+    }[shape]()
+    topo = M.topology
+    ring = topo.two_ring
+    assert ring.dtype == np.int64 and ring.flags.c_contiguous
+    assert np.array_equal(ring, _two_ring_oracle(M.faces, M.num_vertices).T)
+    for got, want in zip(_edge_table(M.faces), _edge_table_oracle(M.faces)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert np.array_equal(topo.unique_edges, _edge_table_oracle(M.faces)[0])
+
+
+def test_mesh_topology_errors_keep_their_messages():
+    ico = shapes.icosphere(1.0, 0)
+    with pytest.raises(ValueError, match="^mesh is not closed: some edge is not shared by two faces$"):
+        DiscreteHypersurface(ico.vertices, ico.faces[1:])
+    flipped = ico.faces.copy()
+    flipped[0] = flipped[0, ::-1]
+    with pytest.raises(ValueError, match="^inconsistent face orientation: repeated directed edge$"):
+        DiscreteHypersurface(ico.vertices, flipped)
+    twice = np.vstack([ico.vertices, ico.vertices + 3.0])
+    with pytest.raises(ValueError, match="^mesh is not a topological sphere$"):
+        DiscreteHypersurface(twice, np.vstack([ico.faces, ico.faces + 12]))
+
+
+def _ellipsoid_curvatures(verts, a, b, c):
+    """Exact k1 + k2 and k1 k2 at points of the ellipsoid with semi-axes a, b, c."""
+    x, y, z = verts.T
+    h2 = x * x / a**4 + y * y / b**4 + z * z / c**4
+    abc2 = (a * b * c) ** 2
+    mean_sum = (a * a + b * b + c * c - (x * x + y * y + z * z)) / (abc2 * h2**1.5)
+    return mean_sum, 1.0 / (abc2 * h2 * h2)
+
+
+def test_mesh_curvature_converges_on_the_ellipsoid():
+    errs = []
+    for s in (3, 4, 5):
+        M = shapes.ellipsoid_mesh(1.5, 1.0, 0.75, s)
+        lam = M.curvature_data.principal
+        mean_sum, gauss = _ellipsoid_curvatures(M.vertices, 1.5, 1.0, 0.75)
+        errs.append((np.abs(lam.sum(axis=1) - mean_sum).max(), np.abs(lam.prod(axis=1) - gauss).max()))
+    for coarse, fine in zip(errs, errs[1:]):
+        assert coarse[0] / fine[0] >= 2.5
+        assert coarse[1] / fine[1] >= 2.5
 
 
 def test_degenerate_edge_rejected():
@@ -565,3 +721,30 @@ def test_mesh_roundtrip_is_bit_exact(tmp_path):
     M2 = read_surface(path)
     assert np.array_equal(M.vertices, M2.vertices)
     assert np.array_equal(M.faces, M2.faces)
+
+
+def _write_surface_oracle(M):
+    """The f-string loop over numpy scalars that ``write_surface`` replaced."""
+    lines = []
+    if M.dimension == 1:
+        for x, y in M.vertices:
+            lines.append(f"{x:.17g} {y:.17g}")
+    else:
+        for x, y, z in M.vertices:
+            lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
+        for i, j, k in M.faces:
+            lines.append(f"f {i + 1} {j + 1} {k + 1}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("shape", ["4096-gon", "noisy circle at 1e6", "ellipsoid s4", "noisy sphere"])
+def test_written_bytes_equal_the_loop_oracle(tmp_path, shape):
+    M = {
+        "4096-gon": lambda: shapes.circle_polygon(np.pi, 4096),
+        "noisy circle at 1e6": lambda: DiscreteHypersurface(shapes.noisy_circle(1.0, 0.05, 300, seed=3).vertices + [1e6, -1e6]),
+        "ellipsoid s4": lambda: shapes.ellipsoid_mesh(1.0, 1.03, 0.97, 4),
+        "noisy sphere": lambda: shapes.noisy_sphere(1e-7, 0.3),
+    }[shape]()
+    path = tmp_path / "surface.txt"
+    write_surface(M, path)
+    assert path.read_bytes() == _write_surface_oracle(M)
