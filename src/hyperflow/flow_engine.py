@@ -87,9 +87,6 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return np.array([t for t, _ in self.frames])
 
-    def surfaces(self) -> list[DiscreteHypersurface]:
-        return [m for _, m in self.frames]
-
     def frame_near(self, t: float) -> tuple[float, DiscreteHypersurface]:
         ts = self.times()
         return self.frames[int(np.argmin(np.abs(ts - t)))]
@@ -108,12 +105,17 @@ class Trajectory:
         j = int(np.searchsorted(ts, t))
         if j == 0:
             return self.frames[0][1].vertices
+        ta, xa, tb, xb = self.bracket(j)
+        w = 0.0 if tb == ta else (t - ta) / (tb - ta)
+        return (1.0 - w) * xa + w * xb
+
+    def bracket(self, j: int) -> tuple[float, np.ndarray, float, np.ndarray]:
+        """Times and vertices of frames j - 1 and j, which must correspond vertex by vertex."""
         ta, Ma = self.frames[j - 1]
         tb, Mb = self.frames[j]
         if Ma.num_vertices != Mb.num_vertices:
             raise InsufficientFrames("vertex correspondence broken across the bracket")
-        w = 0.0 if tb == ta else (t - ta) / (tb - ta)
-        return (1.0 - w) * Ma.vertices + w * Mb.vertices
+        return ta, Ma.vertices, tb, Mb.vertices
 
     def support_series(self, direction: np.ndarray) -> np.ndarray:
         v = np.asarray(direction, dtype=float)
@@ -121,11 +123,12 @@ class Trajectory:
 
 
 def _stage_surface(template: DiscreteHypersurface, verts: np.ndarray) -> DiscreteHypersurface:
-    if not np.all(np.isfinite(verts)):
-        raise NonFiniteState("non-finite vertex coordinates")
     try:
         return template.with_vertices(verts)
     except (ValueError, DegenerateElement) as exc:
+        # the constructor rejects non-finite input too; report it as such
+        if not np.all(np.isfinite(verts)):
+            raise NonFiniteState("non-finite vertex coordinates") from exc
         raise MeshDegeneracy(str(exc)) from exc
 
 

@@ -176,18 +176,20 @@ def _crossing_endpoints(M: DiscreteHypersurface, s: np.ndarray) -> np.ndarray:
     return mask
 
 
-def first_touch_time(
-    traj: Trajectory, plane: Hyperplane, resolution: float | None = None
-) -> float:
+def first_touch_time(traj: Trajectory, plane: Hyperplane) -> float:
     """Earliest time at which the trajectory's support reaches the plane.
 
-    Scans stored frames for the first support value >= c, then bisects on
-    linearly interpolated vertices between the bracketing frames.  The
-    returned time is accurate to ``resolution`` (default: 1e-4 of the frame
-    spacing) provided frames are dense enough that support is monotone
-    across the bracket.
+    Scans stored frames for the first support value >= c, then solves for
+    the first crossing between the bracketing frames.  The time is exact
+    for linearly interpolated frames, and it is the touch time of the flow
+    provided frames are dense enough that support is monotone across the
+    bracket.
     """
-    supports = traj.support_series(plane.V)
+    return _touch_time(traj, traj.support_series(plane.V), plane)
+
+
+def _touch_time(traj: Trajectory, supports: np.ndarray, plane: Hyperplane) -> float:
+    """First-touch time given the trajectory's support series along plane.V."""
     c = plane.c
     hits = np.nonzero(supports >= c)[0]
     if hits.shape[0] == 0:
@@ -197,42 +199,29 @@ def first_touch_time(
     j = int(hits[0])
     if j == 0:
         return traj.frames[0][0]
-    ta = traj.frames[j - 1][0]
-    tb = traj.frames[j][0]
-    res = resolution if resolution is not None else 1e-4 * (tb - ta)
-
-    def support_at(t: float) -> float:
-        return float(np.max(traj.interpolate_vertices(t) @ plane.V))
-
-    lo, hi = ta, tb
-    while hi - lo > res:
-        mid = 0.5 * (lo + hi)
-        if support_at(mid) >= c:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    # vertex i crosses at fraction (c - a_i) / d_i; all a_i < c since frame
+    # j - 1 falls short, and the first vertex across sets the support
+    ta, xa, tb, xb = traj.bracket(j)
+    a = xa @ plane.V
+    d = xb @ plane.V - a
+    rising = d > 0.0
+    return ta + (tb - ta) * float(np.min((c - a[rising]) / d[rising]))
 
 
 def monitor_reflection(
-    traj: Trajectory,
-    plane: Hyperplane,
-    t_start: float,
-    stride: int = 1,
-    tol: float | None = None,
-    angle_tol: float = TANGENCY_ANGLE_TOL,
+    traj: Trajectory, plane: Hyperplane, t_start: float, stride: int = 1
 ) -> list[tuple[float, ReflectionVerdict]]:
     """Reflection verdicts along the trajectory from t_start to the end.
 
     Requires a strict verdict at the starting frame; sampled frames follow
-    at the given stride (the final frame is always included).  The first
-    non-strict or failing frame is flagged in the verdict details so mesh
-    scale violations can be triaged by margin size.
+    at the given stride (the final frame is always included).  Monitoring
+    stops at the first failing or vacuous verdict, which is then the last
+    one returned.
     """
     frames = traj.frames_from(t_start)
     if not frames:
         raise StartNotStrict(f"trajectory has no frames at or after t = {t_start}")
-    first = strict_reflection_check(frames[0][1], plane, tol, angle_tol)
+    first = strict_reflection_check(frames[0][1], plane)
     if first.status is not ReflectionStatus.STRICT:
         raise StartNotStrict(
             f"verdict at t = {frames[0][0]} is {first.status.value}, not strict"
@@ -242,7 +231,10 @@ def monitor_reflection(
         picked.append(frames[-1])
     out = [(frames[0][0], first)]
     for t, M in picked[1:]:
-        out.append((t, strict_reflection_check(M, plane, tol, angle_tol)))
+        verdict = strict_reflection_check(M, plane)
+        out.append((t, verdict))
+        if verdict.status in (ReflectionStatus.FAILS, ReflectionStatus.VACUOUS):
+            break
     return out
 
 
@@ -270,12 +262,19 @@ class SymmetryOutcome:
 
 
 def _direction_set(dimension: int, directions: int | np.ndarray) -> np.ndarray:
-    """Unit plane normals: a count spread evenly, or the given array."""
+    """Unit plane normals: a count spread evenly, or the given unit rows.
+
+    Given rows are checked, not normalised: callers place planes at
+    offsets v . center, which only holds for unit v.
+    """
     if isinstance(directions, (int, np.integer)):
         if dimension == 1:
             return uniform_circle_directions(int(directions))
         return fibonacci_sphere_directions(int(directions))
-    return np.atleast_2d(np.asarray(directions, dtype=float))
+    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    if np.any(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) > 1e-9):
+        raise ValueError("directions must be unit vectors")
+    return dirs
 
 
 def symmetry_certificate(
@@ -299,11 +298,8 @@ def symmetry_certificate(
     mean_r = float(radii.mean())
     deviation = float((radii.max() - radii.min()) / mean_r)
 
-    defect = 0.0
-    for v in dirs:
-        plane = Hyperplane(V=v, c=float(v @ center))
-        reflected = plane.reflect(M.vertices)
-        defect = max(defect, float(surface_distance(M, reflected).max()))
+    reflected = [Hyperplane(V=v, c=float(v @ center)).reflect(M.vertices) for v in dirs]
+    defect = float(surface_distance(M, np.concatenate(reflected)).max()) if reflected else 0.0
 
     spherical = deviation < tol
     witness = None

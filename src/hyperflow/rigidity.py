@@ -35,7 +35,8 @@ from .reflection import (
     Hyperplane,
     ReflectionStatus,
     _direction_set,
-    first_touch_time,
+    _touch_time,
+    monitor_reflection,
     strict_reflection_check,
     symmetry_certificate,
 )
@@ -45,6 +46,7 @@ from .speeds import SpeedFunction
 # Reflection is checked at tau + {1, 2, 4} frame spacings: strictness just
 # after touch may need a moment to exceed the mesh tolerance band.
 POST_TOUCH_OFFSETS = (1, 2, 4)
+SYMMETRY_FRAMES = 12  # evenly spaced frames that get a sphericity certificate
 
 
 @dataclass(frozen=True)
@@ -132,10 +134,11 @@ def tau_limit_check(traj: Trajectory, direction, c_schedule) -> TauLimitReport:
     cs = [float(c) for c in c_schedule]
     if any(b >= a for a, b in zip(cs, cs[1:])):
         raise ValueError("c_schedule must be strictly decreasing")
+    supports = traj.support_series(Hyperplane(V=direction, c=0.0).V)
     taus: list[float | None] = []
     for c in cs:
         try:
-            taus.append(first_touch_time(traj, Hyperplane(V=direction, c=c)))
+            taus.append(_touch_time(traj, supports, Hyperplane(V=direction, c=c)))
         except NeverTouches:
             taus.append(None)
     got = [t for t in taus if t is not None]
@@ -183,8 +186,6 @@ def rigidity_audit(
     directions=16,
     c_schedule=(0.4, 0.2, 0.1, 0.05),
     symmetry_tol: float | None = None,
-    monitor_stride: int | None = None,
-    symmetry_frames: int = 12,
 ) -> RigidityAuditReport:
     """Full reflection-rigidity audit of a trajectory emerging from a point.
 
@@ -216,23 +217,22 @@ def rigidity_audit(
     post_verdicts: list[dict] = []
     reflection_ok = True
     for V in dirs:
-        for c in cs:
-            plane = Hyperplane(V=V, c=c + float(V @ y_inf))
-            try:
-                tau = first_touch_time(traj, plane)
-            except NeverTouches:
+        offsets = [c + float(V @ y_inf) for c in cs]
+        taus = tau_limit_check(traj, V, offsets).taus
+        for c, offset, tau in zip(cs, offsets, taus):
+            if tau is None:
                 tau_table.append({"direction": V.tolist(), "c": c, "tau": "never_touches"})
                 reflection_ok = False
                 continue
             tau_table.append({"direction": V.tolist(), "c": c, "tau": tau})
-            entry = _post_touch_entry(traj, plane, tau, frame_dt, monitor_stride)
+            entry = _post_touch_entry(traj, Hyperplane(V=V, c=offset), tau, frame_dt)
             entry["direction"] = V.tolist()
             entry["c"] = c
             post_verdicts.append(entry)
             reflection_ok = reflection_ok and entry["passed"]
 
     sym_rows, symmetry_ok = _symmetry_stage(
-        traj, y_inf, dirs, symmetry_frames, symmetry_tol if symmetry_tol is not None else 5.0 * min(cs)
+        traj, y_inf, dirs, symmetry_tol if symmetry_tol is not None else 5.0 * min(cs)
     )
 
     residual = None
@@ -259,9 +259,7 @@ def rigidity_audit(
     )
 
 
-def _post_touch_entry(
-    traj: Trajectory, plane: Hyperplane, tau: float, frame_dt: float, stride: int | None
-) -> dict:
+def _post_touch_entry(traj: Trajectory, plane: Hyperplane, tau: float, frame_dt: float) -> dict:
     frames_after = traj.frames_from(tau)
     if not frames_after:
         raise NoFramesPastTouch(f"no frames at or after tau = {tau}")
@@ -282,30 +280,26 @@ def _post_touch_entry(
             "passed": False,
             "failure": "no strict verdict just above the touch time",
         }
-    frames = traj.frames_from(start_t)
-    step_by = stride if stride is not None else max(1, len(frames) // 32)
-    picked = frames[::step_by]
-    if picked[-1][0] != frames[-1][0]:
-        picked.append(frames[-1])
+    # the first monitored frame is the probe just found strict
+    stride = max(1, len(traj.frames_from(start_t)) // 32)
+    verdicts = monitor_reflection(traj, plane, start_t, stride)
+    t, last = verdicts[-1]
     fail_at = None
-    for t, M in picked:
-        v = strict_reflection_check(M, plane)
-        if v.status in (ReflectionStatus.FAILS, ReflectionStatus.VACUOUS):
-            fail_at = {"t": t, "status": v.status.value, "inclusion_margin": v.inclusion_margin}
-            break
+    if last.status in (ReflectionStatus.FAILS, ReflectionStatus.VACUOUS):
+        fail_at = {"t": t, "status": last.status.value, "inclusion_margin": last.inclusion_margin}
     return {
         "tau": tau,
         "probes": probe_statuses,
         "strict_from": start_t,
-        "monitored_frames": len(picked),
+        "monitored_frames": len(verdicts),
         "passed": fail_at is None,
         "failure": fail_at,
     }
 
 
-def _symmetry_stage(traj, y_inf, dirs, frame_count, tol):
+def _symmetry_stage(traj, y_inf, dirs, tol):
     idx = np.unique(
-        np.linspace(0, len(traj.frames) - 1, min(frame_count, len(traj.frames))).astype(int)
+        np.linspace(0, len(traj.frames) - 1, min(SYMMETRY_FRAMES, len(traj.frames))).astype(int)
     )
     rows = []
     ok = True

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from hyperflow.errors import CenterOutside, NeverTouches, StartNotStrict
-from hyperflow.flow_engine import FlowConfig, evolve
+from hyperflow.errors import CenterOutside, InsufficientFrames, NeverTouches, StartNotStrict
+from hyperflow.flow_engine import FlowConfig, Trajectory, evolve
+from hyperflow.hypersurface import surface_distance
 from hyperflow.reflection import (
     Hyperplane,
     ReflectionStatus,
@@ -15,6 +16,7 @@ from hyperflow.reflection import (
     symmetry_certificate,
 )
 from hyperflow import families, shapes
+from hyperflow.geometry import uniform_circle_directions
 from hyperflow.speeds import mean_curvature
 
 
@@ -121,6 +123,58 @@ def test_first_touch_clamps_to_start_for_tiny_offsets():
     assert tau == fam.t0
 
 
+def _bisected_touch_time(traj, pl, resolution):
+    """Oracle: bisect on interpolated support between the bracketing frames.
+
+    Returns the midpoint of the final interval and the bracket (ta, tb).
+    """
+    supports = traj.support_series(pl.V)
+    j = int(np.nonzero(supports >= pl.c)[0][0])
+    ta, tb = traj.frames[j - 1][0], traj.frames[j][0]
+    lo, hi = ta, tb
+    while hi - lo > resolution * (tb - ta):
+        mid = 0.5 * (lo + hi)
+        if float(np.max(traj.interpolate_vertices(mid) @ pl.V)) >= pl.c:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), ta, tb
+
+
+@pytest.fixture(scope="module")
+def touch_families(ellipse_2_1):
+    times = -6.0 + 0.01 * np.arange(601)
+    return {
+        "sphere": families.exponential_sphere_family(-6.0, 0.0, 0.01, n=1, resolution=256),
+        "ellipse": families.ellipsoid_family(times, rates=(1.0, 2.0), n=1, resolution=256),
+        "evolved": evolve(ellipse_2_1, mean_curvature(1), 0.0, FlowConfig(t_end=0.3, dt=2e-3)),
+    }
+
+
+@pytest.mark.parametrize("name", ["sphere", "ellipse", "evolved"])
+def test_first_touch_matches_bisection_oracle(touch_families, name):
+    traj = touch_families[name]
+    for v in ([1.0, 0.0], [0.0, 1.0], [0.6, 0.8], [-0.28, 0.96]):
+        supports = traj.support_series(np.asarray(v))
+        for f in (0.1, 0.35, 0.6, 0.85):
+            pl = plane(v, supports[0] + f * (supports[-1] - supports[0]))
+            tau = first_touch_time(traj, pl)
+            tau_bisect, ta, tb = _bisected_touch_time(traj, pl, 1e-4)
+            assert ta < tau <= tb
+            assert abs(tau - tau_bisect) <= 0.5 * 1e-4 * (tb - ta)
+            # exact for the interpolated frames: the support sits on the plane
+            assert float(np.max(traj.interpolate_vertices(tau) @ pl.V)) == pytest.approx(pl.c, rel=1e-12)
+
+
+def test_first_touch_needs_vertex_correspondence_across_the_bracket():
+    traj = Trajectory(
+        frames=[(0.0, shapes.circle_polygon(1.0, 64)), (1.0, shapes.circle_polygon(2.0, 65))],
+        t0=0.0, t1=1.0,
+    )
+    with pytest.raises(InsufficientFrames, match="^vertex correspondence broken across the bracket$"):
+        first_touch_time(traj, plane([1, 0], 1.5))
+
+
 def test_touch_time_nondecreasing_in_offset():
     fam = families.exponential_sphere_family(-4.0, 0.0, 0.02, n=1, resolution=128)
     offsets = [0.05, 0.1, 0.2, 0.4, 0.8]
@@ -145,6 +199,18 @@ def test_monitor_requires_strict_start(unit_circle_256):
         monitor_reflection(fam, plane([1, 0], 0.0), t_start=-1.0)  # symmetry plane
     with pytest.raises(StartNotStrict):
         monitor_reflection(fam, plane([1, 0], 0.5), t_start=5.0)  # past the end
+
+
+def test_monitor_stops_at_the_first_failing_frame():
+    circle = shapes.circle_polygon(1.0, 128)
+    frames = [
+        (0.0, circle),
+        (1.0, shapes.circle_polygon(1.0, 128, center=(2.0, 0.0))),  # past the plane
+        (2.0, shapes.circle_polygon(1.5, 128)),
+    ]
+    out = monitor_reflection(Trajectory(frames=frames, t0=0.0, t1=2.0), plane([1, 0], 0.5), t_start=0.0)
+    assert [t for t, _ in out] == [0.0, 1.0]
+    assert [v.status for _, v in out] == [ReflectionStatus.STRICT, ReflectionStatus.FAILS]
 
 
 def test_monitor_growing_circle_family():
@@ -184,6 +250,24 @@ def test_noisy_sphere_deviation_matches_noise_band():
 def test_certificate_rejects_outside_center(unit_circle_256):
     with pytest.raises(CenterOutside):
         symmetry_certificate(unit_circle_256, [5.0, 0.0], directions=8, tol=1e-6)
+
+
+def test_certificate_rejects_non_unit_directions():
+    # a plane through the center needs c = v . center with unit v
+    M = shapes.circle_polygon(1.0, 256, center=(0.3, 0.0))
+    out = symmetry_certificate(M, [0.3, 0.0], directions=np.array([[1.0, 0.0]]))
+    assert out.max_reflection_defect < 1e-12
+    with pytest.raises(ValueError, match="unit"):
+        symmetry_certificate(M, [0.3, 0.0], directions=np.array([[2.0, 0.0]]))
+
+
+def test_certificate_defect_is_the_worst_plane_queried_alone(ellipse_2_1):
+    out = symmetry_certificate(ellipse_2_1, [0.1, 0.0], directions=16, tol=1e-6)
+    per_plane = [
+        float(surface_distance(ellipse_2_1, plane(v, v @ np.array([0.1, 0.0])).reflect(ellipse_2_1.vertices)).max())
+        for v in uniform_circle_directions(16)
+    ]
+    assert out.max_reflection_defect == max(per_plane)
 
 
 def test_certificate_spherical_implies_tight_radii(unit_circle_256):

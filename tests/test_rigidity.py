@@ -127,6 +127,35 @@ def test_negative_control_ellipse_family(ellipse_fam):
     assert "residual" in report.narrative
 
 
+def test_audit_tau_table_is_the_tau_limit_check_of_each_direction():
+    # off-center family: each direction's offsets shift by V . y_inf
+    center = np.array([0.3, 0.2])
+    fam = families.exponential_sphere_family(-6.0, 0.0, 0.02, n=1, resolution=128, center=center)
+    dirs = np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, 0.8]])
+    cs = (0.4, 0.2, 0.1)
+    report = rigidity_audit(fam, F_K, center, directions=dirs, c_schedule=cs)
+    assert report.overall
+    for k, V in enumerate(dirs):
+        rows = report.tau_table[k * len(cs):(k + 1) * len(cs)]
+        taus = tau_limit_check(fam, V, [c + float(V @ center) for c in cs]).taus
+        assert [row["tau"] for row in rows] == list(taus)
+        assert [row["c"] for row in rows] == list(cs)
+
+
+def test_audit_rejects_repeated_offsets(sphere_fam):
+    with pytest.raises(ValueError):
+        rigidity_audit(sphere_fam, F_K, [0.0, 0.0], directions=4, c_schedule=(0.4, 0.2, 0.2))
+
+
+def test_audit_rejects_non_unit_directions():
+    # planes sit at c + V . y_inf, which needs unit V; three times the axes
+    # used to fail this family with touch times far from log c
+    fam = families.exponential_sphere_family(-6.0, 0.0, 0.02, n=1, resolution=128, center=(0.3, 0.2))
+    assert rigidity_audit(fam, F_K, [0.3, 0.2], directions=np.eye(2), c_schedule=(0.4, 0.2)).overall
+    with pytest.raises(ValueError, match="unit"):
+        rigidity_audit(fam, F_K, [0.3, 0.2], directions=3.0 * np.eye(2), c_schedule=(0.4, 0.2))
+
+
 def test_audit_precondition_failure(ellipse_fam):
     with pytest.raises(PreconditionFailed):
         rigidity_audit(ellipse_fam, F_K, [1.0, 0.0], directions=4, c_schedule=(0.2, 0.1))
