@@ -76,9 +76,7 @@ class RunConfig:
     t_end: float = 1.0
     dt: float | None = None
     cfl: float = 0.2
-    scheme: str = "rk4"
     frame_interval: float = 0.01
-    remesh: bool = False
     band_lo: float | None = None
     band_hi: float | None = None
     stop_on_cone_exit: bool = True
@@ -99,8 +97,8 @@ _COMMAND_KEYS: dict[str, set[str]] = {
     "simulate": _COMMON_KEYS
     | {
         "speed", "alpha", "shape", "radius", "axes", "resolution", "subdivisions",
-        "mesh_file", "t0", "t_end", "dt", "cfl", "scheme", "frame_interval",
-        "remesh", "band_lo", "band_hi", "stop_on_cone_exit",
+        "mesh_file", "t0", "t_end", "dt", "cfl", "frame_interval",
+        "band_lo", "band_hi", "stop_on_cone_exit",
     },
     "sphere-ode": _COMMON_KEYS | {"speed", "alpha", "dimension", "r0", "t0", "t_end", "dt"},
     "classify-speed": _COMMON_KEYS | {"speed", "alpha", "dimension"},
@@ -208,6 +206,8 @@ _RULES: dict[str, tuple[Callable[[RunConfig], bool], str]] = {
         "shape = {shape} needs one semi-axis per coordinate in axes",
     ),
     "mesh_file": (lambda c: c.shape != "mesh" or c.mesh_file is not None, "shape = mesh requires mesh_file"),
+    # a band turns on remeshing, so half of one is an error, not a no-op
+    "band_lo": (lambda c: (c.band_lo is None) == (c.band_hi is None), "band_lo and band_hi must be given together"),
     "subdivisions": (lambda c: 0 <= c.subdivisions <= 6, "subdivisions must lie in [0, 6]"),
     "dimension": (lambda c: c.dimension in (1, 2), "dimension must be 1 or 2"),
     # dimension keeps its default 1 for the commands that do not take it
@@ -324,15 +324,12 @@ def _run_simulate(cfg: RunConfig) -> int:
     M0 = _build_shape(cfg)
     n = M0.dimension
     F = speeds.speed_by_name(cfg.speed, n, cfg.alpha)
-    band = (cfg.band_lo, cfg.band_hi) if cfg.band_lo is not None and cfg.band_hi is not None else None
     flow_cfg = flow_engine.FlowConfig(
         t_end=cfg.t_end,
         dt=cfg.dt,
         cfl=cfg.cfl,
-        scheme=cfg.scheme,
         frame_interval=cfg.frame_interval,
-        remesh=cfg.remesh,
-        band=band,
+        band=None if cfg.band_lo is None else (cfg.band_lo, cfg.band_hi),
         stop_on_cone_exit=cfg.stop_on_cone_exit,
     )
     traj = flow_engine.evolve(M0, F, cfg.t0, flow_cfg)

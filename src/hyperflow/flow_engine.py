@@ -1,12 +1,13 @@
 """Explicit time integration of the outward flow with speed 1/F.
 
 Every vertex moves along its outward normal at rate 1/F(principal
-curvatures).  ``step`` is the contractual single forward-Euler update; the
-trajectory driver defaults to classical RK4 stages (re-estimating curvature
-at each stage) so that sphere radii track the scalar radius ODE at fourth
-order.  Admissibility is monitored per stage: curvature tuples must stay
-inside the speed's cone with a relative interior margin, and near-boundary
-frames are logged as warning events.
+curvatures).  ``step`` is the contractual single forward-Euler update;
+``evolve`` integrates with classical RK4 only (re-estimating curvature at
+each stage, in as many equal substeps as explicit stability needs) so that
+sphere radii track the scalar radius ODE at fourth order.  Admissibility is
+monitored per stage: curvature tuples must stay inside the speed's cone with
+a relative interior margin, and near-boundary frames are logged as warning
+events.  An edge-length band turns on remeshing.
 """
 
 from __future__ import annotations
@@ -42,37 +43,30 @@ class FlowConfig:
     bound dt <= cfl * h_min * F_min (so the largest vertex displacement stays
     a fraction of the shortest edge).  Curvature-dependent normal motion is
     parabolic, so each requested step is additionally executed as enough
-    equal substeps to respect the explicit diffusion limit
+    equal RK4 substeps to respect the explicit diffusion limit
     dt_sub <= stab * h^2 F^2 / (4 sum_j dF/dlambda_j); without this, mesh
     scale noise amplifies and destroys round solutions within a few steps.
-    Frames and cadence always follow the requested dt grid.
+    Frames and cadence always follow the requested dt grid.  Given an
+    edge-length ``band`` (lo, hi), the run remeshes after every step that
+    leaves an edge outside it.
     """
 
     t_end: float
     dt: float | None = None
     cfl: float = 0.2
-    scheme: str = "rk4"
     frame_interval: float = 0.01
-    remesh: bool = False
     band: tuple[float, float] | None = None
     stop_on_cone_exit: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError("cfl must lie in (0, 1]")
-        if self.scheme not in ("rk4", "euler"):
-            raise ValueError("scheme must be 'rk4' or 'euler'")
         if self.dt is not None and self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.frame_interval <= 0.0:
             raise ValueError("frame_interval must be positive")
-        if self.remesh:
-            if self.band is None:
-                raise ValueError("remesh requires an edge-length band")
         if self.band is not None:
-            lo, hi = self.band
-            if not (0.0 < lo < hi):
-                raise ValueError("band must satisfy 0 < lo < hi")
+            _check_band(self.band)
 
 
 @dataclass
@@ -122,6 +116,14 @@ class Trajectory:
         return np.array([float(np.max(m.vertices @ v)) for _, m in self.frames])
 
 
+def _check_band(band: tuple[float, float]) -> None:
+    lo, hi = band
+    if not (0.0 < lo < hi):
+        raise ValueError("band must satisfy 0 < lo < hi")
+    if hi < 2.0 * lo:
+        raise ValueError("band must satisfy hi >= 2 lo so splits terminate")
+
+
 def _stage_surface(template: DiscreteHypersurface, verts: np.ndarray) -> DiscreteHypersurface:
     try:
         return template.with_vertices(verts)
@@ -149,11 +151,19 @@ def _velocity(M: DiscreteHypersurface, F: SpeedFunction) -> tuple[np.ndarray, fl
     return vel, margin_min, float(speeds.min())
 
 
+def _accept(M: DiscreteHypersurface, verts: np.ndarray) -> DiscreteHypersurface:
+    """The updated surface, checked against the edge-length floor."""
+    out = _stage_surface(M, verts)
+    if float(out.edge_lengths.min()) <= EDGE_FLOOR_FACTOR * out.bbox_diagonal:
+        raise MeshDegeneracy("edge length fell below the quality floor")
+    return out
+
+
 def step(M: DiscreteHypersurface, F: SpeedFunction, dt: float) -> DiscreteHypersurface:
     """One forward-Euler update: x -> x + dt * normal / F(curvatures)."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    return _substep(M, F, dt, "euler")[0]
+    return _accept(M, M.vertices + dt * _velocity(M, F)[0])
 
 
 def _local_min_edge(M: DiscreteHypersurface) -> np.ndarray:
@@ -166,15 +176,14 @@ def _local_min_edge(M: DiscreteHypersurface) -> np.ndarray:
     return out
 
 
-# Explicit stability coefficients against the worst-mode response 4/h^2 of
-# the curvature estimators (measured: polygons hit 4/h^2 exactly, the
-# two-ring mesh fit stays below it).  RK4's real-axis limit is 2.78, plain
-# Euler's is 2.
-_STAB_COEFF = {"rk4": 2.2, "euler": 1.5}
+# Explicit RK4 stability coefficient against the worst-mode response 4/h^2
+# of the curvature estimators (measured: polygons hit 4/h^2 exactly, the
+# two-ring mesh fit stays below it).  RK4's real-axis limit is 2.78.
+_STAB_COEFF = 2.2
 
 
-def stable_substep(M: DiscreteHypersurface, F: SpeedFunction, scheme: str = "rk4") -> float:
-    """Largest explicitly stable step for the current surface and speed.
+def stable_substep(M: DiscreteHypersurface, F: SpeedFunction) -> float:
+    """Largest explicitly stable RK4 step for the current surface and speed.
 
     The normal speed 1/F responds to a curvature perturbation with rate
     sum_j dF/dlambda_j / F^2, and the estimators amplify vertex noise by at
@@ -193,31 +202,21 @@ def stable_substep(M: DiscreteHypersurface, F: SpeedFunction, scheme: str = "rk4
     stiffest = float(np.max(4.0 * diffusivity / (h * h)))
     if stiffest <= 0.0:
         return math.inf
-    return _STAB_COEFF[scheme] / stiffest
+    return _STAB_COEFF / stiffest
 
 
 def _substep(
-    M: DiscreteHypersurface, F: SpeedFunction, dt: float, scheme: str
+    M: DiscreteHypersurface, F: SpeedFunction, dt: float
 ) -> tuple[DiscreteHypersurface, float]:
-    """One step of the scheme: the new surface, checked against the edge
+    """One classical RK4 step: the new surface, checked against the edge
     floor, and the smallest cone margin over its stages."""
     x = M.vertices
-    k1, margin, _ = _velocity(M, F)
-    if scheme == "euler":
-        new = x + dt * k1
-    else:
-        M2 = _stage_surface(M, x + 0.5 * dt * k1)
-        k2, m2, _ = _velocity(M2, F)
-        M3 = _stage_surface(M, x + 0.5 * dt * k2)
-        k3, m3, _ = _velocity(M3, F)
-        M4 = _stage_surface(M, x + dt * k3)
-        k4, m4, _ = _velocity(M4, F)
-        new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        margin = min(margin, m2, m3, m4)
-    out = _stage_surface(M, new)
-    if float(out.edge_lengths.min()) <= EDGE_FLOOR_FACTOR * out.bbox_diagonal:
-        raise MeshDegeneracy("edge length fell below the quality floor")
-    return out, margin
+    k1, m1, _ = _velocity(M, F)
+    k2, m2, _ = _velocity(_stage_surface(M, x + 0.5 * dt * k1), F)
+    k3, m3, _ = _velocity(_stage_surface(M, x + 0.5 * dt * k2), F)
+    k4, m4, _ = _velocity(_stage_surface(M, x + dt * k3), F)
+    new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return _accept(M, new), min(m1, m2, m3, m4)
 
 
 def evolve(
@@ -226,8 +225,9 @@ def evolve(
     """Run the flow from M0 at time t0 until config.t_end.
 
     Frames are stored roughly every ``frame_interval`` time units plus the
-    final state.  Events record remeshing, near-cone-boundary warnings and,
-    with stop_on_cone_exit=False, a graceful stop at a cone exit.
+    final state.  Events record every change in the substep count,
+    remeshing, near-cone-boundary warnings, volume decreases and, with
+    stop_on_cone_exit=False, a graceful stop at a cone exit.
     """
     if config.t_end <= t0:
         raise ValueError("t_end must exceed t0")
@@ -237,7 +237,7 @@ def evolve(
     last_frame_t = t0
     last_volume = enclosed_volume(M0)
     steps = 0
-    substep_logged = False
+    last_n_sub = 1
     while t < config.t_end - 1e-15 * max(1.0, abs(config.t_end)):
         if steps >= MAX_STEPS:
             raise MeshDegeneracy("max step count exceeded")
@@ -247,21 +247,15 @@ def evolve(
             _, _, f_min = _velocity(M, F)
             dt = config.cfl * float(M.edge_lengths.min()) * f_min
         dt = min(dt, config.t_end - t)
-        dt_stable = stable_substep(M, F, config.scheme)
-        n_sub = max(1, int(math.ceil(dt / dt_stable)))
-        if n_sub > 1 and not substep_logged:
-            traj.events.append(
-                {
-                    "t": t,
-                    "type": "stability_substepping",
-                    "detail": f"requested dt {dt:.3e} executed as {n_sub} substeps",
-                }
-            )
-            substep_logged = True
+        n_sub = max(1, int(math.ceil(dt / stable_substep(M, F))))
+        if n_sub != last_n_sub:
+            detail = f"requested dt {dt:.3e} executed as {n_sub} substeps (was {last_n_sub})"
+            traj.events.append({"t": t, "type": "stability_substepping", "detail": detail})
+            last_n_sub = n_sub
         margin = math.inf
         try:
             for _ in range(n_sub):
-                M, m_sub = _substep(M, F, dt / n_sub, config.scheme)
+                M, m_sub = _substep(M, F, dt / n_sub)
                 margin = min(margin, m_sub)
         except ConeExit as exc:
             if config.stop_on_cone_exit:
@@ -274,7 +268,7 @@ def evolve(
             traj.events.append(
                 {"t": t, "type": "cone_margin_warning", "detail": f"margin {margin:.3e}"}
             )
-        if config.remesh and config.band is not None:
+        if config.band is not None:
             lens = M.edge_lengths
             if float(lens.max()) > config.band[1] or float(lens.min()) < config.band[0]:
                 M = remesh(M, config.band)
@@ -412,11 +406,8 @@ def remesh(
     repaired here.  The enclosed volume must stay within ``max_volume_change``
     relative or the operation fails.
     """
+    _check_band(band)
     lo, hi = band
-    if not (0.0 < lo < hi):
-        raise ValueError("band must satisfy 0 < lo < hi")
-    if hi < 2.0 * lo:
-        raise ValueError("band must satisfy hi >= 2 lo so splits terminate")
     vol0 = enclosed_volume(M)
     if M.dimension == 1:
         out = _remesh_curve(M, lo, hi)

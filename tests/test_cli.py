@@ -36,7 +36,8 @@ def test_minimal_simulate_config_resolves_with_defaults(tmp_path):
     assert rc == EXIT_OK
     resolved = read_config_file(out / "resolved_config.cfg")
     assert resolved["speed"] == "k"
-    assert resolved["scheme"] == "rk4"  # default echoed
+    assert resolved["frame_interval"] == 0.01  # default echoed
+    assert "scheme" not in resolved and "remesh" not in resolved
     assert resolved["cfl"] == 0.2
     assert resolved["seed"] == 0
 
@@ -252,10 +253,15 @@ REJECTED = [
     ("subdivisions negative", "simulate", ["subdivisions=-1"]),
     ("cfl zero", "simulate", ["cfl=0"]),
     ("cfl above one", "simulate", ["cfl=1.5"]),
-    ("scheme", "simulate", ["scheme=rk2"]),
     ("frame_interval", "simulate", ["frame_interval=0"]),
+    # one integrator, and a band alone turns on remeshing: both keys are unknown
+    ("scheme", "simulate", ["scheme=rk2"]),
     ("remesh without band", "simulate", ["remesh=true"]),
+    ("remesh with a band", "simulate", ["remesh=true", "band_lo=0.05", "band_hi=0.2"]),
     ("band order", "simulate", ["band_lo=2", "band_hi=1"]),
+    ("band_lo alone", "simulate", ["band_lo=0.5"]),
+    ("band_hi alone", "simulate", ["band_hi=0.5"]),
+    ("band too narrow to remesh", "simulate", ["shape=circle", "resolution=32", "band_lo=0.15", "band_hi=0.25"]),
     ("r0", "sphere-ode", ["r0=0"]),
     ("dimension, sphere-ode", "sphere-ode", ["dimension=3"]),
     ("dimension, classify-speed", "classify-speed", ["dimension=0"]),

@@ -1,4 +1,5 @@
 import math
+import re
 from functools import cached_property
 
 import numpy as np
@@ -9,6 +10,7 @@ from hyperflow.flow_engine import (
     FlowConfig,
     _stage_surface,
     _substep,
+    _velocity,
     evolve,
     flow_residual,
     remesh,
@@ -155,6 +157,43 @@ def test_stability_substepping_reported():
     assert r.max() - r.min() < 1e-9
 
 
+def test_substepping_events_follow_every_count_change():
+    # an expanding ellipse coarsens its stiffness, so the count steps down;
+    # one frame per step keeps the surface of every event time
+    dt = 1e-3
+    cfg = FlowConfig(t_end=0.25, dt=dt, frame_interval=dt)
+    traj = evolve(shapes.ellipse_polygon(2.0, 1.0, 256), F_K, 0.0, cfg)
+    surfaces = dict(traj.frames)
+    events = [e for e in traj.events if e["type"] == "stability_substepping"]
+    assert len(events) >= 3
+    last = 1
+    for e in events:
+        m = re.fullmatch(r"requested dt (\S+) executed as (\d+) substeps \(was (\d+)\)", e["detail"])
+        new, old = int(m.group(2)), int(m.group(3))
+        assert old == last and new != old
+        dt_req = min(dt, 0.25 - e["t"])
+        assert new == max(1, math.ceil(dt_req / stable_substep(surfaces[e["t"]], F_K)))
+        last = new
+
+
+def _textbook_rk4(M, F, dt):
+    x = M.vertices
+    k1 = _velocity(M, F)[0]
+    k2 = _velocity(M.with_vertices(x + 0.5 * dt * k1), F)[0]
+    k3 = _velocity(M.with_vertices(x + 0.5 * dt * k2), F)[0]
+    k4 = _velocity(M.with_vertices(x + dt * k3), F)[0]
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize(
+    "M,F,dt",
+    [(shapes.ellipse_polygon(2.0, 1.0, 256), F_K, 1e-5), (shapes.icosphere(1.0, 2), F_H, 1e-3)],
+    ids=["ellipse 256-gon, 1/k", "icosphere s2, 1/H"],
+)
+def test_rk4_substep_equals_the_textbook_update(M, F, dt):
+    assert np.array_equal(_substep(M, F, dt)[0].vertices, _textbook_rk4(M, F, dt))
+
+
 def test_curve_errors_keep_their_types_and_messages():
     M = shapes.circle_polygon(1.0, 16)
     repeated = np.insert(M.vertices, 1, M.vertices[1], axis=0)
@@ -202,7 +241,7 @@ def test_one_rk4_substep_of_a_curve_builds_four_snapshots_and_four_curvatures(mo
     monkeypatch.setattr(DiscreteHypersurface, "curvature_data", prop)
     M = shapes.ellipse_polygon(2.0, 1.0, 256)
     counts.update(construct=0)
-    _substep(M, F_K, 1e-5, "rk4")
+    _substep(M, F_K, 1e-5)
     assert counts == {"construct": 4, "curvature": 4}
 
     M = shapes.ellipse_polygon(2.0, 1.0, 256)
@@ -219,13 +258,13 @@ def test_stable_substep_scales_with_resolution():
 
 def test_cone_margin_warning_event():
     # inject a near-boundary curvature tuple (inside the hard floor, below
-    # the warning band) into the cached estimate and run one Euler step
+    # the warning band) into the cached estimate and run one step
     M = shapes.icosphere(1.0, 1)
     data = M.curvature_data
     lam = data.principal.copy()
     lam[0] = (5e-4 * lam[0, 1], lam[0, 1])
     M.__dict__["curvature_data"] = type(data)(normals=data.normals, principal=lam)
-    traj = evolve(M, F_H, 0.0, FlowConfig(t_end=1e-4, dt=1e-4, scheme="euler"))
+    traj = evolve(M, F_H, 0.0, FlowConfig(t_end=1e-4, dt=1e-4))
     assert any(e["type"] == "cone_margin_warning" for e in traj.events)
 
 
@@ -245,11 +284,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(t_end=1.0, cfl=0.0)
     with pytest.raises(ValueError):
-        FlowConfig(t_end=1.0, scheme="verlet")
-    with pytest.raises(ValueError):
-        FlowConfig(t_end=1.0, remesh=True)
-    with pytest.raises(ValueError):
         FlowConfig(t_end=1.0, band=(2.0, 1.0))
+    # hi < 2 lo cannot terminate splitting; the run must not start with it
+    with pytest.raises(ValueError, match="hi >= 2 lo"):
+        FlowConfig(t_end=1, band=(1.0, 1.5))
     with pytest.raises(ValueError):
         evolve(shapes.circle_polygon(1.0, 16), F_K, 2.0, FlowConfig(t_end=1.0))
 
@@ -363,7 +401,7 @@ def test_remesh_during_evolution_keeps_band():
     # fine enough that a full split round stays inside the volume guard
     c = shapes.circle_polygon(1.0, 128)
     h0 = float(c.edge_lengths.mean())
-    cfg = FlowConfig(t_end=0.6, dt=2e-3, remesh=True, band=(0.25 * h0, 1.3 * h0))
+    cfg = FlowConfig(t_end=0.6, dt=2e-3, band=(0.25 * h0, 1.3 * h0))
     traj = evolve(c, F_K, 0.0, cfg)
     assert any(e["type"] == "remesh" for e in traj.events)
     final = traj.frames[-1][1]
