@@ -303,7 +303,7 @@ def _build_shape(cfg: RunConfig) -> DiscreteHypersurface:
         return shapes.ellipsoid_mesh(*cfg.axes, cfg.subdivisions)
     try:
         return read_surface(cfg.mesh_file)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, DegenerateElement) as exc:
         raise ValidationError(f"mesh file {cfg.mesh_file}: {exc}") from exc
 
 

@@ -34,7 +34,7 @@ def _scaled_family(times, n: int, resolution: int, center, scale: Callable[[floa
     frames = [
         (float(t), template.with_vertices(template.vertices * scale(float(t)) + center)) for t in times
     ]
-    return Trajectory(frames=frames, t0=float(times[0]), t1=float(times[-1]))
+    return Trajectory(frames=frames)
 
 
 def sphere_family(

@@ -74,9 +74,15 @@ class Trajectory:
     """Time-ordered surface frames plus the event log of the run."""
 
     frames: list[tuple[float, DiscreteHypersurface]]
-    t0: float
-    t1: float
     events: list[dict] = field(default_factory=list)
+
+    @property
+    def t0(self) -> float:
+        return self.frames[0][0]
+
+    @property
+    def t1(self) -> float:
+        return self.frames[-1][0]
 
     def times(self) -> np.ndarray:
         return np.array([t for t, _ in self.frames])
@@ -206,12 +212,12 @@ def stable_substep(M: DiscreteHypersurface, F: SpeedFunction) -> float:
 
 
 def _substep(
-    M: DiscreteHypersurface, F: SpeedFunction, dt: float
+    M: DiscreteHypersurface, F: SpeedFunction, dt: float, start: tuple | None = None
 ) -> tuple[DiscreteHypersurface, float]:
-    """One classical RK4 step: the new surface, checked against the edge
-    floor, and the smallest cone margin over its stages."""
+    """One classical RK4 step from the first stage ``start`` (evaluated when None):
+    the new surface, checked against the edge floor, and its least cone margin."""
     x = M.vertices
-    k1, m1, _ = _velocity(M, F)
+    k1, m1, _ = _velocity(M, F) if start is None else start
     k2, m2, _ = _velocity(_stage_surface(M, x + 0.5 * dt * k1), F)
     k3, m3, _ = _velocity(_stage_surface(M, x + 0.5 * dt * k2), F)
     k4, m4, _ = _velocity(_stage_surface(M, x + dt * k3), F)
@@ -231,7 +237,7 @@ def evolve(
     """
     if config.t_end <= t0:
         raise ValueError("t_end must exceed t0")
-    traj = Trajectory(frames=[(t0, M0)], t0=t0, t1=t0)
+    traj = Trajectory(frames=[(t0, M0)])
     t = t0
     M = M0
     last_frame_t = t0
@@ -241,21 +247,20 @@ def evolve(
     while t < config.t_end - 1e-15 * max(1.0, abs(config.t_end)):
         if steps >= MAX_STEPS:
             raise MeshDegeneracy("max step count exceeded")
-        if config.dt is not None:
-            dt = config.dt
-        else:
-            _, _, f_min = _velocity(M, F)
-            dt = config.cfl * float(M.edge_lengths.min()) * f_min
-        dt = min(dt, config.t_end - t)
-        n_sub = max(1, int(math.ceil(dt / stable_substep(M, F))))
-        if n_sub != last_n_sub:
-            detail = f"requested dt {dt:.3e} executed as {n_sub} substeps (was {last_n_sub})"
-            traj.events.append({"t": t, "type": "stability_substepping", "detail": detail})
-            last_n_sub = n_sub
         margin = math.inf
         try:
+            # under the CFL policy the start velocity sets dt and is the first stage
+            start = None if config.dt is not None else _velocity(M, F)
+            dt = config.dt if start is None else config.cfl * float(M.edge_lengths.min()) * start[2]
+            dt = min(dt, config.t_end - t)
+            n_sub = max(1, int(math.ceil(dt / stable_substep(M, F))))
+            if n_sub != last_n_sub:
+                detail = f"requested dt {dt:.3e} executed as {n_sub} substeps (was {last_n_sub})"
+                traj.events.append({"t": t, "type": "stability_substepping", "detail": detail})
+                last_n_sub = n_sub
             for _ in range(n_sub):
-                M, m_sub = _substep(M, F, dt / n_sub)
+                M, m_sub = _substep(M, F, dt / n_sub, start)
+                start = None
                 margin = min(margin, m_sub)
         except ConeExit as exc:
             if config.stop_on_cone_exit:
@@ -284,7 +289,6 @@ def evolve(
         if t - last_frame_t >= config.frame_interval - 0.5 * dt or t >= config.t_end - 1e-12:
             traj.frames.append((t, M))
             last_frame_t = t
-    traj.t1 = traj.frames[-1][0]
     return traj
 
 

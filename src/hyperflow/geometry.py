@@ -17,14 +17,6 @@ import numpy as np
 _CHUNK = 256  # query points per broadcast block
 
 
-def mesh_volume(vertices: np.ndarray, faces: np.ndarray) -> float:
-    """Signed enclosed volume of an oriented triangle mesh (divergence theorem)."""
-    a = vertices[faces[:, 0]]
-    b = vertices[faces[:, 1]]
-    c = vertices[faces[:, 2]]
-    return float(np.einsum("ij,ij->", a, np.cross(b, c))) / 6.0
-
-
 def winding_number_2d(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Integer winding numbers of a closed polygon around each query point."""
     points = np.atleast_2d(points)

@@ -1,20 +1,20 @@
 """Discrete closed hypersurfaces: polygons in the plane, triangle meshes in space.
 
 A surface snapshot is immutable; evolution and remeshing build new instances.
-Per-vertex principal curvatures come from the circle through three consecutive
-vertices (curves) or from a quadratic height fit over the two-ring expressed in
-first/second fundamental form terms (meshes), so every speed function receives
-a full curvature tuple.  On curves, construction, edge lengths, normals,
-curvatures and the enclosed area all come from one cyclic-neighbour kernel
-(``_polygon``): it pads the coordinate rows once so that each vertex's
-neighbours are slices, and works per component.  On meshes the two-ring rows
-are stored K-major and padded with the vertex itself; the fit (``_mesh_jet``)
-projects the per-component coordinate differences onto each vertex's frame,
-sums twelve moments and five height moments over the rows, and solves the
-5x5 normal equations by an LDL^T factorisation on (V,) arrays.  Distances and
-the embeddedness sweep share one element path: a curve's elements are its
-edges and a mesh's are its triangles, pruned by a tree over element centroids.
-Signed distances take their sign from the angle-weighted pseudonormal of the
+Each dimension has one element kernel that forms its geometry once; the
+constructor validates through it and keeps the volume it measures.
+``_polygon`` pads a curve's coordinate rows so that each vertex's neighbours
+are slices, and gives edge lengths, normals, circumcircle curvatures and the
+area.  ``_triangles`` forms a mesh's face corners, edges and cross products,
+and gives the zero-area check, the volume and the face and angle-weighted
+vertex normals.  Principal curvatures come from the circle through three
+consecutive vertices (curves) or from the two-ring jet fit ``_mesh_jet``
+(meshes): over K-major two-ring rows padded with the vertex itself it sums
+twelve moments and five height moments and solves the 5x5 normal equations
+by an LDL^T factorisation on (V,) arrays.  Distances and the embeddedness
+sweep share one element path: a curve's elements are its edges and a mesh's
+are its triangles, pruned by a tree over element centroids.  Signed
+distances take their sign from the angle-weighted pseudonormal of the
 closest feature and fall back to winding numbers only within the boundary
 band; containment queries and the centre search use winding numbers.
 
@@ -115,7 +115,6 @@ class _MeshTopology:
 
     def __init__(self, faces: np.ndarray, num_vertices: int):
         self.faces = faces
-        self.num_vertices = num_vertices
         self.unique_edges, self.edge_faces, self.face_edges = _edge_table(faces)
         directed = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
         if np.unique(directed[:, 0] * num_vertices + directed[:, 1]).shape[0] != directed.shape[0]:
@@ -164,10 +163,12 @@ class DiscreteHypersurface:
             if vertices.shape[0] < 3:
                 raise ValueError("closed curve needs at least 3 vertices")
             self.faces = None
+            self.topology = None
             poly = _polygon(vertices)
             if poly.length.min() <= 0.0:
                 raise DegenerateElement("zero-length polygon edge")
-            if poly.area() <= 0.0:
+            self._volume = poly.area()
+            if self._volume <= 0.0:
                 raise ValueError("polygon must be counter-clockwise (positive area)")
         else:
             if faces is None:
@@ -180,15 +181,13 @@ class DiscreteHypersurface:
             self.faces = faces
             self.faces.setflags(write=False)
             topo = _topology if _topology is not None else _MeshTopology(faces, vertices.shape[0])
-            a = vertices[faces[:, 0]]
-            b = vertices[faces[:, 1]]
-            c = vertices[faces[:, 2]]
-            areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-            if np.any(areas <= 0.0):
+            tri = _triangles(vertices, faces)
+            if np.any(tri.area2 <= 0.0):
                 raise DegenerateElement("zero-area triangle")
-            if geometry.mesh_volume(vertices, faces) <= 0.0:
+            self._volume = tri.volume()
+            if self._volume <= 0.0:
                 raise ValueError("mesh must be oriented outward (positive volume)")
-            self.__dict__["topology"] = topo
+            self.topology = topo
 
     # -- basic queries ------------------------------------------------------
 
@@ -199,11 +198,6 @@ class DiscreteHypersurface:
     @property
     def num_vertices(self) -> int:
         return self.vertices.shape[0]
-
-    @cached_property
-    def topology(self) -> _MeshTopology:
-        assert self.faces is not None
-        return _MeshTopology(self.faces, self.num_vertices)
 
     @cached_property
     def bbox_diagonal(self) -> float:
@@ -318,6 +312,60 @@ def _polygon(verts: np.ndarray) -> _Polygon:
 
 
 # ---------------------------------------------------------------------------
+# Mesh face kernel
+
+
+def _length(v: np.ndarray) -> np.ndarray:
+    """Lengths of 3-vectors along the last axis, with the bits of ``np.linalg.norm``."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return np.sqrt(x * x + y * y + z * z)
+
+
+class _Triangles(NamedTuple):
+    """A triangle mesh's face corners, edges and cross products, formed once.
+
+    ``ext`` holds each face's corners a, b, c, a, so ``edge[i] = ext[i + 1] -
+    ext[i]`` is b - a, c - b or a - c, and corner i lies between ``edge[i]``
+    and ``-edge[i - 1]``.  Negation is exact and lengths are taken per
+    component, so the results have the bits of the oracles in the tests.
+    """
+
+    faces: np.ndarray  # (F, 3) vertex indices
+    ext: np.ndarray  # (4, F, 3) corners a, b, c, a
+    edge: np.ndarray  # (3, F, 3) vectors between consecutive corners
+    cross: np.ndarray  # (F, 3) (b - a) x (c - a)
+    area2: np.ndarray  # (F,) its length, twice the face area
+
+    def volume(self) -> float:
+        """Signed enclosed volume, the sum of a . ((b - a) x (c - a)) / 6."""
+        return float(np.einsum("ij,ij->", self.ext[0], self.cross)) / 6.0
+
+    def normals(self, num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
+        """Outward unit face normals, and vertex normals weighted by the face angles."""
+        face_n = self.cross / self.area2[:, None]
+        length = _length(self.edge)
+        out = np.zeros((num_vertices, 3))
+        for i in range(3):
+            dot = np.einsum("ij,ij->i", self.edge[i], self.edge[i - 1])
+            cosang = -dot / (length[i] * length[i - 1])
+            weighted = np.arccos(np.clip(cosang, -1.0, 1.0))[:, None] * face_n
+            for j in range(3):
+                out[:, j] += np.bincount(self.faces[:, i], weights=weighted[:, j], minlength=num_vertices)
+        norms = _length(out)
+        if np.any(norms <= 0.0):
+            raise MeshDegeneracy("vertex with vanishing accumulated normal")
+        return face_n, out / norms[:, None]
+
+
+def _triangles(verts: np.ndarray, faces: np.ndarray) -> _Triangles:
+    """The face kernel of a triangle mesh with vertices (V, 3) and faces (F, 3)."""
+    ext = np.take(verts, faces.T[[0, 1, 2, 0]], axis=0)
+    edge = ext[1:] - ext[:-1]
+    cross = np.cross(edge[2], edge[0])  # the bits of (b - a) x (c - a): factors swap
+    return _Triangles(faces, ext, edge, cross, _length(cross))
+
+
+# ---------------------------------------------------------------------------
 # Mesh curvature estimation
 
 
@@ -335,44 +383,6 @@ def _tangent_basis(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e1 /= np.sqrt(ax * ax + ay * ay + az * az)
     e2 = np.stack([ny * az - nz * ay, nz * ax - nx * az, nx * ay - ny * ax])
     return e1, e2
-
-
-def _mesh_normals(verts: np.ndarray, topo: _MeshTopology) -> tuple[np.ndarray, np.ndarray]:
-    """Outward unit normals of the faces and of the vertices.
-
-    A vertex normal sums its incident face normals weighted by the face
-    angles at the vertex.
-    """
-    faces = topo.faces
-    a = verts[faces[:, 0]]
-    b = verts[faces[:, 1]]
-    c = verts[faces[:, 2]]
-    fn = np.cross(b - a, c - a)
-    area2 = np.linalg.norm(fn, axis=1)
-    if np.any(area2 <= 0.0):
-        raise DegenerateElement("zero-area triangle")
-    fn_unit = fn / area2[:, None]
-
-    out = np.zeros_like(verts)
-    corners = (a, b, c)
-    nv = verts.shape[0]
-    for i in range(3):
-        p = corners[i]
-        q = corners[(i + 1) % 3]
-        r = corners[(i + 2) % 3]
-        u = q - p
-        v = r - p
-        cosang = np.einsum("ij,ij->i", u, v) / (
-            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
-        )
-        ang = np.arccos(np.clip(cosang, -1.0, 1.0))
-        weighted = ang[:, None] * fn_unit
-        for j in range(3):
-            out[:, j] += np.bincount(faces[:, i], weights=weighted[:, j], minlength=nv)
-    norms = np.linalg.norm(out, axis=1)
-    if np.any(norms <= 0.0):
-        raise MeshDegeneracy("vertex with vanishing accumulated normal")
-    return fn_unit, out / norms[:, None]
 
 
 def _solve_ldl(a: list, b: list) -> list:
@@ -409,7 +419,7 @@ def _mesh_jet(verts: np.ndarray, topo: _MeshTopology) -> tuple[np.ndarray, np.nd
     solved by an LDL^T factorisation on (V,) arrays.  Returns n, e1 and e2 as
     (3, V) rows and the coefficients b1 .. b5 as (V,) arrays.
     """
-    _, n0 = _mesh_normals(verts, topo)
+    _, n0 = _triangles(verts, topo.faces).normals(verts.shape[0])
     e1, e2 = _tangent_basis(n0)
     n = np.ascontiguousarray(n0.T)
 
@@ -548,13 +558,13 @@ def _feature_normals(M: DiscreteHypersurface, idx: np.ndarray) -> np.ndarray:
     the closest-point kernels: the element itself, then a triangle's edges
     ab, bc and ca, then the corners.  A mesh edge's pseudonormal is the sum
     of its two face normals; the vertex normals are those of
-    ``_Polygon.normals`` and ``_mesh_normals``.
+    ``_Polygon.normals`` and ``_Triangles.normals``.
     """
     if M.dimension == 1:
         element_n, vertex_n = _polygon(M.vertices).normals()
         return np.concatenate([element_n[:, None], vertex_n[idx]], axis=1)
     topo = M.topology
-    element_n, vertex_n = _mesh_normals(M.vertices, topo)
+    element_n, vertex_n = _triangles(M.vertices, M.faces).normals(M.num_vertices)
     edge_n = element_n[topo.edge_faces].sum(axis=1)
     edge_n /= np.linalg.norm(edge_n, axis=1)[:, None]
     return np.concatenate([element_n[:, None], edge_n[topo.face_edges], vertex_n[idx]], axis=1)
@@ -617,9 +627,7 @@ def signed_interior_distance(M: DiscreteHypersurface, points: np.ndarray) -> np.
 
 def enclosed_volume(M: DiscreteHypersurface) -> float:
     """Enclosed area (n = 1) or volume (n = 2), positive by orientation."""
-    if M.dimension == 1:
-        return _polygon(M.vertices).area()
-    return geometry.mesh_volume(M.vertices, M.faces)
+    return M._volume
 
 
 # ---------------------------------------------------------------------------
@@ -721,11 +729,6 @@ def is_embedded(M: DiscreteHypersurface) -> bool:
         hits = geometry.segments_intersect(corners[i, 0], corners[i, 1], corners[j, 0], corners[j, 1])
         return not bool(np.any(hits))
     return not any(geometry.triangles_intersect(corners[p], corners[q]) for p, q in zip(i, j))
-
-
-def assert_embedded(M: DiscreteHypersurface) -> None:
-    if not is_embedded(M):
-        raise MeshDegeneracy("surface self-intersects at mesh scale")
 
 
 # ---------------------------------------------------------------------------

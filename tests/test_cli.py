@@ -305,7 +305,13 @@ def _bad_input(tmp_path, case):
     if case == "surface plane on a curve":
         return (["reflect-audit", "--set", "shape=circle", "--set", "plane_direction=1,0,0"],
                 "3 components, but the surface lies in 2")
-    path = tmp_path / ("bad.txt" if case in ("clockwise polygon", "unequal figure-eight") else "bad.obj")
+    curves = ("clockwise polygon", "unequal figure-eight", "repeated curve vertex")
+    path = tmp_path / ("bad.txt" if case in curves else "bad.obj")
+    if case == "repeated curve vertex":
+        write_surface(shapes.circle_polygon(1.0, 16), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3] + lines[2:]) + "\n")
+        return ["reflect-audit", "--set", "shape=mesh", "--set", f"mesh_file={path}"], str(path)
     if case == "unequal figure-eight":
         # a large counter-clockwise lobe and a small clockwise one: positive
         # area, but the edges cross at the origin
@@ -315,6 +321,12 @@ def _bad_input(tmp_path, case):
         return ["reflect-audit", "--set", "shape=mesh", "--set", f"mesh_file={path}"], str(path)
     if case == "short vertex line":
         path.write_text("v 0 0 0\nv 1 0\nv 0 1 0\nv 0 0 1\nf 1 3 2\nf 1 2 4\nf 2 3 4\nf 3 1 4\n")
+    elif case == "zero-area triangle":
+        ico = shapes.icosphere(1.0, 0)
+        verts = ico.vertices.copy()
+        verts[1] = verts[0]  # the faces on edge (0, 1) collapse
+        path.write_text("".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in verts.tolist())
+                        + "".join(f"f {a} {b} {c}\n" for a, b, c in (ico.faces + 1).tolist()))
     elif case == "clockwise polygon":
         write_surface(shapes.circle_polygon(1.0, 16), path)
         path.write_text("\n".join(reversed(path.read_text().splitlines())) + "\n")
@@ -325,7 +337,8 @@ def _bad_input(tmp_path, case):
 
 @pytest.mark.parametrize("case", [
     "short vertex line", "clockwise polygon", "open mesh", "unknown speed", "offsets above R_star",
-    "curve plane on a surface", "surface plane on a curve", "unequal figure-eight",
+    "curve plane on a surface", "surface plane on a curve", "unequal figure-eight", "repeated curve vertex",
+    "zero-area triangle",
 ])
 def test_bad_input_is_a_one_line_config_error(tmp_path, capsys, case):
     args, named = _bad_input(tmp_path, case)

@@ -23,7 +23,7 @@ from hyperflow.hypersurface import (
     classify_points,
     enclosed_volume,
 )
-from hyperflow import families, shapes
+from hyperflow import families, flow_engine, shapes
 from hyperflow.speeds import catalog, mean_curvature
 
 
@@ -271,8 +271,41 @@ def test_cone_margin_warning_event():
 def test_cone_exit_stops_gracefully_when_configured():
     cfg = FlowConfig(t_end=1.0, dt=1e-3, stop_on_cone_exit=False)
     traj = evolve(shapes.peanut_polygon(128), F_K, 0.0, cfg)
-    assert any(e["type"] == "cone_exit" for e in traj.events)
+    # a fixed dt sets the substep count before the first stage meets the cone
+    assert [e["type"] for e in traj.events] == ["stability_substepping", "cone_exit"]
     assert traj.t1 < 1.0
+
+
+def test_cone_exit_stops_gracefully_under_the_cfl_policy():
+    # the peanut leaves the cone at once: the start surface's velocity, which
+    # sets the CFL step, reports it like any stage
+    cfg = FlowConfig(t_end=0.1, stop_on_cone_exit=False)
+    traj = evolve(shapes.peanut_polygon(128), F_K, 0.0, cfg)
+    assert [e["type"] for e in traj.events] == ["cone_exit"]
+    assert len(traj.frames) == 1 and traj.t1 == 0.0
+
+
+def test_the_cfl_policy_evaluates_the_start_velocity_once(monkeypatch):
+    calls = []
+
+    def counting_velocity(M, F):
+        calls.append(M)
+        return _velocity(M, F)
+
+    monkeypatch.setattr(flow_engine, "_velocity", counting_velocity)
+    M = shapes.circle_polygon(1.0, 16)
+    evolve(M, F_K, 0.0, FlowConfig(t_end=0.02))
+    # one requested step of one substep: four stages, the first of which set dt
+    assert len(calls) == 4 and calls[0] is M
+    # over several substeps the CFL run equals a fixed-dt run with its step
+    M = shapes.circle_polygon(1.0, 64)
+    cfl = evolve(M, F_K, 0.0, FlowConfig(t_end=0.01))
+    fixed = evolve(M, F_K, 0.0, FlowConfig(t_end=0.01, dt=0.01))
+    assert cfl.events == fixed.events
+    assert cfl.events[0]["detail"].endswith("executed as 2 substeps (was 1)")
+    assert [t for t, _ in cfl.frames] == [t for t, _ in fixed.frames]
+    for (_, a), (_, b) in zip(cfl.frames, fixed.frames):
+        assert np.array_equal(a.vertices, b.vertices)
 
 
 def test_cone_exit_raises_by_default():

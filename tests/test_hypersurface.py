@@ -24,8 +24,8 @@ from hyperflow.hypersurface import (
     write_surface,
     _edge_table,
     _mesh_jet,
-    _mesh_normals,
     _polygon,
+    _triangles,
 )
 from hyperflow import geometry, shapes
 from hyperflow.flow_engine import _remesh_mesh
@@ -116,6 +116,78 @@ def test_closest_segment_feature_equals_the_select_oracle():
 
 
 # ---------------------------------------------------------------------------
+# corner oracles: the mesh normals and volume before the face kernel
+
+
+def _mesh_normals(verts, faces):
+    """Face and angle-weighted vertex normals from six corner differences per face."""
+    a = verts[faces[:, 0]]
+    b = verts[faces[:, 1]]
+    c = verts[faces[:, 2]]
+    fn = np.cross(b - a, c - a)
+    fn_unit = fn / np.linalg.norm(fn, axis=1)[:, None]
+    out = np.zeros_like(verts)
+    corners = (a, b, c)
+    for i in range(3):
+        p, q, r = corners[i], corners[(i + 1) % 3], corners[(i + 2) % 3]
+        u, v = q - p, r - p
+        cosang = np.einsum("ij,ij->i", u, v) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
+        weighted = np.arccos(np.clip(cosang, -1.0, 1.0))[:, None] * fn_unit
+        for j in range(3):
+            out[:, j] += np.bincount(faces[:, i], weights=weighted[:, j], minlength=verts.shape[0])
+    return fn_unit, out / np.linalg.norm(out, axis=1)[:, None]
+
+
+def _mesh_volume(verts, faces):
+    """Signed volume by the divergence theorem, sum of a . (b x c) / 6."""
+    a = verts[faces[:, 0]]
+    b = verts[faces[:, 1]]
+    c = verts[faces[:, 2]]
+    return float(np.einsum("ij,ij->", a, np.cross(b, c))) / 6.0
+
+
+def _turned_ellipsoid():
+    M = shapes.ellipsoid_mesh(1.5, 1.0, 0.75, 4)
+    turn, _ = np.linalg.qr(np.random.default_rng(2).normal(size=(3, 3)))
+    return DiscreteHypersurface(M.vertices @ turn.T + np.array([0.3, -2.0, 5.0]), M.faces)
+
+
+_KERNEL_MESHES = {
+    **{f"icosphere s{s}": (lambda s=s: shapes.icosphere(1.0, s)) for s in range(6)},
+    "noisy sphere": lambda: shapes.noisy_sphere(),
+    "rotated shifted ellipsoid s4": _turned_ellipsoid,
+}
+
+
+@pytest.mark.parametrize("shape", list(_KERNEL_MESHES))
+def test_face_kernel_equals_the_corner_oracles(shape):
+    M = _KERNEL_MESHES[shape]()
+    tri = _triangles(M.vertices, M.faces)
+    for got, want in zip(tri.normals(M.num_vertices), _mesh_normals(M.vertices, M.faces)):
+        assert np.array_equal(got, want)
+    want = _mesh_volume(M.vertices, M.faces)
+    assert abs(tri.volume() - want) <= 1e-13 * abs(want)
+    # the constructor keeps the volume it measured
+    assert enclosed_volume(M) == tri.volume()
+
+
+def test_a_mesh_snapshot_forms_its_face_cross_products_once(monkeypatch):
+    M = shapes.ellipsoid_mesh(1.5, 1.0, 0.75, 2)
+    calls = []
+    cross = np.cross
+
+    def counting_cross(*args, **kwargs):
+        calls.append(1)
+        return cross(*args, **kwargs)
+
+    monkeypatch.setattr(np, "cross", counting_cross)
+    M2 = M.with_vertices(M.vertices * 1.1)
+    assert len(calls) == 1
+    M2.curvature_data
+    assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
 # curvature estimation
 
 
@@ -200,7 +272,7 @@ def _tangent_basis_oracle(normals):
 def _batched_mesh_fit(M):
     """The (V, K, 5) design-tensor fit: jet coefficients (V, 5), normals, principal."""
     verts, topo = M.vertices, M.topology
-    _, n0 = _mesh_normals(verts, topo)
+    _, n0 = _mesh_normals(verts, M.faces)
     e1, e2 = _tangent_basis_oracle(n0)
     nbr = topo.two_ring.T
     mask = nbr != np.arange(M.num_vertices)[:, None]

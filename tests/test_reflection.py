@@ -167,10 +167,7 @@ def test_first_touch_matches_bisection_oracle(touch_families, name):
 
 
 def test_first_touch_needs_vertex_correspondence_across_the_bracket():
-    traj = Trajectory(
-        frames=[(0.0, shapes.circle_polygon(1.0, 64)), (1.0, shapes.circle_polygon(2.0, 65))],
-        t0=0.0, t1=1.0,
-    )
+    traj = Trajectory(frames=[(0.0, shapes.circle_polygon(1.0, 64)), (1.0, shapes.circle_polygon(2.0, 65))])
     with pytest.raises(InsufficientFrames, match="^vertex correspondence broken across the bracket$"):
         first_touch_time(traj, plane([1, 0], 1.5))
 
@@ -208,7 +205,7 @@ def test_monitor_stops_at_the_first_failing_frame():
         (1.0, shapes.circle_polygon(1.0, 128, center=(2.0, 0.0))),  # past the plane
         (2.0, shapes.circle_polygon(1.5, 128)),
     ]
-    out = monitor_reflection(Trajectory(frames=frames, t0=0.0, t1=2.0), plane([1, 0], 0.5), t_start=0.0)
+    out = monitor_reflection(Trajectory(frames=frames), plane([1, 0], 0.5), t_start=0.0)
     assert [t for t, _ in out] == [0.0, 1.0]
     assert [v.status for _, v in out] == [ReflectionStatus.STRICT, ReflectionStatus.FAILS]
 

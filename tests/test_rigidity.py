@@ -66,7 +66,7 @@ def test_origin_validates_inputs(sphere_fam):
     with pytest.raises(ValueError):
         comes_out_of_point(sphere_fam, [0.0, 0.0], [0.5, -0.1])
     with pytest.raises(EmptyTrajectory):
-        comes_out_of_point(Trajectory([], 0.0, 0.0), [0.0, 0.0], [0.5])
+        comes_out_of_point(Trajectory([]), [0.0, 0.0], [0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +258,7 @@ def test_scaled_ellipse_family_has_constant_ratios():
     times = -3.0 + 0.1 * np.arange(31)
     template = shapes.ellipse_polygon(2.0, 1.0, 256)
     frames = [(float(t), template.with_vertices(template.vertices * math.exp(t))) for t in times]
-    fam = Trajectory(frames=frames, t0=float(times[0]), t1=float(times[-1]))
+    fam = Trajectory(frames=frames)
     rep = pinching_diagnostics(fam, [0.0, 0.0])
     # scale-invariant ratios of the fixed shape: 1/2, (b/a)^3 = 1/8, 4/5
     assert rep.inf_radius_ratio == pytest.approx(0.5, abs=2e-3)
