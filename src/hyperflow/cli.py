@@ -422,11 +422,13 @@ def _run_reflect_audit(cfg: RunConfig) -> int:
     # embedded surface; the built-in shapes are embedded by construction
     if cfg.shape == "mesh" and not is_embedded(M):
         raise ValidationError(f"mesh file {cfg.mesh_file}: the surface intersects itself")
+    planes = [
+        reflection.Hyperplane(V=np.asarray(cfg.plane_direction, dtype=float), c=float(c))
+        for c in cfg.plane_offsets
+    ]
     verdicts = []
     all_strict = True
-    for c in cfg.plane_offsets:
-        plane = reflection.Hyperplane(V=np.asarray(cfg.plane_direction, dtype=float), c=float(c))
-        v = reflection.strict_reflection_check(M, plane, tol=cfg.tol)
+    for c, plane, v in zip(cfg.plane_offsets, planes, reflection._verdicts(M, planes, tol=cfg.tol)):
         strict = v.status is reflection.ReflectionStatus.STRICT
         all_strict = all_strict and strict
         pretty_v = "(" + ", ".join(f"{x:g}" for x in plane.V) + ")"

@@ -91,9 +91,6 @@ class Trajectory:
         ts = self.times()
         return self.frames[int(np.argmin(np.abs(ts - t)))]
 
-    def frames_from(self, t_start: float) -> list[tuple[float, DiscreteHypersurface]]:
-        return [(t, m) for t, m in self.frames if t >= t_start - 1e-12]
-
     def interpolate_vertices(self, t: float) -> np.ndarray:
         """Linear vertex interpolation between bracketing frames.
 

@@ -46,7 +46,7 @@ from .errors import (
 )
 
 BOUNDARY_TOL_FACTOR = 1e-9  # default OnBoundary band, relative to bbox diagonal
-_BALL_PAIRS = 1 << 15  # point-element pairs per block of the centroid-ball pass
+_BALL_PAIRS = 1 << 13  # point-element pairs per block of the centroid-ball pass
 
 
 class Containment(enum.Enum):

@@ -90,10 +90,7 @@ class ReflectionVerdict:
 
 
 def strict_reflection_check(
-    M: DiscreteHypersurface,
-    plane: Hyperplane,
-    tol: float | None = None,
-    angle_tol: float = TANGENCY_ANGLE_TOL,
+    M: DiscreteHypersurface, plane: Hyperplane, tol: float | None = None
 ) -> ReflectionVerdict:
     """Classify the reflection of M at the plane.
 
@@ -103,59 +100,84 @@ def strict_reflection_check(
     no near-tangency gives Strict; any clearly outside gives Fails with
     witnesses; anything within the band gives NonStrict.
     """
-    if plane.V.shape != (M.dimension + 1,):
-        raise ValueError(
-            f"plane direction has {plane.V.size} components, "
-            f"but the surface lies in {M.dimension + 1} dimensions"
-        )
+    return _verdicts(M, [plane], tol)[0]
+
+
+def _verdicts(
+    M: DiscreteHypersurface, planes: list[Hyperplane], tol: float | None = None
+) -> list[ReflectionVerdict]:
+    """``strict_reflection_check`` of M at each plane, with one distance query.
+
+    The reflected vertices of every plane go to a single
+    ``signed_interior_distance`` call and its depths are split back per
+    plane.  That call measures each point on its own, so every verdict is
+    bitwise the one a call for its plane alone gives.
+    """
+    for plane in planes:
+        if plane.V.shape != (M.dimension + 1,):
+            raise ValueError(
+                f"plane direction has {plane.V.size} components, "
+                f"but the surface lies in {M.dimension + 1} dimensions"
+            )
     band = tol if tol is not None else INCLUSION_BAND_FACTOR * M.bbox_diagonal
-    s = plane.signed_coordinate(M.vertices)
+    edges = M.edges
+    out: list[ReflectionVerdict | None] = [None] * len(planes)
+    pending = []  # (plane index, tangency margin, source vertices, reflected)
+    for i, plane in enumerate(planes):
+        s = plane.signed_coordinate(M.vertices)
+        if float(s.max()) < -band:
+            out[i] = ReflectionVerdict(
+                status=ReflectionStatus.VACUOUS,
+                inclusion_margin=math.inf,
+                tangency_margin=math.inf,
+                details={"support_gap": float(-s.max())},
+            )
+            continue
 
-    if float(s.max()) < -band:
-        return ReflectionVerdict(
-            status=ReflectionStatus.VACUOUS,
-            inclusion_margin=math.inf,
-            tangency_margin=math.inf,
-            details={"support_gap": float(-s.max())},
-        )
+        # tangency candidates: vertices in the plane band plus endpoints of
+        # plane-crossing edges (coarse meshes may have no vertex near the plane)
+        near = np.abs(s) <= band
+        near[edges[s[edges[:, 0]] * s[edges[:, 1]] < 0.0].ravel()] = True
+        if np.any(near):
+            normals = M.curvature_data.normals[near]
+            angles = np.arcsin(np.clip(np.abs(normals @ plane.V), 0.0, 1.0))
+            tangency_margin = float(angles.min())
+        else:
+            tangency_margin = math.pi / 2.0
 
-    # tangency candidates: vertices in the plane band plus endpoints of
-    # plane-crossing edges (coarse meshes may have no vertex near the plane)
-    near = np.abs(s) <= band
-    near = near | _crossing_endpoints(M, s)
-    if np.any(near):
-        normals = M.curvature_data.normals[near]
-        angles = np.arcsin(np.clip(np.abs(normals @ plane.V), 0.0, 1.0))
-        tangency_margin = float(angles.min())
-    else:
-        tangency_margin = math.pi / 2.0
+        crossers = s > band
+        if not np.any(crossers):
+            # touching configuration only: nothing clearly beyond the plane
+            out[i] = ReflectionVerdict(
+                status=ReflectionStatus.NONSTRICT,
+                inclusion_margin=0.0,
+                tangency_margin=tangency_margin,
+                details={"note": "no vertex beyond the plane band"},
+            )
+            continue
+        source = M.vertices[crossers]
+        pending.append((i, tangency_margin, source, plane.reflect(source)))
 
-    crossers = s > band
-    if not np.any(crossers):
-        # touching configuration only: nothing clearly beyond the plane
-        return ReflectionVerdict(
-            status=ReflectionStatus.NONSTRICT,
-            inclusion_margin=0.0,
-            tangency_margin=tangency_margin,
-            details={"note": "no vertex beyond the plane band"},
-        )
+    if pending:
+        depths = signed_interior_distance(M, np.concatenate([p[3] for p in pending]))
+        cuts = np.cumsum([p[3].shape[0] for p in pending])[:-1]
+        for (i, tangency_margin, source, reflected), depth in zip(pending, np.split(depths, cuts)):
+            out[i] = _judge(band, tangency_margin, source, reflected, depth)
+    return out
 
-    reflected = plane.reflect(M.vertices[crossers])
-    depth = signed_interior_distance(M, reflected)
+
+def _judge(band, tangency_margin, source, reflected, depth) -> ReflectionVerdict:
+    """Verdict from the interior depths of the reflected vertices."""
     inclusion_margin = float(depth.min())
-    worst = int(np.argmin(depth))
-
     if inclusion_margin < -band:
+        worst = int(np.argmin(depth))
         return ReflectionVerdict(
             status=ReflectionStatus.FAILS,
             inclusion_margin=inclusion_margin,
             tangency_margin=tangency_margin,
-            details={
-                "witness_reflected": reflected[worst],
-                "witness_source": M.vertices[crossers][worst],
-            },
+            details={"witness_reflected": reflected[worst], "witness_source": source[worst]},
         )
-    if inclusion_margin > band and tangency_margin > angle_tol:
+    if inclusion_margin > band and tangency_margin > TANGENCY_ANGLE_TOL:
         return ReflectionVerdict(
             status=ReflectionStatus.STRICT,
             inclusion_margin=inclusion_margin,
@@ -166,14 +188,6 @@ def strict_reflection_check(
         inclusion_margin=inclusion_margin,
         tangency_margin=tangency_margin,
     )
-
-
-def _crossing_endpoints(M: DiscreteHypersurface, s: np.ndarray) -> np.ndarray:
-    mask = np.zeros(M.num_vertices, dtype=bool)
-    e = M.edges
-    cross = s[e[:, 0]] * s[e[:, 1]] < 0.0
-    mask[e[cross].ravel()] = True
-    return mask
 
 
 def first_touch_time(traj: Trajectory, plane: Hyperplane) -> float:
@@ -216,26 +230,60 @@ def monitor_reflection(
     Requires a strict verdict at the starting frame; sampled frames follow
     at the given stride (the final frame is always included).  Monitoring
     stops at the first failing or vacuous verdict, which is then the last
-    one returned.
+    one returned.  This is the one-plane view of the frame-major driver that
+    the rigidity audit runs for all its planes at once.
     """
-    frames = traj.frames_from(t_start)
-    if not frames:
-        raise StartNotStrict(f"trajectory has no frames at or after t = {t_start}")
-    first = strict_reflection_check(frames[0][1], plane)
-    if first.status is not ReflectionStatus.STRICT:
-        raise StartNotStrict(
-            f"verdict at t = {frames[0][0]} is {first.status.value}, not strict"
-        )
-    picked = frames[::max(1, stride)]
-    if picked[-1][0] != frames[-1][0]:
-        picked.append(frames[-1])
-    out = [(frames[0][0], first)]
-    for t, M in picked[1:]:
-        verdict = strict_reflection_check(M, plane)
-        out.append((t, verdict))
-        if verdict.status in (ReflectionStatus.FAILS, ReflectionStatus.VACUOUS):
-            break
+    return _monitor(traj, [plane], [t_start], [stride], [{}])[0]
+
+
+def _monitor(
+    traj: Trajectory,
+    planes: list[Hyperplane],
+    t_starts: list[float],
+    strides: list[int],
+    seen: list[dict[int, ReflectionVerdict]],
+) -> list[list[tuple[float, ReflectionVerdict]]]:
+    """``monitor_reflection`` of every plane, walking the frames in order.
+
+    Each frame's active planes share one ``_verdicts`` call.  ``seen[i]``
+    maps frame indices to verdicts already known for plane i; they are
+    reused, and every new verdict is added.
+    """
+    times = traj.times()
+    schedules = []
+    for t_start, stride in zip(t_starts, strides):
+        frames = np.flatnonzero(times >= t_start - 1e-12).tolist()
+        if not frames:
+            raise StartNotStrict(f"trajectory has no frames at or after t = {t_start}")
+        picked = frames[::max(1, stride)]
+        if times[picked[-1]] != times[frames[-1]]:
+            picked.append(frames[-1])
+        schedules.append(picked)
+
+    out: list[list[tuple[float, ReflectionVerdict]]] = [[] for _ in planes]
+    active = list(range(len(planes)))
+    while active:
+        f = min(schedules[i][len(out[i])] for i in active)
+        due = [i for i in active if schedules[i][len(out[i])] == f]
+        t = traj.frames[f][0]
+        for i, verdict in zip(due, _frame_verdicts(traj, f, [planes[i] for i in due], [seen[i] for i in due])):
+            if not out[i] and verdict.status is not ReflectionStatus.STRICT:
+                raise StartNotStrict(f"verdict at t = {t} is {verdict.status.value}, not strict")
+            out[i].append((t, verdict))
+            stopped = verdict.status in (ReflectionStatus.FAILS, ReflectionStatus.VACUOUS)
+            if stopped or len(out[i]) == len(schedules[i]):
+                active.remove(i)
     return out
+
+
+def _frame_verdicts(
+    traj: Trajectory, f: int, planes: list[Hyperplane], seen: list[dict[int, ReflectionVerdict]]
+) -> list[ReflectionVerdict]:
+    """Verdicts of frame f at each plane; ``seen`` caches them per plane."""
+    todo = [i for i, known in enumerate(seen) if f not in known]
+    for i, verdict in zip(todo, _verdicts(traj.frames[f][1], [planes[i] for i in todo])):
+        seen[i][f] = verdict
+    return [known[f] for known in seen]
 
 
 @dataclass(frozen=True)

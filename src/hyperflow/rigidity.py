@@ -8,6 +8,10 @@ persist to the end, and the frames must certify as round about the origin
 point.  A genuine flow solution emerging from a point passes; an injected
 non-round family fails the certificate stage, and the flow-law residual is
 reported as the explanation.
+
+The post-touch stage runs frame-major: it walks the frames in time order and
+judges every plane that probes or monitors a frame with one batched
+reflection kernel call, so each frame builds its distance tables once.
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ from .reflection import (
     Hyperplane,
     ReflectionStatus,
     _direction_set,
+    _frame_verdicts,
+    _monitor,
     _touch_time,
-    monitor_reflection,
-    strict_reflection_check,
     symmetry_certificate,
 )
 from .sphere_ode import initial_time_estimate, integrate_radius, is_ancient
@@ -214,7 +218,7 @@ def rigidity_audit(
     frame_dt = float(np.median(np.diff(times))) if times.shape[0] > 1 else 0.0
 
     tau_table: list[dict] = []
-    post_verdicts: list[dict] = []
+    touched: list[tuple[Hyperplane, list, float, float]] = []  # (plane, direction, c, tau)
     reflection_ok = True
     for V in dirs:
         offsets = [c + float(V @ y_inf) for c in cs]
@@ -225,11 +229,11 @@ def rigidity_audit(
                 reflection_ok = False
                 continue
             tau_table.append({"direction": V.tolist(), "c": c, "tau": tau})
-            entry = _post_touch_entry(traj, Hyperplane(V=V, c=offset), tau, frame_dt)
-            entry["direction"] = V.tolist()
-            entry["c"] = c
-            post_verdicts.append(entry)
-            reflection_ok = reflection_ok and entry["passed"]
+            if not np.any(times >= tau - 1e-12):
+                raise NoFramesPastTouch(f"no frames at or after tau = {tau}")
+            touched.append((Hyperplane(V=V, c=offset), V.tolist(), c, tau))
+    post_verdicts = _post_touch_stage(traj, times, frame_dt, touched)
+    reflection_ok = reflection_ok and all(row["passed"] for row in post_verdicts)
 
     sym_rows, symmetry_ok = _symmetry_stage(
         traj, y_inf, dirs, symmetry_tol if symmetry_tol is not None else 5.0 * min(cs)
@@ -259,42 +263,63 @@ def rigidity_audit(
     )
 
 
-def _post_touch_entry(traj: Trajectory, plane: Hyperplane, tau: float, frame_dt: float) -> dict:
-    frames_after = traj.frames_from(tau)
-    if not frames_after:
-        raise NoFramesPastTouch(f"no frames at or after tau = {tau}")
-    probe_statuses = []
-    start_t = None
-    for k in POST_TOUCH_OFFSETS:
-        t_probe, M_probe = traj.frame_near(tau + k * frame_dt)
-        if t_probe < tau:
-            continue
-        verdict = strict_reflection_check(M_probe, plane)
-        probe_statuses.append({"t": t_probe, "status": verdict.status.value})
-        if verdict.status is ReflectionStatus.STRICT and start_t is None:
-            start_t = t_probe
-    if start_t is None:
-        return {
+def _post_touch_stage(
+    traj: Trajectory,
+    times: np.ndarray,
+    frame_dt: float,
+    touched: list[tuple[Hyperplane, list, float, float]],
+) -> list[dict]:
+    """Post-touch rows of the touched planes, checked frame by frame.
+
+    Each plane is probed at the frames nearest tau + POST_TOUCH_OFFSETS
+    frame spacings that are not before tau; its first strict probe starts
+    its monitoring at a stride that samples about 32 frames.  Planes that
+    probe or monitor the same frame share one verdict kernel call there, and
+    the probe verdicts are reused by the monitoring.
+    """
+    planes = [plane for plane, _, _, _ in touched]
+    seen: list[dict] = [{} for _ in planes]  # frame index -> verdict, per plane
+    steps = np.array(POST_TOUCH_OFFSETS) * frame_dt
+    probes = []
+    by_frame: dict[int, list[int]] = {}
+    for i, (_, _, _, tau) in enumerate(touched):
+        nearest = np.abs(times[None, :] - (tau + steps)[:, None]).argmin(axis=1).tolist()
+        probes.append([f for f in nearest if times[f] >= tau])
+        for f in dict.fromkeys(probes[-1]):
+            by_frame.setdefault(f, []).append(i)
+    for f in sorted(by_frame):
+        due = by_frame[f]
+        _frame_verdicts(traj, f, [planes[i] for i in due], [seen[i] for i in due])
+
+    rows = []
+    monitored, starts, strides = [], [], []
+    for i, (_, _, _, tau) in enumerate(touched):
+        row = {
             "tau": tau,
-            "probes": probe_statuses,
-            "passed": False,
-            "failure": "no strict verdict just above the touch time",
+            "probes": [{"t": traj.frames[f][0], "status": seen[i][f].status.value} for f in probes[i]],
         }
-    # the first monitored frame is the probe just found strict
-    stride = max(1, len(traj.frames_from(start_t)) // 32)
-    verdicts = monitor_reflection(traj, plane, start_t, stride)
-    t, last = verdicts[-1]
-    fail_at = None
-    if last.status in (ReflectionStatus.FAILS, ReflectionStatus.VACUOUS):
-        fail_at = {"t": t, "status": last.status.value, "inclusion_margin": last.inclusion_margin}
-    return {
-        "tau": tau,
-        "probes": probe_statuses,
-        "strict_from": start_t,
-        "monitored_frames": len(verdicts),
-        "passed": fail_at is None,
-        "failure": fail_at,
-    }
+        strict = [f for f in probes[i] if seen[i][f].status is ReflectionStatus.STRICT]
+        if strict:
+            start_t = traj.frames[strict[0]][0]
+            monitored.append(i)
+            starts.append(start_t)
+            strides.append(max(1, int(np.count_nonzero(times >= start_t - 1e-12)) // 32))
+        else:
+            row.update(passed=False, failure="no strict verdict just above the touch time")
+        rows.append(row)
+
+    runs = _monitor(traj, [planes[i] for i in monitored], starts, strides, [seen[i] for i in monitored])
+    for i, start_t, verdicts in zip(monitored, starts, runs):
+        t, last = verdicts[-1]
+        fail_at = None
+        if last.status in (ReflectionStatus.FAILS, ReflectionStatus.VACUOUS):
+            fail_at = {"t": t, "status": last.status.value, "inclusion_margin": last.inclusion_margin}
+        rows[i].update(
+            strict_from=start_t, monitored_frames=len(verdicts), passed=fail_at is None, failure=fail_at
+        )
+    for row, (_, direction, c, _) in zip(rows, touched):
+        row.update(direction=direction, c=c)
+    return rows
 
 
 def _symmetry_stage(traj, y_inf, dirs, tol):

@@ -6,10 +6,12 @@ from hypothesis import example, given, strategies as st
 
 from hyperflow.errors import CenterOutside, InsufficientFrames, NeverTouches, StartNotStrict
 from hyperflow.flow_engine import FlowConfig, Trajectory, evolve
-from hyperflow.hypersurface import surface_distance
+from hyperflow import hypersurface
+from hyperflow.hypersurface import BOUNDARY_TOL_FACTOR, signed_interior_distance, surface_distance
 from hyperflow.reflection import (
     Hyperplane,
     ReflectionStatus,
+    _verdicts,
     first_touch_time,
     monitor_reflection,
     strict_reflection_check,
@@ -98,6 +100,82 @@ def test_ellipse_loses_strictness_at_oblique_plane():
     M = shapes.ellipse_polygon(np.exp(-1.0), np.exp(-2.0), 512)
     v = strict_reflection_check(M, plane([1, 1], 0.2))
     assert v.status is ReflectionStatus.FAILS
+
+
+# ---------------------------------------------------------------------------
+# batched verdicts: one distance query for many planes
+
+
+def _assert_same_verdict(got, want):
+    assert got.status is want.status
+    # bitwise, so that -0.0 and 0.0 differ and inf compares
+    assert np.float64(got.inclusion_margin).tobytes() == np.float64(want.inclusion_margin).tobytes()
+    assert np.float64(got.tangency_margin).tobytes() == np.float64(want.tangency_margin).tobytes()
+    assert got.details.keys() == want.details.keys()
+    for key, value in want.details.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(got.details[key], value)
+        else:
+            assert got.details[key] == value
+
+
+MIXED_BATCHES = {
+    # strict, symmetry-plane nonstrict, touching nonstrict, fails, vacuous
+    "256-gon": (
+        lambda: shapes.circle_polygon(1.0, 256),
+        [([1, 0], 0.5), ([1, 0], 0.0), ([1, 0], 1.0), ([1, 0], -0.5), ([1, 0], 1.5), ([1, 1], 0.3)],
+    ),
+    "2:1 ellipse": (
+        lambda: shapes.ellipse_polygon(2.0, 1.0, 256),
+        [([1, 0], 1.0), ([1, 0], 0.0), ([1, 1], 0.2), ([0, 1], 1.5), ([1, 1], 0.5), ([1, 0], 2.0)],
+    ),
+    "ellipsoid mesh": (
+        lambda: shapes.ellipsoid_mesh(1.5, 1.0, 0.75, 3),
+        [([1, 0, 0], 0.7), ([1, 0, 0], 0.0), ([1, 1, 0], 0.3), ([0, 0, 1], 1.0), ([1, 0, 0], 1.5),
+         ([0, 1, 0], -0.3), ([1, 1, 1], 0.5)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_BATCHES))
+def test_batched_verdicts_equal_one_plane_checks(name):
+    build, offsets = MIXED_BATCHES[name]
+    M = build()
+    planes = [plane(v, c) for v, c in offsets]
+    batch = _verdicts(M, planes)
+    assert {v.status for v in batch} == set(ReflectionStatus)
+    for got, p in zip(batch, planes):
+        _assert_same_verdict(got, strict_reflection_check(M, p))
+
+
+def test_batched_verdicts_check_every_direction_first(unit_circle_256):
+    with pytest.raises(ValueError, match="^plane direction has 3 components, but the surface lies in 2 dimensions$"):
+        _verdicts(unit_circle_256, [plane([1, 0], 0.5), plane([1, 0, 0], 0.5)])
+    assert _verdicts(unit_circle_256, []) == []
+
+
+@pytest.mark.parametrize("ball_pairs", [None, 64])
+@pytest.mark.parametrize("surface", ["curve", "mesh"])
+def test_signed_distance_of_concatenated_sets_is_bitwise_per_set(surface, ball_pairs, monkeypatch):
+    if ball_pairs is not None:  # small blocks split the concatenation elsewhere
+        monkeypatch.setattr(hypersurface, "_BALL_PAIRS", ball_pairs)
+    if surface == "curve":
+        M = shapes.ellipse_polygon(2.0, 1.0, 256)
+    else:
+        M = shapes.ellipsoid_mesh(1.5, 1.0, 0.75, 3)
+    rng = np.random.default_rng(5)
+    d = M.dimension + 1
+    band_points = M.vertices[::7] * (1.0 + 1e-11)
+    assert np.all(surface_distance(M, band_points) < BOUNDARY_TOL_FACTOR * M.bbox_diagonal)
+    sets = [
+        rng.uniform(-2.2, 2.2, size=(40, d)),  # inside and outside
+        plane(rng.normal(size=d), 0.3).reflect(M.vertices[::3]),  # reflected vertices
+        band_points,  # within the boundary band: winding-number sign
+        M.vertices[::11],  # on the surface
+        rng.uniform(-0.5, 0.5, size=(1, d)),
+    ]
+    whole = signed_interior_distance(M, np.concatenate(sets))
+    assert np.array_equal(whole, np.concatenate([signed_interior_distance(M, s) for s in sets]))
 
 
 # ---------------------------------------------------------------------------

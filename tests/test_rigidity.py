@@ -5,6 +5,7 @@ import pytest
 
 from hyperflow.errors import EmptyTrajectory, NotApplicable, PreconditionFailed
 from hyperflow.flow_engine import FlowConfig, Trajectory, evolve
+from hyperflow.reflection import Hyperplane, ReflectionStatus, _direction_set, strict_reflection_check
 from hyperflow.rigidity import (
     ancient_nonexistence_check,
     comes_out_of_point,
@@ -14,7 +15,7 @@ from hyperflow.rigidity import (
 )
 from hyperflow import families, shapes
 from hyperflow.sphere_ode import initial_time_estimate
-from hyperflow.speeds import mean_curvature, mean_curvature_power
+from hyperflow.speeds import mean_curvature, mean_curvature_power, speed_by_name
 
 F_K = mean_curvature(1)
 
@@ -193,6 +194,125 @@ def test_audit_on_numerically_evolved_trajectory():
     )
     assert report.overall
     assert report.residual.overall_max <= 10.0 * 5e-3
+
+
+# ---------------------------------------------------------------------------
+# the frame-major post-touch stage against the per-plane loop
+
+
+def _oracle_monitor(traj, plane, t_start, stride):
+    """Per-plane monitoring: strict start, stride with the final frame, stop at FAILS or VACUOUS."""
+    frames = [(t, m) for t, m in traj.frames if t >= t_start - 1e-12]
+    first = strict_reflection_check(frames[0][1], plane)
+    assert first.status is ReflectionStatus.STRICT
+    picked = frames[::max(1, stride)]
+    if picked[-1][0] != frames[-1][0]:
+        picked.append(frames[-1])
+    out = [(frames[0][0], first)]
+    for t, M in picked[1:]:
+        verdict = strict_reflection_check(M, plane)
+        out.append((t, verdict))
+        if verdict.status in (ReflectionStatus.FAILS, ReflectionStatus.VACUOUS):
+            break
+    return out
+
+
+def _oracle_entry(traj, plane, tau, frame_dt):
+    """Probes at tau + 1, 2, 4 frame spacings, then monitoring from the first strict one."""
+    probes = []
+    start_t = None
+    for k in (1, 2, 4):
+        t_probe, M_probe = traj.frame_near(tau + k * frame_dt)
+        if t_probe < tau:
+            continue
+        verdict = strict_reflection_check(M_probe, plane)
+        probes.append({"t": t_probe, "status": verdict.status.value})
+        if verdict.status is ReflectionStatus.STRICT and start_t is None:
+            start_t = t_probe
+    if start_t is None:
+        return {
+            "tau": tau,
+            "probes": probes,
+            "passed": False,
+            "failure": "no strict verdict just above the touch time",
+        }
+    stride = max(1, sum(t >= start_t - 1e-12 for t, _ in traj.frames) // 32)
+    verdicts = _oracle_monitor(traj, plane, start_t, stride)
+    t, last = verdicts[-1]
+    fail_at = None
+    if last.status in (ReflectionStatus.FAILS, ReflectionStatus.VACUOUS):
+        fail_at = {"t": t, "status": last.status.value, "inclusion_margin": last.inclusion_margin}
+    return {
+        "tau": tau,
+        "probes": probes,
+        "strict_from": start_t,
+        "monitored_frames": len(verdicts),
+        "passed": fail_at is None,
+        "failure": fail_at,
+    }
+
+
+def _oracle_post_touch_rows(traj, y_inf, directions, cs):
+    y_inf = np.asarray(y_inf, dtype=float)
+    frame_dt = float(np.median(np.diff(traj.times())))
+    rows = []
+    for V in _direction_set(traj.frames[0][1].dimension, directions):
+        offsets = [c + float(V @ y_inf) for c in cs]
+        for c, offset, tau in zip(cs, offsets, tau_limit_check(traj, V, offsets).taus):
+            if tau is not None:
+                entry = _oracle_entry(traj, Hyperplane(V=V, c=offset), tau, frame_dt)
+                rows.append({**entry, "direction": V.tolist(), "c": c})
+    return rows
+
+
+def _benchmark_directions(seed, count=16):
+    # the seeded direction phases of the rigidity_audit benchmark workload
+    phase = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi / count)
+    theta = phase + 2.0 * math.pi * np.arange(count) / count
+    return np.column_stack([np.cos(theta), np.sin(theta)])
+
+
+C_SCHEDULE_7 = (0.4, 0.2, 0.1, 0.05)
+
+
+@pytest.fixture(scope="module")
+def criterion_7_fam():
+    return families.exponential_sphere_family(-6.0, 0.0, 0.01, n=1, resolution=256)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_post_touch_stage_matches_per_plane_oracle_on_criterion_7(criterion_7_fam, seed):
+    dirs = _benchmark_directions(seed)
+    report = rigidity_audit(criterion_7_fam, F_K, [0.0, 0.0], directions=dirs, c_schedule=C_SCHEDULE_7)
+    rows = _oracle_post_touch_rows(criterion_7_fam, [0.0, 0.0], dirs, C_SCHEDULE_7)
+    assert len(rows) == 64
+    assert list(report.post_touch_verdicts) == rows
+
+
+def test_post_touch_stage_matches_per_plane_oracle_off_centre():
+    center = (0.3, 0.2)
+    fam = families.exponential_sphere_family(-6.0, 0.0, 0.01, n=1, resolution=256, center=center)
+    report = rigidity_audit(fam, F_K, center, directions=16, c_schedule=C_SCHEDULE_7)
+    assert list(report.post_touch_verdicts) == _oracle_post_touch_rows(fam, center, 16, C_SCHEDULE_7)
+
+
+def test_post_touch_stage_matches_per_plane_oracle_on_criterion_8(ellipse_fam):
+    report = rigidity_audit(ellipse_fam, F_K, [0.0, 0.0], directions=16, c_schedule=C_SCHEDULE_7)
+    rows = _oracle_post_touch_rows(ellipse_fam, [0.0, 0.0], 16, C_SCHEDULE_7)
+    assert list(report.post_touch_verdicts) == rows
+    # monitoring stops early on some planes, and some find no strict probe
+    assert any(row["failure"] and "monitored_frames" in row for row in rows)
+    assert any(row.get("strict_from") is None for row in rows)
+
+
+def test_post_touch_stage_matches_per_plane_oracle_on_coarse_icosphere():
+    times = -4.0 + 0.05 * np.arange(81)
+    fam = families.sphere_family(times, math.exp, n=2, resolution=2)
+    cs = (0.4, 0.2, 0.1)
+    report = rigidity_audit(fam, speed_by_name("H", 2, 1.0), np.zeros(3), directions=6, c_schedule=cs)
+    rows = _oracle_post_touch_rows(fam, np.zeros(3), 6, cs)
+    assert list(report.post_touch_verdicts) == rows
+    assert any(row["failure"] and row["failure"]["status"] == "fails" for row in rows)
 
 
 # ---------------------------------------------------------------------------
