@@ -74,6 +74,23 @@ def test_step_and_evolve_stop_at_the_edge_floor():
         evolve(M, F_K, 0.0, FlowConfig(t_end=0.01, dt=1e-3))
 
 
+def test_the_stage_ceiling_bounds_the_first_step_on_the_edge_floor(monkeypatch):
+    # the 1e-13 edge makes stiffness * dt about 1e23: the step splits into
+    # steps of at most RKC_MAX_STAGES stages, and the first one meets the floor
+    th = np.sort(np.append(2.0 * np.pi * np.arange(64) / 64, 1e-13))
+    M = DiscreteHypersurface(np.column_stack([np.cos(th), np.sin(th)]))
+    calls = []
+
+    def counting_velocity(M, F):
+        calls.append(M)
+        return _velocity(M, F)
+
+    monkeypatch.setattr(flow_engine, "_velocity", counting_velocity)
+    with pytest.raises(MeshDegeneracy, match="quality floor"):
+        evolve(M, F_K, 0.0, FlowConfig(t_end=0.01, dt=1e-3))
+    assert 1 <= len(calls) <= flow_engine.RKC_MAX_STAGES
+
+
 def test_step_rejects_nonpositive_dt(unit_circle_256):
     with pytest.raises(ValueError):
         step(unit_circle_256, F_K, 0.0)
@@ -151,10 +168,36 @@ def test_sphere_preservation_spread():
 
 def test_stability_substepping_reported():
     # dt far above the parabolic bound still integrates cleanly
-    traj = evolve(shapes.circle_polygon(1.0, 256), F_K, 0.0, FlowConfig(t_end=0.05, dt=1e-3))
-    assert any(e["type"] == "stability_substepping" for e in traj.events)
+    M = shapes.circle_polygon(1.0, 256)
+    traj = evolve(M, F_K, 0.0, FlowConfig(t_end=0.05, dt=1e-3))
+    # three stable RK4 steps' worth is one 4-stage RKC step, as many
+    # evaluations as one RK4 step, so no count change is logged; twice the
+    # step needs more stages and is reported
+    assert 1e-3 / stable_substep(M, F_K) > 2.5
+    assert traj.events == []
+    wide = evolve(M, F_K, 0.0, FlowConfig(t_end=4e-3, dt=2e-3))
+    assert [e["type"] for e in wide.events] == ["stability_stages"]
     r = radii(traj.frames[-1][1])
     assert r.max() - r.min() < 1e-9
+
+
+def _beta(s):
+    # RKC's real stability boundary from numpy's Chebyshev polynomials
+    w0 = 1.0 + (2.0 / 13.0) / (s * s)
+    T = np.polynomial.Chebyshev.basis(s)
+    return (1.0 + w0) * T.deriv(2)(w0) / T.deriv(1)(w0)
+
+
+def _evaluations(M, F, dt):
+    """Velocity evaluations of one requested step: 4 for one stable RK4 step,
+    else s per RKC step over the fewest equal steps within the stage ceiling."""
+    ratio = dt / stable_substep(M, F)
+    if ratio <= 1.0:
+        return 4
+    need = 2.78 * ratio
+    top = flow_engine.RKC_MAX_STAGES
+    n = math.ceil(need / _beta(top))
+    return n * min(s for s in range(2, top + 1) if need / n <= _beta(s))
 
 
 def test_substepping_events_follow_every_count_change():
@@ -164,15 +207,15 @@ def test_substepping_events_follow_every_count_change():
     cfg = FlowConfig(t_end=0.25, dt=dt, frame_interval=dt)
     traj = evolve(shapes.ellipse_polygon(2.0, 1.0, 256), F_K, 0.0, cfg)
     surfaces = dict(traj.frames)
-    events = [e for e in traj.events if e["type"] == "stability_substepping"]
+    events = [e for e in traj.events if e["type"] == "stability_stages"]
     assert len(events) >= 3
-    last = 1
+    last = 4
     for e in events:
-        m = re.fullmatch(r"requested dt (\S+) executed as (\d+) substeps \(was (\d+)\)", e["detail"])
+        m = re.fullmatch(r"requested dt (\S+) executed as (\d+) evaluations \(was (\d+)\)", e["detail"])
         new, old = int(m.group(2)), int(m.group(3))
         assert old == last and new != old
         dt_req = min(dt, 0.25 - e["t"])
-        assert new == max(1, math.ceil(dt_req / stable_substep(surfaces[e["t"]], F_K)))
+        assert new == _evaluations(surfaces[e["t"]], F_K, dt_req)
         last = new
 
 
@@ -220,7 +263,7 @@ def test_curve_errors_keep_their_types_and_messages():
 
 def test_one_rk4_substep_of_a_curve_builds_four_snapshots_and_four_curvatures(monkeypatch):
     # the benchmark tracer's flow_engine.stages_per_step is curvature
-    # evaluations per requested step, so it reads 4 x the substep count
+    # evaluations per requested step: 4 for one RK4 step, s for an s-stage RKC step
     counts = {"construct": 0, "curvature": 0}
     init = DiscreteHypersurface.__init__
     curvature = DiscreteHypersurface.__dict__["curvature_data"].func
@@ -235,8 +278,8 @@ def test_one_rk4_substep_of_a_curve_builds_four_snapshots_and_four_curvatures(mo
 
     prop = cached_property(counting_curvature)
     prop.__set_name__(DiscreteHypersurface, "curvature_data")
-    n_sub = math.ceil(1e-3 / stable_substep(shapes.ellipse_polygon(2.0, 1.0, 256), F_K))
-    assert n_sub > 1
+    stages = _evaluations(shapes.ellipse_polygon(2.0, 1.0, 256), F_K, 1e-3)
+    assert stages > 4
     monkeypatch.setattr(DiscreteHypersurface, "__init__", counting_init)
     monkeypatch.setattr(DiscreteHypersurface, "curvature_data", prop)
     M = shapes.ellipse_polygon(2.0, 1.0, 256)
@@ -247,7 +290,33 @@ def test_one_rk4_substep_of_a_curve_builds_four_snapshots_and_four_curvatures(mo
     M = shapes.ellipse_polygon(2.0, 1.0, 256)
     counts.update(construct=0, curvature=0)
     evolve(M, F_K, 0.0, FlowConfig(t_end=1e-3, dt=1e-3))
-    assert counts == {"construct": 4 * n_sub, "curvature": 4 * n_sub}
+    assert counts == {"construct": stages, "curvature": stages}
+
+
+def _perimeter_law_error(m, dt, t_end=0.1):
+    M0 = shapes.ellipse_polygon(2.0, 1.0, m)
+    t, M = evolve(M0, F_K, 0.0, FlowConfig(t_end=t_end, dt=dt, frame_interval=t_end)).frames[-1]
+    return abs(M.edge_lengths.sum() / (M0.edge_lengths.sum() * math.exp(t)) - 1.0)
+
+
+def test_rkc_steps_are_second_order_in_time():
+    # every step here exceeds one stable RK4 step, so each is an RKC step;
+    # at m = 256 the spatial error (2.9e-10) is far below the time error
+    errs = [_perimeter_law_error(256, dt) for dt in (1e-3, 5e-4, 2.5e-4)]
+    assert stable_substep(shapes.ellipse_polygon(2.0, 1.0, 256), F_K) < 2.5e-4
+    assert errs[0] / errs[1] >= 3.0 and errs[1] / errs[2] >= 3.0
+
+
+def test_curve_flow_is_fourth_order_in_space():
+    # RKC's time error at dt = 1e-3 (1.6e-7 at m = 256 and 1.5e-7 at m = 512)
+    # does not stay below the spatial error even at m = 64 (7.5e-8), let alone
+    # m = 512 (1.8e-11).  The order is measured at dt = 8e-5, which every
+    # resolution here takes as one stable RK4 step, so the time error is negligible.
+    dt = 8e-5
+    for m in (64, 128, 256):
+        assert dt <= stable_substep(shapes.ellipse_polygon(2.0, 1.0, m), F_K)
+    errs = [_perimeter_law_error(m, dt) for m in (64, 128, 256)]
+    assert errs[0] / errs[1] >= 14.0 and errs[1] / errs[2] >= 14.0
 
 
 def test_stable_substep_scales_with_resolution():
@@ -271,8 +340,8 @@ def test_cone_margin_warning_event():
 def test_cone_exit_stops_gracefully_when_configured():
     cfg = FlowConfig(t_end=1.0, dt=1e-3, stop_on_cone_exit=False)
     traj = evolve(shapes.peanut_polygon(128), F_K, 0.0, cfg)
-    # a fixed dt sets the substep count before the first stage meets the cone
-    assert [e["type"] for e in traj.events] == ["stability_substepping", "cone_exit"]
+    # a fixed dt sets the stage count before the first stage meets the cone
+    assert [e["type"] for e in traj.events] == ["stability_stages", "cone_exit"]
     assert traj.t1 < 1.0
 
 
@@ -295,14 +364,14 @@ def test_the_cfl_policy_evaluates_the_start_velocity_once(monkeypatch):
     monkeypatch.setattr(flow_engine, "_velocity", counting_velocity)
     M = shapes.circle_polygon(1.0, 16)
     evolve(M, F_K, 0.0, FlowConfig(t_end=0.02))
-    # one requested step of one substep: four stages, the first of which set dt
+    # one requested RK4 step: four stages, the first of which set dt
     assert len(calls) == 4 and calls[0] is M
-    # over several substeps the CFL run equals a fixed-dt run with its step
+    # over an RKC step the CFL run equals a fixed-dt run with its step
     M = shapes.circle_polygon(1.0, 64)
-    cfl = evolve(M, F_K, 0.0, FlowConfig(t_end=0.01))
-    fixed = evolve(M, F_K, 0.0, FlowConfig(t_end=0.01, dt=0.01))
+    cfl = evolve(M, F_K, 0.0, FlowConfig(t_end=0.019))
+    fixed = evolve(M, F_K, 0.0, FlowConfig(t_end=0.019, dt=0.019))
     assert cfl.events == fixed.events
-    assert cfl.events[0]["detail"].endswith("executed as 2 substeps (was 1)")
+    assert [e["detail"] for e in cfl.events] == ["requested dt 1.900e-02 executed as 5 evaluations (was 4)"]
     assert [t for t, _ in cfl.frames] == [t for t, _ in fixed.frames]
     for (_, a), (_, b) in zip(cfl.frames, fixed.frames):
         assert np.array_equal(a.vertices, b.vertices)
