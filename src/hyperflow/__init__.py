@@ -16,12 +16,9 @@ from .hypersurface import (
     DiscreteHypersurface,
     RadiiReport,
     contains_point,
-    curvature_pinching_ratio,
     enclosed_volume,
     inner_outer_radii,
     read_surface,
-    starshapedness_ratio,
-    support_max,
     write_surface,
 )
 from .reflection import (
@@ -37,9 +34,7 @@ from .reflection import (
 from .rigidity import (
     PointOriginReport,
     RigidityAuditReport,
-    ancient_nonexistence_check,
     comes_out_of_point,
-    pinching_diagnostics,
     rigidity_audit,
     tau_limit_check,
 )

@@ -33,10 +33,6 @@ class CenterOutside(HyperflowError):
     """A reference center that must lie inside the surface does not."""
 
 
-class NonConvexInput(HyperflowError):
-    """Operation defined only for strictly positive principal curvatures."""
-
-
 class MeshDegeneracy(HyperflowError):
     """Mesh quality fell below the acceptable floor."""
 
@@ -67,10 +63,6 @@ class PreconditionFailed(HyperflowError):
 
 class NoFramesPastTouch(HyperflowError):
     """No trajectory frames exist after a first-touch time."""
-
-
-class NotApplicable(HyperflowError):
-    """The requested check does not apply to the given inputs."""
 
 
 class ConfigError(HyperflowError):

@@ -34,7 +34,7 @@ from .speeds import SpeedFunction
 MARGIN_HARD = 1e-6  # relative cone-interior margin that aborts a step
 MARGIN_WARN = 1e-3  # margin that logs a near-boundary warning event
 EDGE_FLOOR_FACTOR = 1e-12  # min edge length relative to bbox diagonal
-MAX_STEPS = 10_000_000  # runaway guard on requested steps per evolve call
+MAX_STEPS = 10_000_000  # runaway guard on RK4 and RKC steps per evolve call
 
 
 @dataclass
@@ -308,8 +308,6 @@ def evolve(
     steps = 0
     last_evals = 4
     while t < config.t_end - 1e-15 * max(1.0, abs(config.t_end)):
-        if steps >= MAX_STEPS:
-            raise MeshDegeneracy("max step count exceeded")
         try:
             # under the CFL policy the start velocity sets dt and is the first stage
             start = None if config.dt is not None else _velocity(M, F)
@@ -326,18 +324,21 @@ def evolve(
             if ratio <= 1.0:
                 M, margin = _substep(M, F, dt, start)
             else:
-                margin = math.inf
-                for _ in range(n_rkc):
-                    M, m_step = _rkc_step(M, F, dt / n_rkc, s, start)
-                    start = None
-                    margin = min(margin, m_step)
+                M, margin = _rkc_step(M, F, dt / n_rkc, s, start)
+            # the guard follows the first step, so a surface that starts on the
+            # edge floor reports the floor, and precedes the remaining steps
+            steps += n_rkc
+            if steps > MAX_STEPS:
+                raise MeshDegeneracy("max step count exceeded")
+            for _ in range(n_rkc - 1):
+                M, m_step = _rkc_step(M, F, dt / n_rkc, s)
+                margin = min(margin, m_step)
         except ConeExit as exc:
             if config.stop_on_cone_exit:
                 raise
             traj.events.append({"t": t, "type": "cone_exit", "detail": str(exc)})
             break
         t += dt
-        steps += 1
         if margin < MARGIN_WARN:
             traj.events.append(
                 {"t": t, "type": "cone_margin_warning", "detail": f"margin {margin:.3e}"}

@@ -38,12 +38,7 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 
 from . import geometry
-from .errors import (
-    CenterOutside,
-    DegenerateElement,
-    MeshDegeneracy,
-    NonConvexInput,
-)
+from .errors import CenterOutside, DegenerateElement, MeshDegeneracy
 
 BOUNDARY_TOL_FACTOR = 1e-9  # default OnBoundary band, relative to bbox diagonal
 _BALL_PAIRS = 1 << 13  # point-element pairs per block of the centroid-ball pass
@@ -631,7 +626,7 @@ def enclosed_volume(M: DiscreteHypersurface) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Radii, star-shapedness, pinching, support
+# Inradius and circumradius
 
 
 def chebyshev_center(M: DiscreteHypersurface, grid: int | None = None) -> np.ndarray:
@@ -679,33 +674,6 @@ def inner_outer_radii(M: DiscreteHypersurface, center=None) -> RadiiReport:
     rho_plus = float(np.max(np.linalg.norm(M.vertices - center, axis=1)))
     rho_minus = float(surface_distance(M, center[None, :])[0])
     return RadiiReport(center=center, rho_minus=rho_minus, rho_plus=rho_plus)
-
-
-def starshapedness_ratio(M: DiscreteHypersurface, origin) -> float:
-    """min over vertices of <x - origin, normal(x)> / |x - origin|."""
-    origin = np.asarray(origin, dtype=float)
-    if contains_point(M, origin) is not Containment.INSIDE:
-        raise CenterOutside(f"origin {tuple(origin)} is not strictly inside")
-    rel = M.vertices - origin
-    r = np.linalg.norm(rel, axis=1)
-    proj = np.einsum("ij,ij->i", rel, M.curvature_data.normals)
-    return float(np.min(proj / r))
-
-
-def curvature_pinching_ratio(M: DiscreteHypersurface) -> float:
-    """Global min/max ratio of principal curvatures over all vertices."""
-    lam = M.curvature_data.principal
-    if np.any(lam <= 0.0):
-        raise NonConvexInput("pinching ratio requires positive principal curvatures")
-    return float(lam.min() / lam.max())
-
-
-def support_max(M: DiscreteHypersurface, direction) -> float:
-    """Support value max over vertices of <x, V> for a unit direction V."""
-    v = np.asarray(direction, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise ValueError("direction must be a unit vector")
-    return float(np.max(M.vertices @ v))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Composite audits: point origins, reflection rigidity, comparison arguments.
+"""Composite audits: point origins, first-touch limits and reflection rigidity.
 
 The central audit takes a trajectory claimed to emerge from a single point
 and exercises the uniqueness mechanism end to end: an inscribed radius at
@@ -20,21 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyTrajectory,
-    NeverTouches,
-    NoFramesPastTouch,
-    NonConvexInput,
-    NotApplicable,
-    PreconditionFailed,
-)
+from .errors import EmptyTrajectory, NeverTouches, NoFramesPastTouch, PreconditionFailed
 from .flow_engine import FlowResidual, Trajectory, flow_residual
-from .hypersurface import (
-    curvature_pinching_ratio,
-    inner_outer_radii,
-    signed_interior_distance,
-    starshapedness_ratio,
-)
+from .hypersurface import inner_outer_radii
 from .reflection import (
     Hyperplane,
     ReflectionStatus,
@@ -44,7 +32,6 @@ from .reflection import (
     _touch_time,
     symmetry_certificate,
 )
-from .sphere_ode import initial_time_estimate, integrate_radius, is_ancient
 from .speeds import SpeedFunction
 
 # Reflection is checked at tau + {1, 2, 4} frame spacings: strictness just
@@ -359,177 +346,3 @@ def _narrative(origin_report, R_star, reflection_ok, symmetry_ok, residual, resi
     if residual is not None and residual.overall_max <= 0.1:
         parts.append(residual_note)
     return "; ".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# Comparison argument against claimed ancient trajectories
-
-
-@dataclass(frozen=True)
-class NonexistenceOutcome:
-    status: str  # "consistent" or "contradiction"
-    witness: dict | None
-
-    @property
-    def contradiction(self) -> bool:
-        return self.status == "contradiction"
-
-    def to_json_dict(self) -> dict:
-        return {"schema_version": 1, "status": self.status, "witness": self.witness}
-
-
-def ancient_nonexistence_check(F: SpeedFunction, traj: Trajectory) -> NonexistenceOutcome:
-    """Comparison-sphere audit of a trajectory claimed to be ancient.
-
-    Applies only to speeds whose round solutions are born at a finite time.
-    The inradius at the final time determines a round solution and its birth
-    time T_S; if the trajectory claims frames at or before T_S, the ball it
-    encloses there is grown by the radius ODE and must stay inside, yet by
-    construction its final radius exceeds the inradius.  Reporting that
-    excess is the contradiction: no genuine solution can have such frames.
-    """
-    verdict = is_ancient(F)
-    if verdict.is_ancient:
-        raise NotApplicable(
-            f"{F.name} admits ancient round solutions; the comparison argument needs a finite birth time"
-        )
-    if not traj.frames:
-        raise EmptyTrajectory("trajectory has no frames")
-
-    T, M_T = traj.frames[-1]
-    rr_T = inner_outer_radii(M_T)
-    T_S = initial_time_estimate(F, rr_T.rho_minus, T)
-
-    early = [(t, M) for t, M in traj.frames if t <= T_S + 1e-12]
-    if not early:
-        return NonexistenceOutcome(
-            status="consistent",
-            witness={
-                "note": "trajectory does not extend to the round solution's birth time",
-                "T_S": T_S,
-                "rho_minus_final": rr_T.rho_minus,
-            },
-        )
-
-    t_b, M_b = early[-1]
-    rr_b = inner_outer_radii(M_b)
-    comparison = integrate_radius(F, rr_b.rho_minus, t_b, T, dt=min(1e-3, (T - t_b) / 100.0))
-    r_final = comparison.radius_at(T)
-
-    enclosure_break = None
-    for t, M in traj.frames:
-        if t < t_b or t > T:
-            continue
-        # the comparison sphere about the early center must fit inside M_t
-        r_t = comparison.radius_at(t)
-        d = float(signed_interior_distance(M, rr_b.center[None, :])[0])
-        if d < r_t:
-            enclosure_break = {"t": t, "sphere_radius": r_t, "interior_depth": d}
-            break
-
-    if r_final > rr_T.rho_minus * (1.0 + 1e-9):
-        return NonexistenceOutcome(
-            status="contradiction",
-            witness={
-                "T_S": T_S,
-                "claimed_frame_time": t_b,
-                "enclosed_radius_there": rr_b.rho_minus,
-                "comparison_radius_final": r_final,
-                "rho_minus_final": rr_T.rho_minus,
-                "enclosure_break": enclosure_break,
-            },
-        )
-    return NonexistenceOutcome(
-        status="consistent",
-        witness={"comparison_radius_final": r_final, "rho_minus_final": rr_T.rho_minus},
-    )
-
-
-# ---------------------------------------------------------------------------
-# Pinching and star-shapedness diagnostics
-
-
-@dataclass(frozen=True)
-class PinchingReport:
-    rows: tuple[dict, ...]
-    inf_radius_ratio: float
-    inf_curvature_ratio: float | None
-    inf_starshapedness: float
-    uniform_radius: bool
-    uniform_curvature: bool
-    uniform_starshapedness: bool
-    origin_check: PointOriginReport | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "rows": list(self.rows),
-            "infima": {
-                "radius_ratio": self.inf_radius_ratio,
-                "curvature_ratio": self.inf_curvature_ratio,
-                "starshapedness": self.inf_starshapedness,
-            },
-            "uniform": {
-                "radius_ratio": self.uniform_radius,
-                "curvature_ratio": self.uniform_curvature,
-                "starshapedness": self.uniform_starshapedness,
-            },
-            "origin_check": None if self.origin_check is None else self.origin_check.to_json_dict(),
-        }
-
-
-def pinching_diagnostics(
-    traj: Trajectory, y_inf, threshold: float = 0.01
-) -> PinchingReport:
-    """Per-frame inradius/circumradius, curvature pinching and star-shapedness.
-
-    Each ratio is scale free, so a uniform positive infimum along a family
-    shrinking backward in time forces the family into arbitrarily small
-    balls; when any ratio is uniform (> threshold) and the early frames are
-    small, the point-origin audit runs as confirmation.
-    """
-    if not traj.frames:
-        raise EmptyTrajectory("trajectory has no frames")
-    y_inf = np.asarray(y_inf, dtype=float)
-    rows = []
-    for t, M in traj.frames:
-        rr = inner_outer_radii(M, center=y_inf)
-        try:
-            pinch = curvature_pinching_ratio(M)
-        except NonConvexInput:
-            pinch = None
-        star = starshapedness_ratio(M, y_inf)
-        rows.append(
-            {
-                "t": t,
-                "radius_ratio": rr.rho_minus / rr.rho_plus,
-                "curvature_ratio": pinch,
-                "starshapedness": star,
-                "rho_plus": rr.rho_plus,
-            }
-        )
-    inf_rr = min(r["radius_ratio"] for r in rows)
-    pinches = [r["curvature_ratio"] for r in rows]
-    inf_cr = None if any(p is None for p in pinches) else min(pinches)
-    inf_st = min(r["starshapedness"] for r in rows)
-    uniform_rr = inf_rr > threshold
-    uniform_cr = inf_cr is not None and inf_cr > threshold
-    uniform_st = inf_st > threshold
-
-    origin_check = None
-    shrinks = rows[0]["rho_plus"] <= 0.5 * rows[-1]["rho_plus"]
-    if (uniform_rr or uniform_cr or uniform_st) and shrinks:
-        r_hi = 2.0 * rows[-1]["rho_plus"]
-        r_lo = 2.0 * rows[0]["rho_plus"]
-        radii = np.geomspace(r_hi, r_lo, 3)
-        origin_check = comes_out_of_point(traj, y_inf, radii)
-    return PinchingReport(
-        rows=tuple(rows),
-        inf_radius_ratio=inf_rr,
-        inf_curvature_ratio=inf_cr,
-        inf_starshapedness=inf_st,
-        uniform_radius=uniform_rr,
-        uniform_curvature=uniform_cr,
-        uniform_starshapedness=uniform_st,
-        origin_check=origin_check,
-    )

@@ -56,14 +56,6 @@ class SphereFlow:
         if np.any(np.diff(s[:, 1]) <= 0.0) and s.shape[0] > 1:
             raise ValueError("radius must be strictly increasing (expansive flow)")
 
-    def radius_at(self, t: float) -> float:
-        s = self.samples
-        return float(np.interp(t, s[:, 0], s[:, 1]))
-
-    @property
-    def t1(self) -> float:
-        return float(self.samples[-1, 0])
-
 
 def integrate_radius(
     F: SpeedFunction,

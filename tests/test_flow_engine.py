@@ -1,5 +1,6 @@
 import math
 import re
+import time
 from functools import cached_property
 
 import numpy as np
@@ -89,6 +90,17 @@ def test_the_stage_ceiling_bounds_the_first_step_on_the_edge_floor(monkeypatch):
     with pytest.raises(MeshDegeneracy, match="quality floor"):
         evolve(M, F_K, 0.0, FlowConfig(t_end=0.01, dt=1e-3))
     assert 1 <= len(calls) <= flow_engine.RKC_MAX_STAGES
+
+
+def test_the_step_guard_stops_a_runaway_step_count_at_once():
+    # a 1e-10 edge sits above the floor, and dt = 1e-3 is 1.8e17 stable RK4
+    # steps: about 1.9e14 RKC steps of 64 stages, far past MAX_STEPS
+    th = np.sort(np.append(2.0 * np.pi * np.arange(64) / 64, 1e-10))
+    M = DiscreteHypersurface(np.column_stack([np.cos(th), np.sin(th)]))
+    start = time.perf_counter()
+    with pytest.raises(MeshDegeneracy, match="max step count exceeded"):
+        evolve(M, F_K, 0.0, FlowConfig(t_end=0.01, dt=1e-3))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_step_rejects_nonpositive_dt(unit_circle_256):
@@ -317,6 +329,26 @@ def test_curve_flow_is_fourth_order_in_space():
         assert dt <= stable_substep(shapes.ellipse_polygon(2.0, 1.0, m), F_K)
     errs = [_perimeter_law_error(m, dt) for m in (64, 128, 256)]
     assert errs[0] / errs[1] >= 14.0 and errs[1] / errs[2] >= 14.0
+
+
+def _surface_area(M):
+    a, b, c = (M.vertices[M.faces[:, k]] for k in range(3))
+    return 0.5 * float(np.linalg.norm(np.cross(b - a, c - a), axis=1).sum())
+
+
+def test_mesh_flow_is_second_order_in_space():
+    # under 1/H every closed surface obeys A(t) = A(0) e^t; at dt = 1e-3 each
+    # level takes one stable RK4 step per requested step (s4's limit is 2.0e-3),
+    # so the error is the fit's spatial error: 8.0e-3, 2.1e-3, 5.3e-4
+    dt, errs = 1e-3, []
+    for sub in (2, 3, 4):
+        M0 = shapes.ellipsoid_mesh(1.0, 1.3, 0.7, sub)
+        assert dt <= stable_substep(M0, F_H)
+        traj = evolve(M0, F_H, 0.0, FlowConfig(t_end=0.1, dt=dt, frame_interval=0.1))
+        assert traj.events == []
+        t, M = traj.frames[-1]
+        errs.append(abs(_surface_area(M) / (_surface_area(M0) * math.exp(t)) - 1.0))
+    assert errs[0] / errs[1] >= 3.0 and errs[1] / errs[2] >= 3.0
 
 
 def test_stable_substep_scales_with_resolution():

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hyperflow.errors import CenterOutside, DegenerateElement, MeshDegeneracy, NonConvexInput
+from hyperflow.errors import CenterOutside, DegenerateElement, MeshDegeneracy
 from hyperflow.hypersurface import (
     BOUNDARY_CODE,
     Containment,
@@ -12,14 +12,11 @@ from hyperflow.hypersurface import (
     chebyshev_center,
     classify_points,
     contains_point,
-    curvature_pinching_ratio,
     enclosed_volume,
     inner_outer_radii,
     is_embedded,
     read_surface,
-    starshapedness_ratio,
     signed_interior_distance,
-    support_max,
     surface_distance,
     write_surface,
     _edge_table,
@@ -594,7 +591,7 @@ def test_signed_interior_distance_signs(unit_circle_256):
 
 
 # ---------------------------------------------------------------------------
-# radii, star-shapedness, pinching, support
+# inradius and circumradius
 
 
 def test_radii_circle(unit_circle_256):
@@ -630,70 +627,6 @@ def test_chebyshev_center_mesh():
 def test_radii_reject_outside_center(ellipse_2_1):
     with pytest.raises(CenterOutside):
         inner_outer_radii(ellipse_2_1, center=[5.0, 0.0])
-
-
-def _star_oracle_ellipse(a, b):
-    theta = np.linspace(0.0, 2.0 * np.pi, 200_001)
-    pos = np.column_stack([a * np.cos(theta), b * np.sin(theta)])
-    nrm = np.column_stack([np.cos(theta) / a, np.sin(theta) / b])
-    nrm /= np.linalg.norm(nrm, axis=1)[:, None]
-    return float(np.min(np.einsum("ij,ij->i", pos, nrm) / np.linalg.norm(pos, axis=1)))
-
-
-def _star_oracle_offset_circle(q):
-    theta = np.linspace(0.0, 2.0 * np.pi, 200_001)
-    pos = np.column_stack([np.cos(theta), np.sin(theta)])
-    rel = pos - q
-    return float(np.min(np.einsum("ij,ij->i", rel, pos) / np.linalg.norm(rel, axis=1)))
-
-
-def test_starshapedness_circle(unit_circle_256):
-    assert starshapedness_ratio(unit_circle_256, [0.0, 0.0]) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_starshapedness_ellipse(ellipse_2_1):
-    oracle = _star_oracle_ellipse(2.0, 1.0)
-    assert oracle == pytest.approx(0.8, abs=1e-6)  # analytic minimum is exactly 4/5
-    got = starshapedness_ratio(ellipse_2_1, [0.0, 0.0])
-    assert got == pytest.approx(oracle, rel=1e-3)
-
-
-def test_starshapedness_offset_circle(unit_circle_256):
-    oracle = _star_oracle_offset_circle(np.array([0.5, 0.0]))
-    assert oracle == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-6)
-    got = starshapedness_ratio(unit_circle_256, [0.5, 0.0])
-    assert 0.0 < got < 1.0
-    assert got == pytest.approx(oracle, rel=1e-3)
-
-
-def test_starshapedness_rejects_outside_origin(unit_circle_256):
-    with pytest.raises(CenterOutside):
-        starshapedness_ratio(unit_circle_256, [2.0, 0.0])
-
-
-def test_pinching_sphere():
-    assert curvature_pinching_ratio(shapes.icosphere(1.0, 4)) == pytest.approx(1.0, abs=0.02)
-
-
-def test_pinching_ellipses(ellipse_2_1):
-    # extremes are a/b^2 and b/a^2, so the ratio is (b/a^2)/(a/b^2) = (b/a)^3
-    assert curvature_pinching_ratio(ellipse_2_1) == pytest.approx(0.125, rel=0.03)
-    e41 = shapes.ellipse_polygon(4.0, 1.0, 256)
-    assert curvature_pinching_ratio(e41) == pytest.approx(0.015625, rel=0.05)
-
-
-def test_pinching_rejects_nonconvex():
-    with pytest.raises(NonConvexInput):
-        curvature_pinching_ratio(shapes.peanut_polygon(128))
-
-
-def test_support_examples(unit_circle_256, ellipse_2_1):
-    assert support_max(unit_circle_256, [1.0, 0.0]) == pytest.approx(1.0)
-    assert support_max(ellipse_2_1, [0.0, 1.0]) == pytest.approx(1.0)
-    shifted = shapes.circle_polygon(1.0, 256, center=(0.3, 0.0))
-    assert support_max(shifted, [1.0, 0.0]) == pytest.approx(1.3)
-    with pytest.raises(ValueError):
-        support_max(unit_circle_256, [2.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

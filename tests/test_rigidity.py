@@ -3,19 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from hyperflow.errors import EmptyTrajectory, NotApplicable, PreconditionFailed
+from hyperflow.errors import EmptyTrajectory, PreconditionFailed
 from hyperflow.flow_engine import FlowConfig, Trajectory, evolve
+from hyperflow.hypersurface import inner_outer_radii
 from hyperflow.reflection import Hyperplane, ReflectionStatus, _direction_set, strict_reflection_check
 from hyperflow.rigidity import (
-    ancient_nonexistence_check,
     comes_out_of_point,
-    pinching_diagnostics,
     rigidity_audit,
     tau_limit_check,
 )
 from hyperflow import families, shapes
 from hyperflow.sphere_ode import initial_time_estimate
-from hyperflow.speeds import mean_curvature, mean_curvature_power, speed_by_name
+from hyperflow.speeds import mean_curvature, speed_by_name
 
 F_K = mean_curvature(1)
 
@@ -58,6 +57,25 @@ def test_origin_fails_for_displaced_candidate(sphere_fam):
 def test_origin_passes_for_nonround_family(ellipse_fam):
     # the point-origin condition admits non-spherical candidates; the flow
     # residual is what excludes them as solutions
+    assert comes_out_of_point(ellipse_fam, [0.0, 0.0], [0.5, 0.1]).passed
+
+
+def test_eccentric_family_fails_uniformity_but_not_origin(ellipse_fam):
+    # each scale-free ratio (inradius/circumradius, min/max curvature,
+    # min <x, nu>/|x|) degenerates along the family, yet it still comes out
+    # of the origin
+    y = np.zeros(2)
+    radius, curvature, star = [], [], []
+    for _, M in ellipse_fam.frames:
+        rr = inner_outer_radii(M, center=y)
+        radius.append(rr.rho_minus / rr.rho_plus)
+        k = M.curvature_data.principal
+        curvature.append(k.min() / k.max())
+        x = M.vertices - y
+        star.append(np.min(np.sum(x * M.curvature_data.normals, axis=1) / np.linalg.norm(x, axis=1)))
+    assert min(radius) < 0.01
+    assert min(curvature) < 0.01
+    assert min(star) < 0.01
     assert comes_out_of_point(ellipse_fam, [0.0, 0.0], [0.5, 0.1]).passed
 
 
@@ -316,36 +334,7 @@ def test_post_touch_stage_matches_per_plane_oracle_on_coarse_icosphere():
 
 
 # ---------------------------------------------------------------------------
-# comparison argument against claimed ancient trajectories
-
-
-def _clamped_parabola_family(t_lo):
-    times = t_lo + 0.05 * np.arange(int(round((0.0 - t_lo) / 0.05)) + 1)
-    return families.sphere_family(
-        times, lambda t: max((1.0 + t / 2.0) ** 2, 2.5e-3), n=1, resolution=256
-    )
-
-
-def test_fake_ancient_trajectory_contradicted():
-    F = mean_curvature_power(1, 0.5)  # round solutions born at finite time
-    fake = _clamped_parabola_family(-3.0)
-    out = ancient_nonexistence_check(F, fake)
-    assert out.contradiction
-    w = out.witness
-    assert w["T_S"] == pytest.approx(-2.0, abs=1e-3)
-    assert w["comparison_radius_final"] > w["rho_minus_final"]
-    assert w["enclosure_break"] is not None
-
-
-def test_honest_trajectory_consistent():
-    F = mean_curvature_power(1, 0.5)
-    honest = _clamped_parabola_family(-1.9)  # never claims frames at the birth time
-    assert ancient_nonexistence_check(F, honest).status == "consistent"
-
-
-def test_not_applicable_for_ancient_speeds(sphere_fam):
-    with pytest.raises(NotApplicable):
-        ancient_nonexistence_check(F_K, sphere_fam)
+# ancient flows
 
 
 def test_backward_extension_of_ancient_flow_has_no_birth_time():
@@ -359,38 +348,3 @@ def test_backward_extension_of_ancient_flow_has_no_birth_time():
     ).passed
     assert initial_time_estimate(F_K, 1.0, 0.0) == -math.inf
     assert traj.frames[-1][0] == pytest.approx(0.2)
-
-
-# ---------------------------------------------------------------------------
-# pinching diagnostics
-
-
-def test_sphere_family_ratios_are_unity(sphere_fam):
-    rep = pinching_diagnostics(sphere_fam, [0.0, 0.0])
-    assert rep.inf_radius_ratio == pytest.approx(1.0, abs=1e-3)
-    assert rep.inf_curvature_ratio == pytest.approx(1.0, abs=1e-6)
-    assert rep.inf_starshapedness == pytest.approx(1.0, abs=1e-6)
-    assert rep.uniform_radius and rep.uniform_curvature and rep.uniform_starshapedness
-    assert rep.origin_check is not None and rep.origin_check.passed
-
-
-def test_scaled_ellipse_family_has_constant_ratios():
-    times = -3.0 + 0.1 * np.arange(31)
-    template = shapes.ellipse_polygon(2.0, 1.0, 256)
-    frames = [(float(t), template.with_vertices(template.vertices * math.exp(t))) for t in times]
-    fam = Trajectory(frames=frames)
-    rep = pinching_diagnostics(fam, [0.0, 0.0])
-    # scale-invariant ratios of the fixed shape: 1/2, (b/a)^3 = 1/8, 4/5
-    assert rep.inf_radius_ratio == pytest.approx(0.5, abs=2e-3)
-    assert rep.inf_curvature_ratio == pytest.approx(0.125, rel=0.03)
-    assert rep.inf_starshapedness == pytest.approx(0.8, rel=1e-3)
-    assert rep.uniform_radius and rep.uniform_curvature and rep.uniform_starshapedness
-    assert rep.origin_check is not None and rep.origin_check.passed
-
-
-def test_eccentric_family_fails_uniformity_but_not_origin(ellipse_fam):
-    rep = pinching_diagnostics(ellipse_fam, [0.0, 0.0])
-    assert not rep.uniform_radius
-    assert not rep.uniform_curvature
-    assert not rep.uniform_starshapedness
-    assert comes_out_of_point(ellipse_fam, [0.0, 0.0], [0.5, 0.1]).passed
