@@ -195,11 +195,6 @@ _AXES_COUNT = {"ellipse": 2, "ellipsoid": 3}
 # a config error.  Messages are formatted with the config's fields.
 _RULES: dict[str, tuple[Callable[[RunConfig], bool], str]] = {
     "seed": (lambda c: isinstance(c.seed, int) and c.seed >= 0, "seed must be a non-negative integer"),
-    # power speeds check their own alpha; the others ignore it
-    "alpha": (
-        lambda c: c.alpha is None or c.alpha > 0 or c.speed.strip().lower() in speeds._POWER_NAMES,
-        "alpha must be > 0, got {alpha}",
-    ),
     "shape": (lambda c: c.shape in _SHAPES, "unknown shape {shape!r}"),
     "axes": (
         lambda c: c.shape not in _AXES_COUNT or len(c.axes or ()) == _AXES_COUNT[c.shape],

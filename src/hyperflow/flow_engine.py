@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     ConeExit,
@@ -29,12 +28,12 @@ from .errors import (
     NonPositiveSpeed,
 )
 from .hypersurface import DiscreteHypersurface, _edge_table, _polygon, enclosed_volume
-from .speeds import SpeedFunction
+from .speeds import SpeedFunction, _raw_gradient
 
 MARGIN_HARD = 1e-6  # relative cone-interior margin that aborts a step
 MARGIN_WARN = 1e-3  # margin that logs a near-boundary warning event
 EDGE_FLOOR_FACTOR = 1e-12  # min edge length relative to bbox diagonal
-MAX_STEPS = 10_000_000  # runaway guard on RK4 and RKC steps per evolve call
+MAX_EVALUATIONS = 10_000_000  # runaway guard on velocity evaluations per evolve call
 
 
 @dataclass
@@ -197,16 +196,13 @@ def stable_substep(M: DiscreteHypersurface, F: SpeedFunction) -> float:
     responds to a curvature perturbation with rate sum_j dF/dlambda_j / F^2,
     and the estimators amplify vertex noise by at most 4/h^2 at the shortest
     local edge h, which bounds the stiffest eigenvalue of the linearised
-    update.
+    update.  The gradient is F's own (closed form or central differences),
+    and F is evaluated once.  A vertex where the gradient sum is not positive
+    adds no stiffness; a surface with no positive sum has no limit (inf).
     """
     lam = M.curvature_data.principal
-    scale = np.maximum(np.max(np.abs(lam), axis=1), 1e-12)
-    eps = 1e-6 * scale
-    up = F.values(lam + eps[:, None])
-    dn = F.values(lam - eps[:, None])
-    grad_sum = np.maximum((up - dn) / (2.0 * eps), 0.0)
     fval = F.values(lam)
-    diffusivity = grad_sum / (fval * fval)
+    diffusivity = _raw_gradient(F, lam).sum(axis=-1) / (fval * fval)
     h = _local_min_edge(M)
     stiffest = float(np.max(4.0 * diffusivity / (h * h)))
     if stiffest <= 0.0:
@@ -305,7 +301,7 @@ def evolve(
     M = M0
     last_frame_t = t0
     last_volume = enclosed_volume(M0)
-    steps = 0
+    evaluations = 0
     last_evals = 4
     while t < config.t_end - 1e-15 * max(1.0, abs(config.t_end)):
         try:
@@ -327,8 +323,8 @@ def evolve(
                 M, margin = _rkc_step(M, F, dt / n_rkc, s, start)
             # the guard follows the first step, so a surface that starts on the
             # edge floor reports the floor, and precedes the remaining steps
-            steps += n_rkc
-            if steps > MAX_STEPS:
+            evaluations += evals
+            if evaluations > MAX_EVALUATIONS:
                 raise MeshDegeneracy("max step count exceeded")
             for _ in range(n_rkc - 1):
                 M, m_step = _rkc_step(M, F, dt / n_rkc, s)
@@ -388,32 +384,20 @@ class FlowResidual:
         }
 
 
-def _match_vertices(M_from: DiscreteHypersurface, M_ref: DiscreteHypersurface) -> np.ndarray:
-    """Positions of M_from matched to M_ref's vertices.
-
-    Identity when counts agree (frames from one run keep correspondence);
-    nearest-vertex matching otherwise.
-    """
-    if M_from.num_vertices == M_ref.num_vertices:
-        return M_from.vertices
-    tree = cKDTree(M_from.vertices)
-    _, idx = tree.query(M_ref.vertices)
-    return M_from.vertices[idx]
-
-
 def flow_residual(traj: Trajectory, F: SpeedFunction) -> FlowResidual:
-    """Central-difference normal velocity against 1/F on interior frames."""
+    """Central-difference normal velocity against 1/F on interior frames.
+
+    Each frame must correspond vertex by vertex with its neighbours, so a
+    trajectory that remeshed between them raises InsufficientFrames.
+    """
     if len(traj.frames) < 3:
         raise InsufficientFrames("need at least 3 frames for central differences")
     times, max_abs, mean_abs = [], [], []
     for k in range(1, len(traj.frames) - 1):
-        tp, Mp = traj.frames[k - 1]
-        tc, Mc = traj.frames[k]
-        tn, Mn = traj.frames[k + 1]
-        xp = _match_vertices(Mp, Mc)
-        xn = _match_vertices(Mn, Mc)
+        tp, xp, tc, _ = traj.bracket(k)
+        _, _, tn, xn = traj.bracket(k + 1)
         v = (xn - xp) / (tn - tp)
-        data = Mc.curvature_data
+        data = traj.frames[k][1].curvature_data
         vn = np.einsum("ij,ij->i", v, data.normals)
         speeds = F.values(data.principal)
         resid = np.abs(vn - 1.0 / speeds)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyTrajectory, NeverTouches, NoFramesPastTouch, PreconditionFailed
+from .errors import EmptyTrajectory, HyperflowError, NeverTouches, NoFramesPastTouch, PreconditionFailed
 from .flow_engine import FlowResidual, Trajectory, flow_residual
 from .hypersurface import inner_outer_radii
 from .reflection import (
@@ -231,7 +231,7 @@ def rigidity_audit(
     try:
         residual = flow_residual(traj, F)
         residual_note = f"max flow-law residual {residual.overall_max:.4g}"
-    except Exception as exc:  # registration breaks etc.; evidence stays optional
+    except HyperflowError as exc:  # e.g. a remesh breaks correspondence; evidence stays optional
         residual_note = f"residual unavailable ({exc})"
 
     overall = reflection_ok and symmetry_ok
@@ -343,6 +343,6 @@ def _narrative(origin_report, R_star, reflection_ok, symmetry_ok, residual, resi
                 f"explanation: {residual_note}; the family does not solve the flow, "
                 "so non-roundness does not contradict uniqueness of round solutions"
             )
-    if residual is not None and residual.overall_max <= 0.1:
+    if residual is None or residual.overall_max <= 0.1:
         parts.append(residual_note)
     return "; ".join(parts)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -90,23 +90,6 @@ class Cone:
         member = self.contains_many(lams)
         return np.where(member, 1.0, -1.0)
 
-    def validate_samples(self, arity: int, rng_seed: int = 0) -> None:
-        """Sampled sanity checks: diagonal membership, symmetry, convexity."""
-        rng = np.random.default_rng(rng_seed)
-        for lam in (1e-3, 1.0, 1e3):
-            if not self.contains(np.full(arity, lam)):
-                raise ValueError(f"cone misses positive diagonal at {lam}")
-        pts = [np.full(arity, m) * rng.uniform(0.5, 2.0, size=arity) for m in (0.1, 1.0, 10.0)]
-        members = [p for p in pts if self.contains(p)]
-        for p in members:
-            if not self.contains(p[::-1].copy()):
-                raise ValueError("cone not permutation symmetric on samples")
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                mid = 0.5 * (members[i] + members[j])
-                if not self.contains(mid):
-                    raise ValueError("cone not convex along sampled segment")
-
 
 @dataclass(frozen=True)
 class SpeedFunction:
@@ -131,12 +114,6 @@ class SpeedFunction:
         """Batched raw evaluation (no cone or sign checks)."""
         return np.asarray(self.fn(np.asarray(lams, dtype=float)), dtype=float)
 
-    def gradient(self, lam) -> np.ndarray:
-        lam = _as_tuple(self, lam)
-        if not self.cone.contains(lam):
-            raise CurvatureOutsideCone(f"{tuple(lam)} outside cone of {self.name}")
-        return _raw_gradient(self, lam)
-
 
 def _as_tuple(F: SpeedFunction, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float).reshape(-1)
@@ -146,23 +123,25 @@ def _as_tuple(F: SpeedFunction, lam) -> np.ndarray:
 
 
 def _raw_gradient(F: SpeedFunction, lam: np.ndarray) -> np.ndarray:
-    """Closed-form gradient when F declares one, central differences otherwise."""
+    """Gradients at an (..., arity) batch: the closed form when F declares one,
+    central differences otherwise."""
     if F.grad is not None:
-        return np.asarray(F.grad(lam), dtype=float).reshape(F.arity)
+        return np.broadcast_to(np.asarray(F.grad(lam), dtype=float), lam.shape)
     return finite_difference_gradient(F.fn, lam)
 
 
 def finite_difference_gradient(fn, lam: np.ndarray) -> np.ndarray:
-    """Central differences with a relative step and absolute floor."""
+    """Central differences at an (..., n) batch, one component at a time over
+    the whole batch, with a relative step and absolute floor."""
     lam = np.asarray(lam, dtype=float)
     g = np.empty_like(lam)
-    for i in range(lam.shape[0]):
-        h = max(FD_RELATIVE_STEP * abs(lam[i]), FD_ABSOLUTE_FLOOR)
+    for i in range(lam.shape[-1]):
+        h = np.maximum(FD_RELATIVE_STEP * np.abs(lam[..., i]), FD_ABSOLUTE_FLOOR)
         hi = lam.copy()
         lo = lam.copy()
-        hi[i] += h
-        lo[i] -= h
-        g[i] = (float(fn(hi)) - float(fn(lo))) / (2.0 * h)
+        hi[..., i] += h
+        lo[..., i] -= h
+        g[..., i] = (np.asarray(fn(hi), dtype=float) - np.asarray(fn(lo), dtype=float)) / (2.0 * h)
     return g
 
 
@@ -249,25 +228,30 @@ def speed_by_name(name: str, n: int, alpha: float | None = None) -> SpeedFunctio
 
     Accepted names: "k" (n = 1 only), "H", "H^alpha" / "k^alpha" (requires
     alpha > 0), "K" (curvature product, case sensitive), "sqrt_sigma2"
-    (n = 2).
+    (n = 2).  Only the power speeds take alpha; any other speed given one is
+    an error.
     """
     stripped = name.strip()
-    if stripped == "K":
-        return curvature_product(n)
     key = stripped.lower()
-    if key == "k":
-        if n != 1:
-            raise ValueError("speed 'k' is the curve curvature; use 'H' for n = 2")
-        return mean_curvature(1)
-    if key == "h":
-        return mean_curvature(n)
     if key in _POWER_NAMES:
         if alpha is None:
             raise ValueError(f"speed '{name}' requires an alpha parameter")
         return mean_curvature_power(n, alpha)
-    if key == "sqrt_sigma2":
-        return sqrt_second_symmetric(n)
-    raise ValueError(f"unknown speed name: {name!r}")
+    if stripped == "K":
+        F = curvature_product(n)
+    elif key == "k":
+        if n != 1:
+            raise ValueError("speed 'k' is the curve curvature; use 'H' for n = 2")
+        F = mean_curvature(1)
+    elif key == "h":
+        F = mean_curvature(n)
+    elif key == "sqrt_sigma2":
+        F = sqrt_second_symmetric(n)
+    else:
+        raise ValueError(f"unknown speed name: {name!r}")
+    if alpha is not None:
+        raise ValueError(f"speed '{name}' takes no alpha parameter")
+    return F
 
 
 def catalog(n: int) -> list[SpeedFunction]:
@@ -303,19 +287,15 @@ class SamplePlan:
 
     def points(self, arity: int, cone: Cone) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
-        rows: list[np.ndarray] = []
-        for mag in self.diagonal_magnitudes:
-            diag = np.full(arity, float(mag))
-            if cone.contains(diag):
-                rows.append(diag)
-            for _ in range(self.offdiagonal_per_magnitude):
-                factors = self.spread ** rng.uniform(-1.0, 1.0, size=arity)
-                pt = mag * factors
-                if cone.contains(pt):
-                    rows.append(pt)
-        if not rows:
+        mags = np.asarray(self.diagonal_magnitudes, dtype=float)[:, None, None]
+        draws = rng.uniform(-1.0, 1.0, size=(mags.shape[0], self.offdiagonal_per_magnitude, arity))
+        # per magnitude: the diagonal point, then its off-diagonal points
+        rows = np.concatenate([np.repeat(mags, arity, axis=2), mags * self.spread**draws], axis=1)
+        rows = rows.reshape(-1, arity)
+        rows = rows[cone.contains_many(rows)]
+        if rows.shape[0] == 0:
             raise EmptySample("sampling plan produced no cone points")
-        return np.array(rows, dtype=float)
+        return rows
 
 
 @dataclass(frozen=True)
@@ -370,52 +350,38 @@ def check_admissibility(F: SpeedFunction, plan: SamplePlan | None = None) -> Adm
     """
     plan = plan or SamplePlan()
     pts = plan.points(F.arity, F.cone)
-    rows = []
-    ok = True
-    for lam in pts:
-        v = float(F.fn(lam))
-        positive = math.isfinite(v) and v > 0.0
-        g = _raw_gradient(F, lam)
-        monotone = bool(np.all(np.isfinite(g)) and np.all(g > 0.0))
-        residual = 0.0
-        if F.arity >= 2:
-            swapped = lam[::-1].copy()
-            residual = abs(v - float(F.fn(swapped)))
-        rows.append(
-            AdmissibilityRow(
-                point=tuple(float(x) for x in lam),
-                value=v,
-                positive=positive,
-                gradient=tuple(float(x) for x in g),
-                monotone=monotone,
-                symmetry_residual=residual,
-            )
+    values = F.values(pts)
+    grads = _raw_gradient(F, pts)
+    positive = np.isfinite(values) & (values > 0.0)
+    monotone = np.all(np.isfinite(grads) & (grads > 0.0), axis=-1)
+    residuals = np.abs(values - F.values(pts[:, ::-1])) if F.arity >= 2 else np.zeros_like(values)
+    rows = tuple(
+        AdmissibilityRow(
+            point=tuple(lam.tolist()),
+            value=float(v),
+            positive=bool(p),
+            gradient=tuple(g.tolist()),
+            monotone=bool(m),
+            symmetry_residual=float(r),
         )
-        ok = ok and positive and monotone
-    return AdmissibilityReport(speed_name=F.name, rows=tuple(rows), passed=ok)
+        for lam, v, p, g, m, r in zip(pts, values, positive, grads, monotone, residuals)
+    )
+    return AdmissibilityReport(speed_name=F.name, rows=rows, passed=bool(np.all(positive & monotone)))
 
 
-def homogeneity_degree(
-    F: SpeedFunction,
-    probe=None,
-    scales: Sequence[float] = (2.0, 4.0),
-    tol: float = 1e-6,
-) -> float | None:
-    """Detect a scaling degree alpha with F(s lam) = s^alpha F(lam).
+def homogeneity_degree(F: SpeedFunction) -> float | None:
+    """The scaling degree alpha with F(s lam) = s^alpha F(lam).
 
-    Returns None when the log-ratios disagree across the probe scales, which
-    is the verdict for genuinely non-homogeneous speeds.
+    A degree that F declares is returned as is.  Otherwise it is probed at
+    the unit diagonal over the scales 2 and 4, and None is returned when the
+    two log-ratios disagree by more than 1e-6, which is the verdict for
+    genuinely non-homogeneous speeds.
     """
-    if probe is None:
-        probe = np.full(F.arity, 1.0)
-    probe = _as_tuple(F, probe)
-    base = eval_speed(F, probe)
-    alphas = []
-    for s in scales:
-        scaled = s * probe
-        if not F.cone.contains(scaled):
-            raise CurvatureOutsideCone(f"scaled probe {tuple(scaled)} outside cone")
-        alphas.append((math.log(float(F.fn(scaled))) - math.log(base)) / math.log(s))
-    if max(alphas) - min(alphas) > tol:
+    if F.homogeneity is not None:
+        return float(F.homogeneity)
+    probe = np.ones(F.arity)
+    base = math.log(eval_speed(F, probe))
+    alphas = [(math.log(eval_speed(F, s * probe)) - base) / math.log(s) for s in (2.0, 4.0)]
+    if max(alphas) - min(alphas) > 1e-6:
         return None
     return float(np.mean(alphas))

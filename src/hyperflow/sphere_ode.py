@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import ConeExit, CurvatureOutsideCone, IndeterminateDivergence
+from .errors import ConeExit, CurvatureOutsideCone, HyperflowError, IndeterminateDivergence
 from .speeds import SpeedFunction, eval_speed, homogeneity_degree
 
 # psi is never evaluated below this radius (floating-point floor).
@@ -128,15 +128,6 @@ class AncientnessVerdict:
         }
 
 
-def _known_homogeneity(F: SpeedFunction) -> float | None:
-    if F.homogeneity is not None:
-        return float(F.homogeneity)
-    try:
-        return homogeneity_degree(F)
-    except Exception:
-        return None
-
-
 def _shell_integrals(F: SpeedFunction, upper: float, shells: int) -> list[dict]:
     """Integrals of psi over [upper 2^-k, upper 2^-(k-1)], k = 1..shells."""
     rows = []
@@ -179,7 +170,10 @@ def _growth_time(F: SpeedFunction, r0: float, shells: int = SHELL_COUNT) -> tupl
     This is the integral of psi over (0, r0], infinite exactly when round
     solutions are ancient.  Returns (time, method, evidence).
     """
-    alpha = _known_homogeneity(F)
+    try:
+        alpha = homogeneity_degree(F)
+    except HyperflowError:  # no degree known: probe the integral instead
+        alpha = None
     if alpha is not None:
         psi1 = psi(F, 1.0)
         evidence = ({"homogeneity": alpha, "psi_at_1": psi1},)

@@ -103,6 +103,18 @@ def test_the_step_guard_stops_a_runaway_step_count_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+def test_the_step_guard_counts_evaluations():
+    # a 1e-6 edge plans 1,889,129 RKC steps of 64 stages for dt = 1e-3: fewer
+    # steps than MAX_EVALUATIONS, but 1.2e8 velocity evaluations
+    th = np.sort(np.append(2.0 * np.pi * np.arange(64) / 64, 1e-6))
+    M = DiscreteHypersurface(np.column_stack([np.cos(th), np.sin(th)]))
+    assert flow_engine._rkc_plan(1e-3 / stable_substep(M, F_K))[0] < flow_engine.MAX_EVALUATIONS
+    start = time.perf_counter()
+    with pytest.raises(MeshDegeneracy, match="max step count exceeded"):
+        evolve(M, F_K, 0.0, FlowConfig(t_end=0.01, dt=1e-3))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_step_rejects_nonpositive_dt(unit_circle_256):
     with pytest.raises(ValueError):
         step(unit_circle_256, F_K, 0.0)
@@ -351,6 +363,33 @@ def test_mesh_flow_is_second_order_in_space():
     assert errs[0] / errs[1] >= 3.0 and errs[1] / errs[2] >= 3.0
 
 
+def _diagonal_difference_substep(M, F):
+    """The bound from a central difference along the diagonal, with step
+    1e-6 max|lambda| at each vertex: three F.values calls per surface."""
+    lam = M.curvature_data.principal
+    scale = np.maximum(np.max(np.abs(lam), axis=1), 1e-12)
+    eps = 1e-6 * scale
+    up = F.values(lam + eps[:, None])
+    dn = F.values(lam - eps[:, None])
+    grad_sum = np.maximum((up - dn) / (2.0 * eps), 0.0)
+    fval = F.values(lam)
+    diffusivity = grad_sum / (fval * fval)
+    h = flow_engine._local_min_edge(M)
+    stiffest = float(np.max(4.0 * diffusivity / (h * h)))
+    return math.inf if stiffest <= 0.0 else flow_engine._STAB_COEFF / stiffest
+
+
+@pytest.mark.parametrize("M", [
+    shapes.circle_polygon(1.0, 256),
+    shapes.ellipse_polygon(2.0, 1.0, 256),
+    shapes.icosphere(1.0, 3),
+    shapes.ellipsoid_mesh(1.0, 1.3, 0.7, 3),
+], ids=["circle", "ellipse", "icosphere", "ellipsoid"])
+def test_stable_substep_matches_the_diagonal_difference_bound(M):
+    for F in catalog(M.dimension):
+        assert stable_substep(M, F) == pytest.approx(_diagonal_difference_substep(M, F), rel=1e-8), F.name
+
+
 def test_stable_substep_scales_with_resolution():
     coarse = stable_substep(shapes.circle_polygon(1.0, 16), F_K)
     fine = stable_substep(shapes.circle_polygon(1.0, 64), F_K)
@@ -543,6 +582,17 @@ def test_remesh_during_evolution_keeps_band():
     assert float(final.edge_lengths.max()) <= 1.3 * h0 + 1e-9
     r = radii(final)
     assert r.mean() == pytest.approx(math.exp(0.6), rel=1e-2)
+
+
+def test_residual_needs_vertex_correspondence():
+    # the run of test_remesh_during_evolution_keeps_band: a frame that
+    # straddles a remesh has no vertex-by-vertex neighbour
+    c = shapes.circle_polygon(1.0, 128)
+    h0 = float(c.edge_lengths.mean())
+    traj = evolve(c, F_K, 0.0, FlowConfig(t_end=0.6, dt=2e-3, band=(0.25 * h0, 1.3 * h0)))
+    assert len({M.num_vertices for _, M in traj.frames}) > 1
+    with pytest.raises(InsufficientFrames, match="vertex correspondence broken"):
+        flow_residual(traj, F_K)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hyperflow.errors import EmptyTrajectory, PreconditionFailed
+from hyperflow.errors import EmptyTrajectory, InsufficientFrames, PreconditionFailed
 from hyperflow.flow_engine import FlowConfig, Trajectory, evolve
 from hyperflow.hypersurface import inner_outer_radii
 from hyperflow.reflection import Hyperplane, ReflectionStatus, _direction_set, strict_reflection_check
@@ -12,7 +12,7 @@ from hyperflow.rigidity import (
     rigidity_audit,
     tau_limit_check,
 )
-from hyperflow import families, shapes
+from hyperflow import families, rigidity, shapes
 from hyperflow.sphere_ode import initial_time_estimate
 from hyperflow.speeds import mean_curvature, speed_by_name
 
@@ -175,6 +175,24 @@ def test_audit_rejects_non_unit_directions():
         rigidity_audit(fam, F_K, [0.3, 0.2], directions=3.0 * np.eye(2), c_schedule=(0.4, 0.2))
 
 
+@pytest.mark.parametrize("error,typed", [(InsufficientFrames("correspondence broken"), True),
+                                         (TypeError("a bug in the residual"), False)])
+def test_audit_reports_typed_residual_failures_and_raises_bugs(monkeypatch, error, typed):
+    def failing_residual(traj, F):
+        raise error
+
+    monkeypatch.setattr(rigidity, "flow_residual", failing_residual)
+    fam = families.exponential_sphere_family(-2.0, 0.0, 0.05, n=1, resolution=64)
+    audit = lambda: rigidity_audit(fam, F_K, [0.0, 0.0], directions=4, c_schedule=(0.4, 0.2))
+    if typed:
+        report = audit()
+        assert report.residual is None
+        assert f"residual unavailable ({error})" in report.narrative
+    else:
+        with pytest.raises(TypeError, match="a bug"):
+            audit()
+
+
 def test_audit_precondition_failure(ellipse_fam):
     with pytest.raises(PreconditionFailed):
         rigidity_audit(ellipse_fam, F_K, [1.0, 0.0], directions=4, c_schedule=(0.2, 0.1))
@@ -327,7 +345,7 @@ def test_post_touch_stage_matches_per_plane_oracle_on_coarse_icosphere():
     times = -4.0 + 0.05 * np.arange(81)
     fam = families.sphere_family(times, math.exp, n=2, resolution=2)
     cs = (0.4, 0.2, 0.1)
-    report = rigidity_audit(fam, speed_by_name("H", 2, 1.0), np.zeros(3), directions=6, c_schedule=cs)
+    report = rigidity_audit(fam, speed_by_name("H", 2), np.zeros(3), directions=6, c_schedule=cs)
     rows = _oracle_post_touch_rows(fam, np.zeros(3), 6, cs)
     assert list(report.post_touch_verdicts) == rows
     assert any(row["failure"] and row["failure"]["status"] == "fails" for row in rows)

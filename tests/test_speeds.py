@@ -58,10 +58,20 @@ def test_declared_homogeneity_scales(a, b, s):
 def test_gradients_match_finite_differences():
     pts = SamplePlan(seed=3, offdiagonal_per_magnitude=8).points(2, Cone.positive())
     for F in catalog(2):
-        for lam in pts:
-            closed = F.gradient(lam)
-            fd = finite_difference_gradient(F.fn, lam)
-            assert closed == pytest.approx(fd, rel=1e-6)
+        closed = F.grad(pts)
+        fd = finite_difference_gradient(F.fn, pts)
+        assert closed == pytest.approx(fd, rel=1e-6)
+
+
+def test_batched_finite_differences_equal_the_per_row_ones():
+    pts = SamplePlan(seed=1, offdiagonal_per_magnitude=8).points(2, Cone.positive())
+    for F in catalog(2):
+        batched = finite_difference_gradient(F.fn, pts)
+        # one-row batches: a 1-D row evaluates H^2 with scalar ** 2.0, which can
+        # differ from the array power in the last bit of F (2.5e-11 in the slope)
+        rows = np.array([finite_difference_gradient(F.fn, lam[None, :])[0] for lam in pts])
+        assert batched.shape == pts.shape
+        np.testing.assert_allclose(batched, rows, rtol=1e-12, atol=0.0)
 
 
 def test_builtin_catalog_is_admissible():
@@ -112,14 +122,26 @@ def test_sum_of_mixed_degrees_is_not_homogeneous():
         cone=Cone.positive(),
         fn=lambda lam: np.sum(lam, axis=-1) + np.prod(lam, axis=-1),
     )
-    assert homogeneity_degree(F, probe=(1.0, 1.0), scales=(2.0, 4.0)) is None
+    assert homogeneity_degree(F) is None
+
+
+def test_declared_homogeneity_is_returned_exactly():
+    for n in (1, 2):
+        for F in catalog(n):
+            assert homogeneity_degree(F) == F.homogeneity
+
+
+def test_undeclared_homogeneity_is_probed():
+    H = mean_curvature(2)
+    undeclared = SpeedFunction(name="H undeclared", arity=2, cone=H.cone, fn=H.fn)
+    assert homogeneity_degree(undeclared) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_homogeneity_probe_respects_cone():
     capped = Cone.custom(lambda lam: bool(np.all(lam > 0) and np.all(lam < 3)), "capped")
     F = SpeedFunction(name="capped-H", arity=2, cone=capped, fn=lambda lam: np.sum(lam, axis=-1))
     with pytest.raises(CurvatureOutsideCone):
-        homogeneity_degree(F, probe=(1.0, 1.0), scales=(2.0, 4.0))
+        homogeneity_degree(F)
 
 
 def test_empty_sample_raises():
@@ -130,7 +152,6 @@ def test_empty_sample_raises():
 
 def test_positive_cone_invariants():
     cone = Cone.positive()
-    cone.validate_samples(2)
     for lam in (1e-3, 1.0, 1e3):
         assert cone.contains(np.full(2, lam))
     assert not cone.contains(np.array([1.0, 0.0]))
@@ -187,6 +208,8 @@ def test_speed_by_name():
         speed_by_name("k", 2)
     with pytest.raises(ValueError):
         speed_by_name("H^alpha", 2)
+    with pytest.raises(ValueError, match="takes no alpha"):
+        speed_by_name("k", 1, alpha=2.0)
     with pytest.raises(ValueError):
         speed_by_name("bogus", 1)
     with pytest.raises(ValueError):
