@@ -116,9 +116,33 @@ class Trajectory:
             raise InsufficientFrames("vertex correspondence broken across the bracket")
         return ta, Ma.vertices, tb, Mb.vertices
 
-    def support_series(self, direction: np.ndarray) -> np.ndarray:
-        v = np.asarray(direction, dtype=float)
-        return np.array([float(np.max(m.vertices @ v)) for _, m in self.frames])
+    def support_series(self, directions: np.ndarray) -> np.ndarray:
+        """Support max_i x_i . v of every frame along each direction v.
+
+        One direction (d,) gives (T,); rows (D, d) give (T, D) from one pass
+        over the frames, each column with the bits of its row's own series
+        (see ``_heights``).
+        """
+        v = np.asarray(directions, dtype=float)
+        rows = np.atleast_2d(v)
+        table = np.empty((len(self.frames), rows.shape[0]))
+        for f, (_, m) in enumerate(self.frames):
+            table[f] = _heights(m.vertices, rows).max(axis=0)
+        return table[:, 0] if v.ndim == 1 else table
+
+
+def _heights(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Heights p . v of every point along every row, shape (P, D).
+
+    The component products are summed in coordinate order, so an entry's
+    bits do not depend on how many rows are passed (a matrix product's
+    do).  Support series and exact touch-time solves both use it, so a
+    frame scan and the solve on its bracket agree to the bit.
+    """
+    out = points[:, :1] * rows[:, 0]
+    for k in range(1, points.shape[1]):
+        out += points[:, k : k + 1] * rows[:, k]
+    return out
 
 
 def _check_band(band: tuple[float, float]) -> None:

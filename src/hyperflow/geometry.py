@@ -7,14 +7,22 @@ inside/outside sign of a signed distance from that feature's pseudonormal.
 Containment queries, and signed distances of points within rounding of the
 surface, use winding numbers (signed crossing count in the plane, summed
 solid angle in space).  The all-pairs ``point_segment_distance`` is the
-exact reference for pruned searches.
+exact reference for pruned searches.  The all-pairs kernels broadcast blocks
+of query points against every element, with points per block chosen so
+that a block holds about ``_PAIRS`` point-element pairs: their temporaries
+stay a few megabytes whatever the element count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_CHUNK = 256  # query points per broadcast block
+_PAIRS = 1 << 16  # point-element pairs per broadcast block
+
+
+def _block(elements: int) -> int:
+    """Query points per broadcast block against ``elements`` elements."""
+    return max(1, _PAIRS // elements)
 
 
 def winding_number_2d(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -25,14 +33,15 @@ def winding_number_2d(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
     x2 = np.concatenate([x1[1:], x1[:1]])
     y2 = np.concatenate([y1[1:], y1[:1]])
     out = np.empty(points.shape[0], dtype=np.int64)
-    for s in range(0, points.shape[0], _CHUNK):
-        px = points[s : s + _CHUNK, 0][:, None]
-        py = points[s : s + _CHUNK, 1][:, None]
+    step = _block(x1.shape[0])
+    for s in range(0, points.shape[0], step):
+        px = points[s : s + step, 0][:, None]
+        py = points[s : s + step, 1][:, None]
         up = (y1[None, :] <= py) & (y2[None, :] > py)
         down = (y1[None, :] > py) & (y2[None, :] <= py)
         left = (x2 - x1)[None, :] * (py - y1[None, :]) - (px - x1[None, :]) * (y2 - y1)[None, :]
         wn = np.sum(up & (left > 0.0), axis=1) - np.sum(down & (left < 0.0), axis=1)
-        out[s : s + _CHUNK] = wn
+        out[s : s + step] = wn
     return out
 
 
@@ -47,8 +56,9 @@ def winding_number_3d(vertices: np.ndarray, faces: np.ndarray, points: np.ndarra
     tb = vertices[faces[:, 1]]
     tc = vertices[faces[:, 2]]
     out = np.empty(points.shape[0], dtype=float)
-    for s in range(0, points.shape[0], _CHUNK):
-        p = points[s : s + _CHUNK]
+    step = _block(faces.shape[0])
+    for s in range(0, points.shape[0], step):
+        p = points[s : s + step]
         a = ta[None, :, :] - p[:, None, :]
         b = tb[None, :, :] - p[:, None, :]
         c = tc[None, :, :] - p[:, None, :]
@@ -63,7 +73,7 @@ def winding_number_3d(vertices: np.ndarray, faces: np.ndarray, points: np.ndarra
             + np.einsum("qij,qij->qi", c, a) * lb
         )
         omega = 2.0 * np.arctan2(num, den)
-        out[s : s + _CHUNK] = np.sum(omega, axis=1) / (4.0 * np.pi)
+        out[s : s + step] = np.sum(omega, axis=1) / (4.0 * np.pi)
     return out
 
 
@@ -92,9 +102,10 @@ def point_segment_distance(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndar
     """
     points = np.atleast_2d(points)
     out = np.empty(points.shape[0], dtype=float)
-    for s in range(0, points.shape[0], _CHUNK):
-        p = points[s : s + _CHUNK, None, :]
-        out[s : s + _CHUNK] = np.min(point_segment_pair_distance(p, seg_a[None], seg_b[None]), axis=1)
+    step = _block(seg_a.shape[0])
+    for s in range(0, points.shape[0], step):
+        p = points[s : s + step, None, :]
+        out[s : s + step] = np.min(point_segment_pair_distance(p, seg_a[None], seg_b[None]), axis=1)
     return out
 
 

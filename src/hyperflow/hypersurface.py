@@ -13,10 +13,15 @@ consecutive vertices (curves) or from the two-ring jet fit ``_mesh_jet``
 twelve moments and five height moments and solves the 5x5 normal equations
 by an LDL^T factorisation on (V,) arrays.  Distances and the embeddedness
 sweep share one element path: a curve's elements are its edges and a mesh's
-are its triangles, pruned by a tree over element centroids.  Signed
-distances take their sign from the angle-weighted pseudonormal of the
-closest feature and fall back to winding numbers only within the boundary
-band; containment queries and the centre search use winding numbers.
+are its triangles, pruned by a tree over element centroids.  A distance
+query measures each point against the element with the nearest centroid and
+then against every element whose centroid lies within that distance plus
+the largest element reach; the points go to the tree in blocks sized so that
+one ball query per block returns a bounded number of pairs, whatever the
+geometry.  Signed distances take their sign from the angle-weighted
+pseudonormal of the closest feature and fall back to winding numbers only
+within the boundary band; containment queries and the centre search use
+winding numbers.
 
 The curve estimator reproduces circles exactly: three points of a circle
 determine it.  That choice keeps round flows free of discretisation bias, at
@@ -41,7 +46,8 @@ from . import geometry
 from .errors import CenterOutside, DegenerateElement, MeshDegeneracy
 
 BOUNDARY_TOL_FACTOR = 1e-9  # default OnBoundary band, relative to bbox diagonal
-_BALL_PAIRS = 1 << 13  # point-element pairs per block of the centroid-ball pass
+_QUERY_PAIRS = 1 << 18  # worst-case point-element pairs per centroid-ball query
+_BALL_PAIRS = 1 << 13  # point-element pairs per distance-kernel call of the ball pass
 
 
 class Containment(enum.Enum):
@@ -527,22 +533,30 @@ def _nearest(points: np.ndarray, el: _Elements) -> tuple[np.ndarray, np.ndarray]
 
     The element with the nearest centroid gives a first distance ``best``.
     Every element closer than that has its centroid within ``best + reach``,
-    so the point is then measured against the elements in that ball.
+    so the point is then measured against the elements in that ball, which
+    holds the nearest element itself.  The points go to the tree in blocks
+    small enough that a block's balls hold at most ``_QUERY_PAIRS`` pairs
+    even if every ball holds every element, one ``query_ball_point`` call per
+    block; the kernel runs on slices of ``_BALL_PAIRS`` pairs.  Of the exact
+    minimisers, ``near`` is the one with the largest element index.
     """
     _, near = el.tree.query(points)
     best = el.distance(points, *(c[near] for c in el.corners))
     radius = (best + el.reach) * (1.0 + 1e-12)  # rounding margin for the tree
-    counts = el.tree.query_ball_point(points, radius, return_length=True)
-    # blocks of about _BALL_PAIRS pairs keep the kernel's temporaries small
-    block = (np.cumsum(counts) - counts) // _BALL_PAIRS
-    for part in np.split(np.arange(points.shape[0]), np.flatnonzero(np.diff(block)) + 1):
-        balls = el.tree.query_ball_point(points[part], radius[part])
-        elems = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp, count=counts[part].sum())
-        owner = np.repeat(part, counts[part])
-        d = el.distance(points[owner], *(c[elems] for c in el.corners))
-        np.minimum.at(best, owner, d)
-        hit = d == best[owner]
-        near[owner[hit]] = elems[hit]
+    step = max(1, _QUERY_PAIRS // el.idx.shape[0])
+    for s in range(0, points.shape[0], step):
+        balls = el.tree.query_ball_point(points[s : s + step], radius[s : s + step], return_sorted=False)
+        counts = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
+        elems = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp, count=counts.sum())
+        owner = np.repeat(np.arange(s, s + len(balls)), counts)
+        d = np.empty(elems.shape[0])
+        for k in range(0, elems.shape[0], _BALL_PAIRS):
+            o, e = owner[k : k + _BALL_PAIRS], elems[k : k + _BALL_PAIRS]
+            d[k : k + _BALL_PAIRS] = el.distance(points[o], *(c[e] for c in el.corners))
+        # each point's pairs are one run of d, never empty
+        starts = np.cumsum(counts) - counts
+        best[s : s + step] = np.minimum.reduceat(d, starts)
+        near[s : s + step] = np.maximum.reduceat(np.where(d == best[owner], elems, -1), starts)
     return best, near
 
 

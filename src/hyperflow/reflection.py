@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CenterOutside, NeverTouches, StartNotStrict
-from .flow_engine import Trajectory
+from .flow_engine import Trajectory, _heights
 from .geometry import fibonacci_sphere_directions, uniform_circle_directions
 from .hypersurface import (
     Containment,
@@ -214,10 +214,11 @@ def _touch_time(traj: Trajectory, supports: np.ndarray, plane: Hyperplane) -> fl
     if j == 0:
         return traj.frames[0][0]
     # vertex i crosses at fraction (c - a_i) / d_i; all a_i < c since frame
-    # j - 1 falls short, and the first vertex across sets the support
+    # j - 1 falls short (these heights have the support series' bits), and
+    # the first vertex across sets the support
     ta, xa, tb, xb = traj.bracket(j)
-    a = xa @ plane.V
-    d = xb @ plane.V - a
+    a = _heights(xa, plane.V[None])[:, 0]
+    d = _heights(xb, plane.V[None])[:, 0] - a
     rising = d > 0.0
     return ta + (tb - ta) * float(np.min((c - a[rising]) / d[rising]))
 

@@ -9,9 +9,11 @@ point.  A genuine flow solution emerging from a point passes; an injected
 non-round family fails the certificate stage, and the flow-law residual is
 reported as the explanation.
 
-The post-touch stage runs frame-major: it walks the frames in time order and
-judges every plane that probes or monitors a frame with one batched
-reflection kernel call, so each frame builds its distance tables once.
+The touch times of all directions read one support table, built in one pass
+over the frames.  The post-touch stage runs frame-major: it walks the frames
+in time order and judges every plane that probes or monitors a frame with
+one batched reflection kernel call, so each frame builds its distance tables
+once.
 """
 
 from __future__ import annotations
@@ -122,10 +124,14 @@ def tau_limit_check(traj: Trajectory, direction, c_schedule) -> TauLimitReport:
     strictly toward the initial time as the plane offset shrinks.
     """
     direction = np.asarray(direction, dtype=float)
+    return _tau_limit(traj, direction, traj.support_series(Hyperplane(V=direction, c=0.0).V), c_schedule)
+
+
+def _tau_limit(traj: Trajectory, direction: np.ndarray, supports: np.ndarray, c_schedule) -> TauLimitReport:
+    """``tau_limit_check`` given the support series along ``direction`` made unit."""
     cs = [float(c) for c in c_schedule]
     if any(b >= a for a, b in zip(cs, cs[1:])):
         raise ValueError("c_schedule must be strictly decreasing")
-    supports = traj.support_series(Hyperplane(V=direction, c=0.0).V)
     taus: list[float | None] = []
     for c in cs:
         try:
@@ -207,9 +213,12 @@ def rigidity_audit(
     tau_table: list[dict] = []
     touched: list[tuple[Hyperplane, list, float, float]] = []  # (plane, direction, c, tau)
     reflection_ok = True
-    for V in dirs:
+    # one pass over the frames gives every direction's support series
+    rows = np.array([Hyperplane(V=V, c=0.0).V for V in dirs]).reshape(dirs.shape)
+    supports = traj.support_series(rows)
+    for V, column in zip(dirs, supports.T):
         offsets = [c + float(V @ y_inf) for c in cs]
-        taus = tau_limit_check(traj, V, offsets).taus
+        taus = _tau_limit(traj, V, column, offsets).taus
         for c, offset, tau in zip(cs, offsets, taus):
             if tau is None:
                 tau_table.append({"direction": V.tolist(), "c": c, "tau": "never_touches"})

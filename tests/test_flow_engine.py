@@ -610,3 +610,34 @@ def test_support_series_monotone_for_expansion():
     fam = families.exponential_sphere_family(-1.0, 0.0, 0.05, n=1, resolution=64)
     s = fam.support_series(np.array([1.0, 0.0]))
     assert np.all(np.diff(s) > 0.0)
+
+
+@pytest.fixture(scope="module")
+def support_trajectories():
+    # a curve family and an evolved mesh, whose frames are not round
+    times = -1.0 + 0.05 * np.arange(21)
+    return {
+        "curve family": families.ellipsoid_family(times, rates=(1.0, 2.0), n=1, resolution=64),
+        "evolved s2 mesh": evolve(
+            shapes.ellipsoid_mesh(1.0, 1.2, 0.8, 2), F_H, 0.0, FlowConfig(t_end=0.02, dt=2e-3, frame_interval=4e-3)
+        ),
+    }
+
+
+@pytest.mark.parametrize("count", [1, 3, 16])
+@pytest.mark.parametrize("name", ["curve family", "evolved s2 mesh"])
+def test_support_table_columns_are_the_one_direction_series(support_trajectories, name, count):
+    traj = support_trajectories[name]
+    d = traj.frames[0][1].dimension + 1
+    rows = np.random.default_rng(count).normal(size=(count, d))
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    table = traj.support_series(rows)
+    assert table.shape == (len(traj.frames), count)
+    for k, row in enumerate(rows):
+        assert np.array_equal(table[:, k], traj.support_series(row))
+
+
+def test_support_series_needs_no_vertex_correspondence():
+    traj = flow_engine.Trajectory(frames=[(0.0, shapes.circle_polygon(1.0, 64)), (1.0, shapes.circle_polygon(2.0, 65))])
+    assert traj.support_series(np.array([1.0, 0.0])) == pytest.approx([1.0, 2.0], abs=1e-15)
+    assert traj.support_series(np.eye(2)).shape == (2, 2)

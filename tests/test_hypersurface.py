@@ -20,11 +20,13 @@ from hyperflow.hypersurface import (
     surface_distance,
     write_surface,
     _edge_table,
+    _elements,
     _mesh_jet,
+    _nearest,
     _polygon,
     _triangles,
 )
-from hyperflow import geometry, shapes
+from hyperflow import geometry, hypersurface, shapes
 from hyperflow.flow_engine import _remesh_mesh
 
 
@@ -568,6 +570,90 @@ def test_distances_equal_the_all_pairs_oracle_bitwise(shape):
     assert np.array_equal(signed_interior_distance(M, pts), np.where(inside, oracle, -oracle))
 
 
+def _pushed_icosphere_vertices():
+    # a vertex pushed out along its normal is nearest to the vertex itself,
+    # so every face around it ties exactly
+    M = shapes.icosphere(1.0, 2)
+    return M, M.vertices * 1.05
+
+
+def _square_corner_diagonals():
+    # on the outward diagonal of a corner both edges there tie exactly
+    M = shapes.square_polygon(2.0, 1)
+    t = np.linspace(0.01, 1.0, 25)[:, None]
+    return M, np.vstack([c + t * c for c in M.vertices])
+
+
+_NEAREST_CASES = {
+    "circle": lambda: shapes.circle_polygon(1.0, 256),
+    "ellipse 2:1": lambda: shapes.ellipse_polygon(2.0, 1.0, 256),
+    "square": lambda: shapes.square_polygon(2.0, 1),
+    "noisy circle": lambda: shapes.noisy_circle(1.0, 0.05, 300, seed=3),
+    "peanut": lambda: shapes.peanut_polygon(128),
+    "half disc": _half_disc,
+    "icosphere s2": lambda: shapes.icosphere(1.0, 2),
+    "noisy sphere": lambda: shapes.noisy_sphere(1.0, 0.05, 2, seed=4),
+    "half ball": _half_ball,
+    "bumpy sphere": _bumpy_sphere,
+}
+
+
+def _nearest_case(name):
+    if name == "square corner diagonals":
+        return _square_corner_diagonals()
+    if name == "pushed icosphere vertices":
+        return _pushed_icosphere_vertices()
+    M = _NEAREST_CASES[name]()
+    return M, _distance_queries(M, seed=len(name))
+
+
+def _all_pairs_nearest(el, points):
+    """Oracle: every point against every element, in blocks of points."""
+    best, near = [], []
+    elements = np.arange(el.idx.shape[0])
+    for p in np.array_split(points, -(-points.shape[0] // 64)):
+        d = el.distance(p[:, None, :], *(c[None] for c in el.corners))
+        low = d.min(axis=1)
+        best.append(low)
+        near.append(np.where(d == low[:, None], elements, -1).max(axis=1))
+    return np.concatenate(best), np.concatenate(near)
+
+
+@pytest.mark.parametrize("name", [*_NEAREST_CASES, "square corner diagonals", "pushed icosphere vertices"])
+def test_nearest_is_the_all_pairs_minimum_and_its_last_minimiser(name):
+    M, pts = _nearest_case(name)
+    el = _elements(M)
+    best, near = _nearest(pts, el)
+    want_best, want_near = _all_pairs_nearest(el, pts)
+    assert np.array_equal(best, want_best)
+    assert np.array_equal(near, want_near)
+    if name in ("square corner diagonals", "pushed icosphere vertices"):
+        d = el.distance(pts[:, None, :], *(c[None] for c in el.corners))
+        assert np.all(np.count_nonzero(d == best[:, None], axis=1) >= 2)
+
+
+@pytest.mark.parametrize("name", ["peanut", "half ball", "pushed icosphere vertices"])
+def test_nearest_blocks_do_not_change_the_result(name, monkeypatch):
+    M, pts = _nearest_case(name)
+    el = _elements(M)
+    want = _nearest(pts, el)
+    # every point is its own ball query, and its pairs span kernel calls
+    monkeypatch.setattr(hypersurface, "_QUERY_PAIRS", 1)
+    monkeypatch.setattr(hypersurface, "_BALL_PAIRS", 3)
+    got = _nearest(pts, el)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("M", [shapes.circle_polygon(1.0, 64), shapes.icosphere(1.0, 1)], ids=["curve", "mesh"])
+def test_distance_queries_keep_their_shapes(M):
+    d = M.dimension + 1
+    for query in (surface_distance, signed_interior_distance):
+        assert query(M, np.empty((0, d))).shape == (0,)
+        assert query(M, np.zeros((1, d))).shape == (1,)
+        assert query(M, np.zeros(d)).shape == (1,)
+
+
 def test_mesh_ball_pass_memory_stays_bounded():
     # the half ball's base fan has a large reach, so nearly every query's
     # centroid ball holds hundreds of faces; an all-faces broadcast over these
@@ -582,6 +668,32 @@ def test_mesh_ball_pass_memory_stays_bounded():
         tracemalloc.stop()
     assert peak < 200 * 2**20
     assert np.array_equal(got, _mesh_distance_oracle(M, pts))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_winding_number_blocks_are_bounded_by_pairs():
+    # 256 points per block against 1280 faces held (256, 1280, 3) temporaries,
+    # a 55 MB peak
+    M = shapes.ellipsoid_mesh(1.0, 1.1, 0.9, 3)
+    pts = np.random.default_rng(2).uniform(-1.2, 1.2, size=(300, 3))
+    assert _traced_peak(geometry.winding_number_3d, M.vertices, M.faces, pts) < 16 * 2**20
+
+
+def test_ball_pass_near_the_centre_stays_small():
+    # near the centre each point's ball holds a large share of the 5120 faces
+    M = shapes.ellipsoid_mesh(1.0, 1.1, 0.9, 4)
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=(256, 3))
+    pts = 0.2 * rng.uniform(size=(256, 1)) * v / np.linalg.norm(v, axis=1)[:, None]
+    assert _traced_peak(surface_distance, M, pts) < 8 * 2**20
 
 
 def test_signed_interior_distance_signs(unit_circle_256):

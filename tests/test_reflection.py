@@ -11,6 +11,7 @@ from hyperflow.hypersurface import BOUNDARY_TOL_FACTOR, signed_interior_distance
 from hyperflow.reflection import (
     Hyperplane,
     ReflectionStatus,
+    _touch_time,
     _verdicts,
     first_touch_time,
     monitor_reflection,
@@ -242,6 +243,20 @@ def test_first_touch_matches_bisection_oracle(touch_families, name):
             assert abs(tau - tau_bisect) <= 0.5 * 1e-4 * (tb - ta)
             # exact for the interpolated frames: the support sits on the plane
             assert float(np.max(traj.interpolate_vertices(tau) @ pl.V)) == pytest.approx(pl.c, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["sphere", "ellipse", "evolved"])
+def test_first_touch_stays_within_its_bracket(touch_families, name):
+    # offsets one ulp above a frame's support and exactly at the next one:
+    # the solve must read the heights the scan read, or one ulp between them
+    # moves tau out of [ta, tb]
+    traj = touch_families[name]
+    times = traj.times()
+    for v in np.random.default_rng(8).normal(size=(12, 2)):
+        supports = traj.support_series(plane(v, 0.0).V)
+        for j in np.flatnonzero(supports[:-1] < supports[1:]) + 1:
+            for c in (np.nextafter(supports[j - 1], np.inf), supports[j]):
+                assert times[j - 1] <= _touch_time(traj, supports, plane(v, c)) <= times[j]
 
 
 def test_first_touch_needs_vertex_correspondence_across_the_bracket():
