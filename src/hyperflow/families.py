@@ -61,13 +61,12 @@ def exponential_sphere_family(
     frame_dt: float = 0.01,
     n: int = 1,
     resolution: int = 256,
-    rate: float = 1.0,
     center=None,
 ) -> Trajectory:
-    """Spheres with radius e^(rate * t); the model expanding solution."""
+    """Spheres with radius e^t; the model expanding solution."""
     count = int(round((t1 - t0) / frame_dt))
     times = t0 + frame_dt * np.arange(count + 1)
-    return sphere_family(times, lambda t: float(np.exp(rate * t)), n=n, center=center, resolution=resolution)
+    return sphere_family(times, lambda t: float(np.exp(t)), n=n, center=center, resolution=resolution)
 
 
 def ellipsoid_family(

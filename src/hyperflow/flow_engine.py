@@ -61,11 +61,14 @@ class FlowConfig:
     stop_on_cone_exit: bool = True
 
     def __post_init__(self):
+        # written so that NaN fails every rule
+        if not math.isfinite(self.t_end):
+            raise ValueError("t_end must be finite")
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError("cfl must lie in (0, 1]")
-        if self.dt is not None and self.dt <= 0.0:
+        if self.dt is not None and not (self.dt > 0.0):
             raise ValueError("dt must be positive")
-        if self.frame_interval <= 0.0:
+        if not (self.frame_interval > 0.0):
             raise ValueError("frame_interval must be positive")
         if self.band is not None:
             _check_band(self.band)
@@ -318,7 +321,7 @@ def evolve(
     requested step, remeshing, near-cone-boundary warnings, volume decreases
     and, with stop_on_cone_exit=False, a graceful stop at a cone exit.
     """
-    if config.t_end <= t0:
+    if not (config.t_end > t0):
         raise ValueError("t_end must exceed t0")
     traj = Trajectory(frames=[(t0, M0)])
     t = t0

@@ -643,14 +643,14 @@ def enclosed_volume(M: DiscreteHypersurface) -> float:
 # Inradius and circumradius
 
 
-def chebyshev_center(M: DiscreteHypersurface, grid: int | None = None) -> np.ndarray:
+def chebyshev_center(M: DiscreteHypersurface) -> np.ndarray:
     """Interior point (approximately) maximising distance to the surface.
 
     Axis-aligned grid search over the bounding box, refined once around the
     best cell.  Adequate for diagnostics; not a convex-programming solve.
     """
     dim = M.dimension + 1
-    resolution = grid if grid is not None else (129 if dim == 2 else 33)
+    resolution = 129 if dim == 2 else 33
     lo = M.vertices.min(axis=0)
     hi = M.vertices.max(axis=0)
 

@@ -40,6 +40,8 @@ class Hyperplane:
 
     def __post_init__(self):
         v = np.asarray(self.V, dtype=float)
+        if not (np.isfinite(v).all() and math.isfinite(self.c)):
+            raise ValueError("plane direction and offset must be finite")
         norm = np.linalg.norm(v)
         if norm == 0.0:
             raise ValueError("plane direction must be nonzero")

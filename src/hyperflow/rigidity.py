@@ -76,9 +76,12 @@ def comes_out_of_point(traj: Trajectory, y_inf, radii) -> PointOriginReport:
         raise EmptyTrajectory("trajectory has no frames")
     y_inf = np.asarray(y_inf, dtype=float)
     radii = [float(r) for r in radii]
-    if any(r <= 0.0 for r in radii):
+    # written so that NaN fails every rule
+    if not radii:
+        raise ValueError("radii must be a non-empty list")
+    if not all(r > 0.0 for r in radii):
         raise ValueError("radii must be positive")
-    if any(b >= a for a, b in zip(radii, radii[1:])):
+    if not all(b < a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
 
     reach = np.array(
@@ -192,7 +195,7 @@ def rigidity_audit(
     audited planes approach the origin.
     """
     y_inf = np.asarray(y_inf, dtype=float)
-    cs = sorted((float(c) for c in c_schedule), reverse=True)
+    cs = [float(c) for c in c_schedule]
     origin_report = comes_out_of_point(traj, y_inf, cs)
     if not origin_report.passed:
         raise PreconditionFailed(

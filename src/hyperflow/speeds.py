@@ -270,27 +270,27 @@ def catalog(n: int) -> list[SpeedFunction]:
 # ---------------------------------------------------------------------------
 # Sampling and admissibility
 
+_SAMPLE_MAGNITUDES = (1e-2, 1e-1, 1.0, 1e1, 1e2)
+_SAMPLE_SPREAD = 3.0
+
 
 @dataclass(frozen=True)
 class SamplePlan:
     """Deterministic sampling plan over a cone.
 
-    Diagonal points at the configured magnitudes plus seeded random
-    anisotropic points near each magnitude; points outside the cone are
-    dropped.
+    Diagonal points at the _SAMPLE_MAGNITUDES plus seeded random anisotropic
+    points near each magnitude; points outside the cone are dropped.
     """
 
-    diagonal_magnitudes: tuple[float, ...] = (1e-2, 1e-1, 1.0, 1e1, 1e2)
     offdiagonal_per_magnitude: int = 32
     seed: int = 0
-    spread: float = 3.0
 
     def points(self, arity: int, cone: Cone) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
-        mags = np.asarray(self.diagonal_magnitudes, dtype=float)[:, None, None]
+        mags = np.asarray(_SAMPLE_MAGNITUDES, dtype=float)[:, None, None]
         draws = rng.uniform(-1.0, 1.0, size=(mags.shape[0], self.offdiagonal_per_magnitude, arity))
         # per magnitude: the diagonal point, then its off-diagonal points
-        rows = np.concatenate([np.repeat(mags, arity, axis=2), mags * self.spread**draws], axis=1)
+        rows = np.concatenate([np.repeat(mags, arity, axis=2), mags * _SAMPLE_SPREAD**draws], axis=1)
         rows = rows.reshape(-1, arity)
         rows = rows[cone.contains_many(rows)]
         if rows.shape[0] == 0:

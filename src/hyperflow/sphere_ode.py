@@ -128,11 +128,11 @@ class AncientnessVerdict:
         }
 
 
-def _shell_integrals(F: SpeedFunction, upper: float, shells: int) -> list[dict]:
-    """Integrals of psi over [upper 2^-k, upper 2^-(k-1)], k = 1..shells."""
+def _shell_integrals(F: SpeedFunction, upper: float) -> list[dict]:
+    """Integrals of psi over [upper 2^-k, upper 2^-(k-1)], k = 1..SHELL_COUNT."""
     rows = []
     total = 0.0
-    for k in range(1, shells + 1):
+    for k in range(1, SHELL_COUNT + 1):
         lo = upper * 2.0 ** (-k)
         hi = upper * 2.0 ** (-(k - 1))
         if lo < R_FLOOR:
@@ -164,7 +164,7 @@ def _shell_growth(rows: list[dict]) -> float | None:
     return None
 
 
-def _growth_time(F: SpeedFunction, r0: float, shells: int = SHELL_COUNT) -> tuple[float, str, tuple[dict, ...]]:
+def _growth_time(F: SpeedFunction, r0: float) -> tuple[float, str, tuple[dict, ...]]:
     """Time for the round solution to grow from radius 0 to r0.
 
     This is the integral of psi over (0, r0], infinite exactly when round
@@ -180,7 +180,7 @@ def _growth_time(F: SpeedFunction, r0: float, shells: int = SHELL_COUNT) -> tupl
         if alpha >= 1.0:
             return math.inf, "homogeneous_closed_form", evidence
         return psi1 * r0 ** (1.0 - alpha) / (1.0 - alpha), "homogeneous_closed_form", evidence
-    rows = _shell_integrals(F, upper=r0, shells=shells)
+    rows = _shell_integrals(F, upper=r0)
     T = _shell_growth(rows)
     if T is None:
         raise IndeterminateDivergence(
@@ -189,7 +189,7 @@ def _growth_time(F: SpeedFunction, r0: float, shells: int = SHELL_COUNT) -> tupl
     return T, "numeric_shells", tuple(rows)
 
 
-def is_ancient(F: SpeedFunction, shells: int = SHELL_COUNT) -> AncientnessVerdict:
+def is_ancient(F: SpeedFunction) -> AncientnessVerdict:
     """Decide whether round solutions of F extend to time -infinity.
 
     Speeds with a known scaling degree use the exact rule (degree >= 1).
@@ -199,7 +199,7 @@ def is_ancient(F: SpeedFunction, shells: int = SHELL_COUNT) -> AncientnessVerdic
     when the increments decay geometrically.  Anything else raises
     IndeterminateDivergence rather than guessing.
     """
-    T, method, evidence = _growth_time(F, 1.0, shells)
+    T, method, evidence = _growth_time(F, 1.0)
     return AncientnessVerdict(
         verdict=ANCIENT if T == math.inf else NON_ANCIENT,
         T0_estimate=-T,

@@ -12,6 +12,7 @@ from hyperflow.cli import (
     main,
     parse_config,
     read_config_file,
+    write_resolved_config,
 )
 from hyperflow.errors import ParseError, ValidationError
 from hyperflow import shapes
@@ -211,14 +212,83 @@ def test_identical_configs_produce_identical_artifacts(tmp_path):
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
 
-def test_resolved_config_rerun_reproduces_artifacts(tmp_path):
-    assert run_cli(*_simulate_args(tmp_path / "a")) == EXIT_OK
-    rc = run_cli(
-        "simulate", "--config", str(tmp_path / "a" / "resolved_config.cfg"),
-        "--out", str(tmp_path / "c"),
-    )
+SMALL_RUNS = {
+    "simulate": ["speed=k", "shape=ellipse", "axes=2,1", "t_end=0.03", "dt=0.001", "resolution=64"],
+    "sphere-ode": ["speed=k", "r0=1.0", "t_end=0.1"],
+    "classify-speed": ["speed=H^alpha", "alpha=0.5", "dimension=2"],
+    "reflect-audit": ["shape=circle", "radius=1", "plane_direction=1,0", "plane_offsets=0.5,0.2"],
+    "rigidity-audit": ["family=sphere", "t0=-3", "t_end=0", "frame_dt=0.05", "directions=8",
+                       "resolution=64", "c_schedule=0.4,0.2,0.1"],
+}
+
+
+def _artifacts(out):
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_resolved_config_rerun_reproduces_artifacts(tmp_path, command):
+    args = [command, "--out", str(tmp_path / "a")]
+    for item in SMALL_RUNS[command]:
+        args += ["--set", item]
+    assert run_cli(*args) == EXIT_OK
+    rc = run_cli(command, "--config", str(tmp_path / "a" / "resolved_config.cfg"), "--out", str(tmp_path / "c"))
     assert rc == EXIT_OK
-    assert (tmp_path / "a" / "diagnostics.csv").read_bytes() == (tmp_path / "c" / "diagnostics.csv").read_bytes()
+    first, again = _artifacts(tmp_path / "a"), _artifacts(tmp_path / "c")
+    echoed = [first.pop("resolved_config.cfg"), again.pop("resolved_config.cfg")]
+    assert first == again and first
+    # the echoes differ only in out_dir
+    lines = [[ln for ln in e.decode().splitlines() if not ln.startswith("out_dir")] for e in echoed]
+    assert lines[0] == lines[1]
+
+
+# every key of each command, in echo order; the unset ones get a value here
+ECHOED_KEYS = {
+    "simulate": ["out_dir", "seed", "speed", "alpha", "shape", "radius", "axes", "resolution", "subdivisions",
+                 "mesh_file", "t0", "t_end", "dt", "cfl", "frame_interval", "band_lo", "band_hi",
+                 "stop_on_cone_exit"],
+    "sphere-ode": ["out_dir", "seed", "speed", "alpha", "dimension", "t0", "t_end", "dt", "r0"],
+    "classify-speed": ["out_dir", "seed", "speed", "alpha", "dimension"],
+    "reflect-audit": ["out_dir", "seed", "shape", "radius", "axes", "resolution", "subdivisions", "mesh_file",
+                      "plane_direction", "plane_offsets", "tol"],
+    "rigidity-audit": ["out_dir", "seed", "speed", "alpha", "dimension", "resolution", "t0", "t_end", "family",
+                       "frame_dt", "rates", "directions", "c_schedule", "symmetry_tol"],
+}
+UNSET_VALUES = {"alpha": 0.5, "axes": (2.0, 1.0), "mesh_file": "m.obj", "dt": 0.001, "band_lo": 0.1,
+                "band_hi": 0.3, "tol": 1e-9, "symmetry_tol": 0.1}
+
+
+@pytest.mark.parametrize("command", sorted(ECHOED_KEYS))
+def test_echoed_file_holds_exactly_the_command_keys(tmp_path, command):
+    keys = ECHOED_KEYS[command]
+    cfg = parse_config(command, {}, {"out_dir": str(tmp_path), **{k: v for k, v in UNSET_VALUES.items() if k in keys}})
+    write_resolved_config(cfg, tmp_path / "echo.cfg")
+    assert list(read_config_file(tmp_path / "echo.cfg")) == keys
+
+
+@pytest.mark.parametrize("command,key", [("simulate", "r0"), ("rigidity-audit", "shape")])
+def test_a_key_of_another_command_is_named(tmp_path, capsys, command, key):
+    assert run_cli(command, "--out", str(tmp_path / "x"), "--set", f"{key}=1") == EXIT_USAGE
+    assert key in capsys.readouterr().err
+
+
+def test_help_lists_the_command_keys_with_defaults(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("simulate", "--help")
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert "t_end = 1.0" in out and "frame_interval = 0.01" in out
+    assert "r0" not in out
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("reflect-audit", "plane_direction", (math.nan, 0.0)),
+    ("simulate", "t_end", math.inf),
+    ("rigidity-audit", "c_schedule", (0.4, -math.inf)),
+])
+def test_non_finite_value_names_the_key(tmp_path, command, key, value):
+    with pytest.raises(ValidationError, match=key):
+        parse_config(command, {}, {"out_dir": str(tmp_path), key: value})
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +344,14 @@ REJECTED = [
     ("c_schedule not positive", "rigidity-audit", ["c_schedule=0.4,-0.1"]),
     ("c_schedule increasing", "rigidity-audit", ["c_schedule=0.1,0.2"]),
     ("ellipse family rates", "rigidity-audit", ["family=ellipse", "rates=1,2,3"]),
+    # NaN fails every comparison, so it slips past a rule written as `reject if x <= 0`
+    ("t_end nan", "simulate", ["t_end=nan"]),
+    ("frame_interval nan", "simulate", ["frame_interval=nan"]),
+    ("plane_direction nan", "reflect-audit", ["plane_direction=nan,0"]),
+    ("plane_offsets inf", "reflect-audit", ["plane_offsets=inf"]),
+    ("plane_offsets nan", "reflect-audit", ["plane_offsets=nan"]),
+    ("tol nan", "reflect-audit", ["tol=nan"]),
+    ("symmetry_tol nan", "rigidity-audit", ["symmetry_tol=nan"]),
 ]
 
 

@@ -465,6 +465,13 @@ def test_config_validation():
         evolve(shapes.circle_polygon(1.0, 16), F_K, 2.0, FlowConfig(t_end=1.0))
 
 
+@pytest.mark.parametrize("kwargs", [{"t_end": math.nan}, {"t_end": math.inf}, {"t_end": 1.0, "dt": math.nan},
+                                    {"t_end": 1.0, "frame_interval": math.nan}])
+def test_config_rejects_non_finite_values(kwargs):
+    with pytest.raises(ValueError):
+        FlowConfig(**kwargs)
+
+
 def test_cfl_policy_runs_without_fixed_dt():
     traj = evolve(shapes.circle_polygon(1.0, 32), F_K, 0.0, FlowConfig(t_end=0.2, dt=None, cfl=0.2))
     r = radii(traj.frames[-1][1])

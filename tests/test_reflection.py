@@ -59,6 +59,12 @@ def test_plane_normalises_direction():
     assert np.linalg.norm(pl.V) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("v,c", [([math.nan, 0.0], 0.0), ([1.0, 0.0], math.inf), ([1.0, 0.0], math.nan)])
+def test_plane_rejects_non_finite_input(v, c):
+    with pytest.raises(ValueError):
+        Hyperplane(V=v, c=c)
+
+
 # ---------------------------------------------------------------------------
 # strict reflection verdicts
 

@@ -88,6 +88,12 @@ def test_origin_validates_inputs(sphere_fam):
         comes_out_of_point(Trajectory([]), [0.0, 0.0], [0.5])
 
 
+@pytest.mark.parametrize("radii", [[], [0.5, math.nan], [math.nan, 0.5]])
+def test_origin_rejects_empty_and_nan_radii(sphere_fam, radii):
+    with pytest.raises(ValueError):
+        comes_out_of_point(sphere_fam, [0.0, 0.0], radii)
+
+
 # ---------------------------------------------------------------------------
 # first-touch limit tables
 
@@ -164,6 +170,12 @@ def test_audit_tau_table_is_the_tau_limit_check_of_each_direction():
 def test_audit_rejects_repeated_offsets(sphere_fam):
     with pytest.raises(ValueError):
         rigidity_audit(sphere_fam, F_K, [0.0, 0.0], directions=4, c_schedule=(0.4, 0.2, 0.2))
+
+
+def test_audit_rejects_an_increasing_schedule(sphere_fam):
+    # the schedule's order is the caller's; the audit does not sort it
+    with pytest.raises(ValueError):
+        rigidity_audit(sphere_fam, F_K, [0.0, 0.0], directions=4, c_schedule=(0.2, 0.4))
 
 
 def test_audit_rejects_non_unit_directions():
