@@ -77,6 +77,7 @@ _KEYS: dict[str, dict] = {
 COMMANDS = tuple(_KEYS)
 
 _TUPLE_KEYS = {"axes", "rates", "c_schedule", "plane_direction", "plane_offsets"}
+_PATH_KEYS = {"out_dir", "mesh_file"}
 
 
 def _parse_scalar(raw: str):
@@ -139,6 +140,8 @@ def parse_config(command: str, file_values: dict, overrides: dict) -> SimpleName
         entries = value if isinstance(value, tuple) else (value,)
         if not all(math.isfinite(v) for v in entries if isinstance(v, float)):
             raise ValidationError(f"{key} must be finite, got {_fmt(value)}")
+        if key in _PATH_KEYS and not isinstance(value, str):
+            raise ValidationError(f"{key} must be a path, got {_fmt(value)}")
     cfg = SimpleNamespace(command=command, **{**_KEYS[command], **values})
     _validate(cfg)
     return cfg

@@ -11,6 +11,13 @@ exact reference for pruned searches.  The all-pairs kernels broadcast blocks
 of query points against every element, with points per block chosen so
 that a block holds about ``_PAIRS`` point-element pairs: their temporaries
 stay a few megabytes whatever the element count.
+
+The paired segment and triangle kernels work one component at a time: they
+take the views ``x[..., i]`` and form every dot product, clip, ``where`` and
+length on (...)-shaped arrays, never looping over a length-3 axis.  Dot
+products sum in the order of ``np.einsum`` and lengths in that of
+``np.linalg.norm``, so every result has the bits of the row-form kernels
+kept as oracles in the tests.  Only the closest-point forms label features.
 """
 
 from __future__ import annotations
@@ -77,22 +84,61 @@ def winding_number_3d(vertices: np.ndarray, faces: np.ndarray, points: np.ndarra
     return out
 
 
+def _parts(x: np.ndarray) -> list:
+    """The components ``x[..., i]`` of vectors stored along the last axis."""
+    return [x[..., i] for i in range(x.shape[-1])]
+
+
+def _dot(x: list, y: list) -> np.ndarray:
+    """Dot product of two component lists, with the bits of ``np.einsum``.
+
+    einsum over a last axis of length 2 or 3 sums in two lanes, the even
+    components in one and the odd in the other, and adds the lanes last:
+    (x0 y0 + x2 y2) + x1 y1.
+    """
+    s = x[0] * y[0]
+    if len(x) == 3:
+        s += x[2] * y[2]
+    return s + x[1] * y[1]
+
+
+def _length(x: list) -> np.ndarray:
+    """Euclidean length of a component list, with the bits of ``np.linalg.norm``."""
+    s = x[0] * x[0]
+    for xi in x[1:]:
+        s += xi * xi
+    return np.sqrt(s)
+
+
+def _divisor(x: np.ndarray) -> np.ndarray:
+    """x where it is clearly nonzero, 1 elsewhere."""
+    return np.where(np.abs(x) > 1e-300, x, 1.0)
+
+
+def _segment_parameter(p: list, a: list, b: list) -> tuple[list, np.ndarray]:
+    """Components of d = b - a and the parameter t of the closest point a + t d."""
+    d = [bi - ai for ai, bi in zip(a, b)]
+    dd = _dot(d, d)
+    dd = np.where(dd > 0.0, dd, 1.0)
+    return d, np.clip(_dot([pi - ai for pi, ai in zip(p, a)], d) / dd, 0.0, 1.0)
+
+
 def closest_point_segment(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray):
     """Closest point of each paired segment, all shapes (..., d), and its feature.
 
     Features: 0 the segment's interior, 1 endpoint a, 2 endpoint b.
     """
-    d = seg_b - seg_a
-    dd = np.einsum("...i,...i->...", d, d)
-    dd = np.where(dd > 0.0, dd, 1.0)
-    t = np.clip(np.einsum("...i,...i->...", points - seg_a, d) / dd, 0.0, 1.0)
-    closest = seg_a + t[..., None] * d
+    a = _parts(seg_a)
+    d, t = _segment_parameter(_parts(points), a, _parts(seg_b))
+    closest = np.stack([ai + t * di for ai, di in zip(a, d)], axis=-1)
     return closest, np.where(t <= 0.0, 1, np.where(t >= 1.0, 2, 0))
 
 
 def point_segment_pair_distance(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
     """Distance from each point to its paired segment, all shapes (..., d)."""
-    return np.linalg.norm(points - closest_point_segment(points, seg_a, seg_b)[0], axis=-1)
+    p, a = _parts(points), _parts(seg_a)
+    d, t = _segment_parameter(p, a, _parts(seg_b))
+    return _length([pi - (ai + t * di) for pi, ai, di in zip(p, a, d)])
 
 
 def point_segment_distance(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
@@ -109,60 +155,71 @@ def point_segment_distance(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndar
     return out
 
 
-def closest_point_triangle(points: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """Closest point of each paired triangle, all shapes (..., 3), and its feature.
+def _triangle_closest(p: list, a: list, b: list, c: list) -> tuple[list, tuple]:
+    """Components of the closest point of each paired triangle, and its region masks.
 
     Vectorised classification over the seven Voronoi regions of the triangle.
-    Features: 0 the interior, 1-3 the edges ab, bc, ca, 4-6 the corners a, b, c.
+    The masks are on_ab, on_ca, on_bc, at_a, at_b and at_c; where several
+    hold, the later one names the region.
     """
-    ab = b - a
-    ac = c - a
-    ap = points - a
-    d1 = np.einsum("...i,...i->...", ab, ap)
-    d2 = np.einsum("...i,...i->...", ac, ap)
-    bp = points - b
-    d3 = np.einsum("...i,...i->...", ab, bp)
-    d4 = np.einsum("...i,...i->...", ac, bp)
-    cp = points - c
-    d5 = np.einsum("...i,...i->...", ab, cp)
-    d6 = np.einsum("...i,...i->...", ac, cp)
+    ab = [bi - ai for ai, bi in zip(a, b)]
+    ac = [ci - ai for ai, ci in zip(a, c)]
+    ap = [pi - ai for pi, ai in zip(p, a)]
+    d1 = _dot(ab, ap)
+    d2 = _dot(ac, ap)
+    bp = [pi - bi for pi, bi in zip(p, b)]
+    d3 = _dot(ab, bp)
+    d4 = _dot(ac, bp)
+    cp = [pi - ci for pi, ci in zip(p, c)]
+    d5 = _dot(ab, cp)
+    d6 = _dot(ac, cp)
 
     va = d3 * d6 - d5 * d4
     vb = d5 * d2 - d1 * d6
     vc = d1 * d4 - d3 * d2
-
-    eps = 1e-300
-    denom_bc = np.where(np.abs((d4 - d3) + (d5 - d6)) > eps, (d4 - d3) + (d5 - d6), 1.0)
-    w_bc = np.clip((d4 - d3) / denom_bc, 0.0, 1.0)
-    denom = va + vb + vc
-    denom = np.where(np.abs(denom) > eps, denom, 1.0)
+    d43 = d4 - d3
+    d56 = d5 - d6
+    w_bc = np.clip(d43 / _divisor(d43 + d56), 0.0, 1.0)
+    denom = _divisor(va + vb + vc)
     v_in = vb / denom
     w_in = vc / denom
-
-    t_ab = np.clip(d1 / np.where(np.abs(d1 - d3) > eps, d1 - d3, 1.0), 0.0, 1.0)
-    t_ac = np.clip(d2 / np.where(np.abs(d2 - d6) > eps, d2 - d6, 1.0), 0.0, 1.0)
+    t_ab = np.clip(d1 / _divisor(d1 - d3), 0.0, 1.0)
+    t_ac = np.clip(d2 / _divisor(d2 - d6), 0.0, 1.0)
 
     on_ab = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
     on_ca = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
-    on_bc = (va <= 0) & ((d4 - d3) >= 0) & ((d5 - d6) >= 0)
+    on_bc = (va <= 0) & (d43 >= 0) & (d56 >= 0)
     at_a = (d1 <= 0) & (d2 <= 0)
     at_b = (d3 >= 0) & (d4 <= d3)
     at_c = (d6 >= 0) & (d5 <= d6)
-    closest = a + v_in[..., None] * ab + w_in[..., None] * ac  # interior default
-    closest = np.where(on_ab[..., None], a + t_ab[..., None] * ab, closest)
-    closest = np.where(on_ca[..., None], a + t_ac[..., None] * ac, closest)
-    closest = np.where(on_bc[..., None], b + w_bc[..., None] * (c - b), closest)
-    closest = np.where(at_a[..., None], a, closest)
-    closest = np.where(at_b[..., None], b, closest)
-    closest = np.where(at_c[..., None], c, closest)
-    # later regions override earlier ones above, so the last match names the feature
+    closest = []
+    for ai, bi, ci, abi, aci in zip(a, b, c, ab, ac):
+        q = ai + v_in * abi + w_in * aci  # interior default
+        q = np.where(on_ab, ai + t_ab * abi, q)
+        q = np.where(on_ca, ai + t_ac * aci, q)
+        q = np.where(on_bc, bi + w_bc * (ci - bi), q)
+        q = np.where(at_a, ai, q)
+        q = np.where(at_b, bi, q)
+        closest.append(np.where(at_c, ci, q))
+    return closest, (on_ab, on_ca, on_bc, at_a, at_b, at_c)
+
+
+def closest_point_triangle(points: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Closest point of each paired triangle, all shapes (..., 3), and its feature.
+
+    Features: 0 the interior, 1-3 the edges ab, bc, ca, 4-6 the corners a, b, c.
+    """
+    closest, (on_ab, on_ca, on_bc, at_a, at_b, at_c) = _triangle_closest(*(_parts(x) for x in (points, a, b, c)))
+    # later regions override earlier ones, so the last match names the feature
     feature = np.select([at_c, at_b, at_a, on_bc, on_ca, on_ab], [6, 5, 4, 2, 3, 1], 0)
-    return closest, feature
+    return np.stack(closest, axis=-1), feature
 
 
 def point_triangle_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Distance from each point to its paired triangle, all shapes (..., 3)."""
-    return np.linalg.norm(points - closest_point_triangle(points, a, b, c)[0], axis=-1)
+    p = _parts(points)
+    closest, _ = _triangle_closest(p, *(_parts(x) for x in (a, b, c)))
+    return _length([pi - qi for pi, qi in zip(p, closest)])
 
 
 def segments_intersect(a1, a2, b1, b2) -> np.ndarray:

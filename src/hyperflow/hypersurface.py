@@ -23,6 +23,15 @@ pseudonormal of the closest feature and fall back to winding numbers only
 within the boundary band; containment queries and the centre search use
 winding numbers.
 
+A query's structures (element corners, centroid tree and reach in
+``_elements``; the feature pseudonormals in ``_feature_normals``, built only
+for signed distances) are kept for the last surface asked about, keyed by
+the immutable snapshot, so repeated queries of one surface pay for them
+once.  The memo holds one surface, not one per snapshot: an audit walks
+hundreds of frames and queries each once, and a set per frame would stay
+alive with its frame.  It holds arrays only; the kernels are looked up in
+``geometry`` at each call, so a wrapper installed there later sees them all.
+
 The curve estimator reproduces circles exactly: three points of a circle
 determine it.  That choice keeps round flows free of discretisation bias, at
 the price that convergence-rate experiments need a surface with non-constant
@@ -34,7 +43,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -503,22 +512,33 @@ class _Elements(NamedTuple):
     """Elements of the pruned queries: a curve's edges, a mesh's triangles."""
 
     idx: np.ndarray  # vertex indices per element
-    corners: list  # corner arrays, one per element vertex
+    corners: tuple  # corner arrays, one per element vertex
     tree: cKDTree  # over the element centroids
     reach: float  # largest distance from a centroid to its corners
-    distance: Callable  # paired point-element distance kernel
-    closest_point: Callable  # paired closest point and its feature
+
+    # The kernels are looked up in ``geometry`` at each use, never stored: a
+    # wrapper installed there after the memo was filled still sees every call.
+    @property
+    def distance(self) -> Callable:
+        """Paired point-element distance kernel."""
+        return geometry.point_segment_pair_distance if len(self.corners) == 2 else geometry.point_triangle_distance
+
+    @property
+    def closest_point(self) -> Callable:
+        """Paired closest point and its feature."""
+        return geometry.closest_point_segment if len(self.corners) == 2 else geometry.closest_point_triangle
 
 
+@lru_cache(maxsize=1)
 def _elements(M: DiscreteHypersurface) -> _Elements:
-    if M.dimension == 1:
-        idx, distance, closest_point = M.edges, geometry.point_segment_pair_distance, geometry.closest_point_segment
-    else:
-        idx, distance, closest_point = M.faces, geometry.point_triangle_distance, geometry.closest_point_triangle
-    corners = [M.vertices[idx[:, j]] for j in range(idx.shape[1])]
+    """The query structures of M, kept for the last surface asked about."""
+    idx = M.edges if M.dimension == 1 else M.faces
+    corners = tuple(M.vertices[idx[:, j]] for j in range(idx.shape[1]))
     cent = sum(corners[1:], corners[0]) / len(corners)
     reach = float(np.max(np.stack([np.linalg.norm(p - cent, axis=1) for p in corners])))
-    return _Elements(idx, corners, cKDTree(cent), reach, distance, closest_point)
+    for a in (idx, *corners):
+        a.setflags(write=False)  # shared by every query of M
+    return _Elements(idx, corners, cKDTree(cent), reach)
 
 
 def _inside(M: DiscreteHypersurface, points: np.ndarray) -> np.ndarray:
@@ -560,23 +580,28 @@ def _nearest(points: np.ndarray, el: _Elements) -> tuple[np.ndarray, np.ndarray]
     return best, near
 
 
-def _feature_normals(M: DiscreteHypersurface, idx: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=1)
+def _feature_normals(M: DiscreteHypersurface) -> np.ndarray:
     """Outward unit pseudonormals of every element feature, (elements, features, d).
 
-    ``idx`` holds the elements' vertex indices.  Features are numbered as in
-    the closest-point kernels: the element itself, then a triangle's edges
-    ab, bc and ca, then the corners.  A mesh edge's pseudonormal is the sum
-    of its two face normals; the vertex normals are those of
-    ``_Polygon.normals`` and ``_Triangles.normals``.
+    Elements are those of ``_elements``.  Features are numbered as in the
+    closest-point kernels: the element itself, then a triangle's edges ab, bc
+    and ca, then the corners.  A mesh edge's pseudonormal is the sum of its
+    two face normals; the vertex normals are those of ``_Polygon.normals``
+    and ``_Triangles.normals``.  Kept for the last surface, as ``_elements``.
     """
+    idx = _elements(M).idx
     if M.dimension == 1:
         element_n, vertex_n = _polygon(M.vertices).normals()
-        return np.concatenate([element_n[:, None], vertex_n[idx]], axis=1)
-    topo = M.topology
-    element_n, vertex_n = _triangles(M.vertices, M.faces).normals(M.num_vertices)
-    edge_n = element_n[topo.edge_faces].sum(axis=1)
-    edge_n /= np.linalg.norm(edge_n, axis=1)[:, None]
-    return np.concatenate([element_n[:, None], edge_n[topo.face_edges], vertex_n[idx]], axis=1)
+        out = np.concatenate([element_n[:, None], vertex_n[idx]], axis=1)
+    else:
+        topo = M.topology
+        element_n, vertex_n = _triangles(M.vertices, M.faces).normals(M.num_vertices)
+        edge_n = element_n[topo.edge_faces].sum(axis=1)
+        edge_n /= np.linalg.norm(edge_n, axis=1)[:, None]
+        out = np.concatenate([element_n[:, None], edge_n[topo.face_edges], vertex_n[idx]], axis=1)
+    out.setflags(write=False)
+    return out
 
 
 def surface_distance(M: DiscreteHypersurface, points: np.ndarray) -> np.ndarray:
@@ -626,7 +651,7 @@ def signed_interior_distance(M: DiscreteHypersurface, points: np.ndarray) -> np.
     el = _elements(M)
     dist, near = _nearest(points, el)
     q, feature = el.closest_point(points, *(c[near] for c in el.corners))
-    offset = np.einsum("ij,ij->i", points - q, _feature_normals(M, el.idx)[near, feature])
+    offset = np.einsum("ij,ij->i", points - q, _feature_normals(M)[near, feature])
     inside = offset < 0.0
     unsure = ~(np.abs(offset) > _boundary_tolerance(M, None))
     if np.any(unsure):

@@ -121,6 +121,8 @@ def _verdicts(
                 f"plane direction has {plane.V.size} components, "
                 f"but the surface lies in {M.dimension + 1} dimensions"
             )
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     band = tol if tol is not None else INCLUSION_BAND_FACTOR * M.bbox_diagonal
     edges = M.edges
     out: list[ReflectionVerdict | None] = [None] * len(planes)

@@ -196,7 +196,10 @@ def rigidity_audit(
     """
     y_inf = np.asarray(y_inf, dtype=float)
     cs = [float(c) for c in c_schedule]
-    origin_report = comes_out_of_point(traj, y_inf, cs)
+    try:
+        origin_report = comes_out_of_point(traj, y_inf, cs)
+    except ValueError as exc:  # the schedule's offsets are the radii checked
+        raise ValueError(f"c_schedule: {exc}") from exc
     if not origin_report.passed:
         raise PreconditionFailed(
             "trajectory does not come out of the candidate point; "

@@ -352,13 +352,17 @@ REJECTED = [
     ("plane_offsets nan", "reflect-audit", ["plane_offsets=nan"]),
     ("tol nan", "reflect-audit", ["tol=nan"]),
     ("symmetry_tol nan", "rigidity-audit", ["symmetry_tol=nan"]),
+    ("tol negative", "reflect-audit", ["tol=-1"]),
+    # a number where a path belongs; a later --set replaces the harness's out_dir
+    ("out_dir a number", "classify-speed", ["out_dir=5", "speed=k"]),
+    ("mesh_file a number", "reflect-audit", ["shape=mesh", "mesh_file=5"]),
 ]
 
 
 @pytest.mark.parametrize("command,sets", [r[1:] for r in REJECTED], ids=[r[0] for r in REJECTED])
 def test_rejected_config_is_a_config_error(tmp_path, capsys, command, sets):
     out = tmp_path / "out"
-    args = [command, "--out", str(out)]
+    args = [command, "--set", f"out_dir={out}"]
     for item in sets:
         args += ["--set", item]
     assert run_cli(*args) == EXIT_USAGE
@@ -366,6 +370,19 @@ def test_rejected_config_is_a_config_error(tmp_path, capsys, command, sets):
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,sets,key", [
+    ("classify-speed", ["out_dir=5", "speed=k"], "out_dir"),
+    ("reflect-audit", ["shape=mesh", "mesh_file=5"], "mesh_file"),
+    ("rigidity-audit", ["c_schedule=0.1,0.2"], "c_schedule"),
+])
+def test_config_error_names_the_key(tmp_path, capsys, command, sets, key):
+    args = [command, "--set", f"out_dir={tmp_path / 'out'}"]
+    for item in sets:
+        args += ["--set", item]
+    assert run_cli(*args) == EXIT_USAGE
+    assert key in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

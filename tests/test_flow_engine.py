@@ -94,7 +94,8 @@ def test_the_stage_ceiling_bounds_the_first_step_on_the_edge_floor(monkeypatch):
 
 def test_the_step_guard_stops_a_runaway_step_count_at_once():
     # a 1e-10 edge sits above the floor, and dt = 1e-3 is 1.8e17 stable RK4
-    # steps: about 1.9e14 RKC steps of 64 stages, far past MAX_STEPS
+    # steps: about 1.9e14 RKC steps of 64 stages, whose velocity evaluations
+    # are far past MAX_EVALUATIONS
     th = np.sort(np.append(2.0 * np.pi * np.arange(64) / 64, 1e-10))
     M = DiscreteHypersurface(np.column_stack([np.cos(th), np.sin(th)]))
     start = time.perf_counter()

@@ -1,0 +1,148 @@
+"""The paired distance kernels against their row-form oracles, bit for bit.
+
+``geometry`` computes the segment and triangle kernels one component at a
+time.  The oracles below are the earlier kernels, which did the same
+arithmetic on (..., d) rows with ``np.einsum``, ``np.where`` over broadcast
+masks and ``np.linalg.norm``.  Every closest point, feature and distance
+must be equal, on random pairs and on the degenerate ones: zero-length
+edges, collinear triangles and points on corners and edges.
+"""
+
+import numpy as np
+import pytest
+
+from hyperflow import geometry
+
+
+def _closest_point_segment_oracle(points, seg_a, seg_b):
+    d = seg_b - seg_a
+    dd = np.einsum("...i,...i->...", d, d)
+    dd = np.where(dd > 0.0, dd, 1.0)
+    t = np.clip(np.einsum("...i,...i->...", points - seg_a, d) / dd, 0.0, 1.0)
+    closest = seg_a + t[..., None] * d
+    return closest, np.where(t <= 0.0, 1, np.where(t >= 1.0, 2, 0))
+
+
+def _closest_point_triangle_oracle(points, a, b, c):
+    ab = b - a
+    ac = c - a
+    ap = points - a
+    d1 = np.einsum("...i,...i->...", ab, ap)
+    d2 = np.einsum("...i,...i->...", ac, ap)
+    bp = points - b
+    d3 = np.einsum("...i,...i->...", ab, bp)
+    d4 = np.einsum("...i,...i->...", ac, bp)
+    cp = points - c
+    d5 = np.einsum("...i,...i->...", ab, cp)
+    d6 = np.einsum("...i,...i->...", ac, cp)
+
+    va = d3 * d6 - d5 * d4
+    vb = d5 * d2 - d1 * d6
+    vc = d1 * d4 - d3 * d2
+
+    eps = 1e-300
+    denom_bc = np.where(np.abs((d4 - d3) + (d5 - d6)) > eps, (d4 - d3) + (d5 - d6), 1.0)
+    w_bc = np.clip((d4 - d3) / denom_bc, 0.0, 1.0)
+    denom = va + vb + vc
+    denom = np.where(np.abs(denom) > eps, denom, 1.0)
+    v_in = vb / denom
+    w_in = vc / denom
+
+    t_ab = np.clip(d1 / np.where(np.abs(d1 - d3) > eps, d1 - d3, 1.0), 0.0, 1.0)
+    t_ac = np.clip(d2 / np.where(np.abs(d2 - d6) > eps, d2 - d6, 1.0), 0.0, 1.0)
+
+    on_ab = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
+    on_ca = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
+    on_bc = (va <= 0) & ((d4 - d3) >= 0) & ((d5 - d6) >= 0)
+    at_a = (d1 <= 0) & (d2 <= 0)
+    at_b = (d3 >= 0) & (d4 <= d3)
+    at_c = (d6 >= 0) & (d5 <= d6)
+    closest = a + v_in[..., None] * ab + w_in[..., None] * ac
+    closest = np.where(on_ab[..., None], a + t_ab[..., None] * ab, closest)
+    closest = np.where(on_ca[..., None], a + t_ac[..., None] * ac, closest)
+    closest = np.where(on_bc[..., None], b + w_bc[..., None] * (c - b), closest)
+    closest = np.where(at_a[..., None], a, closest)
+    closest = np.where(at_b[..., None], b, closest)
+    closest = np.where(at_c[..., None], c, closest)
+    feature = np.select([at_c, at_b, at_a, on_bc, on_ca, on_ab], [6, 5, 4, 2, 3, 1], 0)
+    return closest, feature
+
+
+def _distance(points, closest):
+    return np.linalg.norm(points - closest, axis=-1)
+
+
+def _segments(rng, n, d):
+    """Random segments and query points, with zero-length edges and points on them."""
+    a, b = rng.normal(size=(2, n, d))
+    b[: n // 10] = a[: n // 10]  # zero-length edges
+    points = rng.normal(size=(n, d)) * 2.0
+    k = n // 5
+    points[k : 2 * k] = a[k : 2 * k]  # on endpoint a
+    points[2 * k : 3 * k] = b[2 * k : 3 * k]  # on endpoint b
+    t = rng.uniform(-0.5, 1.5, size=(k, 1))
+    points[3 * k : 4 * k] = a[3 * k : 4 * k] + t * (b[3 * k : 4 * k] - a[3 * k : 4 * k])  # on the line
+    return points, a, b
+
+
+def _triangles(rng, n):
+    """Random triangles and query points, with collinear corners and points on them."""
+    a, b, c = rng.normal(size=(3, n, 3))
+    k = n // 10
+    c[:k] = a[:k] + rng.uniform(-1.0, 2.0, size=(k, 1)) * (b[:k] - a[:k])  # collinear
+    b[k : 2 * k] = a[k : 2 * k]  # a repeated corner
+    b[2 * k : 3 * k] = c[2 * k : 3 * k] = a[2 * k : 3 * k]  # a point triangle
+    points = rng.normal(size=(n, 3)) * 2.0
+    for j, corner in enumerate((a, b, c)):
+        rows = slice((3 + j) * k, (4 + j) * k)
+        points[rows] = corner[rows]  # on a corner
+    rows = slice(6 * k, 7 * k)
+    s = rng.uniform(0.0, 1.0, size=(k, 1))
+    points[rows] = b[rows] + s * (c[rows] - b[rows])  # on edge bc
+    rows = slice(7 * k, 8 * k)
+    u, v = rng.uniform(0.0, 0.5, size=(2, k, 1))
+    points[rows] = a[rows] + u * (b[rows] - a[rows]) + v * (c[rows] - a[rows])  # in the face
+    return points, a, b, c
+
+
+def _assert_segment_kernels_equal(points, a, b):
+    want_q, want_feature = _closest_point_segment_oracle(points, a, b)
+    got_q, got_feature = geometry.closest_point_segment(points, a, b)
+    assert got_q.shape == want_q.shape
+    assert np.array_equal(got_q, want_q)
+    assert np.array_equal(got_feature, want_feature)
+    assert np.array_equal(geometry.point_segment_pair_distance(points, a, b), _distance(points, want_q))
+
+
+def _assert_triangle_kernels_equal(points, a, b, c):
+    want_q, want_feature = _closest_point_triangle_oracle(points, a, b, c)
+    got_q, got_feature = geometry.closest_point_triangle(points, a, b, c)
+    assert got_q.shape == want_q.shape
+    assert np.array_equal(got_q, want_q)
+    assert np.array_equal(got_feature, want_feature)
+    assert np.array_equal(geometry.point_triangle_distance(points, a, b, c), _distance(points, want_q))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_segment_kernels_equal_the_row_oracles(d):
+    rng = np.random.default_rng(10 + d)
+    points, a, b = _segments(rng, 20000, d)
+    _assert_segment_kernels_equal(points, a, b)
+    # every point against every segment, as the all-pairs searches call it
+    _assert_segment_kernels_equal(points[:150, None, :], a[None, :200], b[None, :200])
+    assert set(np.unique(geometry.closest_point_segment(points, a, b)[1])) == {0, 1, 2}
+
+
+def test_triangle_kernels_equal_the_row_oracles():
+    rng = np.random.default_rng(7)
+    points, a, b, c = _triangles(rng, 20000)
+    _assert_triangle_kernels_equal(points, a, b, c)
+    _assert_triangle_kernels_equal(points[:150, None, :], a[None, :200], b[None, :200], c[None, :200])
+    assert set(np.unique(geometry.closest_point_triangle(points, a, b, c)[1])) == set(range(7))
+
+
+def test_kernels_take_a_single_pair():
+    rng = np.random.default_rng(3)
+    p, a, b, c = rng.normal(size=(4, 3))
+    _assert_segment_kernels_equal(p, a, b)
+    _assert_triangle_kernels_equal(p, a, b, c)

@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from hyperflow.hypersurface import (
     _polygon,
     _triangles,
 )
-from hyperflow import geometry, hypersurface, shapes
+from hyperflow import families, geometry, hypersurface, shapes
 from hyperflow.flow_engine import _remesh_mesh
 
 
@@ -643,6 +645,42 @@ def test_nearest_blocks_do_not_change_the_result(name, monkeypatch):
     got = _nearest(pts, el)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
+
+
+def _fresh(query, M, pts):
+    """A query with the memo of query structures emptied first."""
+    hypersurface._elements.cache_clear()
+    hypersurface._feature_normals.cache_clear()
+    return query(M, pts)
+
+
+@pytest.mark.parametrize("build", [lambda: shapes.ellipse_polygon(2.0, 1.0, 128), lambda: shapes.icosphere(1.0, 2)],
+                         ids=["curve", "mesh"])
+def test_alternating_surfaces_get_their_own_query_structures(build):
+    # the second snapshot shares the first one's connectivity arrays, so a
+    # memo keyed by anything but the snapshot hands it the wrong elements
+    M1 = build()
+    M2 = M1.with_vertices(M1.vertices * np.linspace(0.8, 1.2, M1.dimension + 1))
+    pts = _distance_queries(M1, seed=2)
+    want = {(id(M), q): _fresh(q, M, pts) for M in (M1, M2) for q in (surface_distance, signed_interior_distance)}
+    assert not np.array_equal(want[id(M1), surface_distance], want[id(M2), surface_distance])
+    for M in (M1, M2, M1, M2):
+        for q in (signed_interior_distance, surface_distance):
+            assert np.array_equal(q(M, pts), want[id(M), q])
+        assert is_embedded(M)
+
+
+def test_the_memo_holds_the_last_surface_only():
+    traj = families.exponential_sphere_family(-6.0, 0.0, 0.01, n=1, resolution=32)
+    assert len(traj.frames) == 601
+    frames = [weakref.ref(M) for _, M in traj.frames]
+    for _, M in traj.frames:
+        signed_interior_distance(M, np.zeros((1, 2)))
+    assert hypersurface._elements.cache_info().currsize == 1
+    assert hypersurface._feature_normals.cache_info().currsize == 1
+    del traj, M
+    gc.collect()
+    assert [ref() is not None for ref in frames] == [False] * 600 + [True]
 
 
 @pytest.mark.parametrize("M", [shapes.circle_polygon(1.0, 64), shapes.icosphere(1.0, 1)], ids=["curve", "mesh"])

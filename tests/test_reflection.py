@@ -87,6 +87,18 @@ def test_missing_plane_is_vacuous(unit_circle_256):
     assert v.status is ReflectionStatus.VACUOUS
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_band_must_be_finite_and_non_negative(tol):
+    # a NaN band made this strict cap non-strict, a negative one made it vacuous
+    M = shapes.circle_polygon(1.0, 64)
+    p = plane([1, 0], 0.5)
+    assert strict_reflection_check(M, p).status is ReflectionStatus.STRICT
+    with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+        strict_reflection_check(M, p, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+        _verdicts(M, [p], tol=tol)
+
+
 def test_far_side_surface_fails_with_witness():
     M = shapes.circle_polygon(1.0, 256, center=(2.0, 0.0))
     v = strict_reflection_check(M, plane([1, 0], 0.5))

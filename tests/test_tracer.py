@@ -74,3 +74,29 @@ def test_tracer_wraps_every_traced_name_and_restores_it():
         tracer.uninstall()
     after = _bindings()
     assert all(after[k] is v for k, v in before.items())
+
+
+def test_a_tracer_installed_after_a_query_counts_the_next_query():
+    # the first query fills the memo of query structures untraced; the
+    # kernels must still be looked up in geometry at each call
+    M = shapes.icosphere(1.0, 2)
+    pts = np.random.default_rng(4).uniform(-1.5, 1.5, size=(200, 3))
+    want = hypersurface.signed_interior_distance(M, pts)
+    tracing = _load_tracer()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        got = hypersurface.signed_interior_distance(M, pts)
+        hit = tracer.calls["geometry.point_triangle_distance"], tracer.counts["geometry.point_triangle_distance.pairs"]
+        hypersurface._elements.cache_clear()
+        hypersurface._feature_normals.cache_clear()
+        hypersurface.signed_interior_distance(M, pts)
+        fresh = tracer.calls["geometry.point_triangle_distance"] - hit[0]
+    finally:
+        tracer.uninstall()
+    assert np.array_equal(got, want)
+    assert hit[0] >= 2 and hit[1] >= pts.shape[0]
+    assert fresh == hit[0]
+    # the memo filled under the tracer does not keep its wrappers
+    hypersurface.signed_interior_distance(M, pts)
+    assert tracer.calls["geometry.point_triangle_distance"] == 2 * hit[0]
