@@ -7,11 +7,14 @@ constructor validates through it and keeps the volume it measures.
 are slices, and gives edge lengths, normals, circumcircle curvatures and the
 area.  ``_triangles`` forms a mesh's face corners, edges and cross products,
 and gives the zero-area check, the volume and the face and angle-weighted
-vertex normals.  Principal curvatures come from the circle through three
-consecutive vertices (curves) or from the two-ring jet fit ``_mesh_jet``
-(meshes): over K-major two-ring rows padded with the vertex itself it sums
-twelve moments and five height moments and solves the 5x5 normal equations
-by an LDL^T factorisation on (V,) arrays.  Distances and the embeddedness
+vertex normals; ``_face_kernel`` keeps it for the last snapshot asked about,
+so the constructor, the curvature fit and the feature pseudonormals of one
+snapshot share one kernel.  Principal curvatures come from the circle
+through three consecutive vertices (curves) or from the two-ring jet fit
+``_mesh_jet`` (meshes): over K-major two-ring rows padded with the vertex
+itself it sums twelve moments and five height moments, one block of
+vertices at a time, and solves the 5x5 normal equations by an LDL^T
+factorisation on (V,) arrays.  Distances and the embeddedness
 sweep share one element path: a curve's elements are its edges and a mesh's
 are its triangles, pruned by a tree over element centroids.  A distance
 query measures each point against the element with the nearest centroid and
@@ -22,6 +25,15 @@ geometry.  Signed distances take their sign from the angle-weighted
 pseudonormal of the closest feature and fall back to winding numbers only
 within the boundary band; containment queries and the centre search use
 winding numbers.
+
+The blocked fit and the face-kernel memo keep a mesh stage's transient
+arrays small.  A flow runs hundreds of stages, and glibc hands freed heap
+memory back to the system once the top of the heap holds more than its trim
+threshold, so the next stage faults the same pages in again.  With a dozen
+whole-mesh (K, V) arrays per fit and the face kernel formed twice per
+snapshot, 100 RK4 steps of a 2562-vertex mesh made about 470 000 minor page
+faults and spent about a quarter of their wall time in system time; blocked
+and shared, they make about 30 000.
 
 A query's structures (element corners, centroid tree and reach in
 ``_elements``; the feature pseudonormals in ``_feature_normals``, built only
@@ -57,6 +69,7 @@ from .errors import CenterOutside, DegenerateElement, MeshDegeneracy
 BOUNDARY_TOL_FACTOR = 1e-9  # default OnBoundary band, relative to bbox diagonal
 _QUERY_PAIRS = 1 << 18  # worst-case point-element pairs per centroid-ball query
 _BALL_PAIRS = 1 << 13  # point-element pairs per distance-kernel call of the ball pass
+_RING_SLOTS = 1 << 13  # two-ring slots per vertex block of the jet fit
 
 
 class Containment(enum.Enum):
@@ -191,7 +204,7 @@ class DiscreteHypersurface:
             self.faces = faces
             self.faces.setflags(write=False)
             topo = _topology if _topology is not None else _MeshTopology(faces, vertices.shape[0])
-            tri = _triangles(vertices, faces)
+            tri = _face_kernel(self)
             if np.any(tri.area2 <= 0.0):
                 raise DegenerateElement("zero-area triangle")
             self._volume = tri.volume()
@@ -242,7 +255,7 @@ class DiscreteHypersurface:
             poly = _polygon(self.vertices)
             normals, principal = poly.normals()[1], poly.curvature()[:, None]
         else:
-            normals, principal = _mesh_curvatures(self.vertices, self.topology)
+            normals, principal = _mesh_curvatures(self.vertices, self.topology, _face_kernel(self))
         normals.setflags(write=False)
         principal.setflags(write=False)
         return CurvatureData(normals=normals, principal=principal)
@@ -375,6 +388,21 @@ def _triangles(verts: np.ndarray, faces: np.ndarray) -> _Triangles:
     return _Triangles(faces, ext, edge, cross, _length(cross))
 
 
+@lru_cache(maxsize=1)
+def _face_kernel(M: DiscreteHypersurface) -> _Triangles:
+    """The face kernel of mesh M, kept for the last snapshot asked about.
+
+    The constructor validates through it and the curvature fit and the
+    feature pseudonormals of the same snapshot reuse it.  Like ``_elements``
+    it holds one snapshot: a flow keeps about 1 MB of kernel per s4 frame
+    otherwise.
+    """
+    tri = _triangles(M.vertices, M.faces)
+    for a in tri:
+        a.setflags(write=False)  # shared by every consumer of M
+    return tri
+
+
 # ---------------------------------------------------------------------------
 # Mesh curvature estimation
 
@@ -418,7 +446,9 @@ def _solve_ldl(a: list, b: list) -> list:
     return x
 
 
-def _mesh_jet(verts: np.ndarray, topo: _MeshTopology) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+def _mesh_jet(
+    verts: np.ndarray, topo: _MeshTopology, tri: _Triangles | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     """Two-ring quadratic height fit: vertex normals, tangent basis and jet.
 
     The height of each two-ring neighbour over the vertex tangent plane is
@@ -426,26 +456,58 @@ def _mesh_jet(verts: np.ndarray, topo: _MeshTopology) -> tuple[np.ndarray, np.nd
     of Cazals and Pouget (SGP 2003).  The normal equations depend only on the
     moments sum u^a v^b (2 <= a + b <= 4) and sum w u^a v^b (1 <= a + b <= 2)
     over the two-ring, so they are assembled from those, per vertex, and
-    solved by an LDL^T factorisation on (V,) arrays.  Returns n, e1 and e2 as
-    (3, V) rows and the coefficients b1 .. b5 as (V,) arrays.
+    solved by an LDL^T factorisation on (V,) arrays.  ``tri`` is the face
+    kernel of the snapshot (formed here when not given).  Returns n, e1 and e2
+    as (3, V) rows and the coefficients b1 .. b5 as (V,) arrays.
+
+    The moments are summed over blocks of B vertices holding about
+    ``_RING_SLOTS`` two-ring slots and written into one (17, V) array, so
+    each (K, B) temporary holds about 64 KB whatever V is.  Over the
+    whole mesh they were about a dozen (K, V) arrays, 4.7 MB at 2562
+    vertices, which glibc trimmed after each stage and faulted in again at
+    the next, about 900 page faults per stage.  Each sum runs over K in slot
+    order, u, v and w are accumulated one coordinate at a time in the order
+    of ``dx * a0 + dy * a1 + dz * a2``, and each moment sums one product, so
+    the bits are those of the whole-mesh fit kept as an oracle in the tests.
     """
-    _, n0 = _triangles(verts, topo.faces).normals(verts.shape[0])
+    if tri is None:
+        tri = _triangles(verts, topo.faces)
+    _, n0 = tri.normals(verts.shape[0])
     e1, e2 = _tangent_basis(n0)
     n = np.ascontiguousarray(n0.T)
+    frame = (e1, e2, n)
+    coords = np.ascontiguousarray(verts.T)
+    num_slots, num_vertices = topo.two_ring.shape
+    # numpy sums a (K, 1) block pairwise instead of in slot order, so every
+    # block holds two vertices or more: the last one takes a lone last vertex
+    step = max(2, _RING_SLOTS // num_slots)
+    bounds = [*range(0, num_vertices - 1, step), num_vertices]
+    # rows: m20 m11 m02, m30 m21 m12 m03, m40 m31 m22 m13 m04, then the sums
+    # of w times u, v, uu, uv and vv, where m_ab = sum of u^a v^b over the ring
+    moments = np.empty((17, num_vertices))
+    for cols in itertools.starmap(slice, itertools.pairwise(bounds)):
+        ring = topo.two_ring[:, cols]
+        diff, term, *uvw = (np.empty(ring.shape) for _ in range(5))
+        for i, c in enumerate(coords):
+            # differences to the two-ring, one component at a time; padded
+            # slots are exactly 0
+            np.subtract(np.take(c, ring, out=diff), c[cols], out=diff)
+            for acc, a in zip(uvw, frame):
+                if i == 0:
+                    np.multiply(diff, a[0, cols], out=acc)
+                else:
+                    acc += np.multiply(diff, a[i, cols], out=term)
+        u, v, w = uvw
+        uu, uv, vv = u * u, u * v, v * v
+        rows = moments[:, cols]
+        for row, x in zip(rows, (uu, uv, vv)):
+            x.sum(axis=0, out=row)
+        products = ((uu, u), (uu, v), (u, vv), (vv, v), (uu, uu), (uu, uv), (uu, vv), (uv, vv), (vv, vv),
+                    (w, u), (w, v), (w, uu), (w, uv), (w, vv))
+        for row, (x, y) in zip(rows[3:], products):
+            np.einsum("kv,kv->v", x, y, out=row)
 
-    # coordinate differences to the two-ring, per component, (K, V) each;
-    # padded slots are exactly 0
-    dx, dy, dz = (c[topo.two_ring] - c for c in np.ascontiguousarray(verts.T))
-    u, v, w = (dx * a[0] + dy * a[1] + dz * a[2] for a in (e1, e2, n))
-
-    def total(x):
-        return x.sum(axis=0)
-
-    # moments m_ab = sum of u^a v^b over the two-ring, 2 <= a + b <= 4
-    uu, uv, vv = u * u, u * v, v * v
-    m20, m11, m02 = total(uu), total(uv), total(vv)
-    m30, m21, m12, m03 = total(uu * u), total(uu * v), total(u * vv), total(vv * v)
-    m40, m31, m22, m13, m04 = total(uu * uu), total(uu * uv), total(uu * vv), total(uv * vv), total(vv * vv)
+    m20, m11, m02, m30, m21, m12, m03, m40, m31, m22, m13, m04, wu, wv, wuu, wuv, wvv = moments
     # normal equations of the columns (u, v, u^2/2, uv, v^2/2), lower triangle
     ata = [
         [m20],
@@ -454,7 +516,7 @@ def _mesh_jet(verts: np.ndarray, topo: _MeshTopology) -> tuple[np.ndarray, np.nd
         [m21, m12, 0.5 * m31, m22],
         [0.5 * m12, 0.5 * m03, 0.25 * m22, 0.5 * m13, 0.25 * m04],
     ]
-    atb = [total(w * u), total(w * v), 0.5 * total(w * uu), total(w * uv), 0.5 * total(w * vv)]
+    atb = [wu, wv, 0.5 * wuu, wuv, 0.5 * wvv]
     # tiny Tikhonov term keeps thin-ring fits solvable
     ridge = 1e-12 * np.maximum(sum(row[-1] for row in ata), 1e-30)
     for row in ata:
@@ -462,14 +524,14 @@ def _mesh_jet(verts: np.ndarray, topo: _MeshTopology) -> tuple[np.ndarray, np.nd
     return n, e1, e2, _solve_ldl(ata, atb)
 
 
-def _mesh_curvatures(verts: np.ndarray, topo: _MeshTopology) -> tuple[np.ndarray, np.ndarray]:
+def _mesh_curvatures(verts: np.ndarray, topo: _MeshTopology, tri: _Triangles) -> tuple[np.ndarray, np.ndarray]:
     """Two-ring jet (``_mesh_jet``) -> shape operator -> principal curvatures.
 
     The linear jet terms absorb normal-estimate error so curvature stays
     second-order accurate.  Signs follow the convention that a sphere with
     outward normals has principal curvatures +1/r.
     """
-    n, e1, e2, (gu, gv, huu, huv, hvv) = _mesh_jet(verts, topo)
+    n, e1, e2, (gu, gv, huu, huv, hvv) = _mesh_jet(verts, topo, tri)
     grad2 = gu * gu + gv * gv
     inv_len = 1.0 / np.sqrt(1.0 + grad2)
 
@@ -596,7 +658,7 @@ def _feature_normals(M: DiscreteHypersurface) -> np.ndarray:
         out = np.concatenate([element_n[:, None], vertex_n[idx]], axis=1)
     else:
         topo = M.topology
-        element_n, vertex_n = _triangles(M.vertices, M.faces).normals(M.num_vertices)
+        element_n, vertex_n = _face_kernel(M).normals(M.num_vertices)
         edge_n = element_n[topo.edge_faces].sum(axis=1)
         edge_n /= np.linalg.norm(edge_n, axis=1)[:, None]
         out = np.concatenate([element_n[:, None], edge_n[topo.face_edges], vertex_n[idx]], axis=1)

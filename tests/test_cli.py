@@ -356,6 +356,10 @@ REJECTED = [
     # a number where a path belongs; a later --set replaces the harness's out_dir
     ("out_dir a number", "classify-speed", ["out_dir=5", "speed=k"]),
     ("mesh_file a number", "reflect-audit", ["shape=mesh", "mesh_file=5"]),
+    # a word where a number belongs
+    ("tol a word", "reflect-audit", ["tol=abc"]),
+    ("radius a word", "simulate", ["radius=abc"]),
+    ("dt a word", "simulate", ["dt=abc"]),
 ]
 
 
@@ -376,6 +380,9 @@ def test_rejected_config_is_a_config_error(tmp_path, capsys, command, sets):
     ("classify-speed", ["out_dir=5", "speed=k"], "out_dir"),
     ("reflect-audit", ["shape=mesh", "mesh_file=5"], "mesh_file"),
     ("rigidity-audit", ["c_schedule=0.1,0.2"], "c_schedule"),
+    ("reflect-audit", ["tol=abc"], "tol"),
+    ("simulate", ["radius=abc"], "radius"),
+    ("simulate", ["dt=abc"], "dt"),
 ])
 def test_config_error_names_the_key(tmp_path, capsys, command, sets, key):
     args = [command, "--set", f"out_dir={tmp_path / 'out'}"]
@@ -383,6 +390,15 @@ def test_config_error_names_the_key(tmp_path, capsys, command, sets, key):
         args += ["--set", item]
     assert run_cli(*args) == EXIT_USAGE
     assert key in capsys.readouterr().err
+
+
+def test_every_key_with_a_number_default_takes_only_numbers():
+    from hyperflow import cli
+
+    defaults = {key: value for keys in cli._KEYS.values() for key, value in keys.items()}
+    numeric = {key for key, value in defaults.items() if type(value) in (int, float)}
+    assert numeric <= cli._NUMBER_KEYS <= set(defaults)
+    assert not cli._NUMBER_KEYS & (cli._TUPLE_KEYS | cli._PATH_KEYS)
 
 
 # ---------------------------------------------------------------------------

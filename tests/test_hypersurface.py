@@ -23,13 +23,16 @@ from hyperflow.hypersurface import (
     write_surface,
     _edge_table,
     _elements,
+    _face_kernel,
     _mesh_jet,
     _nearest,
     _polygon,
+    _solve_ldl,
+    _tangent_basis,
     _triangles,
 )
-from hyperflow import families, geometry, hypersurface, shapes
-from hyperflow.flow_engine import _remesh_mesh
+from hyperflow import families, geometry, hypersurface, shapes, speeds
+from hyperflow.flow_engine import FlowConfig, _remesh_mesh, evolve
 
 
 def ellipse_curvature(a, b, theta):
@@ -184,8 +187,9 @@ def test_a_mesh_snapshot_forms_its_face_cross_products_once(monkeypatch):
     monkeypatch.setattr(np, "cross", counting_cross)
     M2 = M.with_vertices(M.vertices * 1.1)
     assert len(calls) == 1
+    # the curvature fit reuses the kernel the constructor formed
     M2.curvature_data
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +335,140 @@ def test_mesh_fit_equals_the_batched_oracle(shape):
     # at umbilics sqrt(max(tr^2/4 - det, 0)) lifts a rounding change in its
     # argument to about 1e-8 in the principal pair
     assert np.all(np.abs(data.principal - principal) <= 1e-7 * np.abs(principal))
+
+
+# ---------------------------------------------------------------------------
+# whole-mesh oracle: the jet fit before the vertex blocks
+
+
+def _whole_mesh_jet(verts, topo):
+    """The fit over (K, V) arrays of the whole mesh, one moment per product array."""
+    _, n0 = _triangles(verts, topo.faces).normals(verts.shape[0])
+    e1, e2 = _tangent_basis(n0)
+    n = np.ascontiguousarray(n0.T)
+    dx, dy, dz = (c[topo.two_ring] - c for c in np.ascontiguousarray(verts.T))
+    u, v, w = (dx * a[0] + dy * a[1] + dz * a[2] for a in (e1, e2, n))
+
+    def total(x):
+        return x.sum(axis=0)
+
+    uu, uv, vv = u * u, u * v, v * v
+    m20, m11, m02 = total(uu), total(uv), total(vv)
+    m30, m21, m12, m03 = total(uu * u), total(uu * v), total(u * vv), total(vv * v)
+    m40, m31, m22, m13, m04 = total(uu * uu), total(uu * uv), total(uu * vv), total(uv * vv), total(vv * vv)
+    ata = [
+        [m20],
+        [m11, m02],
+        [0.5 * m30, 0.5 * m21, 0.25 * m40],
+        [m21, m12, 0.5 * m31, m22],
+        [0.5 * m12, 0.5 * m03, 0.25 * m22, 0.5 * m13, 0.25 * m04],
+    ]
+    atb = [total(w * u), total(w * v), 0.5 * total(w * uu), total(w * uv), 0.5 * total(w * vv)]
+    ridge = 1e-12 * np.maximum(sum(row[-1] for row in ata), 1e-30)
+    for row in ata:
+        row[-1] = row[-1] + ridge
+    return n, e1, e2, _solve_ldl(ata, atb)
+
+
+_BLOCKED_JET_MESHES = {
+    "icosphere s2": lambda: shapes.icosphere(1.0, 2),  # fewer vertices than one block
+    "icosphere s4": lambda: shapes.icosphere(1.0, 4),  # V not a multiple of the block
+    "icosphere s5": lambda: shapes.icosphere(1.0, 5),
+    "remeshed": lambda: _remesh_mesh(shapes.icosphere(1.0, 1), 0.05, 0.4),  # irregular, K = 28
+    "noisy sphere": lambda: shapes.noisy_sphere(),
+}
+
+
+def _assert_jets_equal(got, want):
+    for g, w in zip((*got[:3], *got[3]), (*want[:3], *want[3])):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("shape", list(_BLOCKED_JET_MESHES))
+def test_blocked_jet_equals_the_whole_mesh_oracle(shape):
+    M = _BLOCKED_JET_MESHES[shape]()
+    num_slots, num_vertices = M.topology.two_ring.shape
+    blocks = -(-num_vertices // (hypersurface._RING_SLOTS // num_slots))
+    assert (blocks == 1) == (shape in ("icosphere s2", "remeshed"))
+    want = _whole_mesh_jet(M.vertices, M.topology)
+    _assert_jets_equal(_mesh_jet(M.vertices, M.topology, _triangles(M.vertices, M.faces)), want)
+    _assert_jets_equal(_mesh_jet(M.vertices, M.topology), want)
+
+
+@pytest.mark.parametrize("shape,slots", [
+    ("remeshed", 1),  # blocks of two vertices
+    ("noisy sphere", 1),
+    ("remeshed", 100),  # blocks of three vertices, K = 28
+    ("noisy sphere", 100),  # blocks of five vertices, K = 18
+    ("icosphere s2", 7 * 18),  # 162 = 23 * 7 + 1: the last vertex would be a block alone
+])
+def test_jet_blocks_do_not_change_the_fit(shape, slots, monkeypatch):
+    M = _BLOCKED_JET_MESHES[shape]()
+    want = _whole_mesh_jet(M.vertices, M.topology)
+    monkeypatch.setattr(hypersurface, "_RING_SLOTS", slots)
+    _assert_jets_equal(_mesh_jet(M.vertices, M.topology), want)
+
+
+def test_jet_memory_is_bounded_by_the_block():
+    # over whole-mesh (K, V) arrays one fit at s5 peaked at 18.9 MB
+    M = shapes.icosphere(1.0, 5)
+    tri = _triangles(M.vertices, M.faces)
+    assert _traced_peak(_mesh_jet, M.vertices, M.topology, tri) < 8 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# face-kernel memo
+
+
+def _fresh_curvature(M):
+    """Normals and principal curvatures of M from a kernel formed here."""
+    return hypersurface._mesh_curvatures(M.vertices, M.topology, _triangles(M.vertices, M.faces))
+
+
+def test_alternating_mesh_snapshots_get_their_own_face_kernels():
+    # the snapshots share one topology, so a memo keyed by anything but the
+    # snapshot hands the second one the first one's normals
+    M1 = shapes.ellipsoid_mesh(1.5, 1.0, 0.75, 2)
+    M2 = M1.with_vertices(M1.vertices * np.array([0.8, 1.0, 1.2]))
+    pts = _distance_queries(M1, seed=3)
+    want = {}
+    for M in (M1, M2):
+        _face_kernel.cache_clear()
+        want[id(M)] = (*_fresh_curvature(M), _fresh(signed_interior_distance, M, pts))
+    _face_kernel(M2)
+    # each first visit fits the curvature while the memo holds the other snapshot
+    for M in (M1, M2, M1, M2):
+        normals, principal, signed = want[id(M)]
+        assert np.array_equal(M.curvature_data.normals, normals)
+        assert np.array_equal(M.curvature_data.principal, principal)
+        assert np.array_equal(signed_interior_distance(M, pts), signed)
+        assert _face_kernel(M) is _face_kernel(M)
+        assert not _face_kernel(M).cross.flags.writeable
+
+
+def test_a_flow_leaves_one_face_kernel_in_the_memo():
+    M0 = shapes.icosphere(1.0, 2)
+    traj = evolve(M0, speeds.speed_by_name("H", 2), 0.0, FlowConfig(t_end=0.1, dt=0.01, frame_interval=0.01))
+    assert len(traj.frames) == 11
+    assert _face_kernel.cache_info().currsize == 1
+    frames = [weakref.ref(M) for _, M in traj.frames[1:]]
+    del traj
+    gc.collect()
+    # the memo keeps at most the last snapshot formed, never a frame per step
+    assert sum(ref() is not None for ref in frames) <= 1
+
+
+def test_a_rejected_snapshot_does_not_poison_the_next_curvature():
+    M = shapes.icosphere(1.0, 2)
+    flat = M.vertices.copy()
+    flat[M.faces[0, 1]] = flat[M.faces[0, 0]]  # face 0 loses its area
+    with pytest.raises(DegenerateElement):
+        M.with_vertices(flat)
+    M2 = M.with_vertices(M.vertices * 1.5)
+    want = _fresh_curvature(M2)
+    assert np.array_equal(M2.curvature_data.normals, want[0])
+    assert np.array_equal(M2.curvature_data.principal, want[1])
 
 
 @pytest.mark.parametrize("shape", ["icosphere s0", "icosphere s3", "ellipsoid s2", "half ball", "remeshed"])
