@@ -78,6 +78,8 @@ COMMANDS = tuple(_KEYS)
 
 _TUPLE_KEYS = {"axes", "rates", "c_schedule", "plane_direction", "plane_offsets"}
 _PATH_KEYS = {"out_dir", "mesh_file"}
+_NAME_KEYS = {"speed", "shape", "family"}
+_BOOL_KEYS = {"stop_on_cone_exit"}
 _NUMBER_KEYS = {
     "seed", "alpha", "radius", "resolution", "subdivisions", "t0", "t_end", "dt", "cfl", "frame_interval",
     "band_lo", "band_hi", "dimension", "r0", "tol", "frame_dt", "directions", "symmetry_tol",
@@ -148,6 +150,10 @@ def parse_config(command: str, file_values: dict, overrides: dict) -> SimpleName
             raise ValidationError(f"{key} must be a path, got {_fmt(value)}")
         if key in _NUMBER_KEYS and (isinstance(value, bool) or not isinstance(value, (int, float))):
             raise ValidationError(f"{key} must be a number, got {_fmt(value)}")
+        if key in _NAME_KEYS and not isinstance(value, str):
+            raise ValidationError(f"{key} must be a name, got {_fmt(value)}")
+        if key in _BOOL_KEYS and not isinstance(value, bool):
+            raise ValidationError(f"{key} must be true or false, got {_fmt(value)}")
     cfg = SimpleNamespace(command=command, **{**_KEYS[command], **values})
     _validate(cfg)
     return cfg

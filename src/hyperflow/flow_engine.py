@@ -27,7 +27,7 @@ from .errors import (
     NonFiniteState,
     NonPositiveSpeed,
 )
-from .hypersurface import DiscreteHypersurface, _edge_table, _polygon, enclosed_volume
+from .hypersurface import DiscreteHypersurface, _curve_kernel, _edge_table, _polygon, enclosed_volume
 from .speeds import SpeedFunction, _raw_gradient
 
 MARGIN_HARD = 1e-6  # relative cone-interior margin that aborts a step
@@ -170,17 +170,17 @@ def _velocity(M: DiscreteHypersurface, F: SpeedFunction) -> tuple[np.ndarray, fl
     """Outward velocity field, min cone margin and min speed over vertices."""
     data = M.curvature_data
     lam = data.principal
-    margins = F.cone.interior_margin(lam)
-    margin_min = float(margins.min())
+    margin_min = float(F.cone.interior_margin(lam).min())
     if margin_min <= MARGIN_HARD:
         raise ConeExit(
             f"curvature tuple left the admissible cone (margin {margin_min:.3e})"
         )
     speeds = F.values(lam)
-    if not np.all(np.isfinite(speeds)) or np.any(speeds <= 0.0):
+    speed_min = float(speeds.min())
+    # the minimum is NaN when any speed is, so NaN fails the first test and +inf the second
+    if not (speed_min > 0.0 and speeds.max() < math.inf):
         raise NonPositiveSpeed(f"{F.name} non-positive along the surface")
-    vel = data.normals / speeds[:, None]
-    return vel, margin_min, float(speeds.min())
+    return data.normals / speeds[:, None], margin_min, speed_min
 
 
 def _accept(M: DiscreteHypersurface, verts: np.ndarray) -> DiscreteHypersurface:
@@ -199,7 +199,16 @@ def step(M: DiscreteHypersurface, F: SpeedFunction, dt: float) -> DiscreteHypers
 
 
 def _local_min_edge(M: DiscreteHypersurface) -> np.ndarray:
-    """Per-vertex length of the shortest incident edge."""
+    """Per-vertex length of the shortest incident edge.
+
+    Curve vertex i lies on the edges (i - 1, i) and (i, i + 1), entries i and
+    i + 1 of the padded ``length`` row of its kernel, so one ``np.minimum`` of
+    two shifted slices gives every vertex.  A mesh takes ``np.minimum.at``
+    over its edge list.
+    """
+    if M.dimension == 1:
+        length = _curve_kernel(M).length
+        return np.minimum(length[:-1], length[1:])
     e = M.edges
     lens = M.edge_lengths
     out = np.full(M.num_vertices, np.inf)
@@ -226,6 +235,8 @@ def stable_substep(M: DiscreteHypersurface, F: SpeedFunction) -> float:
     update.  The gradient is F's own (closed form or central differences),
     and F is evaluated once.  A vertex where the gradient sum is not positive
     adds no stiffness; a surface with no positive sum has no limit (inf).
+    On a curve the shortest incident edges come from the snapshot's kernel
+    (``_local_min_edge``), which its construction formed already.
     """
     lam = M.curvature_data.principal
     fval = F.values(lam)
@@ -305,9 +316,13 @@ def _rkc_step(
     for mu, nu, mu_t, gamma_t in stages:
         f, m, _ = _velocity(_stage_surface(M, cur), F)
         margin = min(margin, m)
-        prev, cur = cur, (
-            (1.0 - mu - nu) * x0 + mu * cur + nu * prev + (mu_t * dt) * f + (gamma_t * dt) * f0
-        )
+        # (1 - mu - nu) x0 + mu cur + nu prev + mu~ dt f + gamma~ dt f0, summed left to right in place
+        nxt = (1.0 - mu - nu) * x0
+        nxt += mu * cur
+        nxt += nu * prev
+        nxt += (mu_t * dt) * f
+        nxt += (gamma_t * dt) * f0
+        prev, cur = cur, nxt
     return _accept(M, cur), margin
 
 

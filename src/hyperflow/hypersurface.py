@@ -7,9 +7,11 @@ constructor validates through it and keeps the volume it measures.
 are slices, and gives edge lengths, normals, circumcircle curvatures and the
 area.  ``_triangles`` forms a mesh's face corners, edges and cross products,
 and gives the zero-area check, the volume and the face and angle-weighted
-vertex normals; ``_face_kernel`` keeps it for the last snapshot asked about,
-so the constructor, the curvature fit and the feature pseudonormals of one
-snapshot share one kernel.  Principal curvatures come from the circle
+vertex normals.  ``_curve_kernel`` and ``_face_kernel`` keep the kernel for
+the last snapshot asked about, so the constructor, the curvature estimate
+and the feature pseudonormals of one snapshot share one kernel; on curves
+``edge_lengths`` and the flow's stable step read it as well, so a curve
+stage forms it once.  Principal curvatures come from the circle
 through three consecutive vertices (curves) or from the two-ring jet fit
 ``_mesh_jet`` (meshes): over K-major two-ring rows padded with the vertex
 itself it sums twelve moments and five height moments, one block of
@@ -187,7 +189,7 @@ class DiscreteHypersurface:
                 raise ValueError("closed curve needs at least 3 vertices")
             self.faces = None
             self.topology = None
-            poly = _polygon(vertices)
+            poly = _curve_kernel(self)
             if poly.length.min() <= 0.0:
                 raise DegenerateElement("zero-length polygon edge")
             self._volume = poly.area()
@@ -239,7 +241,7 @@ class DiscreteHypersurface:
     @cached_property
     def edge_lengths(self) -> np.ndarray:
         if self.dimension == 1:
-            return _polygon(self.vertices).edge_lengths
+            return _curve_kernel(self).edge_lengths
         e = self.edges
         return np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)
 
@@ -252,7 +254,7 @@ class DiscreteHypersurface:
     @cached_property
     def curvature_data(self) -> CurvatureData:
         if self.dimension == 1:
-            poly = _polygon(self.vertices)
+            poly = _curve_kernel(self)
             normals, principal = poly.normals()[1], poly.curvature()[:, None]
         else:
             normals, principal = _mesh_curvatures(self.vertices, self.topology, _face_kernel(self))
@@ -263,8 +265,6 @@ class DiscreteHypersurface:
 
 # ---------------------------------------------------------------------------
 # Curve kernel
-
-_TURN = np.array([[1.0], [-1.0]])  # (y, x) rows -> (y, -x): a -90 degree turn
 
 
 class _Polygon(NamedTuple):
@@ -277,7 +277,10 @@ class _Polygon(NamedTuple):
     ``edge`` is ``ext[:, j + 1] - ext[:, j]``: column i + 1 is the edge
     (i, i + 1) and column 0 repeats the edge (m - 1, 0).  The arithmetic is
     per component and gives the same bits as the ``np.roll`` and
-    ``np.linalg.norm`` forms kept as oracles in the tests.
+    ``np.linalg.norm`` forms kept as oracles in the tests.  The normals and
+    curvatures take one coordinate row at a time and accumulate in place: at
+    a few hundred vertices that is about a fifth quicker than operating on
+    strided (2, m) slices with a temporary per term.
     """
 
     ext: np.ndarray  # (2, m + 2) padded coordinate rows
@@ -299,16 +302,24 @@ class _Polygon(NamedTuple):
         """Outward unit normals of the edges (i, i + 1) and of the vertices, (m, 2).
 
         On a counter-clockwise curve an edge's outward normal is the edge
-        turned by -90 degrees.  A vertex normal bisects its two edge normals.
+        turned by -90 degrees, (ey, -ex) / length; -(ex / length) has the
+        bits of -ex / length.  A vertex normal bisects its two edge normals.
         """
-        edge_n = self.edge[::-1] * _TURN / self.length
-        bisector = edge_n[:, :-1] + edge_n[:, 1:]
-        bx, by = bisector
-        norm = np.sqrt(bx * bx + by * by)
+        ex, ey = self.edge
+        edge_n = np.empty(self.edge.shape)
+        nx, ny = edge_n
+        np.divide(ey, self.length, out=nx)
+        np.negative(np.divide(ex, self.length, out=ny), out=ny)
+        bx = nx[:-1] + nx[1:]
+        by = ny[:-1] + ny[1:]
+        norm = bx * bx
+        norm += by * by
+        np.sqrt(norm, out=norm)
         if (norm <= 1e-14).any():
             raise MeshDegeneracy("cusp vertex: adjacent edge normals cancel")
         vertex_n = np.empty((norm.shape[0], 2))
-        np.divide(bisector, norm, out=vertex_n.T)
+        np.divide(bx, norm, out=vertex_n[:, 0])
+        np.divide(by, norm, out=vertex_n[:, 1])
         return edge_n[:, 1:].T, vertex_n
 
     def curvature(self) -> np.ndarray:
@@ -318,11 +329,18 @@ class _Polygon(NamedTuple):
         points do not determine a circle.  Exact (up to rounding) whenever
         they lie on a common circle.
         """
+        x, y = self.ext
         abx, aby = self.edge[:, :-1]  # previous vertex -> vertex
-        cax, cay = self.ext[:, :-2] - self.ext[:, 2:]  # next vertex -> previous
-        cross = aby * cax - abx * cay  # cross(ab, ac) with ac = -ca
-        denom = self.length[:-1] * self.length[1:] * np.sqrt(cax * cax + cay * cay)
-        return np.divide(2.0 * cross, denom, out=np.zeros_like(denom), where=denom > 0.0)
+        cax = x[:-2] - x[2:]  # next vertex -> previous
+        cay = y[:-2] - y[2:]
+        cross = aby * cax
+        cross -= abx * cay  # cross(ab, ac) with ac = -ca
+        cross *= 2.0
+        dist = cax * cax
+        dist += cay * cay
+        denom = self.length[:-1] * self.length[1:]
+        denom *= np.sqrt(dist, out=dist)
+        return np.divide(cross, denom, out=np.zeros(denom.shape), where=denom > 0.0)
 
 
 def _polygon(verts: np.ndarray) -> _Polygon:
@@ -332,6 +350,22 @@ def _polygon(verts: np.ndarray) -> _Polygon:
     edge = ext[:, 1:] - ext[:, :-1]
     ex, ey = edge
     return _Polygon(ext, edge, np.sqrt(ex * ex + ey * ey))
+
+
+@lru_cache(maxsize=1)
+def _curve_kernel(M: DiscreteHypersurface) -> _Polygon:
+    """The curve kernel of polygon M, kept for the last snapshot asked about.
+
+    The constructor validates through it, and ``edge_lengths``, the
+    curvature, the feature pseudonormals and the stable step of the same
+    snapshot reuse it, so a flow stage forms it once.  Like ``_face_kernel``
+    it holds one snapshot: an audit keeps hundreds of frames alive, and a
+    kernel on each would stay with its frame.
+    """
+    poly = _polygon(M.vertices)
+    for a in poly:
+        a.setflags(write=False)  # shared by every consumer of M
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +688,7 @@ def _feature_normals(M: DiscreteHypersurface) -> np.ndarray:
     """
     idx = _elements(M).idx
     if M.dimension == 1:
-        element_n, vertex_n = _polygon(M.vertices).normals()
+        element_n, vertex_n = _curve_kernel(M).normals()
         out = np.concatenate([element_n[:, None], vertex_n[idx]], axis=1)
     else:
         topo = M.topology

@@ -79,9 +79,16 @@ class Cone:
         constantly 1 on members (the only boundary is the origin), so
         margin-based warnings are meaningful for n >= 2 only.  The other
         kinds report an indicator (+1 member / -1 not) since they have no
-        graded distance to a boundary.
+        graded distance to a boundary.  At n = 1 the positive cone's margin
+        is lam / |lam| without the two reductions over a length-1 axis: +1
+        and -1 for finite non-zero lam, -1 for 0 and NaN, and NaN for +-inf,
+        as the general formula gives.
         """
         lams = np.atleast_2d(np.asarray(lams, dtype=float))
+        if self.kind == POSITIVE and lams.shape[-1] == 1:
+            lam = lams[..., 0]
+            scale = np.abs(lam)
+            return np.divide(lam, scale, out=np.full(lam.shape, -1.0), where=scale > 0.0)
         if self.kind == POSITIVE:
             scale = np.max(np.abs(lams), axis=-1)
             safe = np.where(scale > 0.0, scale, 1.0)
@@ -167,7 +174,7 @@ def mean_curvature(n: int) -> SpeedFunction:
         name=name,
         arity=n,
         cone=Cone.positive(),
-        fn=lambda lam: np.sum(lam, axis=-1),
+        fn=lambda lam: np.add.reduce(lam, axis=-1),  # np.sum without its Python wrapper
         grad=lambda lam: np.ones_like(lam),
         homogeneity=1.0,
     )

@@ -360,6 +360,9 @@ REJECTED = [
     ("tol a word", "reflect-audit", ["tol=abc"]),
     ("radius a word", "simulate", ["radius=abc"]),
     ("dt a word", "simulate", ["dt=abc"]),
+    # a number where a name belongs, and a word other than true or false for a switch
+    ("speed a number", "simulate", ["speed=3"]),
+    ("stop_on_cone_exit a word", "simulate", ["stop_on_cone_exit=abc"]),
 ]
 
 
@@ -383,6 +386,11 @@ def test_rejected_config_is_a_config_error(tmp_path, capsys, command, sets):
     ("reflect-audit", ["tol=abc"], "tol"),
     ("simulate", ["radius=abc"], "radius"),
     ("simulate", ["dt=abc"], "dt"),
+    ("simulate", ["speed=3"], "speed"),
+    ("rigidity-audit", ["family=2"], "family"),
+    ("reflect-audit", ["shape=1"], "shape"),
+    ("simulate", ["stop_on_cone_exit=abc"], "stop_on_cone_exit"),
+    ("simulate", ["stop_on_cone_exit=1"], "stop_on_cone_exit"),
 ])
 def test_config_error_names_the_key(tmp_path, capsys, command, sets, key):
     args = [command, "--set", f"out_dir={tmp_path / 'out'}"]
@@ -399,6 +407,14 @@ def test_every_key_with_a_number_default_takes_only_numbers():
     numeric = {key for key, value in defaults.items() if type(value) in (int, float)}
     assert numeric <= cli._NUMBER_KEYS <= set(defaults)
     assert not cli._NUMBER_KEYS & (cli._TUPLE_KEYS | cli._PATH_KEYS)
+
+
+def test_every_key_with_a_word_or_switch_default_is_typed():
+    from hyperflow import cli
+
+    defaults = {key: value for keys in cli._KEYS.values() for key, value in keys.items()}
+    assert {key for key, value in defaults.items() if isinstance(value, str)} == cli._NAME_KEYS
+    assert {key for key, value in defaults.items() if isinstance(value, bool)} == cli._BOOL_KEYS
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,19 @@
 import math
 import re
 import time
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import pytest
 
-from hyperflow.errors import ConeExit, DegenerateElement, InsufficientFrames, MeshDegeneracy, NonFiniteState
+from hyperflow.errors import (
+    ConeExit,
+    DegenerateElement,
+    InsufficientFrames,
+    MeshDegeneracy,
+    NonFiniteState,
+    NonPositiveSpeed,
+)
 from hyperflow.flow_engine import (
     FlowConfig,
     _stage_surface,
@@ -24,8 +31,8 @@ from hyperflow.hypersurface import (
     classify_points,
     enclosed_volume,
 )
-from hyperflow import families, flow_engine, shapes
-from hyperflow.speeds import catalog, mean_curvature
+from hyperflow import families, flow_engine, hypersurface, shapes
+from hyperflow.speeds import Cone, catalog, mean_curvature
 
 
 F_K = mean_curvature(1)
@@ -395,6 +402,143 @@ def test_stable_substep_scales_with_resolution():
     coarse = stable_substep(shapes.circle_polygon(1.0, 16), F_K)
     fine = stable_substep(shapes.circle_polygon(1.0, 64), F_K)
     assert coarse / fine == pytest.approx(16.0, rel=0.05)
+
+
+# ---------------------------------------------------------------------------
+# curve-stage oracles: each piece of a curve stage in its general form
+
+
+def _local_min_edge_oracle(M):
+    """Shortest incident edge by two np.minimum.at passes over the edge list."""
+    e = M.edges
+    lens = M.edge_lengths
+    out = np.full(M.num_vertices, np.inf)
+    np.minimum.at(out, e[:, 0], lens)
+    np.minimum.at(out, e[:, 1], lens)
+    return out
+
+
+def _margin_oracle(lams):
+    """The positive cone's margin min(lam) / max(|lam|), reduced over the last axis."""
+    lams = np.atleast_2d(np.asarray(lams, dtype=float))
+    scale = np.max(np.abs(lams), axis=-1)
+    safe = np.where(scale > 0.0, scale, 1.0)
+    out = np.min(lams, axis=-1) / safe
+    return np.where(scale > 0.0, out, -1.0)
+
+
+def _random_polygon(seed, m):
+    rng = np.random.default_rng(seed)
+    theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, m))
+    r = 1.0 + 0.3 * rng.uniform(size=m)
+    return DiscreteHypersurface(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
+
+
+def _close_pair_polygon():
+    # 63 vertices spaced evenly on the unit circle, one more 1e-10 along it from the first
+    theta = np.concatenate([[0.0, 1e-10], 2.0 * np.pi * np.arange(1, 63) / 63])
+    return DiscreteHypersurface(np.column_stack([np.cos(theta), np.sin(theta)]))
+
+
+@pytest.mark.parametrize("build", [
+    *(partial(_random_polygon, seed, m) for seed, m in enumerate((5, 17, 100, 256))),
+    lambda: DiscreteHypersurface([[0.0, 0.0], [1.0, 0.0], [0.3, 0.7]]),
+    _close_pair_polygon,
+    lambda: shapes.icosphere(1.0, 2),
+], ids=["random 5-gon", "random 17-gon", "random 100-gon", "random 256-gon", "3-gon", "64-gon, close pair",
+        "icosphere"])
+def test_local_min_edge_equals_the_two_pass_oracle(build):
+    M = build()
+    got = flow_engine._local_min_edge(M)
+    assert np.array_equal(got, _local_min_edge_oracle(M))
+    assert got.shape == (M.num_vertices,)
+
+
+MARGIN_SAMPLES = [
+    0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+    -2.2250738585072014e-308, 1e-300, -1e-300, 1.0, -1.0, 3.5, -7.25, 1.7976931348623157e308,
+    -1.7976931348623157e308,
+]
+
+
+def test_one_curvature_margin_equals_the_general_formula_bitwise():
+    cone = Cone.positive()
+    rng = np.random.default_rng(0)
+    draws = rng.standard_normal(500) * 10.0 ** rng.uniform(-320.0, 300.0, 500)
+    lams = np.concatenate([MARGIN_SAMPLES, draws])[:, None]
+    with np.errstate(invalid="ignore"):
+        got = cone.interior_margin(lams)
+        assert np.array_equal(got, _margin_oracle(lams), equal_nan=True)
+        # one tuple, and a stack of batches
+        for shaped in (lams[13], lams[:518].reshape(2, -1, 1)):
+            assert np.array_equal(cone.interior_margin(shaped), _margin_oracle(shaped), equal_nan=True)
+    # 0, -0 and NaN lie outside; inf / inf is NaN
+    assert got[:3].tolist() == [-1.0, -1.0, -1.0]
+    assert np.isnan(got[3:5]).all()
+    # on finite input it divides only where |lam| > 0, so it raises no floating-point error
+    finite = lams[np.isfinite(lams[:, 0])]
+    with np.errstate(all="raise"):
+        assert np.array_equal(cone.interior_margin(finite), _margin_oracle(finite))
+
+
+def _velocity_oracle(M, F):
+    """The stage velocity with one pass per check."""
+    data = M.curvature_data
+    lam = data.principal
+    margin_min = float(F.cone.interior_margin(lam).min())
+    if margin_min <= flow_engine.MARGIN_HARD:
+        raise ConeExit(f"curvature tuple left the admissible cone (margin {margin_min:.3e})")
+    speeds = F.values(lam)
+    if not np.all(np.isfinite(speeds)) or np.any(speeds <= 0.0):
+        raise NonPositiveSpeed(f"{F.name} non-positive along the surface")
+    return data.normals / speeds[:, None], margin_min, float(speeds.min())
+
+
+def _rkc_step_oracle(M, F, dt, s, start=None):
+    """The RKC step with each stage's update written as one expression."""
+    _, mu1, stages = flow_engine._rkc_coefficients(s)
+    x0 = M.vertices
+    f0, margin, _ = flow_engine._velocity(M, F) if start is None else start
+    prev, cur = x0, x0 + (mu1 * dt) * f0
+    for mu, nu, mu_t, gamma_t in stages:
+        f, m, _ = flow_engine._velocity(flow_engine._stage_surface(M, cur), F)
+        margin = min(margin, m)
+        prev, cur = cur, (1.0 - mu - nu) * x0 + mu * cur + nu * prev + (mu_t * dt) * f + (gamma_t * dt) * f0
+    return flow_engine._accept(M, cur), margin
+
+
+def _rotated_ellipses():
+    """The benchmark's seed-0 curve_flow inputs: 256-gon ellipses (2, b), turned."""
+    rng = np.random.default_rng(0)
+    bs = 0.9 + 0.2 * (np.arange(4) + rng.uniform(size=4)) / 4
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=4)
+    for b, angle in zip(bs, angles):
+        c, s = math.cos(angle), math.sin(angle)
+        yield DiscreteHypersurface(shapes.ellipse_polygon(2.0, float(b), 256).vertices @ np.array([[c, -s], [s, c]]).T)
+
+
+def test_a_curve_flow_equals_the_one_built_from_the_oracle_forms(monkeypatch):
+    def margin(cone, lams):
+        assert cone.kind == "positive"
+        return _margin_oracle(lams)
+
+    config = FlowConfig(t_end=0.25, dt=1e-3)
+    for M0 in _rotated_ellipses():
+        lean = evolve(M0, F_K, 0.0, config)
+        with monkeypatch.context() as patch:
+            # a kernel formed at each use, the two-pass minimum, the general
+            # margin, one pass per check and the one-expression update
+            patch.setattr(hypersurface, "_curve_kernel", lambda M: hypersurface._polygon(M.vertices))
+            patch.setattr(flow_engine, "_local_min_edge", _local_min_edge_oracle)
+            patch.setattr(Cone, "interior_margin", margin)
+            patch.setattr(flow_engine, "_velocity", _velocity_oracle)
+            patch.setattr(flow_engine, "_rkc_step", _rkc_step_oracle)
+            oracle = evolve(M0, F_K, 0.0, config)
+        assert len(lean.frames) == len(oracle.frames) == 26
+        for (t, M), (t_o, M_o) in zip(lean.frames, oracle.frames):
+            assert t == t_o
+            assert np.array_equal(M.vertices, M_o.vertices)
+        assert lean.events == oracle.events
 
 
 def test_cone_margin_warning_event():

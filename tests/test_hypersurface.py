@@ -21,6 +21,7 @@ from hyperflow.hypersurface import (
     signed_interior_distance,
     surface_distance,
     write_surface,
+    _curve_kernel,
     _edge_table,
     _elements,
     _face_kernel,
@@ -469,6 +470,78 @@ def test_a_rejected_snapshot_does_not_poison_the_next_curvature():
     want = _fresh_curvature(M2)
     assert np.array_equal(M2.curvature_data.normals, want[0])
     assert np.array_equal(M2.curvature_data.principal, want[1])
+
+
+# ---------------------------------------------------------------------------
+# curve-kernel memo
+
+
+def _fresh_curve_curvature(M):
+    """Normals and curvatures of polygon M from a kernel formed here."""
+    poly = _polygon(M.vertices)
+    return poly.normals()[1], poly.curvature()[:, None]
+
+
+def test_alternating_curve_snapshots_get_their_own_curve_kernels():
+    M1 = shapes.ellipse_polygon(2.0, 1.0, 128)
+    M2 = M1.with_vertices(M1.vertices * np.array([0.8, 1.2]))
+    pts = _distance_queries(M1, seed=3)
+    want = {}
+    for M in (M1, M2):
+        _curve_kernel.cache_clear()
+        want[id(M)] = (*_fresh_curve_curvature(M), _polygon(M.vertices).edge_lengths,
+                       _fresh(signed_interior_distance, M, pts))
+    _curve_kernel(M2)
+    # each first visit reads the curvature while the memo holds the other snapshot
+    for M in (M1, M2, M1, M2):
+        normals, principal, lengths, signed = want[id(M)]
+        assert np.array_equal(M.curvature_data.normals, normals)
+        assert np.array_equal(M.curvature_data.principal, principal)
+        assert np.array_equal(M.edge_lengths, lengths)
+        assert np.array_equal(signed_interior_distance(M, pts), signed)
+        assert _curve_kernel(M) is _curve_kernel(M)
+        assert not any(a.flags.writeable for a in _curve_kernel(M))
+
+
+def test_a_curve_flow_leaves_one_curve_kernel_in_the_memo():
+    M0 = shapes.ellipse_polygon(2.0, 1.0, 64)
+    traj = evolve(M0, speeds.mean_curvature(1), 0.0, FlowConfig(t_end=0.05, dt=0.005, frame_interval=0.005))
+    assert len(traj.frames) == 11
+    assert _curve_kernel.cache_info().currsize == 1
+    frames = [weakref.ref(M) for _, M in traj.frames[1:]]
+    del traj
+    gc.collect()
+    # the memo keeps at most the last snapshot formed, never a frame per step
+    assert sum(ref() is not None for ref in frames) <= 1
+
+
+def test_a_rejected_curve_snapshot_does_not_poison_the_next_curvature():
+    M = shapes.circle_polygon(1.0, 16)
+    with pytest.raises(DegenerateElement):
+        DiscreteHypersurface(np.insert(M.vertices, 1, M.vertices[1], axis=0))
+    M2 = M.with_vertices(M.vertices * np.array([1.5, 1.0]))
+    normals, principal = _fresh_curve_curvature(M2)
+    assert np.array_equal(M2.curvature_data.normals, normals)
+    assert np.array_equal(M2.curvature_data.principal, principal)
+
+
+def test_building_and_reading_a_family_keeps_one_curve_kernel():
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fam = families.exponential_sphere_family(-6.0, 0.0, 0.01, n=1, resolution=256)
+        for _, M in fam.frames:
+            M.curvature_data
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(fam.frames) == 601
+    assert _curve_kernel.cache_info().currsize == 1
+    # a frame keeps its 4 KB of vertices and 6 KB of normals and curvatures;
+    # a kernel kept with each frame would add another 10 KB (padded rows,
+    # edges and lengths)
+    assert kept / len(fam.frames) < 15_000
 
 
 @pytest.mark.parametrize("shape", ["icosphere s0", "icosphere s3", "ellipsoid s2", "half ball", "remeshed"])
