@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import CenterOutside, NeverTouches, StartNotStrict
 from .flow_engine import Trajectory, _heights
@@ -22,6 +24,7 @@ from .geometry import fibonacci_sphere_directions, uniform_circle_directions
 from .hypersurface import (
     Containment,
     DiscreteHypersurface,
+    _elements,
     contains_point,
     signed_interior_distance,
     surface_distance,
@@ -108,12 +111,17 @@ def strict_reflection_check(
 def _verdicts(
     M: DiscreteHypersurface, planes: list[Hyperplane], tol: float | None = None
 ) -> list[ReflectionVerdict]:
-    """``strict_reflection_check`` of M at each plane, with one distance query.
+    """``strict_reflection_check`` of M at each plane, measuring as few depths as can set a verdict.
 
-    The reflected vertices of every plane go to a single
-    ``signed_interior_distance`` call and its depths are split back per
-    plane.  That call measures each point on its own, so every verdict is
-    bitwise the one a call for its plane alone gives.
+    A verdict reads only the least interior depth of a plane's reflected
+    vertices and the first vertex that attains it, so ``_least_depths``
+    measures the vertices that can attain it and certifies the others inside
+    without measuring them; they read +inf.  The reflected vertices of every
+    plane share one bound pass and one ``signed_interior_distance`` call, and
+    that call measures each point on its own.  On an embedded surface, the
+    precondition of ``signed_interior_distance``, every verdict is bitwise
+    the one that measuring every reflected vertex gives, and the one a call
+    for its plane alone gives.
     """
     for plane in planes:
         if plane.V.shape != (M.dimension + 1,):
@@ -126,7 +134,7 @@ def _verdicts(
     band = tol if tol is not None else INCLUSION_BAND_FACTOR * M.bbox_diagonal
     edges = M.edges
     out: list[ReflectionVerdict | None] = [None] * len(planes)
-    pending = []  # (plane index, tangency margin, source vertices, reflected)
+    pending = []  # (plane index, tangency margin, crossing mask, source vertices, reflected)
     for i, plane in enumerate(planes):
         s = plane.signed_coordinate(M.vertices)
         if float(s.max()) < -band:
@@ -160,14 +168,63 @@ def _verdicts(
             )
             continue
         source = M.vertices[crossers]
-        pending.append((i, tangency_margin, source, plane.reflect(source)))
+        pending.append((i, tangency_margin, crossers, source, plane.reflect(source)))
 
     if pending:
-        depths = signed_interior_distance(M, np.concatenate([p[3] for p in pending]))
-        cuts = np.cumsum([p[3].shape[0] for p in pending])[:-1]
-        for (i, tangency_margin, source, reflected), depth in zip(pending, np.split(depths, cuts)):
+        crossers = np.stack([p[2] for p in pending])
+        depths = _least_depths(M, crossers, np.concatenate([p[4] for p in pending]))
+        cuts = np.cumsum(crossers.sum(axis=1))[:-1]
+        for (i, tangency_margin, _, source, reflected), depth in zip(pending, np.split(depths, cuts)):
             out[i] = _judge(band, tangency_margin, source, reflected, depth)
     return out
+
+
+def _least_depths(M: DiscreteHypersurface, crossers: np.ndarray, reflected: np.ndarray) -> np.ndarray:
+    """Interior depths of the reflected vertices, +inf where certified deeper than the least.
+
+    ``crossers`` is the (planes, V) mask of the vertices each plane reflects
+    and ``reflected`` their images, plane by plane in vertex order.  Each
+    image p gets two bounds on its distance d to M from the element with
+    the nearest centroid: ``lb`` = centroid distance - reach <= d <= ``ub``,
+    the distance to that element.  A plane's least depth is at most its
+    smallest ``ub``, U, so an image with ``lb`` > U that is inside is deeper
+    than the least depth and cannot be its first minimiser.  Such "far"
+    images joined by an edge of M with ``lb_i + lb_j`` > |p_i - p_j| are
+    joined by a segment that misses M, so they lie on one side; one measured
+    representative decides the side of each connected group, and a group
+    that is not inside is measured in full.  The other images are measured.
+    """
+    n = reflected.shape[0]
+    el = _elements(M)
+    gap, nearest = el.tree.query(reflected)
+    ub = el.distance(reflected, *(c[nearest] for c in el.corners))
+    # margins of 1e-12 cover the rounding of the tree and the kernels; capped
+    # at ub so that the image attaining U is never far
+    lb = np.minimum(gap * (1.0 - 1e-12) - el.reach * (1.0 + 1e-12), ub)
+    counts = crossers.sum(axis=1)
+    far = lb > np.repeat(np.minimum.reduceat(ub, np.cumsum(counts) - counts), counts)
+
+    index = np.full(crossers.shape, -1)  # (planes, V): each far image's place in ``reflected``
+    index[crossers] = np.where(far, np.arange(n), -1)
+    a, b = index[:, M.edges[:, 0]].ravel(), index[:, M.edges[:, 1]].ravel()
+    both = (a >= 0) & (b >= 0)
+    a, b = a[both], b[both]
+    link = lb[a] + lb[b] > np.linalg.norm(reflected[a] - reflected[b], axis=1) * (1.0 + 1e-12)
+    graph = sparse.coo_matrix((np.ones(np.count_nonzero(link)), (a[link], b[link])), shape=(n, n))
+    _, group = connected_components(graph, directed=False)
+
+    measured = ~far
+    far_at = np.flatnonzero(far)
+    representative = far_at[np.unique(group[far_at], return_index=True)[1]]
+    measured[representative] = True
+    depth = np.full(n, np.inf)
+    depth[measured] = signed_interior_distance(M, reflected[measured])
+    inside = np.zeros(n, dtype=bool)  # per group label
+    inside[group[representative]] = depth[representative] > 0.0
+    rest = far & ~measured & ~inside[group]
+    if np.any(rest):
+        depth[rest] = signed_interior_distance(M, reflected[rest])
+    return depth
 
 
 def _judge(band, tangency_margin, source, reflected, depth) -> ReflectionVerdict:
@@ -321,10 +378,14 @@ def _direction_set(dimension: int, directions: int | np.ndarray) -> np.ndarray:
     offsets v . center, which only holds for unit v.
     """
     if isinstance(directions, (int, np.integer)):
+        if directions < 1:
+            raise ValueError(f"need at least 1 direction, got {directions}")
         if dimension == 1:
             return uniform_circle_directions(int(directions))
         return fibonacci_sphere_directions(int(directions))
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    if dirs.shape[0] == 0:
+        raise ValueError("need at least 1 direction, got none")
     if np.any(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) > 1e-9):
         raise ValueError("directions must be unit vectors")
     return dirs
@@ -343,6 +404,8 @@ def symmetry_certificate(
     supporting evidence.  The witness for a failure points at the vertex of
     largest radius.
     """
+    if not 0.0 < tol < math.inf:  # written so that NaN fails
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     center = np.asarray(center, dtype=float)
     if contains_point(M, center) is not Containment.INSIDE:
         raise CenterOutside(f"center {tuple(center)} is not inside the surface")
@@ -352,7 +415,7 @@ def symmetry_certificate(
     deviation = float((radii.max() - radii.min()) / mean_r)
 
     reflected = [Hyperplane(V=v, c=float(v @ center)).reflect(M.vertices) for v in dirs]
-    defect = float(surface_distance(M, np.concatenate(reflected)).max()) if reflected else 0.0
+    defect = float(surface_distance(M, np.concatenate(reflected)).max())
 
     spherical = deviation < tol
     witness = None

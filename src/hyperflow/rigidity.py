@@ -237,9 +237,12 @@ def rigidity_audit(
     post_verdicts = _post_touch_stage(traj, times, frame_dt, touched)
     reflection_ok = reflection_ok and all(row["passed"] for row in post_verdicts)
 
-    sym_rows, symmetry_ok = _symmetry_stage(
-        traj, y_inf, dirs, symmetry_tol if symmetry_tol is not None else 5.0 * min(cs)
-    )
+    try:
+        sym_rows, symmetry_ok = _symmetry_stage(
+            traj, y_inf, dirs, symmetry_tol if symmetry_tol is not None else 5.0 * min(cs)
+        )
+    except ValueError as exc:  # the directions passed above, so the tolerance failed
+        raise ValueError(f"symmetry_tol: {exc}") from exc
 
     residual = None
     residual_note = ""

@@ -6,11 +6,15 @@ from hypothesis import example, given, strategies as st
 
 from hyperflow.errors import CenterOutside, InsufficientFrames, NeverTouches, StartNotStrict
 from hyperflow.flow_engine import FlowConfig, Trajectory, evolve
-from hyperflow import hypersurface
+from hyperflow import hypersurface, reflection
 from hyperflow.hypersurface import BOUNDARY_TOL_FACTOR, signed_interior_distance, surface_distance
 from hyperflow.reflection import (
+    INCLUSION_BAND_FACTOR,
     Hyperplane,
     ReflectionStatus,
+    ReflectionVerdict,
+    _judge,
+    _least_depths,
     _touch_time,
     _verdicts,
     first_touch_time,
@@ -122,7 +126,39 @@ def test_ellipse_loses_strictness_at_oblique_plane():
 
 
 # ---------------------------------------------------------------------------
-# batched verdicts: one distance query for many planes
+# full-depth oracle: every reflected vertex measured
+
+
+def full_depth_verdict(M, pl):
+    """The verdict of one plane from the exact depth of every reflected vertex.
+
+    The measure-everything path that ``_verdicts`` replaced with its bound
+    pass: vacuous and touching planes as there, and otherwise ``_judge`` over
+    ``signed_interior_distance`` of all the reflected vertices.
+    """
+    band = INCLUSION_BAND_FACTOR * M.bbox_diagonal
+    s = pl.signed_coordinate(M.vertices)
+    if float(s.max()) < -band:
+        return ReflectionVerdict(
+            status=ReflectionStatus.VACUOUS, inclusion_margin=math.inf, tangency_margin=math.inf,
+            details={"support_gap": float(-s.max())},
+        )
+    edges = M.edges
+    near = np.abs(s) <= band
+    near[edges[s[edges[:, 0]] * s[edges[:, 1]] < 0.0].ravel()] = True
+    tangency_margin = math.pi / 2.0
+    if np.any(near):
+        angles = np.arcsin(np.clip(np.abs(M.curvature_data.normals[near] @ pl.V), 0.0, 1.0))
+        tangency_margin = float(angles.min())
+    crossers = s > band
+    if not np.any(crossers):
+        return ReflectionVerdict(
+            status=ReflectionStatus.NONSTRICT, inclusion_margin=0.0, tangency_margin=tangency_margin,
+            details={"note": "no vertex beyond the plane band"},
+        )
+    source = M.vertices[crossers]
+    reflected = pl.reflect(source)
+    return _judge(band, tangency_margin, source, reflected, signed_interior_distance(M, reflected))
 
 
 def _assert_same_verdict(got, want):
@@ -136,6 +172,79 @@ def _assert_same_verdict(got, want):
             assert np.array_equal(got.details[key], value)
         else:
             assert got.details[key] == value
+
+
+ORACLE_SURFACES = {
+    "circle 256-gon": lambda: shapes.circle_polygon(1.0, 256),
+    "2:1 ellipse": lambda: shapes.ellipse_polygon(2.0, 1.0, 256),
+    "peanut": lambda: shapes.peanut_polygon(128),
+    "noisy circle": lambda: shapes.noisy_circle(1.0, 0.05, 256, seed=3),
+    "square": lambda: shapes.square_polygon(2.0, 8),
+    "ellipsoid s3": lambda: shapes.ellipsoid_mesh(1.5, 1.0, 0.75, 3),
+    "noisy sphere": lambda: shapes.noisy_sphere(1.0, 0.05, 3, seed=3),
+    "icosphere s2": lambda: shapes.icosphere(1.0, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SURFACES))
+def test_verdicts_equal_the_full_depth_oracle_on_random_planes(name):
+    M = ORACLE_SURFACES[name]()
+    rng = np.random.default_rng(7)
+    V = rng.normal(size=(200, M.dimension + 1))
+    V /= np.linalg.norm(V, axis=1)[:, None]
+    support = (M.vertices @ V.T).max(axis=0)
+    planes = [plane(v, c) for v, c in zip(V, rng.uniform(-1.2, 1.2, size=200) * support)]
+    got = _verdicts(M, planes)
+    statuses = set()
+    for verdict, p in zip(got, planes):
+        _assert_same_verdict(verdict, full_depth_verdict(M, p))
+        statuses.add(verdict.status)
+    assert {ReflectionStatus.STRICT, ReflectionStatus.FAILS, ReflectionStatus.VACUOUS} <= statuses
+
+
+def _depths_measured(M, pl, monkeypatch):
+    """``_least_depths`` for one plane, and the point count of each distance call it made."""
+    sizes = []
+
+    def spy(M, points):
+        sizes.append(points.shape[0])
+        return signed_interior_distance(M, points)
+
+    monkeypatch.setattr(reflection, "signed_interior_distance", spy)
+    crossers = pl.signed_coordinate(M.vertices) > INCLUSION_BAND_FACTOR * M.bbox_diagonal
+    reflected = pl.reflect(M.vertices[crossers])
+    return _least_depths(M, crossers[None], reflected), sizes, signed_interior_distance(M, reflected)
+
+
+def test_an_outside_group_is_measured_in_full(monkeypatch):
+    # the whole circle lies beyond the plane and reflects outside itself
+    M = shapes.circle_polygon(1.0, 256, center=(2.0, 0.0))
+    depth, sizes, exact = _depths_measured(M, plane([1, 0], 0.5), monkeypatch)
+    assert len(sizes) == 2 and sum(sizes) == 256  # near vertices and representatives, then the rest
+    assert np.array_equal(depth, exact)
+
+
+def test_an_inside_group_is_certified_by_its_representative(monkeypatch):
+    # the cap's images form one chain inside the circle; only those that may
+    # set the least depth, plus one representative, are measured
+    M = shapes.circle_polygon(1.0, 256)
+    depth, sizes, exact = _depths_measured(M, plane([1, 0], 0.5), monkeypatch)
+    certified = np.isinf(depth)
+    assert len(sizes) == 1 and sizes[0] == np.count_nonzero(~certified) < 0.1 * depth.shape[0]
+    assert np.all(exact[certified] > exact.min())
+    assert np.array_equal(depth[~certified], exact[~certified])
+
+
+def test_a_plane_with_no_far_vertex_measures_every_image(monkeypatch):
+    # one vertex beyond the plane: its own distance bound is the least
+    M = shapes.circle_polygon(1.0, 256)
+    depth, sizes, exact = _depths_measured(M, plane([1, 0], 0.9999), monkeypatch)
+    assert depth.shape == (1,) and sizes == [1]
+    assert np.array_equal(depth, exact)
+
+
+# ---------------------------------------------------------------------------
+# batched verdicts: one bound pass and one distance query for many planes
 
 
 MIXED_BATCHES = {
@@ -165,6 +274,7 @@ def test_batched_verdicts_equal_one_plane_checks(name):
     assert {v.status for v in batch} == set(ReflectionStatus)
     for got, p in zip(batch, planes):
         _assert_same_verdict(got, strict_reflection_check(M, p))
+        _assert_same_verdict(got, full_depth_verdict(M, p))
 
 
 def test_batched_verdicts_check_every_direction_first(unit_circle_256):
@@ -376,6 +486,22 @@ def test_certificate_defect_is_the_worst_plane_queried_alone(ellipse_2_1):
         for v in uniform_circle_directions(16)
     ]
     assert out.max_reflection_defect == max(per_plane)
+
+
+@pytest.mark.parametrize("directions", [0, -1, np.zeros((0, 2))], ids=["zero", "negative", "empty rows"])
+def test_certificate_needs_a_direction(unit_circle_256, directions):
+    # no direction used to certify a sphere with directions_checked 0
+    with pytest.raises(ValueError, match="^need at least 1 direction"):
+        symmetry_certificate(unit_circle_256, [0.0, 0.0], directions=directions)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_certificate_tolerance_must_be_finite_and_positive(tol):
+    # a NaN or negative tol made this round 64-gon non-spherical at deviation 1e-16
+    M = shapes.circle_polygon(1.0, 64)
+    assert symmetry_certificate(M, [0.0, 0.0], directions=8).spherical
+    with pytest.raises(ValueError, match="^tol must be finite and positive"):
+        symmetry_certificate(M, [0.0, 0.0], directions=8, tol=tol)
 
 
 def test_certificate_spherical_implies_tight_radii(unit_circle_256):

@@ -6,15 +6,16 @@ import pytest
 from hyperflow.errors import EmptyTrajectory, InsufficientFrames, PreconditionFailed
 from hyperflow.flow_engine import FlowConfig, Trajectory, evolve
 from hyperflow.hypersurface import inner_outer_radii
-from hyperflow.reflection import Hyperplane, ReflectionStatus, _direction_set, strict_reflection_check
+from hyperflow.reflection import Hyperplane, ReflectionStatus, _direction_set
 from hyperflow.rigidity import (
     comes_out_of_point,
     rigidity_audit,
     tau_limit_check,
 )
-from hyperflow import families, rigidity, shapes
+from hyperflow import families, reflection, rigidity, shapes
 from hyperflow.sphere_ode import initial_time_estimate
 from hyperflow.speeds import mean_curvature, speed_by_name
+from test_reflection import full_depth_verdict
 
 F_K = mean_curvature(1)
 
@@ -245,20 +246,20 @@ def test_audit_on_numerically_evolved_trajectory():
 
 
 # ---------------------------------------------------------------------------
-# the frame-major post-touch stage against the per-plane loop
+# the frame-major post-touch stage against the per-plane full-depth loop
 
 
 def _oracle_monitor(traj, plane, t_start, stride):
     """Per-plane monitoring: strict start, stride with the final frame, stop at FAILS or VACUOUS."""
     frames = [(t, m) for t, m in traj.frames if t >= t_start - 1e-12]
-    first = strict_reflection_check(frames[0][1], plane)
+    first = full_depth_verdict(frames[0][1], plane)
     assert first.status is ReflectionStatus.STRICT
     picked = frames[::max(1, stride)]
     if picked[-1][0] != frames[-1][0]:
         picked.append(frames[-1])
     out = [(frames[0][0], first)]
     for t, M in picked[1:]:
-        verdict = strict_reflection_check(M, plane)
+        verdict = full_depth_verdict(M, plane)
         out.append((t, verdict))
         if verdict.status in (ReflectionStatus.FAILS, ReflectionStatus.VACUOUS):
             break
@@ -273,7 +274,7 @@ def _oracle_entry(traj, plane, tau, frame_dt):
         t_probe, M_probe = traj.frame_near(tau + k * frame_dt)
         if t_probe < tau:
             continue
-        verdict = strict_reflection_check(M_probe, plane)
+        verdict = full_depth_verdict(M_probe, plane)
         probes.append({"t": t_probe, "status": verdict.status.value})
         if verdict.status is ReflectionStatus.STRICT and start_t is None:
             start_t = t_probe
@@ -335,6 +336,35 @@ def test_post_touch_stage_matches_per_plane_oracle_on_criterion_7(criterion_7_fa
     rows = _oracle_post_touch_rows(criterion_7_fam, [0.0, 0.0], dirs, C_SCHEDULE_7)
     assert len(rows) == 64
     assert list(report.post_touch_verdicts) == rows
+
+
+def test_post_touch_stage_measures_few_reflected_vertices(criterion_7_fam, monkeypatch):
+    # the bound pass certifies most images inside without a distance query
+    counts = {"reflected": 0, "measured": 0}
+    least_depths, measure = reflection._least_depths, reflection.signed_interior_distance
+
+    def count_reflected(M, crossers, reflected):
+        counts["reflected"] += reflected.shape[0]
+        return least_depths(M, crossers, reflected)
+
+    def count_measured(M, points):
+        counts["measured"] += points.shape[0]
+        return measure(M, points)
+
+    monkeypatch.setattr(reflection, "_least_depths", count_reflected)
+    monkeypatch.setattr(reflection, "signed_interior_distance", count_measured)
+    report = rigidity_audit(criterion_7_fam, F_K, [0.0, 0.0], directions=_benchmark_directions(0), c_schedule=C_SCHEDULE_7)
+    assert report.overall
+    assert counts["reflected"] == 203056  # every reflected vertex of the audit
+    assert counts["measured"] < 0.1 * counts["reflected"]
+
+
+@pytest.mark.parametrize("directions", [0, -2, np.zeros((0, 2))], ids=["zero", "negative", "empty rows"])
+def test_audit_needs_a_direction(directions):
+    # an empty set used to pass with no tau row and no post-touch row
+    fam = families.exponential_sphere_family(-3.0, 0.0, 0.05, n=1, resolution=64)
+    with pytest.raises(ValueError, match="^need at least 1 direction"):
+        rigidity_audit(fam, F_K, [0.0, 0.0], directions=directions, c_schedule=(0.4, 0.2))
 
 
 def test_post_touch_stage_matches_per_plane_oracle_off_centre():
