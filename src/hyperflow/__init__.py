@@ -9,7 +9,7 @@ and sphericity certificates.
 """
 
 from .errors import HyperflowError
-from .flow_engine import FlowConfig, Trajectory, evolve, flow_residual, remesh, step
+from .flow_engine import FlowConfig, Trajectory, evolve, flow_residual
 from .hypersurface import (
     Containment,
     CurvatureData,

@@ -63,7 +63,7 @@ _SHAPE = {"shape": "circle", "radius": 1.0, "axes": None, "resolution": 256, "su
 _KEYS: dict[str, dict] = {
     "simulate": {
         "seed": 0, **_SPEED, **_SHAPE, "t0": 0.0, "t_end": 1.0, "dt": None, "cfl": 0.2,
-        "frame_interval": 0.01, "band_lo": None, "band_hi": None, "stop_on_cone_exit": True,
+        "frame_interval": 0.01, "stop_on_cone_exit": True,
     },
     "sphere-ode": {"seed": 0, **_SPEED, "dimension": 1, "t0": 0.0, "t_end": 1.0, "dt": None, "r0": 1.0},
     "classify-speed": {"seed": 0, **_SPEED, "dimension": 1},
@@ -82,7 +82,7 @@ _NAME_KEYS = {"speed", "shape", "family"}
 _BOOL_KEYS = {"stop_on_cone_exit"}
 _NUMBER_KEYS = {
     "seed", "alpha", "radius", "resolution", "subdivisions", "t0", "t_end", "dt", "cfl", "frame_interval",
-    "band_lo", "band_hi", "dimension", "r0", "tol", "frame_dt", "directions", "symmetry_tol",
+    "dimension", "r0", "tol", "frame_dt", "directions", "symmetry_tol",
 }
 
 
@@ -175,8 +175,6 @@ _RULES: dict[str, tuple[Callable[[SimpleNamespace], bool], str]] = {
         "shape = {shape} needs one semi-axis per coordinate in axes",
     ),
     "mesh_file": (lambda c: c.shape != "mesh" or c.mesh_file is not None, "shape = mesh requires mesh_file"),
-    # a band turns on remeshing, so half of one is an error, not a no-op
-    "band_lo": (lambda c: (c.band_lo is None) == (c.band_hi is None), "band_lo and band_hi must be given together"),
     "subdivisions": (lambda c: 0 <= c.subdivisions <= 6, "subdivisions must lie in [0, 6]"),
     "dimension": (lambda c: c.dimension in (1, 2), "dimension must be 1 or 2"),
     # dimension counts as 1 for the commands that do not take it
@@ -285,7 +283,6 @@ def _run_simulate(cfg: SimpleNamespace) -> int:
         dt=cfg.dt,
         cfl=cfg.cfl,
         frame_interval=cfg.frame_interval,
-        band=None if cfg.band_lo is None else (cfg.band_lo, cfg.band_hi),
         stop_on_cone_exit=cfg.stop_on_cone_exit,
     )
     traj = flow_engine.evolve(M0, F, cfg.t0, flow_cfg)

@@ -1,14 +1,16 @@
 """Explicit time integration of the outward flow with speed 1/F.
 
 Every vertex moves along its outward normal at rate 1/F(principal
-curvatures).  ``step`` is the contractual single forward-Euler update.
-``evolve`` re-estimates curvature at each stage of each requested step: a
-step that one classical RK4 step takes stably is one RK4 step (fourth
-order); a stiffer step is one damped second-order Runge-Kutta-Chebyshev
-step with as many stages as explicit stability needs.  Admissibility is
-monitored per stage: curvature tuples must stay inside the speed's cone with
-a relative interior margin, and near-boundary frames are logged as warning
-events.  An edge-length band turns on remeshing.
+curvatures).  ``evolve`` re-estimates curvature at each stage of each
+requested step: a step that one classical RK4 step takes stably is one RK4
+step (fourth order); a stiffer step is one damped second-order
+Runge-Kutta-Chebyshev step with as many stages as explicit stability needs.
+Admissibility is monitored per stage: curvature tuples must stay inside the
+speed's cone with a relative interior margin, and near-boundary frames are
+logged as warning events.  The connectivity never changes, so the frames of
+a run correspond vertex by vertex.  Under 1/k and 1/H every arc or area
+element grows by e^t, so a fixed vertex count keeps a fixed relative
+resolution as the surface expands.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
     NonFiniteState,
     NonPositiveSpeed,
 )
-from .hypersurface import DiscreteHypersurface, _curve_kernel, _edge_table, _polygon, enclosed_volume
+from .hypersurface import DiscreteHypersurface, _curve_kernel, enclosed_volume
 from .speeds import SpeedFunction, _raw_gradient
 
 MARGIN_HARD = 1e-6  # relative cone-interior margin that aborts a step
@@ -49,15 +51,13 @@ class FlowConfig:
     requested step within the limit is one RK4 step; a longer one is one RKC
     step whose s stages stretch the limit about 0.65 s^2 / 2.78-fold (equal
     RKC steps above RKC_MAX_STAGES stages).  Frames and cadence always follow
-    the requested dt grid.  Given an edge-length ``band`` (lo, hi), the run
-    remeshes after every step that leaves an edge outside it.
+    the requested dt grid.
     """
 
     t_end: float
     dt: float | None = None
     cfl: float = 0.2
     frame_interval: float = 0.01
-    band: tuple[float, float] | None = None
     stop_on_cone_exit: bool = True
 
     def __post_init__(self):
@@ -70,8 +70,6 @@ class FlowConfig:
             raise ValueError("dt must be positive")
         if not (self.frame_interval > 0.0):
             raise ValueError("frame_interval must be positive")
-        if self.band is not None:
-            _check_band(self.band)
 
 
 @dataclass
@@ -92,15 +90,11 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return np.array([t for t, _ in self.frames])
 
-    def frame_near(self, t: float) -> tuple[float, DiscreteHypersurface]:
-        ts = self.times()
-        return self.frames[int(np.argmin(np.abs(ts - t)))]
-
     def interpolate_vertices(self, t: float) -> np.ndarray:
         """Linear vertex interpolation between bracketing frames.
 
-        Requires stable vertex correspondence across the bracket (no remesh
-        event in between).
+        The bracketing frames must correspond vertex by vertex, as every run
+        of ``evolve`` does.
         """
         ts = self.times()
         t = float(np.clip(t, ts[0], ts[-1]))
@@ -148,14 +142,6 @@ def _heights(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_band(band: tuple[float, float]) -> None:
-    lo, hi = band
-    if not (0.0 < lo < hi):
-        raise ValueError("band must satisfy 0 < lo < hi")
-    if hi < 2.0 * lo:
-        raise ValueError("band must satisfy hi >= 2 lo so splits terminate")
-
-
 def _stage_surface(template: DiscreteHypersurface, verts: np.ndarray) -> DiscreteHypersurface:
     try:
         return template.with_vertices(verts)
@@ -189,13 +175,6 @@ def _accept(M: DiscreteHypersurface, verts: np.ndarray) -> DiscreteHypersurface:
     if float(out.edge_lengths.min()) <= EDGE_FLOOR_FACTOR * out.bbox_diagonal:
         raise MeshDegeneracy("edge length fell below the quality floor")
     return out
-
-
-def step(M: DiscreteHypersurface, F: SpeedFunction, dt: float) -> DiscreteHypersurface:
-    """One forward-Euler update: x -> x + dt * normal / F(curvatures)."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    return _accept(M, M.vertices + dt * _velocity(M, F)[0])
 
 
 def _local_min_edge(M: DiscreteHypersurface) -> np.ndarray:
@@ -333,8 +312,9 @@ def evolve(
 
     Frames are stored roughly every ``frame_interval`` time units plus the
     final state.  Events record every change in the velocity evaluations per
-    requested step, remeshing, near-cone-boundary warnings, volume decreases
-    and, with stop_on_cone_exit=False, a graceful stop at a cone exit.
+    requested step, near-cone-boundary warnings, volume decreases and, with
+    stop_on_cone_exit=False, a graceful stop at a cone exit.  Every frame
+    keeps the connectivity of M0.
     """
     if not (config.t_end > t0):
         raise ValueError("t_end must exceed t0")
@@ -381,13 +361,6 @@ def evolve(
             traj.events.append(
                 {"t": t, "type": "cone_margin_warning", "detail": f"margin {margin:.3e}"}
             )
-        if config.band is not None:
-            lens = M.edge_lengths
-            if float(lens.max()) > config.band[1] or float(lens.min()) < config.band[0]:
-                M = remesh(M, config.band)
-                traj.events.append(
-                    {"t": t, "type": "remesh", "detail": f"{M.num_vertices} vertices"}
-                )
         vol = enclosed_volume(M)
         if vol < last_volume - 1e-12 * abs(last_volume):
             traj.events.append(
@@ -429,8 +402,9 @@ class FlowResidual:
 def flow_residual(traj: Trajectory, F: SpeedFunction) -> FlowResidual:
     """Central-difference normal velocity against 1/F on interior frames.
 
-    Each frame must correspond vertex by vertex with its neighbours, so a
-    trajectory that remeshed between them raises InsufficientFrames.
+    Each frame must correspond vertex by vertex with its neighbours; a
+    trajectory whose vertex count changes between them (a hand-built one,
+    say) raises InsufficientFrames.
     """
     if len(traj.frames) < 3:
         raise InsufficientFrames("need at least 3 frames for central differences")
@@ -449,154 +423,3 @@ def flow_residual(traj: Trajectory, F: SpeedFunction) -> FlowResidual:
     return FlowResidual(
         times=np.array(times), max_abs=np.array(max_abs), mean_abs=np.array(mean_abs)
     )
-
-
-# ---------------------------------------------------------------------------
-# Remeshing
-
-
-def _circumcenter_2d(a: np.ndarray, b: np.ndarray, c: np.ndarray):
-    d = 2.0 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
-    if abs(d) < 1e-300:
-        return None
-    ux = (
-        (a @ a) * (b[1] - c[1]) + (b @ b) * (c[1] - a[1]) + (c @ c) * (a[1] - b[1])
-    ) / d
-    uy = (
-        (a @ a) * (c[0] - b[0]) + (b @ b) * (a[0] - c[0]) + (c @ c) * (b[0] - a[0])
-    ) / d
-    return np.array([ux, uy])
-
-
-def _project_to_circle(p: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    center = _circumcenter_2d(a, b, c)
-    if center is None:
-        return p
-    radial = p - center
-    norm = np.linalg.norm(radial)
-    if norm == 0.0:
-        return p
-    radius = np.linalg.norm(a - center)
-    return center + radial * (radius / norm)
-
-
-def _split_midpoint(verts: np.ndarray, i: int) -> np.ndarray:
-    """Midpoint of edge (i, i+1) projected onto the two local circumcircles."""
-    m = verts.shape[0]
-    a = verts[(i - 1) % m]
-    b = verts[i]
-    c = verts[(i + 1) % m]
-    d = verts[(i + 2) % m]
-    mid = 0.5 * (b + c)
-    p1 = _project_to_circle(mid, a, b, c)
-    p2 = _project_to_circle(mid, b, c, d)
-    return 0.5 * (p1 + p2)
-
-
-def remesh(
-    M: DiscreteHypersurface,
-    band: tuple[float, float],
-    max_volume_change: float = 1e-3,
-) -> DiscreteHypersurface:
-    """Bring edge lengths into the band by splitting and (curves) collapsing.
-
-    Split midpoints are projected onto the circumcircles through neighbouring
-    vertex triples, which keeps circle meshes exactly round.  Meshes support
-    splitting only; a mesh whose short edges violate the band cannot be
-    repaired here.  The enclosed volume must stay within ``max_volume_change``
-    relative or the operation fails.
-    """
-    _check_band(band)
-    lo, hi = band
-    vol0 = enclosed_volume(M)
-    if M.dimension == 1:
-        out = _remesh_curve(M, lo, hi)
-    else:
-        out = _remesh_mesh(M, lo, hi)
-    vol1 = enclosed_volume(out)
-    if abs(vol1 - vol0) > max_volume_change * abs(vol0):
-        raise MeshDegeneracy(
-            f"remesh changed enclosed volume by {abs(vol1 - vol0) / abs(vol0):.3e} relative"
-        )
-    return out
-
-
-def _remesh_curve(M: DiscreteHypersurface, lo: float, hi: float) -> DiscreteHypersurface:
-    verts = M.vertices.copy()
-    changed = False
-    for _ in range(64):
-        lens = _polygon(verts).edge_lengths
-        long_edges = np.nonzero(lens > hi)[0]
-        if long_edges.shape[0] == 0:
-            break
-        changed = True
-        pieces = []
-        long_set = set(long_edges.tolist())
-        for i in range(verts.shape[0]):
-            pieces.append(verts[i])
-            if i in long_set:
-                pieces.append(_split_midpoint(verts, i))
-        verts = np.array(pieces)
-    else:
-        raise MeshDegeneracy("edge splitting did not terminate")
-
-    for _ in range(10 * verts.shape[0]):
-        lens = _polygon(verts).edge_lengths
-        j = int(np.argmin(lens))
-        if lens[j] >= lo:
-            break
-        if verts.shape[0] <= 4:
-            raise MeshDegeneracy("collapse would leave fewer than 4 vertices")
-        changed = True
-        merged = _split_midpoint(verts, j)
-        if j + 1 < verts.shape[0]:
-            verts = np.vstack([verts[:j], merged[None, :], verts[j + 2 :]])
-        else:  # wraparound edge (m-1, 0)
-            verts = np.vstack([merged[None, :], verts[1:-1]])
-    if not changed:
-        return M
-    return DiscreteHypersurface(verts)
-
-
-def _remesh_mesh(M: DiscreteHypersurface, lo: float, hi: float) -> DiscreteHypersurface:
-    verts = [v for v in M.vertices]
-    faces = M.faces.copy()
-    for _ in range(64):
-        arr = np.array(verts)
-        und, edge_faces, _ = _edge_table(faces)
-        lens = np.linalg.norm(arr[und[:, 0]] - arr[und[:, 1]], axis=1)
-        long_edges = np.flatnonzero(lens > hi)
-        if long_edges.shape[0] == 0:
-            break
-        # split an independent set per round: no two chosen edges share a face
-        used = np.zeros(faces.shape[0], dtype=bool)
-        replacements: list[int] = []
-        for e in long_edges:
-            if np.any(used[edge_faces[e]]):
-                continue
-            used[edge_faces[e]] = True
-            replacements.append(e)
-        new_faces = faces.tolist()
-        for e in replacements:
-            i, j = und[e].tolist()
-            mid = 0.5 * (np.array(verts[i]) + np.array(verts[j]))
-            m_idx = len(verts)
-            verts.append(mid)
-            for fi in edge_faces[e].tolist():
-                tri = faces[fi].tolist()
-                a, b, c = tri
-                # rotate so the split edge is (a, b)
-                for _r in range(3):
-                    if {a, b} == {i, j}:
-                        break
-                    a, b, c = b, c, a
-                new_faces[fi] = [a, m_idx, c]
-                new_faces.append([m_idx, b, c])
-        faces = np.array(new_faces, dtype=np.int64)
-    else:
-        raise MeshDegeneracy("edge splitting did not terminate")
-    arr = np.array(verts)
-    out = DiscreteHypersurface(arr, faces)
-    if float(out.edge_lengths.min()) < lo:
-        raise MeshDegeneracy("short edges below band; mesh collapse is not supported")
-    return out

@@ -1,6 +1,6 @@
 """Discrete closed hypersurfaces: polygons in the plane, triangle meshes in space.
 
-A surface snapshot is immutable; evolution and remeshing build new instances.
+A surface snapshot is immutable; each evolution stage builds a new instance.
 Each dimension has one element kernel that forms its geometry once; the
 constructor validates through it and keeps the volume it measures.
 ``_polygon`` pads a curve's coordinate rows so that each vertex's neighbours

@@ -36,8 +36,9 @@ from .reflection import (
 )
 from .speeds import SpeedFunction
 
-# Reflection is checked at tau + {1, 2, 4} frame spacings: strictness just
-# after touch may need a moment to exceed the mesh tolerance band.
+# Reflection is checked at tau + {1, 2, 4} spacings of the frame bracket that
+# holds tau: strictness just after touch may need a moment to exceed the mesh
+# tolerance band.
 POST_TOUCH_OFFSETS = (1, 2, 4)
 SYMMETRY_FRAMES = 12  # evenly spaced frames that get a sphericity certificate
 
@@ -214,7 +215,6 @@ def rigidity_audit(
 
     dirs = _direction_set(traj.frames[0][1].dimension, directions)
     times = traj.times()
-    frame_dt = float(np.median(np.diff(times))) if times.shape[0] > 1 else 0.0
 
     tau_table: list[dict] = []
     touched: list[tuple[Hyperplane, list, float, float]] = []  # (plane, direction, c, tau)
@@ -234,7 +234,7 @@ def rigidity_audit(
             if not np.any(times >= tau - 1e-12):
                 raise NoFramesPastTouch(f"no frames at or after tau = {tau}")
             touched.append((Hyperplane(V=V, c=offset), V.tolist(), c, tau))
-    post_verdicts = _post_touch_stage(traj, times, frame_dt, touched)
+    post_verdicts = _post_touch_stage(traj, times, touched)
     reflection_ok = reflection_ok and all(row["passed"] for row in post_verdicts)
 
     try:
@@ -249,7 +249,7 @@ def rigidity_audit(
     try:
         residual = flow_residual(traj, F)
         residual_note = f"max flow-law residual {residual.overall_max:.4g}"
-    except HyperflowError as exc:  # e.g. a remesh breaks correspondence; evidence stays optional
+    except HyperflowError as exc:  # e.g. frames that do not correspond; evidence stays optional
         residual_note = f"residual unavailable ({exc})"
 
     overall = reflection_ok and symmetry_ok
@@ -271,23 +271,25 @@ def rigidity_audit(
 def _post_touch_stage(
     traj: Trajectory,
     times: np.ndarray,
-    frame_dt: float,
     touched: list[tuple[Hyperplane, list, float, float]],
 ) -> list[dict]:
     """Post-touch rows of the touched planes, checked frame by frame.
 
     Each plane is probed at the frames nearest tau + POST_TOUCH_OFFSETS
-    frame spacings that are not before tau; its first strict probe starts
+    spacings of the frame bracket that holds tau, keeping those that are not
+    before tau, so a grid whose spacing varies still probes past tau; its
+    first strict probe starts
     its monitoring at a stride that samples about 32 frames.  Planes that
     probe or monitor the same frame share one verdict kernel call there, and
     the probe verdicts are reused by the monitoring.
     """
     planes = [plane for plane, _, _, _ in touched]
     seen: list[dict] = [{} for _ in planes]  # frame index -> verdict, per plane
-    steps = np.array(POST_TOUCH_OFFSETS) * frame_dt
     probes = []
     by_frame: dict[int, list[int]] = {}
     for i, (_, _, _, tau) in enumerate(touched):
+        j = int(np.clip(np.searchsorted(times, tau), 1, times.shape[0] - 1))
+        steps = np.array(POST_TOUCH_OFFSETS) * (times[j] - times[j - 1])
         nearest = np.abs(times[None, :] - (tau + steps)[:, None]).argmin(axis=1).tolist()
         probes.append([f for f in nearest if times[f] >= tau])
         for f in dict.fromkeys(probes[-1]):

@@ -109,8 +109,8 @@ def test_criterion_5_comparison_principle(nested_flows):
     violations = 0
     for i in idx:
         t = shared[int(i)]
-        Mi = inner.frame_near(t)[1]
-        Mo = outer.frame_near(t)[1]
+        Mi = inner.frames[int(np.argmin(np.abs(inner.times() - t)))][1]
+        Mo = outer.frames[int(np.argmin(np.abs(outer.times() - t)))][1]
         violations += int(np.sum(classify_points(Mo, Mi.vertices) != INSIDE_CODE))
     assert violations == 0
     _report(5, "inner circle stayed inside the outer ellipse at all 100 shared times")
@@ -119,7 +119,7 @@ def test_criterion_5_comparison_principle(nested_flows):
 def test_criterion_6_roundness_improvement(ellipse_flow):
     ratios = []
     for t in (0.0, 0.5, 1.0):
-        _, M = ellipse_flow.frame_near(t)
+        M = ellipse_flow.frames[int(np.argmin(np.abs(ellipse_flow.times() - t)))][1]
         ratios.append(inner_outer_radii(M).ratio)
     assert ratios[0] - ratios[1] > 1e-3
     assert ratios[1] - ratios[2] > 1e-3

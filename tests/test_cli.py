@@ -245,8 +245,7 @@ def test_resolved_config_rerun_reproduces_artifacts(tmp_path, command):
 # every key of each command, in echo order; the unset ones get a value here
 ECHOED_KEYS = {
     "simulate": ["out_dir", "seed", "speed", "alpha", "shape", "radius", "axes", "resolution", "subdivisions",
-                 "mesh_file", "t0", "t_end", "dt", "cfl", "frame_interval", "band_lo", "band_hi",
-                 "stop_on_cone_exit"],
+                 "mesh_file", "t0", "t_end", "dt", "cfl", "frame_interval", "stop_on_cone_exit"],
     "sphere-ode": ["out_dir", "seed", "speed", "alpha", "dimension", "t0", "t_end", "dt", "r0"],
     "classify-speed": ["out_dir", "seed", "speed", "alpha", "dimension"],
     "reflect-audit": ["out_dir", "seed", "shape", "radius", "axes", "resolution", "subdivisions", "mesh_file",
@@ -254,8 +253,8 @@ ECHOED_KEYS = {
     "rigidity-audit": ["out_dir", "seed", "speed", "alpha", "dimension", "resolution", "t0", "t_end", "family",
                        "frame_dt", "rates", "directions", "c_schedule", "symmetry_tol"],
 }
-UNSET_VALUES = {"alpha": 0.5, "axes": (2.0, 1.0), "mesh_file": "m.obj", "dt": 0.001, "band_lo": 0.1,
-                "band_hi": 0.3, "tol": 1e-9, "symmetry_tol": 0.1}
+UNSET_VALUES = {"alpha": 0.5, "axes": (2.0, 1.0), "mesh_file": "m.obj", "dt": 0.001, "tol": 1e-9,
+                "symmetry_tol": 0.1}
 
 
 @pytest.mark.parametrize("command", sorted(ECHOED_KEYS))
@@ -324,14 +323,10 @@ REJECTED = [
     ("cfl zero", "simulate", ["cfl=0"]),
     ("cfl above one", "simulate", ["cfl=1.5"]),
     ("frame_interval", "simulate", ["frame_interval=0"]),
-    # one integrator, and a band alone turns on remeshing: both keys are unknown
+    # one integrator on fixed connectivity: the scheme, remeshing and edge-length band keys are unknown
     ("scheme", "simulate", ["scheme=rk2"]),
     ("remesh without band", "simulate", ["remesh=true"]),
-    ("remesh with a band", "simulate", ["remesh=true", "band_lo=0.05", "band_hi=0.2"]),
-    ("band order", "simulate", ["band_lo=2", "band_hi=1"]),
-    ("band_lo alone", "simulate", ["band_lo=0.5"]),
-    ("band_hi alone", "simulate", ["band_hi=0.5"]),
-    ("band too narrow to remesh", "simulate", ["shape=circle", "resolution=32", "band_lo=0.15", "band_hi=0.25"]),
+    ("band_lo and band_hi", "simulate", ["band_lo=0.05", "band_hi=0.2"]),
     ("r0", "sphere-ode", ["r0=0"]),
     ("dimension, sphere-ode", "sphere-ode", ["dimension=3"]),
     ("dimension, classify-speed", "classify-speed", ["dimension=0"]),

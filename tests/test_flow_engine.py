@@ -16,14 +16,14 @@ from hyperflow.errors import (
 )
 from hyperflow.flow_engine import (
     FlowConfig,
+    Trajectory,
+    _accept,
     _stage_surface,
     _substep,
     _velocity,
     evolve,
     flow_residual,
-    remesh,
     stable_substep,
-    step,
 )
 from hyperflow.hypersurface import (
     INSIDE_CODE,
@@ -48,13 +48,18 @@ def radii(M, center=None):
 # single steps
 
 
+def one_step(M, F, dt):
+    """The surface after one requested step of ``evolve``."""
+    return evolve(M, F, 0.0, FlowConfig(t_end=dt, dt=dt)).frames[-1][1]
+
+
 def test_step_circle_matches_radius_ode():
-    M = step(shapes.circle_polygon(1.0, 256), F_K, 0.01)
+    M = one_step(shapes.circle_polygon(1.0, 256), F_K, 0.01)
     assert np.abs(radii(M) - math.exp(0.01)).max() < 1e-4
 
 
 def test_step_icosphere_matches_radius_ode():
-    M = step(shapes.icosphere(1.0, 4), F_H, 0.01)
+    M = one_step(shapes.icosphere(1.0, 4), F_H, 0.01)
     assert np.abs(radii(M) - math.exp(0.005)).max() < 1e-3
 
 
@@ -62,22 +67,22 @@ def test_step_icosphere_matches_radius_ode():
 def test_step_increases_enclosed_volume(n):
     convex = shapes.ellipse_polygon(1.5, 1.0, 128) if n == 1 else shapes.ellipsoid_mesh(1.3, 1.0, 1.1, 2)
     for F in catalog(n):
-        out = step(convex, F, 1e-3)
+        out = one_step(convex, F, 1e-3)
         assert enclosed_volume(out) > enclosed_volume(convex)
 
 
 def test_step_rejects_nonconvex_for_positive_cone():
     with pytest.raises(ConeExit):
-        step(shapes.peanut_polygon(128), F_K, 1e-3)
+        _velocity(shapes.peanut_polygon(128), F_K)
 
 
 def test_step_and_evolve_stop_at_the_edge_floor():
     # a 64-gon with one extra vertex 1e-13 along the circle: that edge sits
-    # below the floor of 1e-12 bbox diagonals, and a tiny step keeps it there
+    # below the floor of 1e-12 bbox diagonals, and a tiny Euler update keeps it there
     th = np.sort(np.append(2.0 * np.pi * np.arange(64) / 64, 1e-13))
     M = DiscreteHypersurface(np.column_stack([np.cos(th), np.sin(th)]))
     with pytest.raises(MeshDegeneracy, match="quality floor"):
-        step(M, F_K, 1e-20)
+        _accept(M, M.vertices + 1e-20 * _velocity(M, F_K)[0])
     with pytest.raises(MeshDegeneracy, match="quality floor"):
         evolve(M, F_K, 0.0, FlowConfig(t_end=0.01, dt=1e-3))
 
@@ -123,9 +128,9 @@ def test_the_step_guard_counts_evaluations():
     assert time.perf_counter() - start < 1.0
 
 
-def test_step_rejects_nonpositive_dt(unit_circle_256):
-    with pytest.raises(ValueError):
-        step(unit_circle_256, F_K, 0.0)
+def test_step_rejects_nonpositive_dt():
+    with pytest.raises(ValueError, match="dt must be positive"):
+        FlowConfig(t_end=1.0, dt=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +142,31 @@ def test_evolve_circle_hits_closed_form():
     r = radii(traj.frames[-1][1])
     assert abs(r.mean() - math.e) / math.e < 0.01
     assert r.max() - r.min() < 1e-3 * r.mean()
+
+
+def _element_measures(M):
+    """Edge lengths of a curve, face areas of a mesh."""
+    if M.dimension == 1:
+        return M.edge_lengths
+    a, b, c = (M.vertices[M.faces[:, k]] for k in range(3))
+    return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+
+
+@pytest.mark.parametrize("case", ["3:1 ellipse 128-gon, 1/k", "ellipsoid s4, 1/H"])
+def test_fixed_connectivity_keeps_its_relative_resolution(case):
+    # under 1/k and 1/H an arc or area element grows at rate H/F = 1, so every
+    # element grows by e^t and a fixed vertex count keeps its relative
+    # resolution.  In R^3 the edges shear as the surface rounds, so the
+    # element is the face; its growth error falls at second order in the mesh
+    # size (4.1 % at s3, 1.2 % at s4)
+    M0, F, t_end, dt = {
+        "3:1 ellipse 128-gon, 1/k": (shapes.ellipse_polygon(3.0, 1.0, 128), F_K, 2.0, 1e-2),
+        "ellipsoid s4, 1/H": (shapes.ellipsoid_mesh(1.0, 1.3, 0.7, 4), F_H, 1.0, 5e-2),
+    }[case]
+    M = evolve(M0, F, 0.0, FlowConfig(t_end=t_end, dt=dt, frame_interval=t_end)).frames[-1][1]
+    growth = _element_measures(M) / _element_measures(M0)
+    assert np.abs(growth / math.exp(t_end) - 1.0).max() < 0.02
+    assert M.edge_lengths.max() / M.edge_lengths.min() <= M0.edge_lengths.max() / M0.edge_lengths.min()
 
 
 def test_frames_follow_requested_cadence():
@@ -290,7 +320,7 @@ def test_curve_errors_keep_their_types_and_messages():
     # a spike up to (1, 3) and back down: the two edge normals there cancel
     cusp = DiscreteHypersurface([[0, 0], [2, 0], [2, 2], [1, 2], [1, 3], [1, 2.5], [0, 2]])
     with pytest.raises(MeshDegeneracy, match="^cusp vertex: adjacent edge normals cancel$"):
-        step(cusp, F_K, 1e-3)
+        _velocity(cusp, F_K)
 
 
 def test_one_rk4_substep_of_a_curve_builds_four_snapshots_and_four_curvatures(monkeypatch):
@@ -602,11 +632,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(t_end=1.0, cfl=0.0)
     with pytest.raises(ValueError):
-        FlowConfig(t_end=1.0, band=(2.0, 1.0))
-    # hi < 2 lo cannot terminate splitting; the run must not start with it
-    with pytest.raises(ValueError, match="hi >= 2 lo"):
-        FlowConfig(t_end=1, band=(1.0, 1.5))
-    with pytest.raises(ValueError):
         evolve(shapes.circle_polygon(1.0, 16), F_K, 2.0, FlowConfig(t_end=1.0))
 
 
@@ -654,95 +679,12 @@ def test_residual_needs_three_frames():
         flow_residual(fam, F_K)
 
 
-# ---------------------------------------------------------------------------
-# remeshing
-
-
-def test_remesh_is_noop_inside_band(unit_circle_256):
-    h = float(unit_circle_256.edge_lengths.mean())
-    assert remesh(unit_circle_256, (0.5 * h, 2.0 * h)) is unit_circle_256
-
-
-def test_remesh_splits_coarse_circle():
-    c16 = shapes.circle_polygon(1.0, 16)
-    h = float(c16.edge_lengths.mean())
-    out = remesh(c16, (h / 4.0, h / 1.5), max_volume_change=0.05)
-    assert out.num_vertices > 16
-    # projected midpoints land exactly on the circumscribed circle, so the
-    # estimator's zero error on circles is preserved
-    assert np.abs(np.linalg.norm(out.vertices, axis=1) - 1.0).max() < 1e-12
-    assert np.abs(out.curvature_data.principal - 1.0).max() < 1e-12
-    lens = out.edge_lengths
-    assert lens.max() <= h / 1.5 + 1e-12
-
-
-def test_remesh_volume_guard():
-    c16 = shapes.circle_polygon(1.0, 16)
-    h = float(c16.edge_lengths.mean())
-    with pytest.raises(MeshDegeneracy):
-        remesh(c16, (h / 4.0, h / 1.5))  # coarse split moves ~2% of the area
-
-
-def test_remesh_collapses_short_edges():
-    c = shapes.circle_polygon(1.0, 256)
-    h = float(c.edge_lengths.mean())
-    out = remesh(c, (1.5 * h, 4.0 * h))
-    assert out.num_vertices < 256
-    assert out.edge_lengths.min() >= 1.5 * h - 1e-12
-    assert abs(enclosed_volume(out) - enclosed_volume(c)) < 1e-3 * enclosed_volume(c)
-
-
-def test_remesh_splits_long_mesh_edges():
-    M = shapes.ellipsoid_mesh(1.5, 1.0, 0.5, 2)
-    h = M.edge_lengths
-    hi = 0.8 * float(h.max())
-    out = remesh(M, (0.5 * float(h.min()), hi))
-    added = out.num_vertices - M.num_vertices
-    assert added > 0
-    assert out.edge_lengths.max() <= hi
-    # a split appends its midpoint and turns two faces into four; the
-    # surface itself does not move
-    assert np.array_equal(out.vertices[: M.num_vertices], M.vertices)
-    assert out.faces.shape[0] == M.faces.shape[0] + 2 * added
-    assert enclosed_volume(out) == pytest.approx(enclosed_volume(M), rel=1e-12)
-
-
-def test_remesh_band_validation(unit_circle_256):
-    with pytest.raises(ValueError):
-        remesh(unit_circle_256, (1.0, 0.5))
-    with pytest.raises(ValueError):
-        remesh(unit_circle_256, (1.0, 1.5))  # hi < 2 lo cannot terminate
-
-
-def test_remesh_splits_mesh_edges():
-    M = shapes.icosphere(1.0, 1)
-    h = float(M.edge_lengths.max())
-    out = remesh(M, (h / 8.0, h / 1.9), max_volume_change=0.05)
-    assert out.num_vertices > M.num_vertices
-    assert float(out.edge_lengths.max()) <= h / 1.9 + 1e-12
-
-
-def test_remesh_during_evolution_keeps_band():
-    # fine enough that a full split round stays inside the volume guard
-    c = shapes.circle_polygon(1.0, 128)
-    h0 = float(c.edge_lengths.mean())
-    cfg = FlowConfig(t_end=0.6, dt=2e-3, band=(0.25 * h0, 1.3 * h0))
-    traj = evolve(c, F_K, 0.0, cfg)
-    assert any(e["type"] == "remesh" for e in traj.events)
-    final = traj.frames[-1][1]
-    assert final.num_vertices > 128
-    assert float(final.edge_lengths.max()) <= 1.3 * h0 + 1e-9
-    r = radii(final)
-    assert r.mean() == pytest.approx(math.exp(0.6), rel=1e-2)
-
-
 def test_residual_needs_vertex_correspondence():
-    # the run of test_remesh_during_evolution_keeps_band: a frame that
-    # straddles a remesh has no vertex-by-vertex neighbour
-    c = shapes.circle_polygon(1.0, 128)
-    h0 = float(c.edge_lengths.mean())
-    traj = evolve(c, F_K, 0.0, FlowConfig(t_end=0.6, dt=2e-3, band=(0.25 * h0, 1.3 * h0)))
-    assert len({M.num_vertices for _, M in traj.frames}) > 1
+    # a hand-built trajectory whose last frame has one more vertex: that
+    # frame has no vertex-by-vertex neighbour
+    traj = Trajectory(frames=[(0.0, shapes.circle_polygon(1.0, 64)),
+                              (0.01, shapes.circle_polygon(math.exp(0.01), 64)),
+                              (0.02, shapes.circle_polygon(math.exp(0.02), 65))])
     with pytest.raises(InsufficientFrames, match="vertex correspondence broken"):
         flow_residual(traj, F_K)
 

@@ -33,7 +33,7 @@ from hyperflow.hypersurface import (
     _triangles,
 )
 from hyperflow import families, geometry, hypersurface, shapes, speeds
-from hyperflow.flow_engine import FlowConfig, _remesh_mesh, evolve
+from hyperflow.flow_engine import FlowConfig, evolve
 
 
 def ellipse_curvature(a, b, theta):
@@ -371,11 +371,23 @@ def _whole_mesh_jet(verts, topo):
     return n, e1, e2, _solve_ldl(ata, atb)
 
 
+def _remeshed_icosphere():
+    """icosphere(1, 1) re-meshed with a sphere-projected centroid in every other
+    face: 82 vertices of valence 3 to 10, two-rings of K = 28 slots."""
+    ico = shapes.icosphere(1.0, 1)
+    a, b, c = ico.faces[::2].T
+    mid = ico.vertices[a] + ico.vertices[b] + ico.vertices[c]
+    m = ico.num_vertices + np.arange(a.shape[0])
+    faces = np.vstack([ico.faces[1::2], np.column_stack([a, b, m]), np.column_stack([b, c, m]),
+                       np.column_stack([c, a, m])])
+    return DiscreteHypersurface(np.vstack([ico.vertices, mid / np.linalg.norm(mid, axis=1)[:, None]]), faces)
+
+
 _BLOCKED_JET_MESHES = {
     "icosphere s2": lambda: shapes.icosphere(1.0, 2),  # fewer vertices than one block
     "icosphere s4": lambda: shapes.icosphere(1.0, 4),  # V not a multiple of the block
     "icosphere s5": lambda: shapes.icosphere(1.0, 5),
-    "remeshed": lambda: _remesh_mesh(shapes.icosphere(1.0, 1), 0.05, 0.4),  # irregular, K = 28
+    "remeshed": _remeshed_icosphere,  # irregular, K = 28
     "noisy sphere": lambda: shapes.noisy_sphere(),
 }
 
@@ -551,8 +563,8 @@ def test_mesh_topology_equals_the_loop_and_unique_oracles(shape):
         "icosphere s3": lambda: shapes.icosphere(1.0, 3),
         "ellipsoid s2": lambda: shapes.ellipsoid_mesh(1.5, 1.0, 0.75, 2),
         "half ball": _half_ball,
-        # irregular valences and face order from edge splits
-        "remeshed": lambda: _remesh_mesh(shapes.icosphere(1.0, 1), 0.05, 0.4),
+        # irregular valences from centroid splits
+        "remeshed": _remeshed_icosphere,
     }[shape]()
     topo = M.topology
     ring = topo.two_ring

@@ -266,12 +266,16 @@ def _oracle_monitor(traj, plane, t_start, stride):
     return out
 
 
-def _oracle_entry(traj, plane, tau, frame_dt):
-    """Probes at tau + 1, 2, 4 frame spacings, then monitoring from the first strict one."""
+def _oracle_entry(traj, plane, tau):
+    """Probes at tau + 1, 2, 4 spacings of the frame bracket holding tau,
+    then monitoring from the first strict one."""
+    times = traj.times()
+    j = min(max(int(np.searchsorted(times, tau)), 1), len(times) - 1)
+    spacing = times[j] - times[j - 1]
     probes = []
     start_t = None
     for k in (1, 2, 4):
-        t_probe, M_probe = traj.frame_near(tau + k * frame_dt)
+        t_probe, M_probe = traj.frames[int(np.argmin(np.abs(times - (tau + k * spacing))))]
         if t_probe < tau:
             continue
         verdict = full_depth_verdict(M_probe, plane)
@@ -303,13 +307,12 @@ def _oracle_entry(traj, plane, tau, frame_dt):
 
 def _oracle_post_touch_rows(traj, y_inf, directions, cs):
     y_inf = np.asarray(y_inf, dtype=float)
-    frame_dt = float(np.median(np.diff(traj.times())))
     rows = []
     for V in _direction_set(traj.frames[0][1].dimension, directions):
         offsets = [c + float(V @ y_inf) for c in cs]
         for c, offset, tau in zip(cs, offsets, tau_limit_check(traj, V, offsets).taus):
             if tau is not None:
-                entry = _oracle_entry(traj, Hyperplane(V=V, c=offset), tau, frame_dt)
+                entry = _oracle_entry(traj, Hyperplane(V=V, c=offset), tau)
                 rows.append({**entry, "direction": V.tolist(), "c": c})
     return rows
 
@@ -381,6 +384,20 @@ def test_post_touch_stage_matches_per_plane_oracle_on_criterion_8(ellipse_fam):
     # monitoring stops early on some planes, and some find no strict probe
     assert any(row["failure"] and "monitored_frames" in row for row in rows)
     assert any(row.get("strict_from") is None for row in rows)
+
+
+def test_post_touch_probes_scale_with_the_spacing_around_tau():
+    # concentric 128-gons of radius 1/sqrt(-2t) on a geometric time grid: near
+    # the c = 0.05 touch time (tau ~ -200) the frames lie 4.4 apart against a
+    # median spacing of 0.32, so probes spaced by the median would all land
+    # before tau and find no frame
+    times = -np.geomspace(400.0, 0.5, 301)
+    fam = families.sphere_family(times, lambda t: 1.0 / math.sqrt(-2.0 * t), resolution=128)
+    report = rigidity_audit(fam, F_K, [0.0, 0.0], directions=16, c_schedule=C_SCHEDULE_7)
+    rows = list(report.post_touch_verdicts)
+    assert len(rows) == 64
+    assert all(row["probes"] and row["passed"] for row in rows)
+    assert rows == _oracle_post_touch_rows(fam, [0.0, 0.0], 16, C_SCHEDULE_7)
 
 
 def test_post_touch_stage_matches_per_plane_oracle_on_coarse_icosphere():
