@@ -256,9 +256,14 @@ def _build_shape(cfg: SimpleNamespace) -> DiscreteHypersurface:
     if cfg.shape == "ellipsoid":
         return shapes.ellipsoid_mesh(*cfg.axes, cfg.subdivisions)
     try:
-        return read_surface(cfg.mesh_file)
+        M = read_surface(cfg.mesh_file)
     except (OSError, ValueError, DegenerateElement) as exc:
         raise ValidationError(f"mesh file {cfg.mesh_file}: {exc}") from exc
+    # containment and reflection checks sign by pseudonormals, which needs an
+    # embedded surface; the built-in shapes are embedded by construction
+    if not is_embedded(M):
+        raise ValidationError(f"mesh file {cfg.mesh_file}: the surface intersects itself")
+    return M
 
 
 def _ancientness(F: speeds.SpeedFunction) -> dict:
@@ -371,10 +376,6 @@ def _run_classify_speed(cfg: SimpleNamespace) -> int:
 
 def _run_reflect_audit(cfg: SimpleNamespace) -> int:
     M = _build_shape(cfg)
-    # the reflection check signs distances by pseudonormals, which needs an
-    # embedded surface; the built-in shapes are embedded by construction
-    if cfg.shape == "mesh" and not is_embedded(M):
-        raise ValidationError(f"mesh file {cfg.mesh_file}: the surface intersects itself")
     planes = [
         reflection.Hyperplane(V=np.asarray(cfg.plane_direction, dtype=float), c=float(c))
         for c in cfg.plane_offsets

@@ -4,9 +4,9 @@ Everything here operates on raw numpy arrays; the mesh containers live in
 ``hypersurface``.  The closest-point kernels also report which feature of a
 segment or triangle holds the closest point, so a caller can take the
 inside/outside sign of a signed distance from that feature's pseudonormal.
-Containment queries, and signed distances of points within rounding of the
-surface, use winding numbers (signed crossing count in the plane, summed
-solid angle in space).  The all-pairs ``point_segment_distance`` is the
+The winding numbers (signed crossing count in the plane, summed solid angle
+in space) only break ties, for points whose pseudonormal offset is within
+rounding of the surface.  The all-pairs ``point_segment_distance`` is the
 exact reference for pruned searches.  The all-pairs kernels broadcast blocks
 of query points against every element, with points per block chosen so
 that a block holds about ``_PAIRS`` point-element pairs: their temporaries

@@ -23,10 +23,9 @@ query measures each point against the element with the nearest centroid and
 then against every element whose centroid lies within that distance plus
 the largest element reach; the points go to the tree in blocks sized so that
 one ball query per block returns a bounded number of pairs, whatever the
-geometry.  Signed distances take their sign from the angle-weighted
-pseudonormal of the closest feature and fall back to winding numbers only
-within the boundary band; containment queries and the centre search use
-winding numbers.
+geometry.  Containment codes, signed distances and the centre search share
+one inside rule: the sign of the angle-weighted pseudonormal of the closest
+feature, with winding numbers only as the tie-break within the boundary band.
 
 The blocked fit and the face-kernel memo keep a mesh stage's transient
 arrays small.  A flow runs hundreds of stages, and glibc hands freed heap
@@ -68,7 +67,7 @@ from scipy.spatial import cKDTree
 from . import geometry
 from .errors import CenterOutside, DegenerateElement, MeshDegeneracy
 
-BOUNDARY_TOL_FACTOR = 1e-9  # default OnBoundary band, relative to bbox diagonal
+BOUNDARY_TOL_FACTOR = 1e-9  # boundary band of containment and signs, relative to bbox diagonal
 _QUERY_PAIRS = 1 << 18  # worst-case point-element pairs per centroid-ball query
 _BALL_PAIRS = 1 << 13  # point-element pairs per distance-kernel call of the ball pass
 _RING_SLOTS = 1 << 13  # two-ring slots per vertex block of the jet fit
@@ -600,10 +599,6 @@ def _mesh_curvatures(verts: np.ndarray, topo: _MeshTopology, tri: _Triangles) ->
 # Containment and distance
 
 
-def _boundary_tolerance(M: DiscreteHypersurface, tol: float | None) -> float:
-    return tol if tol is not None else BOUNDARY_TOL_FACTOR * M.bbox_diagonal
-
-
 class _Elements(NamedTuple):
     """Elements of the pruned queries: a curve's edges, a mesh's triangles."""
 
@@ -638,7 +633,7 @@ def _elements(M: DiscreteHypersurface) -> _Elements:
 
 
 def _inside(M: DiscreteHypersurface, points: np.ndarray) -> np.ndarray:
-    """Winding-number inside test (nonzero in the plane, above 1/2 in space)."""
+    """Winding-number inside test (nonzero in the plane, above 1/2 in space), the sign's tie-break."""
     if M.dimension == 1:
         return geometry.winding_number_2d(M.vertices, points) != 0
     return np.abs(geometry.winding_number_3d(M.vertices, M.faces, points)) > 0.5
@@ -700,31 +695,50 @@ def _feature_normals(M: DiscreteHypersurface) -> np.ndarray:
     return out
 
 
+def _pseudonormal_inside(M: DiscreteHypersurface, points: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """Whether each point lies inside M, given a nearest element ``near`` of each.
+
+    With q the closest point and n the angle-weighted pseudonormal of the
+    feature (element, edge or vertex) that holds q, the point is inside when
+    (p - q) . n < 0 (Baerentzen and Aanaes, IEEE TVCG 2005).  That rule needs
+    an embedded surface.  Points with |(p - q) . n| within the boundary band
+    (``BOUNDARY_TOL_FACTOR`` times the bounding-box diagonal), where rounding
+    could flip it, take the winding-number sign instead.
+    """
+    el = _elements(M)
+    q, feature = el.closest_point(points, *(c[near] for c in el.corners))
+    offset = np.einsum("ij,ij->i", points - q, _feature_normals(M)[near, feature])
+    inside = offset < 0.0
+    unsure = ~(np.abs(offset) > BOUNDARY_TOL_FACTOR * M.bbox_diagonal)
+    if np.any(unsure):
+        inside[unsure] = _inside(M, points[unsure])
+    return inside
+
+
 def surface_distance(M: DiscreteHypersurface, points: np.ndarray) -> np.ndarray:
     """Unsigned distance from each query point to the surface, exact."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     return _nearest(points, _elements(M))[0]
 
 
-def classify_points(M: DiscreteHypersurface, points: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Vector of containment codes: +1 inside, -1 outside, 0 within tol of M."""
+def classify_points(M: DiscreteHypersurface, points: np.ndarray) -> np.ndarray:
+    """Vector of containment codes: +1 inside, -1 outside, 0 on the boundary.
+
+    A point is on the boundary when its distance to M is below the fixed band
+    ``BOUNDARY_TOL_FACTOR`` times the bounding-box diagonal; every other point
+    takes the sign of ``signed_interior_distance``, so M must be embedded.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    band = _boundary_tolerance(M, tol)
-    # exact screen before distances: every point of an element lies within
-    # the longest edge of a vertex, so distance >= vertex distance - h_max
-    d_vert, _ = cKDTree(M.vertices).query(points)
-    maybe_near = d_vert <= band + float(M.edge_lengths.max())
-    near = np.zeros(points.shape[0], dtype=bool)
-    if np.any(maybe_near):
-        near[maybe_near] = surface_distance(M, points[maybe_near]) < band
-    out = np.where(_inside(M, points), INSIDE_CODE, OUTSIDE_CODE)
-    out[near] = BOUNDARY_CODE
+    dist, near = _nearest(points, _elements(M))
+    off = ~(dist < BOUNDARY_TOL_FACTOR * M.bbox_diagonal)
+    out = np.full(points.shape[0], BOUNDARY_CODE)
+    out[off] = np.where(_pseudonormal_inside(M, points[off], near[off]), INSIDE_CODE, OUTSIDE_CODE)
     return out
 
 
-def contains_point(M: DiscreteHypersurface, point, tol: float | None = None) -> Containment:
-    """Classify one point against the closed surface."""
-    code = classify_points(M, np.asarray(point, dtype=float)[None, :], tol)[0]
+def contains_point(M: DiscreteHypersurface, point) -> Containment:
+    """Classify one point against the closed embedded surface, as ``classify_points``."""
+    code = classify_points(M, np.asarray(point, dtype=float)[None, :])[0]
     if code == INSIDE_CODE:
         return Containment.INSIDE
     if code == OUTSIDE_CODE:
@@ -735,24 +749,11 @@ def contains_point(M: DiscreteHypersurface, point, tol: float | None = None) -> 
 def signed_interior_distance(M: DiscreteHypersurface, points: np.ndarray) -> np.ndarray:
     """Distance to the surface, positive inside the enclosed region.
 
-    The sign comes from the nearest element: with q the closest point and n
-    the angle-weighted pseudonormal of the feature (element, edge or vertex)
-    that holds q, the point is inside when (p - q) . n < 0 (Baerentzen and
-    Aanaes, IEEE TVCG 2005).  That rule needs an embedded surface.  Points
-    with |(p - q) . n| within the boundary band (``BOUNDARY_TOL_FACTOR``
-    times the bounding-box diagonal), where rounding could flip it, take the
-    winding-number sign instead.
+    The sign is that of ``_pseudonormal_inside``, so M must be embedded.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    el = _elements(M)
-    dist, near = _nearest(points, el)
-    q, feature = el.closest_point(points, *(c[near] for c in el.corners))
-    offset = np.einsum("ij,ij->i", points - q, _feature_normals(M)[near, feature])
-    inside = offset < 0.0
-    unsure = ~(np.abs(offset) > _boundary_tolerance(M, None))
-    if np.any(unsure):
-        inside[unsure] = _inside(M, points[unsure])
-    return np.where(inside, dist, -dist)
+    dist, near = _nearest(points, _elements(M))
+    return np.where(_pseudonormal_inside(M, points, near), dist, -dist)
 
 
 def enclosed_volume(M: DiscreteHypersurface) -> float:
@@ -784,18 +785,15 @@ def chebyshev_center(M: DiscreteHypersurface) -> np.ndarray:
             pts = np.vstack([pts, M.vertices.mean(axis=0)[None, :]])
             proxy, _ = cKDTree(M.vertices).query(pts)
             pts = pts[np.argsort(proxy)[::-1][: max(256, res)]]
-        pts = pts[_inside(M, pts)]
-        if pts.shape[0] == 0:
-            return None, -np.inf
-        d = surface_distance(M, pts)
+        d = signed_interior_distance(M, pts)
         j = int(np.argmax(d))
-        return pts[j], float(d[j])
+        return pts[j] if d[j] > 0.0 else None
 
-    best, _ = search(lo, hi, resolution)
+    best = search(lo, hi, resolution)
     if best is None:
         raise MeshDegeneracy("no interior grid point found")
     cell = (hi - lo) / (resolution - 1)
-    refined, _ = search(best - cell, best + cell, 17)
+    refined = search(best - cell, best + cell, 17)
     return refined if refined is not None else best
 
 

@@ -431,19 +431,23 @@ def _bad_input(tmp_path, case):
     if case == "surface plane on a curve":
         return (["reflect-audit", "--set", "shape=circle", "--set", "plane_direction=1,0,0"],
                 "3 components, but the surface lies in 2")
-    curves = ("clockwise polygon", "unequal figure-eight", "repeated curve vertex")
+    curves = ("clockwise polygon", "unequal figure-eight", "simulated figure-eight", "repeated curve vertex")
     path = tmp_path / ("bad.txt" if case in curves else "bad.obj")
     if case == "repeated curve vertex":
         write_surface(shapes.circle_polygon(1.0, 16), path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:3] + lines[2:]) + "\n")
         return ["reflect-audit", "--set", "shape=mesh", "--set", f"mesh_file={path}"], str(path)
-    if case == "unequal figure-eight":
+    if case in ("unequal figure-eight", "simulated figure-eight"):
         # a large counter-clockwise lobe and a small clockwise one: positive
         # area, but the edges cross at the origin
         t = 2.0 * np.pi * (np.arange(64) + 0.5) / 64
         lobes = np.column_stack([np.cos(t), np.sin(t) * np.cos(t) * (1.0 + 0.5 * np.cos(t))])
         write_surface(DiscreteHypersurface(lobes), path)
+        if case == "simulated figure-eight":
+            # with the cone check off, only the embeddedness check rejects it
+            return ["simulate", "--set", "shape=mesh", "--set", f"mesh_file={path}", "--set", "t_end=0.01",
+                    "--set", "stop_on_cone_exit=false"], str(path)
         return ["reflect-audit", "--set", "shape=mesh", "--set", f"mesh_file={path}"], str(path)
     if case == "short vertex line":
         path.write_text("v 0 0 0\nv 1 0\nv 0 1 0\nv 0 0 1\nf 1 3 2\nf 1 2 4\nf 2 3 4\nf 3 1 4\n")
@@ -463,8 +467,8 @@ def _bad_input(tmp_path, case):
 
 @pytest.mark.parametrize("case", [
     "short vertex line", "clockwise polygon", "open mesh", "unknown speed", "offsets above R_star",
-    "curve plane on a surface", "surface plane on a curve", "unequal figure-eight", "repeated curve vertex",
-    "zero-area triangle",
+    "curve plane on a surface", "surface plane on a curve", "unequal figure-eight", "simulated figure-eight",
+    "repeated curve vertex", "zero-area triangle",
 ])
 def test_bad_input_is_a_one_line_config_error(tmp_path, capsys, case):
     args, named = _bad_input(tmp_path, case)

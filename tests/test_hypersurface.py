@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from hyperflow.errors import CenterOutside, DegenerateElement, MeshDegeneracy
 from hyperflow.hypersurface import (
@@ -11,6 +12,7 @@ from hyperflow.hypersurface import (
     Containment,
     DiscreteHypersurface,
     INSIDE_CODE,
+    OUTSIDE_CODE,
     chebyshev_center,
     classify_points,
     contains_point,
@@ -641,7 +643,7 @@ def test_orientation_enforced():
 def test_containment_trivia(unit_circle_256):
     assert contains_point(unit_circle_256, [0.0, 0.0]) is Containment.INSIDE
     assert contains_point(unit_circle_256, [3.0, 0.0]) is Containment.OUTSIDE
-    assert contains_point(unit_circle_256, [1.0, 0.0], tol=1e-9) is Containment.ON_BOUNDARY
+    assert contains_point(unit_circle_256, [1.0, 0.0]) is Containment.ON_BOUNDARY
 
 
 def _regular_polygon_inside(pts, m, radius=1.0):
@@ -793,6 +795,10 @@ def test_distances_equal_the_all_pairs_oracle_bitwise(shape):
         inside = np.abs(geometry.winding_number_3d(M.vertices, M.faces, pts)) > 0.5
     assert np.array_equal(surface_distance(M, pts), oracle)
     assert np.array_equal(signed_interior_distance(M, pts), np.where(inside, oracle, -oracle))
+    # containment: on the boundary within the band, the winding sign elsewhere
+    band = hypersurface.BOUNDARY_TOL_FACTOR * M.bbox_diagonal
+    codes = np.where(oracle < band, BOUNDARY_CODE, np.where(inside, INSIDE_CODE, OUTSIDE_CODE))
+    assert np.array_equal(classify_points(M, pts), codes)
 
 
 def _pushed_icosphere_vertices():
@@ -995,6 +1001,81 @@ def test_radii_center_searched_when_omitted():
 def test_chebyshev_center_mesh():
     M = shapes.icosphere(1.0, 2, center=(1.0, 2.0, 3.0))
     assert chebyshev_center(M) == pytest.approx([1.0, 2.0, 3.0], abs=2e-2)
+
+
+def _winding_chebyshev_center(M):
+    """Oracle: the centre search that kept the grid points of nonzero winding number."""
+    dim = M.dimension + 1
+    resolution = 129 if dim == 2 else 33
+    lo = M.vertices.min(axis=0)
+    hi = M.vertices.max(axis=0)
+
+    def search(lo_, hi_, res):
+        axes = [np.linspace(lo_[i], hi_[i], res) for i in range(dim)]
+        pts = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+        if dim == 3:
+            pts = np.vstack([pts, M.vertices.mean(axis=0)[None, :]])
+            proxy, _ = cKDTree(M.vertices).query(pts)
+            pts = pts[np.argsort(proxy)[::-1][: max(256, res)]]
+        if dim == 2:
+            pts = pts[geometry.winding_number_2d(M.vertices, pts) != 0]
+        else:
+            pts = pts[np.abs(geometry.winding_number_3d(M.vertices, M.faces, pts)) > 0.5]
+        if pts.shape[0] == 0:
+            return None
+        return pts[int(np.argmax(surface_distance(M, pts)))]
+
+    best = search(lo, hi, resolution)
+    cell = (hi - lo) / (resolution - 1)
+    refined = search(best - cell, best + cell, 17)
+    return refined if refined is not None else best
+
+
+# outside the L's corner the grid lies deeper than any point inside, so only
+# the inside filter keeps the search in the L
+@pytest.mark.parametrize("shape", ["ellipse 2:1", "noisy circle", "L", "off-centre icosphere s2", "noisy sphere"])
+def test_chebyshev_center_equals_the_winding_filtered_search(shape):
+    M = {
+        "ellipse 2:1": lambda: shapes.ellipse_polygon(2.0, 1.0, 256),
+        "noisy circle": lambda: shapes.noisy_circle(1.0, 0.05, 300, seed=3),
+        "L": lambda: DiscreteHypersurface([[0.0, 0.0], [2.0, 0.0], [2.0, 0.5], [0.5, 0.5], [0.5, 2.0], [0.0, 2.0]]),
+        "off-centre icosphere s2": lambda: shapes.icosphere(1.0, 2, center=(0.3, -0.2, 0.1)),
+        "noisy sphere": lambda: shapes.noisy_sphere(1.0, 0.05, 2, seed=4),
+    }[shape]()
+    assert chebyshev_center(M).tobytes() == _winding_chebyshev_center(M).tobytes()
+
+
+@pytest.mark.parametrize("shape", ["4096-gon", "square", "peanut", "icosphere s3", "ellipsoid s3"])
+def test_winding_numbers_only_break_ties(shape, monkeypatch):
+    M = {
+        "4096-gon": lambda: shapes.circle_polygon(1.0, 4096),
+        "square": lambda: shapes.square_polygon(2.0, 1),
+        "peanut": lambda: shapes.peanut_polygon(128),
+        "icosphere s3": lambda: shapes.icosphere(1.0, 3),
+        "ellipsoid s3": lambda: shapes.ellipsoid_mesh(2.0, 1.0, 1.0, 3),
+    }[shape]()
+    lo, hi = M.vertices.min(axis=0), M.vertices.max(axis=0)
+    e = M.edges
+    pts = np.vstack([
+        np.random.default_rng(5).uniform(lo - 0.2, hi + 0.2, size=(2000, M.dimension + 1)),
+        M.vertices,
+        0.5 * (M.vertices[e[:, 0]] + M.vertices[e[:, 1]]),
+    ])
+    wound = []
+
+    def counted(kernel):
+        def run(*args):
+            wound.append(len(args[-1]))  # the query points come last
+            return kernel(*args)
+        return run
+
+    for name in ("winding_number_2d", "winding_number_3d"):
+        monkeypatch.setattr(geometry, name, counted(getattr(geometry, name)))
+    codes = classify_points(M, pts)
+    assert sum(wound) == 0
+    assert set(np.unique(codes)) == {INSIDE_CODE, OUTSIDE_CODE, BOUNDARY_CODE}
+    hypersurface._inside(M, pts[:3])  # the counter sees the tie-break's kernel
+    assert wound == [3]
 
 
 def test_radii_reject_outside_center(ellipse_2_1):
