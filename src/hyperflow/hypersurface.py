@@ -721,6 +721,15 @@ def surface_distance(M: DiscreteHypersurface, points: np.ndarray) -> np.ndarray:
     return _nearest(points, _elements(M))[0]
 
 
+def _distances_and_codes(M: DiscreteHypersurface, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact distance to M and containment code of each point, from one ``_nearest`` pass."""
+    dist, near = _nearest(points, _elements(M))
+    off = ~(dist < BOUNDARY_TOL_FACTOR * M.bbox_diagonal)
+    code = np.full(points.shape[0], BOUNDARY_CODE)
+    code[off] = np.where(_pseudonormal_inside(M, points[off], near[off]), INSIDE_CODE, OUTSIDE_CODE)
+    return dist, code
+
+
 def classify_points(M: DiscreteHypersurface, points: np.ndarray) -> np.ndarray:
     """Vector of containment codes: +1 inside, -1 outside, 0 on the boundary.
 
@@ -728,12 +737,7 @@ def classify_points(M: DiscreteHypersurface, points: np.ndarray) -> np.ndarray:
     ``BOUNDARY_TOL_FACTOR`` times the bounding-box diagonal; every other point
     takes the sign of ``signed_interior_distance``, so M must be embedded.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    dist, near = _nearest(points, _elements(M))
-    off = ~(dist < BOUNDARY_TOL_FACTOR * M.bbox_diagonal)
-    out = np.full(points.shape[0], BOUNDARY_CODE)
-    out[off] = np.where(_pseudonormal_inside(M, points[off], near[off]), INSIDE_CODE, OUTSIDE_CODE)
-    return out
+    return _distances_and_codes(M, np.atleast_2d(np.asarray(points, dtype=float)))[1]
 
 
 def contains_point(M: DiscreteHypersurface, point) -> Containment:
@@ -770,6 +774,12 @@ def chebyshev_center(M: DiscreteHypersurface) -> np.ndarray:
 
     Axis-aligned grid search over the bounding box, refined once around the
     best cell.  Adequate for diagnostics; not a convex-programming solve.
+    On meshes the grid (plus the vertex centroid) is measured in descending
+    order of the distance to the nearest vertex, ``max(256, res)`` points at
+    a time.  A point's vertex distance bounds its depth from above, since
+    the vertices lie on M, so the search stops once the deepest point so far
+    is inside and at least as deep as the next point's bound: every point
+    left unmeasured is no deeper.
     """
     dim = M.dimension + 1
     resolution = 129 if dim == 2 else 33
@@ -780,12 +790,19 @@ def chebyshev_center(M: DiscreteHypersurface) -> np.ndarray:
         axes = [np.linspace(lo_[i], hi_[i], res) for i in range(dim)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.column_stack([m.ravel() for m in mesh])
-        if dim == 3:
-            # meshes: rank by cheap vertex distance, verify the leaders exactly
+        if dim == 2:
+            d = signed_interior_distance(M, pts)
+        else:
             pts = np.vstack([pts, M.vertices.mean(axis=0)[None, :]])
             proxy, _ = cKDTree(M.vertices).query(pts)
-            pts = pts[np.argsort(proxy)[::-1][: max(256, res)]]
-        d = signed_interior_distance(M, pts)
+            order = np.argsort(proxy)[::-1]
+            pts, bound = pts[order], np.append(proxy[order], -np.inf)
+            step = max(256, res)
+            d = np.empty(0)
+            for s in range(0, pts.shape[0], step):
+                d = np.concatenate([d, signed_interior_distance(M, pts[s : s + step])])
+                if d.max() > 0.0 and d.max() >= bound[min(s + step, pts.shape[0])]:
+                    break
         j = int(np.argmax(d))
         return pts[j] if d[j] > 0.0 else None
 
@@ -802,11 +819,11 @@ def inner_outer_radii(M: DiscreteHypersurface, center=None) -> RadiiReport:
     if center is None:
         center = chebyshev_center(M)
     center = np.asarray(center, dtype=float)
-    if contains_point(M, center) is not Containment.INSIDE:
+    dist, code = _distances_and_codes(M, center[None, :])
+    if code[0] != INSIDE_CODE:
         raise CenterOutside(f"center {tuple(center)} is not inside the surface")
     rho_plus = float(np.max(np.linalg.norm(M.vertices - center, axis=1)))
-    rho_minus = float(surface_distance(M, center[None, :])[0])
-    return RadiiReport(center=center, rho_minus=rho_minus, rho_plus=rho_plus)
+    return RadiiReport(center=center, rho_minus=float(dist[0]), rho_plus=rho_plus)
 
 
 # ---------------------------------------------------------------------------

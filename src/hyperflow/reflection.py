@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -22,8 +23,10 @@ from .errors import CenterOutside, NeverTouches, StartNotStrict
 from .flow_engine import Trajectory, _heights
 from .geometry import fibonacci_sphere_directions, uniform_circle_directions
 from .hypersurface import (
+    INSIDE_CODE,
     Containment,
     DiscreteHypersurface,
+    _distances_and_codes,
     _elements,
     contains_point,
     signed_interior_distance,
@@ -115,10 +118,16 @@ def _verdicts(
 
     A verdict reads only the least interior depth of a plane's reflected
     vertices and the first vertex that attains it, so ``_least_depths``
-    measures the vertices that can attain it and certifies the others inside
-    without measuring them; they read +inf.  The reflected vertices of every
-    plane share one bound pass and one ``signed_interior_distance`` call, and
-    that call measures each point on its own.  On an embedded surface, the
+    measures the vertices that can attain it and certifies the others deeper
+    without measuring them; they read +inf.  Each plane passes down U =
+    2 s_min, twice the height of its crosser nearest the plane, an upper
+    bound on its least depth that costs nothing: images inside the inscribed
+    ball of M and deeper than U by the ball's bound need no query.  That is
+    almost every image of a near-round frame and fewer on an eccentric one:
+    about a quarter on a 1.5 : 1 : 0.75 ellipsoid at planes parallel to its
+    mirror planes.  The reflected vertices of every plane share one ball
+    test, one bound pass and one ``signed_interior_distance`` call, and that
+    call measures each point on its own.  On an embedded surface, the
     precondition of ``signed_interior_distance``, every verdict is bitwise
     the one that measuring every reflected vertex gives, and the one a call
     for its plane alone gives.
@@ -134,7 +143,7 @@ def _verdicts(
     band = tol if tol is not None else INCLUSION_BAND_FACTOR * M.bbox_diagonal
     edges = M.edges
     out: list[ReflectionVerdict | None] = [None] * len(planes)
-    pending = []  # (plane index, tangency margin, crossing mask, source vertices, reflected)
+    pending = []  # (plane index, tangency margin, crossing mask, source vertices, reflected, U)
     for i, plane in enumerate(planes):
         s = plane.signed_coordinate(M.vertices)
         if float(s.max()) < -band:
@@ -168,22 +177,68 @@ def _verdicts(
             )
             continue
         source = M.vertices[crossers]
-        pending.append((i, tangency_margin, crossers, source, plane.reflect(source)))
+        bound = 2.0 * float(s[crossers].min())
+        pending.append((i, tangency_margin, crossers, source, plane.reflect(source), bound))
 
     if pending:
         crossers = np.stack([p[2] for p in pending])
-        depths = _least_depths(M, crossers, np.concatenate([p[4] for p in pending]))
+        bounds = np.array([p[5] for p in pending])
+        depths = _least_depths(M, crossers, np.concatenate([p[4] for p in pending]), bounds)
         cuts = np.cumsum(crossers.sum(axis=1))[:-1]
-        for (i, tangency_margin, _, source, reflected), depth in zip(pending, np.split(depths, cuts)):
+        for (i, tangency_margin, _, source, reflected, _), depth in zip(pending, np.split(depths, cuts)):
             out[i] = _judge(band, tangency_margin, source, reflected, depth)
     return out
 
 
-def _least_depths(M: DiscreteHypersurface, crossers: np.ndarray, reflected: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=1)
+def _inscribed_ball(M: DiscreteHypersurface) -> tuple[np.ndarray, float]:
+    """A ball inside M: the vertex centroid x0 and a radius, at most 0 when there is none.
+
+    x0 at depth d0 > 0 clears M by d0, so the open ball B(x0, d0) lies
+    inside M and an image p there has depth at least d0 - |p - x0|.  The
+    radius is d0 less 1e-12 of the largest coordinate, which covers the
+    rounding of the depths, the reflections, the heights and |p - x0| of
+    points near M.  Kept for the last surface asked about, as ``_elements``:
+    the planes checked at one frame share it.
+    """
+    x0 = M.vertices.mean(axis=0)
+    dist, code = _distances_and_codes(M, x0[None, :])
+    if code[0] != INSIDE_CODE:
+        return x0, 0.0
+    return x0, float(dist[0]) - 1e-12 * float(np.abs(M.vertices).max())
+
+
+def _least_depths(
+    M: DiscreteHypersurface, crossers: np.ndarray, reflected: np.ndarray, bounds: np.ndarray
+) -> np.ndarray:
     """Interior depths of the reflected vertices, +inf where certified deeper than the least.
 
     ``crossers`` is the (planes, V) mask of the vertices each plane reflects
-    and ``reflected`` their images, plane by plane in vertex order.  Each
+    and ``reflected`` their images, plane by plane in vertex order.
+    ``bounds`` holds each plane's U = 2 s_min, with s_min the height of its
+    crosser nearest the plane: that crosser's image lies 2 s_min from the
+    crosser itself, a point of M, so the plane's least depth is at most U.
+    An image inside the ball of ``_inscribed_ball`` with d0 - |p - x0| > U
+    is inside and deeper than U, so it reads +inf without a query.  On a
+    near-round frame, such as those of an audited flow that comes out of a
+    point, that is almost every image; on an eccentric surface the ball
+    certifies fewer, and a vertex centroid that is not inside gives no ball.
+    The other images go to ``_bounded_depths``.
+    """
+    x0, radius = _inscribed_ball(M)
+    # with no ball (radius <= 0) every image is unsure, as U > 0
+    unsure = radius - np.linalg.norm(reflected - x0, axis=1) <= np.repeat(bounds, crossers.sum(axis=1))
+    rest = crossers.copy()
+    rest[crossers] = unsure
+    depth = np.full(reflected.shape[0], np.inf)
+    depth[unsure] = _bounded_depths(M, rest, reflected[unsure])
+    return depth
+
+
+def _bounded_depths(M: DiscreteHypersurface, crossers: np.ndarray, reflected: np.ndarray) -> np.ndarray:
+    """Interior depths of images, +inf where distance bounds certify them deeper than the least.
+
+    Arguments as in ``_least_depths``; every plane has an image.  Each
     image p gets two bounds on its distance d to M from the element with
     the nearest centroid: ``lb`` = centroid distance - reach <= d <= ``ub``,
     the distance to that element.  A plane's least depth is at most its
@@ -191,8 +246,11 @@ def _least_depths(M: DiscreteHypersurface, crossers: np.ndarray, reflected: np.n
     than the least depth and cannot be its first minimiser.  Such "far"
     images joined by an edge of M with ``lb_i + lb_j`` > |p_i - p_j| are
     joined by a segment that misses M, so they lie on one side; one measured
-    representative decides the side of each connected group, and a group
-    that is not inside is measured in full.  The other images are measured.
+    representative decides the side of each connected group.  The other
+    images are measured.  With L the largest distance known outside on the
+    plane (a measured one, or ``lb`` in a group that is outside), the least
+    depth is at most -L, so a member of an outside group with ``ub`` < L has
+    depth >= -ub > -L and is not measured either.
     """
     n = reflected.shape[0]
     el = _elements(M)
@@ -202,7 +260,8 @@ def _least_depths(M: DiscreteHypersurface, crossers: np.ndarray, reflected: np.n
     # at ub so that the image attaining U is never far
     lb = np.minimum(gap * (1.0 - 1e-12) - el.reach * (1.0 + 1e-12), ub)
     counts = crossers.sum(axis=1)
-    far = lb > np.repeat(np.minimum.reduceat(ub, np.cumsum(counts) - counts), counts)
+    starts = np.cumsum(counts) - counts
+    far = lb > np.repeat(np.minimum.reduceat(ub, starts), counts)
 
     index = np.full(crossers.shape, -1)  # (planes, V): each far image's place in ``reflected``
     index[crossers] = np.where(far, np.arange(n), -1)
@@ -210,8 +269,11 @@ def _least_depths(M: DiscreteHypersurface, crossers: np.ndarray, reflected: np.n
     both = (a >= 0) & (b >= 0)
     a, b = a[both], b[both]
     link = lb[a] + lb[b] > np.linalg.norm(reflected[a] - reflected[b], axis=1) * (1.0 + 1e-12)
-    graph = sparse.coo_matrix((np.ones(np.count_nonzero(link)), (a[link], b[link])), shape=(n, n))
-    _, group = connected_components(graph, directed=False)
+    if np.any(link):
+        graph = sparse.coo_matrix((np.ones(np.count_nonzero(link)), (a[link], b[link])), shape=(n, n))
+        _, group = connected_components(graph, directed=False)
+    else:
+        group = np.arange(n)  # no far pair links: each far image is its own group
 
     measured = ~far
     far_at = np.flatnonzero(far)
@@ -221,7 +283,9 @@ def _least_depths(M: DiscreteHypersurface, crossers: np.ndarray, reflected: np.n
     depth[measured] = signed_interior_distance(M, reflected[measured])
     inside = np.zeros(n, dtype=bool)  # per group label
     inside[group[representative]] = depth[representative] > 0.0
-    rest = far & ~measured & ~inside[group]
+    outside = far & ~inside[group]
+    known = np.where(depth < 0.0, -depth, np.where(outside, lb, -np.inf))
+    rest = outside & ~measured & (ub >= np.repeat(np.maximum.reduceat(known, starts), counts))
     if np.any(rest):
         depth[rest] = signed_interior_distance(M, reflected[rest])
     return depth

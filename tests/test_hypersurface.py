@@ -1083,6 +1083,82 @@ def test_radii_reject_outside_center(ellipse_2_1):
         inner_outer_radii(ellipse_2_1, center=[5.0, 0.0])
 
 
+RADII_SURFACES = {
+    "ellipse 2:1": lambda: shapes.ellipse_polygon(2.0, 1.0, 256),
+    "L": lambda: DiscreteHypersurface([[0.0, 0.0], [2.0, 0.0], [2.0, 0.5], [0.5, 0.5], [0.5, 2.0], [0.0, 2.0]]),
+    "ellipsoid s3": lambda: shapes.ellipsoid_mesh(1.5, 1.0, 0.75, 3),
+    "half ball": _half_ball,
+}
+
+
+@pytest.mark.parametrize("name", list(RADII_SURFACES))
+def test_radii_take_one_distance_pass_with_the_bits_of_two(name, monkeypatch):
+    M = RADII_SURFACES[name]()
+    lo, hi = M.vertices.min(axis=0), M.vertices.max(axis=0)
+    e = M.edges
+    centres = np.vstack([
+        np.random.default_rng(2).uniform(lo - 0.2, hi + 0.2, size=(30, M.dimension + 1)),  # inside and outside
+        M.vertices[:3],  # on the boundary
+        0.5 * (M.vertices[e[:3, 0]] + M.vertices[e[:3, 1]]),
+    ])
+    passes = []
+
+    def counted(points, el):
+        passes.append(points.shape[0])
+        return _nearest(points, el)
+
+    monkeypatch.setattr(hypersurface, "_nearest", counted)
+    seen = set()
+    for centre in centres:
+        # the oracle: containment first, then the distance
+        where = contains_point(M, centre)
+        seen.add(where)
+        del passes[:]
+        if where is not Containment.INSIDE:
+            with pytest.raises(CenterOutside):
+                inner_outer_radii(M, center=centre)
+            assert passes == [1]
+            continue
+        rr = inner_outer_radii(M, center=centre)
+        assert passes == [1]
+        assert rr.rho_minus == surface_distance(M, centre[None, :])[0]
+        assert rr.rho_plus == float(np.max(np.linalg.norm(M.vertices - centre, axis=1)))
+    assert seen == set(Containment)
+
+
+def _exhaustive_chebyshev_center(M):
+    """Oracle: the mesh centre search measuring every grid point, in the order of the vertex screen."""
+    lo, hi = M.vertices.min(axis=0), M.vertices.max(axis=0)
+
+    def search(lo_, hi_, res):
+        axes = [np.linspace(lo_[i], hi_[i], res) for i in range(3)]
+        pts = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+        pts = np.vstack([pts, M.vertices.mean(axis=0)[None, :]])
+        proxy, _ = cKDTree(M.vertices).query(pts)
+        pts = pts[np.argsort(proxy)[::-1]]
+        d = signed_interior_distance(M, pts)
+        j = int(np.argmax(d))
+        return pts[j] if d[j] > 0.0 else None
+
+    best = search(lo, hi, 33)
+    cell = (hi - lo) / 32
+    refined = search(best - cell, best + cell, 17)
+    return refined if refined is not None else best
+
+
+# the 256 grid points farthest from every vertex of these shapes all lie
+# outside, so a screen that keeps only them finds no interior point
+@pytest.mark.parametrize("shape", ["half ball", "bumpy sphere"])
+def test_the_centre_search_finds_the_deepest_grid_point(shape):
+    M = {"half ball": _half_ball, "bumpy sphere": _bumpy_sphere}[shape]()
+    centre = chebyshev_center(M)
+    assert centre.tobytes() == _exhaustive_chebyshev_center(M).tobytes()
+    rr = inner_outer_radii(M)
+    assert rr.center.tobytes() == centre.tobytes()
+    if shape == "half ball":
+        assert rr.rho_minus == pytest.approx(0.5, abs=0.01)
+
+
 # ---------------------------------------------------------------------------
 # volume and embeddedness
 

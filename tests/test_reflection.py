@@ -7,12 +7,18 @@ from hypothesis import example, given, strategies as st
 from hyperflow.errors import CenterOutside, InsufficientFrames, NeverTouches, StartNotStrict
 from hyperflow.flow_engine import FlowConfig, Trajectory, evolve
 from hyperflow import hypersurface, reflection
-from hyperflow.hypersurface import BOUNDARY_TOL_FACTOR, signed_interior_distance, surface_distance
+from hyperflow.hypersurface import (
+    BOUNDARY_TOL_FACTOR,
+    DiscreteHypersurface,
+    signed_interior_distance,
+    surface_distance,
+)
 from hyperflow.reflection import (
     INCLUSION_BAND_FACTOR,
     Hyperplane,
     ReflectionStatus,
     ReflectionVerdict,
+    _inscribed_ball,
     _judge,
     _least_depths,
     _touch_time,
@@ -174,6 +180,24 @@ def _assert_same_verdict(got, want):
             assert got.details[key] == value
 
 
+def _lopsided_circle():
+    # 400 of 406 vertices crowd an arc of 0.2 radians of the unit circle, so
+    # the vertex centroid lies about 0.02 inside the wall there
+    crowd = np.linspace(np.pi - 0.1, np.pi + 0.1, 400)
+    theta = np.concatenate([crowd, np.linspace(np.pi + 0.1, 3.0 * np.pi - 0.1, 8)[1:-1]])
+    return DiscreteHypersurface(np.column_stack([np.cos(theta), np.sin(theta)]))
+
+
+def _c_shape():
+    # an annular sector open to the right: the vertex centroid lies in the hole
+    outer = np.linspace(0.4, 2.0 * np.pi - 0.4, 160)
+    inner = outer[::-1]
+    return DiscreteHypersurface(np.vstack([
+        np.column_stack([np.cos(outer), np.sin(outer)]),
+        0.6 * np.column_stack([np.cos(inner), np.sin(inner)]),
+    ]))
+
+
 ORACLE_SURFACES = {
     "circle 256-gon": lambda: shapes.circle_polygon(1.0, 256),
     "2:1 ellipse": lambda: shapes.ellipse_polygon(2.0, 1.0, 256),
@@ -183,6 +207,8 @@ ORACLE_SURFACES = {
     "ellipsoid s3": lambda: shapes.ellipsoid_mesh(1.5, 1.0, 0.75, 3),
     "noisy sphere": lambda: shapes.noisy_sphere(1.0, 0.05, 3, seed=3),
     "icosphere s2": lambda: shapes.icosphere(1.0, 2),
+    "C shape": _c_shape,  # vertex centroid outside: no inscribed ball
+    "lopsided circle": _lopsided_circle,  # vertex centroid just inside the wall
 }
 
 
@@ -211,28 +237,47 @@ def _depths_measured(M, pl, monkeypatch):
         return signed_interior_distance(M, points)
 
     monkeypatch.setattr(reflection, "signed_interior_distance", spy)
-    crossers = pl.signed_coordinate(M.vertices) > INCLUSION_BAND_FACTOR * M.bbox_diagonal
+    s = pl.signed_coordinate(M.vertices)
+    crossers = s > INCLUSION_BAND_FACTOR * M.bbox_diagonal
     reflected = pl.reflect(M.vertices[crossers])
-    return _least_depths(M, crossers[None], reflected), sizes, signed_interior_distance(M, reflected)
+    bounds = np.array([2.0 * s[crossers].min()])
+    return _least_depths(M, crossers[None], reflected, bounds), sizes, signed_interior_distance(M, reflected)
 
 
-def test_an_outside_group_is_measured_in_full(monkeypatch):
-    # the whole circle lies beyond the plane and reflects outside itself
-    M = shapes.circle_polygon(1.0, 256, center=(2.0, 0.0))
-    depth, sizes, exact = _depths_measured(M, plane([1, 0], 0.5), monkeypatch)
-    assert len(sizes) == 2 and sum(sizes) == 256  # near vertices and representatives, then the rest
-    assert np.array_equal(depth, exact)
+def _assert_exact_at_the_minimiser(depth, exact):
+    certified = np.isinf(depth)
+    assert np.all(exact[certified] > exact.min())
+    assert np.array_equal(depth[~certified], exact[~certified])
+    assert np.argmin(depth) == np.argmin(exact)
+
+
+def test_an_outside_group_measures_only_members_that_can_set_the_margin(monkeypatch):
+    # the whole circle lies beyond the plane and reflects outside itself, as
+    # one far group whose representative is not the farthest image; after the
+    # representatives only the members whose ub reaches the largest lb are
+    # measured, the ones that can be farther outside than every other image
+    M = shapes.circle_polygon(1.0, 256, center=(-2.0, 0.0))
+    depth, sizes, exact = _depths_measured(M, plane([-1, 0], 0.5), monkeypatch)
+    assert np.all(exact < 0.0)
+    assert len(sizes) == 2 and sum(sizes) < 0.2 * depth.shape[0]
+    _assert_exact_at_the_minimiser(depth, exact)
 
 
 def test_an_inside_group_is_certified_by_its_representative(monkeypatch):
-    # the cap's images form one chain inside the circle; only those that may
+    # the inscribed ball certifies the images near the centre of the 4:1
+    # ellipse; the others form one chain inside it, and only those that may
     # set the least depth, plus one representative, are measured
-    M = shapes.circle_polygon(1.0, 256)
-    depth, sizes, exact = _depths_measured(M, plane([1, 0], 0.5), monkeypatch)
+    M = shapes.ellipse_polygon(4.0, 1.0, 512)
+    pl = plane([1, 0], 2.0)
+    depth, sizes, exact = _depths_measured(M, pl, monkeypatch)
     certified = np.isinf(depth)
     assert len(sizes) == 1 and sizes[0] == np.count_nonzero(~certified) < 0.1 * depth.shape[0]
-    assert np.all(exact[certified] > exact.min())
-    assert np.array_equal(depth[~certified], exact[~certified])
+    x0, radius = _inscribed_ball(M)
+    s = pl.signed_coordinate(M.vertices)
+    crossers = s > INCLUSION_BAND_FACTOR * M.bbox_diagonal
+    by_ball = radius - np.linalg.norm(pl.reflect(M.vertices[crossers]) - x0, axis=1) > 2.0 * s[crossers].min()
+    assert 0 < np.count_nonzero(by_ball) < np.count_nonzero(certified)
+    _assert_exact_at_the_minimiser(depth, exact)
 
 
 def test_a_plane_with_no_far_vertex_measures_every_image(monkeypatch):
@@ -241,6 +286,12 @@ def test_a_plane_with_no_far_vertex_measures_every_image(monkeypatch):
     depth, sizes, exact = _depths_measured(M, plane([1, 0], 0.9999), monkeypatch)
     assert depth.shape == (1,) and sizes == [1]
     assert np.array_equal(depth, exact)
+
+
+def test_the_inscribed_ball_is_absent_or_thin_on_lopsided_shapes():
+    # the oracle surfaces where the ball certifies nothing or next to nothing
+    assert _inscribed_ball(_c_shape())[1] <= 0.0
+    assert 0.0 < _inscribed_ball(_lopsided_circle())[1] < 0.03
 
 
 # ---------------------------------------------------------------------------

@@ -342,24 +342,33 @@ def test_post_touch_stage_matches_per_plane_oracle_on_criterion_7(criterion_7_fa
 
 
 def test_post_touch_stage_measures_few_reflected_vertices(criterion_7_fam, monkeypatch):
-    # the bound pass certifies most images inside without a distance query
-    counts = {"reflected": 0, "measured": 0}
-    least_depths, measure = reflection._least_depths, reflection.signed_interior_distance
+    # the frames are round, so the inscribed ball certifies most images
+    # inside at once; only those near the surface reach the bound pass
+    counts = {"reflected": 0, "bound pass": 0, "measured": 0}
+    least_depths, bounded_depths = reflection._least_depths, reflection._bounded_depths
+    measure = reflection.signed_interior_distance
 
-    def count_reflected(M, crossers, reflected):
+    def count_reflected(M, crossers, reflected, bounds):
         counts["reflected"] += reflected.shape[0]
-        return least_depths(M, crossers, reflected)
+        return least_depths(M, crossers, reflected, bounds)
+
+    def count_bounded(M, crossers, reflected):
+        counts["bound pass"] += reflected.shape[0]
+        return bounded_depths(M, crossers, reflected)
 
     def count_measured(M, points):
         counts["measured"] += points.shape[0]
         return measure(M, points)
 
     monkeypatch.setattr(reflection, "_least_depths", count_reflected)
+    monkeypatch.setattr(reflection, "_bounded_depths", count_bounded)
     monkeypatch.setattr(reflection, "signed_interior_distance", count_measured)
     report = rigidity_audit(criterion_7_fam, F_K, [0.0, 0.0], directions=_benchmark_directions(0), c_schedule=C_SCHEDULE_7)
     assert report.overall
     assert counts["reflected"] == 203056  # every reflected vertex of the audit
     assert counts["measured"] < 0.1 * counts["reflected"]
+    assert counts["bound pass"] == 4816  # the other 198 240 read +inf at once
+    assert counts["measured"] == 4752
 
 
 @pytest.mark.parametrize("directions", [0, -2, np.zeros((0, 2))], ids=["zero", "negative", "empty rows"])
