@@ -152,8 +152,14 @@ def _stage_surface(template: DiscreteHypersurface, verts: np.ndarray) -> Discret
         raise MeshDegeneracy(str(exc)) from exc
 
 
-def _velocity(M: DiscreteHypersurface, F: SpeedFunction) -> tuple[np.ndarray, float, float]:
-    """Outward velocity field, min cone margin and min speed over vertices."""
+def _velocity(
+    M: DiscreteHypersurface, F: SpeedFunction, speeds: np.ndarray | None = None
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Outward velocity field, min cone margin and the speeds at the vertices.
+
+    ``speeds`` are F's values on M when the caller has them already; they
+    are checked after the cone all the same.
+    """
     data = M.curvature_data
     lam = data.principal
     margin_min = float(F.cone.interior_margin(lam).min())
@@ -161,12 +167,12 @@ def _velocity(M: DiscreteHypersurface, F: SpeedFunction) -> tuple[np.ndarray, fl
         raise ConeExit(
             f"curvature tuple left the admissible cone (margin {margin_min:.3e})"
         )
-    speeds = F.values(lam)
-    speed_min = float(speeds.min())
+    if speeds is None:
+        speeds = F.values(lam)
     # the minimum is NaN when any speed is, so NaN fails the first test and +inf the second
-    if not (speed_min > 0.0 and speeds.max() < math.inf):
+    if not (float(speeds.min()) > 0.0 and speeds.max() < math.inf):
         raise NonPositiveSpeed(f"{F.name} non-positive along the surface")
-    return data.normals / speeds[:, None], margin_min, speed_min
+    return data.normals / speeds[:, None], margin_min, speeds
 
 
 def _accept(M: DiscreteHypersurface, verts: np.ndarray) -> DiscreteHypersurface:
@@ -217,8 +223,12 @@ def stable_substep(M: DiscreteHypersurface, F: SpeedFunction) -> float:
     On a curve the shortest incident edges come from the snapshot's kernel
     (``_local_min_edge``), which its construction formed already.
     """
+    return _stable_substep(M, F, F.values(M.curvature_data.principal))
+
+
+def _stable_substep(M: DiscreteHypersurface, F: SpeedFunction, fval: np.ndarray) -> float:
+    """``stable_substep`` given F's values on M, which ``evolve`` shares with the first stage."""
     lam = M.curvature_data.principal
-    fval = F.values(lam)
     diffusivity = _raw_gradient(F, lam).sum(axis=-1) / (fval * fval)
     h = _local_min_edge(M)
     stiffest = float(np.max(4.0 * diffusivity / (h * h)))
@@ -327,18 +337,29 @@ def evolve(
     last_evals = 4
     while t < config.t_end - 1e-15 * max(1.0, abs(config.t_end)):
         try:
-            # under the CFL policy the start velocity sets dt and is the first stage
-            start = None if config.dt is not None else _velocity(M, F)
-            dt = config.dt if start is None else config.cfl * float(M.edge_lengths.min()) * start[2]
+            # F is evaluated once on the start snapshot, for the stable step
+            # and the first stage, and each check keeps its place: under the
+            # CFL policy the start velocity sets dt; otherwise it is formed
+            # after the stability event
+            if config.dt is None:
+                start = _velocity(M, F)
+                speeds = start[2]
+                dt = config.cfl * float(M.edge_lengths.min()) * float(speeds.min())
+            else:
+                start = None
+                speeds = F.values(M.curvature_data.principal)
+                dt = config.dt
             dt = min(dt, config.t_end - t)
             # one RK4 step where it is stable (four evaluations), else RKC
-            ratio = dt / stable_substep(M, F)
+            ratio = dt / _stable_substep(M, F, speeds)
             n_rkc, s = _rkc_plan(ratio) if ratio > 1.0 else (1, 4)
             evals = n_rkc * s
             if evals != last_evals:
                 detail = f"requested dt {dt:.3e} executed as {evals} evaluations (was {last_evals})"
                 traj.events.append({"t": t, "type": "stability_stages", "detail": detail})
                 last_evals = evals
+            if start is None:
+                start = _velocity(M, F, speeds)
             if ratio <= 1.0:
                 M, margin = _substep(M, F, dt, start)
             else:

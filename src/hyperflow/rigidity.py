@@ -76,14 +76,10 @@ def comes_out_of_point(traj: Trajectory, y_inf, radii) -> PointOriginReport:
     if not traj.frames:
         raise EmptyTrajectory("trajectory has no frames")
     y_inf = np.asarray(y_inf, dtype=float)
-    radii = [float(r) for r in radii]
-    # written so that NaN fails every rule
-    if not radii:
-        raise ValueError("radii must be a non-empty list")
-    if not all(r > 0.0 for r in radii):
-        raise ValueError("radii must be positive")
-    if not all(b < a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly decreasing")
+    n = traj.frames[0][1].dimension + 1
+    if y_inf.shape != (n,) or not np.all(np.isfinite(y_inf)):
+        raise ValueError(f"y_inf must be a finite point with {n} components, got {y_inf.tolist()}")
+    radii = _radii(radii)
 
     reach = np.array(
         [float(np.max(np.linalg.norm(m.vertices - y_inf, axis=1))) for _, m in traj.frames]
@@ -100,6 +96,19 @@ def comes_out_of_point(traj: Trajectory, y_inf, radii) -> PointOriginReport:
         first_containment_times=tuple(found),
         passed=passed,
     )
+
+
+def _radii(radii) -> list[float]:
+    """The radii as floats, checked to be positive and strictly decreasing."""
+    radii = [float(r) for r in radii]
+    # written so that NaN fails every rule
+    if not radii:
+        raise ValueError("radii must be a non-empty list")
+    if not all(r > 0.0 for r in radii):
+        raise ValueError("radii must be positive")
+    if not all(b < a for a, b in zip(radii, radii[1:])):
+        raise ValueError("radii must be strictly decreasing")
+    return radii
 
 
 @dataclass(frozen=True)
@@ -195,12 +204,12 @@ def rigidity_audit(
     tolerance defaults to 5x the smallest audited offset, tightening as the
     audited planes approach the origin.
     """
-    y_inf = np.asarray(y_inf, dtype=float)
-    cs = [float(c) for c in c_schedule]
-    try:
-        origin_report = comes_out_of_point(traj, y_inf, cs)
-    except ValueError as exc:  # the schedule's offsets are the radii checked
+    try:  # the schedule's offsets are the radii checked
+        cs = _radii(c_schedule)
+    except ValueError as exc:
         raise ValueError(f"c_schedule: {exc}") from exc
+    origin_report = comes_out_of_point(traj, y_inf, cs)
+    y_inf = origin_report.y_infinity
     if not origin_report.passed:
         raise PreconditionFailed(
             "trajectory does not come out of the candidate point; "

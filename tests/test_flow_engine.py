@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import time
@@ -87,6 +88,28 @@ def test_step_and_evolve_stop_at_the_edge_floor():
         evolve(M, F_K, 0.0, FlowConfig(t_end=0.01, dt=1e-3))
 
 
+@pytest.mark.parametrize("dt", [1e-3, None], ids=["fixed dt", "cfl"])
+def test_the_speed_is_evaluated_once_per_stage(monkeypatch, dt):
+    # stable_substep reads the values of the step's first stage; each
+    # requested step used to evaluate F once more on its start snapshot
+    evaluations, stages = [], []
+
+    def fn(lam):
+        evaluations.append(lam.shape[0])
+        return F_K.fn(lam)
+
+    def counting_velocity(M, F, speeds=None):
+        stages.append(M)
+        return velocity(M, F, speeds)
+
+    velocity = flow_engine._velocity
+    monkeypatch.setattr(flow_engine, "_velocity", counting_velocity)
+    evolve(shapes.circle_polygon(1.0, 64), dataclasses.replace(F_K, fn=fn), 0.0, FlowConfig(t_end=0.01, dt=dt))
+    assert len(evaluations) == len(stages) > 0
+    if dt is not None:
+        assert len(stages) == 40  # ten RK4 steps
+
+
 def test_the_stage_ceiling_bounds_the_first_step_on_the_edge_floor(monkeypatch):
     # the 1e-13 edge makes stiffness * dt about 1e23: the step splits into
     # steps of at most RKC_MAX_STAGES stages, and the first one meets the floor
@@ -94,9 +117,9 @@ def test_the_stage_ceiling_bounds_the_first_step_on_the_edge_floor(monkeypatch):
     M = DiscreteHypersurface(np.column_stack([np.cos(th), np.sin(th)]))
     calls = []
 
-    def counting_velocity(M, F):
+    def counting_velocity(M, F, speeds=None):
         calls.append(M)
-        return _velocity(M, F)
+        return _velocity(M, F, speeds)
 
     monkeypatch.setattr(flow_engine, "_velocity", counting_velocity)
     with pytest.raises(MeshDegeneracy, match="quality floor"):
@@ -511,17 +534,17 @@ def test_one_curvature_margin_equals_the_general_formula_bitwise():
         assert np.array_equal(cone.interior_margin(finite), _margin_oracle(finite))
 
 
-def _velocity_oracle(M, F):
+def _velocity_oracle(M, F, speeds=None):
     """The stage velocity with one pass per check."""
     data = M.curvature_data
     lam = data.principal
     margin_min = float(F.cone.interior_margin(lam).min())
     if margin_min <= flow_engine.MARGIN_HARD:
         raise ConeExit(f"curvature tuple left the admissible cone (margin {margin_min:.3e})")
-    speeds = F.values(lam)
+    speeds = F.values(lam) if speeds is None else speeds
     if not np.all(np.isfinite(speeds)) or np.any(speeds <= 0.0):
         raise NonPositiveSpeed(f"{F.name} non-positive along the surface")
-    return data.normals / speeds[:, None], margin_min, float(speeds.min())
+    return data.normals / speeds[:, None], margin_min, speeds
 
 
 def _rkc_step_oracle(M, F, dt, s, start=None):
@@ -603,9 +626,9 @@ def test_cone_exit_stops_gracefully_under_the_cfl_policy():
 def test_the_cfl_policy_evaluates_the_start_velocity_once(monkeypatch):
     calls = []
 
-    def counting_velocity(M, F):
+    def counting_velocity(M, F, speeds=None):
         calls.append(M)
-        return _velocity(M, F)
+        return _velocity(M, F, speeds)
 
     monkeypatch.setattr(flow_engine, "_velocity", counting_velocity)
     M = shapes.circle_polygon(1.0, 16)

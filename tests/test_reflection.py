@@ -9,7 +9,9 @@ from hyperflow.flow_engine import FlowConfig, Trajectory, evolve
 from hyperflow import hypersurface, reflection
 from hyperflow.hypersurface import (
     BOUNDARY_TOL_FACTOR,
+    INSIDE_CODE,
     DiscreteHypersurface,
+    _distances_and_codes,
     signed_interior_distance,
     surface_distance,
 )
@@ -21,6 +23,7 @@ from hyperflow.reflection import (
     _inscribed_ball,
     _judge,
     _least_depths,
+    _plane_heights,
     _touch_time,
     _verdicts,
     first_touch_time,
@@ -334,6 +337,78 @@ def test_batched_verdicts_check_every_direction_first(unit_circle_256):
     assert _verdicts(unit_circle_256, []) == []
 
 
+# one frame-wide pass: every kind of plane in one call
+
+
+FRAME_PASSES = {
+    # (V, c) of a vacuous plane, a touching one with no crosser, one with the
+    # whole surface beyond it (no tangency candidate), a strict one and a
+    # failing one; the touching offset is the support, so a vertex lies on it
+    "256-gon": (
+        lambda: shapes.circle_polygon(1.0, 256),
+        [([1, 0], 1.5), ([0.6, 0.8], None), ([1, 0], -1.5), ([1, 0], 0.5), ([1, 0], -0.5), ([0, 1], 0.3)],
+    ),
+    "ellipsoid s3": (
+        lambda: shapes.ellipsoid_mesh(1.5, 1.0, 0.75, 3),
+        [([1, 0, 0], 1.6), ([1, 1, 0], None), ([0, 0, 1], -1.0), ([1, 0, 0], 0.7), ([1, 1, 0], 0.3),
+         ([0, 1, 0], -0.3)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_PASSES))
+def test_one_frame_pass_equals_the_oracle_and_one_plane_calls(name):
+    build, offsets = FRAME_PASSES[name]
+    M = build()
+    planes = []
+    for v, c in offsets:
+        if c is None:  # the support along V: a vertex lies on the plane
+            c = float((M.vertices @ plane(v, 0.0).V).max())
+        planes.append(plane(v, c))
+    batch = _verdicts(M, planes)
+    for got, p in zip(batch, planes):
+        _assert_same_verdict(got, full_depth_verdict(M, p))
+        _assert_same_verdict(got, _verdicts(M, [p])[0])
+    assert [v.status for v in batch[:5]] == [
+        ReflectionStatus.VACUOUS, ReflectionStatus.NONSTRICT, ReflectionStatus.FAILS,
+        ReflectionStatus.STRICT, ReflectionStatus.FAILS,
+    ]
+    assert batch[1].details == {"note": "no vertex beyond the plane band"}
+    assert batch[2].tangency_margin == math.pi / 2.0  # no vertex near the plane, no edge across it
+    assert batch[4].tangency_margin < math.pi / 2.0
+
+
+@pytest.mark.parametrize("surface", ["curve", "mesh"])
+def test_stacked_heights_have_the_bits_of_signed_coordinate(surface):
+    # each row must be the plane's own matrix-vector product; a matrix
+    # product of the points with every normal at once rounds differently
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        if surface == "curve":
+            M = shapes.noisy_circle(1.0, 0.05, int(rng.integers(3, 600)), seed=trial)
+        else:
+            M = shapes.noisy_sphere(1.0, 0.05, int(rng.integers(0, 4)), seed=trial)
+        count = int(rng.integers(1, 40))
+        planes = [plane(v, c) for v, c in zip(rng.normal(size=(count, M.dimension + 1)), rng.normal(size=count))]
+        heights = _plane_heights(M.vertices, np.array([p.V for p in planes]), np.array([p.c for p in planes]))
+        for row, p in zip(heights, planes):
+            assert row.tobytes() == p.signed_coordinate(M.vertices).tobytes()
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SURFACES))
+def test_the_inscribed_ball_has_the_radius_of_one_distance_pass(name):
+    # x0 measured against every element gives the distance and side of the
+    # tree query that classify_points makes
+    M = ORACLE_SURFACES[name]()
+    x0, radius = _inscribed_ball(M)
+    dist, code = _distances_and_codes(M, M.vertices.mean(axis=0)[None, :])
+    assert x0.tobytes() == M.vertices.mean(axis=0).tobytes()
+    if code[0] != INSIDE_CODE:
+        assert radius == 0.0
+    else:
+        assert radius == float(dist[0]) - 1e-12 * float(np.abs(M.vertices).max())
+
+
 @pytest.mark.parametrize("ball_pairs", [None, 64])
 @pytest.mark.parametrize("surface", ["curve", "mesh"])
 def test_signed_distance_of_concatenated_sets_is_bitwise_per_set(surface, ball_pairs, monkeypatch):
@@ -544,6 +619,12 @@ def test_certificate_needs_a_direction(unit_circle_256, directions):
     # no direction used to certify a sphere with directions_checked 0
     with pytest.raises(ValueError, match="^need at least 1 direction"):
         symmetry_certificate(unit_circle_256, [0.0, 0.0], directions=directions)
+
+
+def test_certificate_rejects_directions_of_the_wrong_length(unit_circle_256):
+    # rows of three components used to reach the matrix product and fail there
+    with pytest.raises(ValueError, match="^directions have 3 components, but the surface lies in 2 dimensions$"):
+        symmetry_certificate(unit_circle_256, [0.0, 0.0], directions=[[1.0, 0.0, 0.0]])
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])

@@ -89,6 +89,17 @@ def test_origin_validates_inputs(sphere_fam):
         comes_out_of_point(Trajectory([]), [0.0, 0.0], [0.5])
 
 
+@pytest.mark.parametrize("y_inf", [np.zeros(3), [math.nan, 0.0]], ids=["three components", "nan"])
+def test_origin_and_audit_reject_a_centre_that_is_not_a_point(sphere_fam, y_inf):
+    # these used to fail as a c_schedule broadcast error and as a trajectory
+    # that does not come out of the point
+    message = "^y_inf must be a finite point with 2 components"
+    with pytest.raises(ValueError, match=message):
+        comes_out_of_point(sphere_fam, y_inf, [0.5, 0.1])
+    with pytest.raises(ValueError, match=message):
+        rigidity_audit(sphere_fam, F_K, y_inf, directions=4, c_schedule=(0.4, 0.2))
+
+
 @pytest.mark.parametrize("radii", [[], [0.5, math.nan], [math.nan, 0.5]])
 def test_origin_rejects_empty_and_nan_radii(sphere_fam, radii):
     with pytest.raises(ValueError):
@@ -186,6 +197,12 @@ def test_audit_rejects_non_unit_directions():
     assert rigidity_audit(fam, F_K, [0.3, 0.2], directions=np.eye(2), c_schedule=(0.4, 0.2)).overall
     with pytest.raises(ValueError, match="unit"):
         rigidity_audit(fam, F_K, [0.3, 0.2], directions=3.0 * np.eye(2), c_schedule=(0.4, 0.2))
+
+
+def test_audit_rejects_directions_of_the_wrong_length(sphere_fam):
+    rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="^directions have 3 components, but the surface lies in 2 dimensions$"):
+        rigidity_audit(sphere_fam, F_K, [0.0, 0.0], directions=rows, c_schedule=(0.4, 0.2))
 
 
 @pytest.mark.parametrize("error,typed", [(InsufficientFrames("correspondence broken"), True),
