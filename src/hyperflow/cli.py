@@ -71,7 +71,7 @@ _KEYS: dict[str, dict] = {
     "rigidity-audit": {
         "seed": 0, **_SPEED, "dimension": 1, "resolution": 256, "t0": 0.0, "t_end": 1.0,
         "family": "sphere", "frame_dt": 0.01, "rates": (1.0, 2.0), "directions": 16,
-        "c_schedule": (0.4, 0.2, 0.1, 0.05), "symmetry_tol": None,
+        "c_schedule": (0.4, 0.2, 0.1, 0.05),
     },
 }
 COMMANDS = tuple(_KEYS)
@@ -82,7 +82,7 @@ _NAME_KEYS = {"speed", "shape", "family"}
 _BOOL_KEYS = {"stop_on_cone_exit"}
 _NUMBER_KEYS = {
     "seed", "alpha", "radius", "resolution", "subdivisions", "t0", "t_end", "dt", "cfl", "frame_interval",
-    "dimension", "r0", "tol", "frame_dt", "directions", "symmetry_tol",
+    "dimension", "r0", "tol", "frame_dt", "directions",
 }
 
 
@@ -414,7 +414,6 @@ def _run_rigidity_audit(cfg: SimpleNamespace) -> int:
         y_inf=np.zeros(n + 1),
         directions=cfg.directions,
         c_schedule=cfg.c_schedule,
-        symmetry_tol=cfg.symmetry_tol,
     )
     with _output_dir(cfg) as out:
         _write_json(out / "rigidity_report.json", report.to_json_dict())

@@ -19,9 +19,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from .errors import CenterOutside, NeverTouches, StartNotStrict
+from .errors import NeverTouches, StartNotStrict
 from .flow_engine import Trajectory, _heights
-from .geometry import fibonacci_sphere_directions, uniform_circle_directions
 from .hypersurface import (
     BOUNDARY_TOL_FACTOR,
     Containment,
@@ -30,7 +29,6 @@ from .hypersurface import (
     _pseudonormal_inside,
     contains_point,
     signed_interior_distance,
-    surface_distance,
 )
 
 INCLUSION_BAND_FACTOR = 1e-6  # default tolerance band, relative to bbox diagonal
@@ -470,85 +468,50 @@ def _frame_verdicts(
 
 @dataclass(frozen=True)
 class SymmetryOutcome:
-    """Result of the all-planes-through-a-center reflection audit."""
+    """Result of the sphericity certificate of one surface about a center."""
 
     spherical: bool
-    deviation: float  # (max - min) / mean of vertex radii about the center
-    max_reflection_defect: float  # worst reflected-vertex distance to the surface
+    center_inside: bool
+    spread: float  # max - min of the vertex radii about the center
+    deviation: float  # spread / mean of the vertex radii
     witness_direction: np.ndarray | None
-    directions_checked: int
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "spherical": self.spherical,
+            "center_inside": self.center_inside,
+            "spread": self.spread,
             "deviation": self.deviation,
-            "max_reflection_defect": self.max_reflection_defect,
             "witness_direction": None
             if self.witness_direction is None
             else self.witness_direction.tolist(),
-            "directions_checked": self.directions_checked,
         }
 
 
-def _direction_set(dimension: int, directions: int | np.ndarray) -> np.ndarray:
-    """Unit plane normals: a count spread evenly, or the given unit rows.
+def symmetry_certificate(M: DiscreteHypersurface, center, tol: float) -> SymmetryOutcome:
+    """Certify (or refute) that M is round within tol about the center.
 
-    Given rows are checked, not normalised: callers place planes at
-    offsets v . center, which only holds for unit v.
-    """
-    if isinstance(directions, (int, np.integer)):
-        if directions < 1:
-            raise ValueError(f"need at least 1 direction, got {directions}")
-        if dimension == 1:
-            return uniform_circle_directions(int(directions))
-        return fibonacci_sphere_directions(int(directions))
-    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    if dirs.shape[0] == 0:
-        raise ValueError("need at least 1 direction, got none")
-    if dirs.ndim != 2 or dirs.shape[1] != dimension + 1:
-        raise ValueError(
-            f"directions have {dirs.shape[-1]} components, but the surface lies in {dimension + 1} dimensions"
-        )
-    if np.any(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) > 1e-9):
-        raise ValueError("directions must be unit vectors")
-    return dirs
-
-
-def symmetry_certificate(
-    M: DiscreteHypersurface,
-    center,
-    directions: int | np.ndarray = 64,
-    tol: float = 1e-6,
-) -> SymmetryOutcome:
-    """Certify (or refute) that M is a round sphere about the center.
-
-    Radius deviation (max - min)/mean decides the verdict; reflection
-    residuals across sampled planes through the center are reported as
-    supporting evidence.  The witness for a failure points at the vertex of
-    largest radius.
+    M is spherical when it contains the center and the spread of its vertex
+    radii, max |x - center| - min |x - center|, is at most tol.  The vertices
+    lie on the surface, so the spread is at most rho_plus - rho_minus of the
+    surface about the center.  The witness for a failure points at the
+    vertex of largest radius.
     """
     if not 0.0 < tol < math.inf:  # written so that NaN fails
         raise ValueError(f"tol must be finite and positive, got {tol}")
     center = np.asarray(center, dtype=float)
-    if contains_point(M, center) is not Containment.INSIDE:
-        raise CenterOutside(f"center {tuple(center)} is not inside the surface")
-    dirs = _direction_set(M.dimension, directions)
+    inside = contains_point(M, center) is Containment.INSIDE
     radii = np.linalg.norm(M.vertices - center, axis=1)
-    mean_r = float(radii.mean())
-    deviation = float((radii.max() - radii.min()) / mean_r)
-
-    reflected = [Hyperplane(V=v, c=float(v @ center)).reflect(M.vertices) for v in dirs]
-    defect = float(surface_distance(M, np.concatenate(reflected)).max())
-
-    spherical = deviation < tol
+    spread = float(radii.max() - radii.min())
+    spherical = inside and spread <= tol
     witness = None
     if not spherical:
         witness = (M.vertices[int(np.argmax(radii))] - center) / radii.max()
     return SymmetryOutcome(
         spherical=spherical,
-        deviation=deviation,
-        max_reflection_defect=defect,
+        center_inside=inside,
+        spread=spread,
+        deviation=spread / float(radii.mean()),
         witness_direction=witness,
-        directions_checked=dirs.shape[0],
     )

@@ -4,16 +4,25 @@ The central audit takes a trajectory claimed to emerge from a single point
 and exercises the uniqueness mechanism end to end: an inscribed radius at
 the reference time bounds the plane offsets, every audited plane acquires a
 first-touch time, strict reflection must hold just after each touch and
-persist to the end, and the frames must certify as round about the origin
-point.  A genuine flow solution emerging from a point passes; an injected
-non-round family fails the certificate stage, and the flow-law residual is
-reported as the explanation.
+persist to the end, and the frames after the touch times must be round about
+the origin point within the bound that reflection implies.  A genuine flow
+solution emerging from a point passes; an injected non-round family fails
+the sphericity stage, and the flow-law residual is reported as the
+explanation.  The residual is reported, not gated.
 
 The touch times of all directions read one support table, built in one pass
 over the frames.  The post-touch stage runs frame-major: it walks the frames
 in time order and judges every plane that probes or monitors a frame with
 one batched reflection kernel call, so each frame builds its distance tables
 once.
+
+The sphericity bound is the moving-plane lemma (Chow & Gulliver,
+"Aleksandrov reflection and geometric evolution of hypersurfaces", 2001):
+a body that reflects into itself across every plane at offset >= c from y
+has rho_plus - rho_minus <= 2c about y.  Touch times fall as the offset
+shrinks, so from the latest touch time at the smallest audited offset
+c_min on, every audited plane at offset >= c_min has touched or is vacuous,
+and each sampled frame from there to the end is held to 2 c_min.
 """
 
 from __future__ import annotations
@@ -24,23 +33,16 @@ import numpy as np
 
 from .errors import EmptyTrajectory, HyperflowError, NeverTouches, NoFramesPastTouch, PreconditionFailed
 from .flow_engine import FlowResidual, Trajectory, flow_residual
+from .geometry import fibonacci_sphere_directions, uniform_circle_directions
 from .hypersurface import inner_outer_radii
-from .reflection import (
-    Hyperplane,
-    ReflectionStatus,
-    _direction_set,
-    _frame_verdicts,
-    _monitor,
-    _touch_time,
-    symmetry_certificate,
-)
+from .reflection import Hyperplane, ReflectionStatus, _frame_verdicts, _monitor, _touch_time, symmetry_certificate
 from .speeds import SpeedFunction
 
 # Reflection is checked at tau + {1, 2, 4} spacings of the frame bracket that
 # holds tau: strictness just after touch may need a moment to exceed the mesh
 # tolerance band.
 POST_TOUCH_OFFSETS = (1, 2, 4)
-SYMMETRY_FRAMES = 12  # evenly spaced frames that get a sphericity certificate
+SYMMETRY_FRAMES = 12  # evenly spaced frames after the touch times, certified round
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,30 @@ def _radii(radii) -> list[float]:
     if not all(b < a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
     return radii
+
+
+def _direction_set(dimension: int, directions: int | np.ndarray) -> np.ndarray:
+    """Unit plane normals: a count spread evenly, or the given unit rows.
+
+    Given rows are checked, not normalised: planes sit at offsets
+    c + v . y_inf, which only holds for unit v.
+    """
+    if isinstance(directions, (int, np.integer)):
+        if directions < 1:
+            raise ValueError(f"need at least 1 direction, got {directions}")
+        if dimension == 1:
+            return uniform_circle_directions(int(directions))
+        return fibonacci_sphere_directions(int(directions))
+    dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+    if dirs.shape[0] == 0:
+        raise ValueError("need at least 1 direction, got none")
+    if dirs.ndim != 2 or dirs.shape[1] != dimension + 1:
+        raise ValueError(
+            f"directions have {dirs.shape[-1]} components, but the surface lies in {dimension + 1} dimensions"
+        )
+    if np.any(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) > 1e-9):
+        raise ValueError("directions must be unit vectors")
+    return dirs
 
 
 @dataclass(frozen=True)
@@ -195,14 +221,13 @@ def rigidity_audit(
     y_inf,
     directions=16,
     c_schedule=(0.4, 0.2, 0.1, 0.05),
-    symmetry_tol: float | None = None,
 ) -> RigidityAuditReport:
     """Full reflection-rigidity audit of a trajectory emerging from a point.
 
     All stages run even after a failure so the report carries the complete
-    evidence; the overall verdict is the conjunction.  The sphericity
-    tolerance defaults to 5x the smallest audited offset, tightening as the
-    audited planes approach the origin.
+    evidence; the overall verdict is the conjunction of the reflection and
+    sphericity stages.  The sphericity bound is 2 min(c_schedule), by the
+    moving-plane lemma.
     """
     try:  # the schedule's offsets are the radii checked
         cs = _radii(c_schedule)
@@ -246,12 +271,11 @@ def rigidity_audit(
     post_verdicts = _post_touch_stage(traj, times, touched)
     reflection_ok = reflection_ok and all(row["passed"] for row in post_verdicts)
 
-    try:
-        sym_rows, symmetry_ok = _symmetry_stage(
-            traj, y_inf, dirs, symmetry_tol if symmetry_tol is not None else 5.0 * min(cs)
-        )
-    except ValueError as exc:  # the directions passed above, so the tolerance failed
-        raise ValueError(f"symmetry_tol: {exc}") from exc
+    # every direction touches at min(c) < R_star; from the latest of those
+    # touches on, each audited plane at offset >= min(c) has touched or is vacuous
+    bound = 2.0 * cs[-1]
+    late = max(tau for _, _, c, tau in touched if c == cs[-1])
+    sym_rows, symmetry_ok = _symmetry_stage(traj, times, y_inf, late, bound)
 
     residual = None
     residual_note = ""
@@ -263,7 +287,7 @@ def rigidity_audit(
 
     overall = reflection_ok and symmetry_ok
     narrative = _narrative(
-        origin_report, R_star, reflection_ok, symmetry_ok, residual, residual_note, sym_rows
+        origin_report, R_star, reflection_ok, symmetry_ok, residual, residual_note, sym_rows, bound
     )
     return RigidityAuditReport(
         R_star=R_star,
@@ -338,21 +362,23 @@ def _post_touch_stage(
     return rows
 
 
-def _symmetry_stage(traj, y_inf, dirs, tol):
-    idx = np.unique(
-        np.linspace(0, len(traj.frames) - 1, min(SYMMETRY_FRAMES, len(traj.frames))).astype(int)
-    )
+def _symmetry_stage(traj, times, y_inf, late, bound):
+    """Certificates of up to SYMMETRY_FRAMES frames, evenly spaced from the
+    first frame at or after ``late`` through the last frame."""
+    first = int(np.searchsorted(times, late - 1e-12))
+    last = times.shape[0] - 1
+    idx = np.unique(np.linspace(first, last, min(SYMMETRY_FRAMES, last - first + 1)).astype(int))
     rows = []
     ok = True
     for i in idx:
         t, M = traj.frames[int(i)]
-        outcome = symmetry_certificate(M, y_inf, directions=dirs, tol=tol)
+        outcome = symmetry_certificate(M, y_inf, tol=bound)
         rows.append({"t": t, **outcome.to_json_dict()})
         ok = ok and outcome.spherical
     return rows, ok
 
 
-def _narrative(origin_report, R_star, reflection_ok, symmetry_ok, residual, residual_note, sym_rows):
+def _narrative(origin_report, R_star, reflection_ok, symmetry_ok, residual, residual_note, sym_rows, bound):
     parts = [
         f"origin containment passed for radii {list(origin_report.radii_checked)}",
         f"inscribed radius at the reference frame R_star = {R_star:.6g}",
@@ -360,18 +386,22 @@ def _narrative(origin_report, R_star, reflection_ok, symmetry_ok, residual, resi
     ]
     if symmetry_ok:
         final_dev = sym_rows[-1]["deviation"]
-        parts.append(f"sphericity certified at every sampled frame (final deviation {final_dev:.3g})")
-    else:
-        worst = max(sym_rows, key=lambda r: r["deviation"])
         parts.append(
-            f"sphericity FAILED at t = {worst['t']:.6g} (deviation {worst['deviation']:.3g}, "
-            f"witness {worst['witness_direction']})"
+            f"sphericity within bound {bound:.3g} at every sampled frame after the touch times "
+            f"(final deviation {final_dev:.3g})"
         )
-        if residual is not None and residual.overall_max > 0.1:
-            parts.append(
-                f"explanation: {residual_note}; the family does not solve the flow, "
-                "so non-roundness does not contradict uniqueness of round solutions"
-            )
-    if residual is None or residual.overall_max <= 0.1:
+    else:
+        worst = max((r for r in sym_rows if not r["spherical"]), key=lambda r: r["spread"])
+        where = "" if worst["center_inside"] else ", center outside"
+        parts.append(
+            f"sphericity FAILED at t = {worst['t']:.6g} (spread {worst['spread']:.3g} against bound "
+            f"{bound:.3g}{where}, witness {worst['witness_direction']})"
+        )
+    if not symmetry_ok and residual is not None and residual.overall_max > 0.1:
+        parts.append(
+            f"explanation: {residual_note}; the family does not solve the flow, "
+            "so non-roundness does not contradict uniqueness of round solutions"
+        )
+    else:
         parts.append(residual_note)
     return "; ".join(parts)

@@ -251,10 +251,9 @@ ECHOED_KEYS = {
     "reflect-audit": ["out_dir", "seed", "shape", "radius", "axes", "resolution", "subdivisions", "mesh_file",
                       "plane_direction", "plane_offsets", "tol"],
     "rigidity-audit": ["out_dir", "seed", "speed", "alpha", "dimension", "resolution", "t0", "t_end", "family",
-                       "frame_dt", "rates", "directions", "c_schedule", "symmetry_tol"],
+                       "frame_dt", "rates", "directions", "c_schedule"],
 }
-UNSET_VALUES = {"alpha": 0.5, "axes": (2.0, 1.0), "mesh_file": "m.obj", "dt": 0.001, "tol": 1e-9,
-                "symmetry_tol": 0.1}
+UNSET_VALUES = {"alpha": 0.5, "axes": (2.0, 1.0), "mesh_file": "m.obj", "dt": 0.001, "tol": 1e-9}
 
 
 @pytest.mark.parametrize("command", sorted(ECHOED_KEYS))
@@ -269,6 +268,14 @@ def test_echoed_file_holds_exactly_the_command_keys(tmp_path, command):
 def test_a_key_of_another_command_is_named(tmp_path, capsys, command, key):
     assert run_cli(command, "--out", str(tmp_path / "x"), "--set", f"{key}=1") == EXIT_USAGE
     assert key in capsys.readouterr().err
+
+
+def test_the_sphericity_bound_is_not_a_key(tmp_path, capsys):
+    # the audit takes the bound 2 min(c_schedule) from the lemma; the former
+    # symmetry_tol key is unknown
+    assert run_cli("rigidity-audit", "--out", str(tmp_path / "x"), "--set", "symmetry_tol=0.1") == EXIT_USAGE
+    assert capsys.readouterr().err == "config error: unknown keys for rigidity-audit: symmetry_tol\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_help_lists_the_command_keys_with_defaults(capsys):
@@ -346,10 +353,6 @@ REJECTED = [
     ("plane_offsets inf", "reflect-audit", ["plane_offsets=inf"]),
     ("plane_offsets nan", "reflect-audit", ["plane_offsets=nan"]),
     ("tol nan", "reflect-audit", ["tol=nan"]),
-    ("symmetry_tol nan", "rigidity-audit", ["symmetry_tol=nan"]),
-    # a negative or zero tolerance used to fail the sphericity stage of a round family
-    ("symmetry_tol negative", "rigidity-audit", ["t0=-3", "t_end=0", "resolution=64", "symmetry_tol=-1"]),
-    ("symmetry_tol zero", "rigidity-audit", ["t0=-3", "t_end=0", "resolution=64", "symmetry_tol=0"]),
     ("tol negative", "reflect-audit", ["tol=-1"]),
     # a number where a path belongs; a later --set replaces the harness's out_dir
     ("out_dir a number", "classify-speed", ["out_dir=5", "speed=k"]),
@@ -389,7 +392,6 @@ def test_rejected_config_is_a_config_error(tmp_path, capsys, command, sets):
     ("reflect-audit", ["shape=1"], "shape"),
     ("simulate", ["stop_on_cone_exit=abc"], "stop_on_cone_exit"),
     ("simulate", ["stop_on_cone_exit=1"], "stop_on_cone_exit"),
-    ("rigidity-audit", ["t0=-3", "t_end=0", "resolution=64", "symmetry_tol=-1"], "symmetry_tol"),
 ])
 def test_config_error_names_the_key(tmp_path, capsys, command, sets, key):
     args = [command, "--set", f"out_dir={tmp_path / 'out'}"]

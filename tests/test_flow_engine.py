@@ -392,7 +392,11 @@ def test_rkc_steps_are_second_order_in_time():
     assert errs[0] / errs[1] >= 3.0 and errs[1] / errs[2] >= 3.0
 
 
-def test_curve_flow_is_fourth_order_in_space():
+def test_curve_perimeter_law_is_fourth_order_in_space():
+    # This pins the order of the perimeter functional L(t) = L(0) e^t, not of
+    # the flow: vertex positions are second order in space (their distance to
+    # an exact solution falls by about 4 per doubling of m), and the perimeter
+    # sums that error to a higher order.
     # RKC's time error at dt = 1e-3 (1.6e-7 at m = 256 and 1.5e-7 at m = 512)
     # does not stay below the spatial error even at m = 64 (7.5e-8), let alone
     # m = 512 (1.8e-11).  The order is measured at dt = 8e-5, which every

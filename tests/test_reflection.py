@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from hyperflow.errors import CenterOutside, InsufficientFrames, NeverTouches, StartNotStrict
+from hyperflow.errors import InsufficientFrames, NeverTouches, StartNotStrict
 from hyperflow.flow_engine import FlowConfig, Trajectory, evolve
 from hyperflow import hypersurface, reflection
 from hyperflow.hypersurface import (
@@ -32,7 +32,6 @@ from hyperflow.reflection import (
     symmetry_certificate,
 )
 from hyperflow import families, shapes
-from hyperflow.geometry import uniform_circle_directions
 from hyperflow.speeds import mean_curvature
 
 
@@ -570,75 +569,51 @@ def test_monitor_growing_circle_family():
 
 
 def test_icosphere_certifies_spherical(icosphere_sub3):
-    out = symmetry_certificate(icosphere_sub3, [0.0, 0.0, 0.0], directions=64, tol=1e-6)
-    assert out.spherical
+    out = symmetry_certificate(icosphere_sub3, [0.0, 0.0, 0.0], tol=1e-6)
+    assert out.spherical and out.center_inside
     assert out.deviation < 1e-6
-    # reflected vertices land on the smooth sphere, not on mesh facets, so
-    # the residual defect is the mesh sagitta, O(h^2)
-    assert out.max_reflection_defect < 1e-2
 
 
 def test_ellipse_fails_certificate_with_axis_witness(ellipse_2_1):
-    out = symmetry_certificate(ellipse_2_1, [0.0, 0.0], directions=64, tol=1e-6)
+    out = symmetry_certificate(ellipse_2_1, [0.0, 0.0], tol=1e-6)
     assert not out.spherical
     assert abs(out.witness_direction[0]) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_noisy_sphere_deviation_matches_noise_band():
     M = shapes.noisy_sphere(1.0, amplitude=0.01, subdivisions=3, seed=2)
-    out = symmetry_certificate(M, [0.0, 0.0, 0.0], directions=32, tol=1e-3)
+    out = symmetry_certificate(M, [0.0, 0.0, 0.0], tol=1e-3)
     assert not out.spherical
     assert out.deviation == pytest.approx(0.02, rel=0.1)
 
 
 def test_certificate_rejects_outside_center(unit_circle_256):
-    with pytest.raises(CenterOutside):
-        symmetry_certificate(unit_circle_256, [5.0, 0.0], directions=8, tol=1e-6)
-
-
-def test_certificate_rejects_non_unit_directions():
-    # a plane through the center needs c = v . center with unit v
-    M = shapes.circle_polygon(1.0, 256, center=(0.3, 0.0))
-    out = symmetry_certificate(M, [0.3, 0.0], directions=np.array([[1.0, 0.0]]))
-    assert out.max_reflection_defect < 1e-12
-    with pytest.raises(ValueError, match="unit"):
-        symmetry_certificate(M, [0.3, 0.0], directions=np.array([[2.0, 0.0]]))
-
-
-def test_certificate_defect_is_the_worst_plane_queried_alone(ellipse_2_1):
-    out = symmetry_certificate(ellipse_2_1, [0.1, 0.0], directions=16, tol=1e-6)
-    per_plane = [
-        float(surface_distance(ellipse_2_1, plane(v, v @ np.array([0.1, 0.0])).reflect(ellipse_2_1.vertices)).max())
-        for v in uniform_circle_directions(16)
-    ]
-    assert out.max_reflection_defect == max(per_plane)
-
-
-@pytest.mark.parametrize("directions", [0, -1, np.zeros((0, 2))], ids=["zero", "negative", "empty rows"])
-def test_certificate_needs_a_direction(unit_circle_256, directions):
-    # no direction used to certify a sphere with directions_checked 0
-    with pytest.raises(ValueError, match="^need at least 1 direction"):
-        symmetry_certificate(unit_circle_256, [0.0, 0.0], directions=directions)
-
-
-def test_certificate_rejects_directions_of_the_wrong_length(unit_circle_256):
-    # rows of three components used to reach the matrix product and fail there
-    with pytest.raises(ValueError, match="^directions have 3 components, but the surface lies in 2 dimensions$"):
-        symmetry_certificate(unit_circle_256, [0.0, 0.0], directions=[[1.0, 0.0, 0.0]])
+    # radii about (5, 0) spread over [4, 6]: within a tolerance of 10, yet the
+    # center is outside, so the outcome is non-spherical rather than an error
+    out = symmetry_certificate(unit_circle_256, [5.0, 0.0], tol=10.0)
+    assert not out.spherical and not out.center_inside
+    assert out.spread == pytest.approx(2.0)
+    assert out.witness_direction[0] == pytest.approx(-1.0)
+    assert out.to_json_dict()["center_inside"] is False
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
 def test_certificate_tolerance_must_be_finite_and_positive(tol):
     # a NaN or negative tol made this round 64-gon non-spherical at deviation 1e-16
     M = shapes.circle_polygon(1.0, 64)
-    assert symmetry_certificate(M, [0.0, 0.0], directions=8).spherical
+    assert symmetry_certificate(M, [0.0, 0.0], tol=1e-6).spherical
     with pytest.raises(ValueError, match="^tol must be finite and positive"):
-        symmetry_certificate(M, [0.0, 0.0], directions=8, tol=tol)
+        symmetry_certificate(M, [0.0, 0.0], tol=tol)
 
 
-def test_certificate_spherical_implies_tight_radii(unit_circle_256):
-    tol = 1e-6
-    out = symmetry_certificate(unit_circle_256, [0.0, 0.0], directions=16, tol=tol)
+def test_certificate_spherical_implies_tight_radii():
+    # the tolerance bounds the absolute spread of the vertex radii; deviation
+    # is that spread relative to their mean
+    M = shapes.circle_polygon(0.05, 256, center=(0.02, 0.0))
+    tol = 0.041
+    out = symmetry_certificate(M, [0.0, 0.0], tol=tol)
     assert out.spherical
-    r = np.linalg.norm(unit_circle_256.vertices, axis=1)
-    assert r.max() - r.min() <= tol * r.mean()
+    r = np.linalg.norm(M.vertices, axis=1)
+    assert out.spread == r.max() - r.min() <= tol
+    assert out.deviation == (r.max() - r.min()) / r.mean()
+    assert not symmetry_certificate(M, [0.0, 0.0], tol=0.99 * out.spread).spherical

@@ -6,8 +6,10 @@ import pytest
 from hyperflow.errors import EmptyTrajectory, InsufficientFrames, PreconditionFailed
 from hyperflow.flow_engine import FlowConfig, Trajectory, evolve
 from hyperflow.hypersurface import inner_outer_radii
-from hyperflow.reflection import Hyperplane, ReflectionStatus, _direction_set
+from hyperflow.reflection import Hyperplane, ReflectionStatus
 from hyperflow.rigidity import (
+    SYMMETRY_FRAMES,
+    _direction_set,
     comes_out_of_point,
     rigidity_audit,
     tau_limit_check,
@@ -235,19 +237,37 @@ def test_audit_rejects_offsets_beyond_inscribed_radius():
 
 
 def test_audit_soundness_contract():
-    # a passing audit implies the final frame is round within the coupled
-    # tolerance (5x the smallest audited offset by default), measured both
-    # at the audited origin and at the searched deepest interior point
+    # by the moving-plane lemma, a body that reflects into itself across
+    # every plane at offset >= c from y has rho_plus - rho_minus <= 2c about
+    # y; a passing audit holds each frame after the touch times at the
+    # smallest offset to that bound, and the vertex-radius spread it reads
+    # is at most rho_plus - rho_minus
     fam = families.exponential_sphere_family(-6.0, 0.0, 0.02, n=1, resolution=128)
     report = rigidity_audit(fam, F_K, [0.0, 0.0], directions=4, c_schedule=(0.4, 0.2, 0.1))
     assert report.overall
-    threshold = 5.0 * 0.1
-    assert report.limit_symmetry[-1]["deviation"] < threshold
+    bound = 2.0 * 0.1
+    assert all(row["spread"] <= bound for row in report.limit_symmetry)
+    final = fam.frames[-1][1]
+    radii = inner_outer_radii(final, center=[0.0, 0.0])
+    assert report.limit_symmetry[-1]["spread"] <= radii.rho_plus - radii.rho_minus + 1e-15
+    assert radii.rho_plus - radii.rho_minus <= bound
     from hyperflow.hypersurface import chebyshev_center
 
-    final = fam.frames[-1][1]
     r = np.linalg.norm(final.vertices - chebyshev_center(final), axis=1)
-    assert (r.max() - r.min()) / r.mean() < threshold
+    assert r.max() - r.min() <= bound
+
+
+def test_sphericity_frames_start_at_the_latest_touch_at_the_smallest_offset(sphere_fam):
+    cs = (0.4, 0.2, 0.1, 0.05)
+    report = rigidity_audit(sphere_fam, F_K, [0.0, 0.0], directions=16, c_schedule=cs)
+    late = max(row["tau"] for row in report.tau_table if row["c"] == cs[-1])
+    times = sphere_fam.times()
+    first = int(np.searchsorted(times, late))
+    rows = report.limit_symmetry
+    assert len(rows) == SYMMETRY_FRAMES
+    assert rows[0]["t"] == times[first] and times[first - 1] < late
+    assert rows[-1]["t"] == times[-1]
+    assert all(row["spherical"] and row["center_inside"] for row in rows)
 
 
 def test_audit_on_numerically_evolved_trajectory():
@@ -255,11 +275,58 @@ def test_audit_on_numerically_evolved_trajectory():
     traj = evolve(
         shapes.circle_polygon(0.05, 128), F_K, -3.0, FlowConfig(t_end=0.0, dt=5e-3, frame_interval=0.05)
     )
-    report = rigidity_audit(
-        traj, F_K, [0.0, 0.0], directions=8, c_schedule=(0.4, 0.2, 0.1), symmetry_tol=1e-3
-    )
+    report = rigidity_audit(traj, F_K, [0.0, 0.0], directions=8, c_schedule=(0.4, 0.2, 0.1))
     assert report.overall
     assert report.residual.overall_max <= 10.0 * 5e-3
+
+
+def test_audit_passes_an_evolved_ellipse():
+    # a 2:1 ellipse of diameter 0.04 evolved under 1/k from t = -5.1, audited
+    # about its first centroid; its first frames are far from round, but the
+    # frames after the touch times are round within 2 min(c)
+    traj = evolve(shapes.ellipse_polygon(0.02, 0.01, 128), F_K, -5.1, FlowConfig(t_end=0.0))
+    y = traj.frames[0][1].vertices.mean(axis=0)
+    report = rigidity_audit(traj, F_K, y, directions=16, c_schedule=(0.4, 0.2, 0.1, 0.05))
+    assert report.overall
+    assert all(row["passed"] for row in report.post_touch_verdicts)
+    assert max(row["spread"] for row in report.limit_symmetry) < 1e-3
+    assert report.limit_symmetry[-1]["deviation"] < 1e-6
+
+
+@pytest.mark.parametrize("d", [0.02, 0.04, 0.045])
+def test_audit_passes_circles_that_come_out_of_a_point_near_y(d):
+    # circles of radius e^t about (d, 0) audited about y = 0: the first frames
+    # do not contain y, and after the touch times the spread about y is 2d,
+    # within the lemma's bound of 2 min(c) = 0.1
+    fam = families.exponential_sphere_family(-6.0, 0.0, 0.01, n=1, resolution=256, center=(d, 0.0))
+    report = rigidity_audit(fam, F_K, [0.0, 0.0], directions=16, c_schedule=(0.4, 0.2, 0.1, 0.05))
+    assert report.overall
+    assert max(row["spread"] for row in report.limit_symmetry) == pytest.approx(2.0 * d, rel=1e-9)
+
+
+def test_a_late_frame_without_y_is_a_failing_row():
+    # circles of radius e^t about 0, except the frame at t = -1, which is
+    # moved off y; the sampled frames after the touch times include it
+    times = np.arange(-6.0, 0.5, 1.0)
+    frames = [(float(t), shapes.circle_polygon(math.exp(t), 64, center=(1.0 if t == -1.0 else 0.0, 0.0)))
+              for t in times]
+    report = rigidity_audit(Trajectory(frames=frames), F_K, [0.0, 0.0], directions=4, c_schedule=(0.4, 0.2, 0.1))
+    assert not report.overall
+    row = next(row for row in report.limit_symmetry if row["t"] == -1.0)
+    assert not row["spherical"] and not row["center_inside"]
+    assert row["witness_direction"] is not None
+    assert "center outside" in report.narrative
+
+
+def test_narrative_reports_the_residual_when_sphericity_passes():
+    # a round family audited under k^2 passes; its residual is large and is
+    # reported, not gated
+    fam = families.exponential_sphere_family(-6.0, 0.0, 0.02, n=1, resolution=128)
+    report = rigidity_audit(fam, speed_by_name("k^alpha", 1, 2.0), [0.0, 0.0], directions=4,
+                            c_schedule=(0.4, 0.2, 0.1))
+    assert report.overall
+    assert report.residual.overall_max > 0.1
+    assert f"max flow-law residual {report.residual.overall_max:.4g}" in report.narrative
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hyperflow
+
 from hyperflow.errors import ConeExit, IndeterminateDivergence
 from hyperflow.speeds import Cone, SpeedFunction, catalog, mean_curvature, mean_curvature_power
 from hyperflow.sphere_ode import (
+    _shell_integrals,
     initial_time_estimate,
     integrate_radius,
     is_ancient,
@@ -133,3 +139,30 @@ def test_evidence_table_shape():
     assert rows[0]["epsilon"] == pytest.approx(0.5)
     cums = [r["cumulative"] for r in rows]
     assert all(b >= a for a, b in zip(cums, cums[1:]))
+
+
+def test_importing_the_package_leaves_scipy_integrate_unloaded():
+    # the shell integrals use a fixed Gauss-Legendre rule, so no module needs
+    # scipy.integrate and a cold import does not pay for it
+    src = str(Path(hyperflow.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import hyperflow; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("fn,exact", [
+    # psi(r) = 1/r + 1/r^2
+    (lambda lam: lam[..., 0] + lam[..., 0] ** 2, lambda a, b: math.log(b / a) + 1.0 / a - 1.0 / b),
+    # psi(r) = r^-1/2 + r^-1/4
+    (lambda lam: np.sqrt(lam[..., 0]) + lam[..., 0] ** 0.25,
+     lambda a, b: 2.0 * (b ** 0.5 - a ** 0.5) + 4.0 / 3.0 * (b ** 0.75 - a ** 0.75)),
+], ids=["l+l2", "roots"])
+def test_shell_integrals_match_the_closed_forms(fn, exact):
+    # on each shell [a, 2a] the 16-point Gauss-Legendre rule meets the exact
+    # integral of psi to rounding
+    rows = _shell_integrals(_undeclared("mixed", fn), upper=1.0)
+    assert len(rows) == 40
+    for row in rows:
+        a = row["epsilon"]
+        assert row["shell_integral"] == pytest.approx(exact(a, 2.0 * a), rel=1e-13)
