@@ -353,6 +353,10 @@ REJECTED = [
     ("plane_offsets inf", "reflect-audit", ["plane_offsets=inf"]),
     ("plane_offsets nan", "reflect-audit", ["plane_offsets=nan"]),
     ("tol nan", "reflect-audit", ["tol=nan"]),
+    # the sphericity bound comes from c_schedule; the former symmetry_tol key is unknown whatever its value
+    ("symmetry_tol nan", "rigidity-audit", ["symmetry_tol=nan"]),
+    ("symmetry_tol negative", "rigidity-audit", ["t0=-3", "t_end=0", "resolution=64", "symmetry_tol=-1"]),
+    ("symmetry_tol zero", "rigidity-audit", ["t0=-3", "t_end=0", "resolution=64", "symmetry_tol=0"]),
     ("tol negative", "reflect-audit", ["tol=-1"]),
     # a number where a path belongs; a later --set replaces the harness's out_dir
     ("out_dir a number", "classify-speed", ["out_dir=5", "speed=k"]),
@@ -392,6 +396,7 @@ def test_rejected_config_is_a_config_error(tmp_path, capsys, command, sets):
     ("reflect-audit", ["shape=1"], "shape"),
     ("simulate", ["stop_on_cone_exit=abc"], "stop_on_cone_exit"),
     ("simulate", ["stop_on_cone_exit=1"], "stop_on_cone_exit"),
+    ("rigidity-audit", ["t0=-3", "t_end=0", "resolution=64", "symmetry_tol=-1"], "symmetry_tol"),
 ])
 def test_config_error_names_the_key(tmp_path, capsys, command, sets, key):
     args = [command, "--set", f"out_dir={tmp_path / 'out'}"]
