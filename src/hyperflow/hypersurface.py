@@ -821,7 +821,7 @@ def inner_outer_radii(M: DiscreteHypersurface, center=None) -> RadiiReport:
     center = np.asarray(center, dtype=float)
     dist, code = _distances_and_codes(M, center[None, :])
     if code[0] != INSIDE_CODE:
-        raise CenterOutside(f"center {tuple(center)} is not inside the surface")
+        raise CenterOutside(f"center {center.tolist()} is not inside the surface")
     rho_plus = float(np.max(np.linalg.norm(M.vertices - center, axis=1)))
     return RadiiReport(center=center, rho_minus=float(dist[0]), rho_plus=rho_plus)
 

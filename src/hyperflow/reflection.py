@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from .errors import NeverTouches, StartNotStrict
 from .flow_engine import Trajectory, _heights
@@ -134,9 +132,9 @@ def _verdicts(
     deeper than U by the ball's bound need no query.  That is almost every
     image of a near-round frame and fewer on an eccentric one: about a
     quarter on a 1.5 : 1 : 0.75 ellipsoid at planes parallel to its mirror
-    planes.  The reflected vertices of every plane share one ball test, one
-    bound pass and one ``signed_interior_distance`` call, and that call
-    measures each point on its own.  On an embedded surface, the
+    planes.  The reflected vertices of every plane share one ball test, and
+    the images the ball leaves share one ``signed_interior_distance`` call,
+    which measures each point on its own.  On an embedded surface, the
     precondition of ``signed_interior_distance``, every verdict is bitwise
     the one that measuring every reflected vertex gives, and the one a call
     for its plane alone gives.
@@ -187,7 +185,7 @@ def _verdicts(
     beyond = cross_at[1:] > cross_at[:-1]
     if beyond.any():
         bounds = 2.0 * np.minimum.reduceat(s[crossers], cross_at[:-1][beyond])
-        depth = _least_depths(M, crossers[beyond], reflected, bounds)
+        depth = _least_depths(M, reflected, np.repeat(bounds, np.diff(cross_at)[beyond]))
 
     out = []
     for top_i, tangency_i, (lo, hi) in zip(top.tolist(), tangency.tolist(), cross_runs):
@@ -259,89 +257,25 @@ def _inscribed_ball(M: DiscreteHypersurface) -> tuple[np.ndarray, float]:
     return x0, float(d0) - 1e-12 * float(np.abs(M.vertices).max())
 
 
-def _least_depths(
-    M: DiscreteHypersurface, crossers: np.ndarray, reflected: np.ndarray, bounds: np.ndarray
-) -> np.ndarray:
+def _least_depths(M: DiscreteHypersurface, reflected: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Interior depths of the reflected vertices, +inf where certified deeper than the least.
 
-    ``crossers`` is the (planes, V) mask of the vertices each plane reflects
-    and ``reflected`` their images, plane by plane in vertex order.
-    ``bounds`` holds each plane's U = 2 s_min, with s_min the height of its
-    crosser nearest the plane: that crosser's image lies 2 s_min from the
-    crosser itself, a point of M, so the plane's least depth is at most U.
-    An image inside the ball of ``_inscribed_ball`` with d0 - |p - x0| > U
-    is inside and deeper than U, so it reads +inf without a query.  On a
-    near-round frame, such as those of an audited flow that comes out of a
-    point, that is almost every image; on an eccentric surface the ball
-    certifies fewer, and a vertex centroid that is not inside gives no ball.
-    The other images go to ``_bounded_depths``.
+    ``bounds`` holds, for each image, its plane's U = 2 s_min, with s_min
+    the height of the plane's crosser nearest the plane: that crosser's
+    image lies 2 s_min from the crosser itself, a point of M, so the plane's
+    least depth is at most U.  An image inside the ball of
+    ``_inscribed_ball`` with d0 - |p - x0| > U is inside and deeper than U,
+    so it reads +inf without a query.  On a near-round frame, such as those
+    of an audited flow that comes out of a point, that is almost every
+    image; on an eccentric surface the ball certifies fewer, and a vertex
+    centroid that is not inside gives no ball.  The other images are
+    measured in one ``signed_interior_distance`` call.
     """
     x0, radius = _inscribed_ball(M)
     # with no ball (radius <= 0) every image is unsure, as U > 0
-    unsure = radius - np.linalg.norm(reflected - x0, axis=1) <= np.repeat(bounds, crossers.sum(axis=1))
-    rest = crossers.copy()
-    rest[crossers] = unsure
+    unsure = radius - np.linalg.norm(reflected - x0, axis=1) <= bounds
     depth = np.full(reflected.shape[0], np.inf)
-    depth[unsure] = _bounded_depths(M, rest, reflected[unsure])
-    return depth
-
-
-def _bounded_depths(M: DiscreteHypersurface, crossers: np.ndarray, reflected: np.ndarray) -> np.ndarray:
-    """Interior depths of images, +inf where distance bounds certify them deeper than the least.
-
-    Arguments as in ``_least_depths``; every plane has an image.  Each
-    image p gets two bounds on its distance d to M from the element with
-    the nearest centroid: ``lb`` = centroid distance - reach <= d <= ``ub``,
-    the distance to that element.  A plane's least depth is at most its
-    smallest ``ub``, U, so an image with ``lb`` > U that is inside is deeper
-    than the least depth and cannot be its first minimiser.  Such "far"
-    images joined by an edge of M with ``lb_i + lb_j`` > |p_i - p_j| are
-    joined by a segment that misses M, so they lie on one side; one measured
-    representative decides the side of each connected group.  The other
-    images are measured.  With L the largest distance known outside on the
-    plane (a measured one, or ``lb`` in a group that is outside), the least
-    depth is at most -L, so a member of an outside group with ``ub`` < L has
-    depth >= -ub > -L and is not measured either.  With no far image, as on
-    most frames of a round audited flow, every image is measured at once.
-    """
-    n = reflected.shape[0]
-    el = _elements(M)
-    gap, nearest = el.tree.query(reflected)
-    ub = el.distance(reflected, *(c[nearest] for c in el.corners))
-    # margins of 1e-12 cover the rounding of the tree and the kernels; capped
-    # at ub so that the image attaining U is never far
-    lb = np.minimum(gap * (1.0 - 1e-12) - el.reach * (1.0 + 1e-12), ub)
-    counts = crossers.sum(axis=1)
-    starts = np.cumsum(counts) - counts
-    far = lb > np.repeat(np.minimum.reduceat(ub, starts), counts)
-    if not np.any(far):  # no group to form: every image is measured, in one call
-        return signed_interior_distance(M, reflected)
-
-    index = np.full(crossers.shape, -1)  # (planes, V): each far image's place in ``reflected``
-    index[crossers] = np.where(far, np.arange(n), -1)
-    a, b = index[:, M.edges[:, 0]].ravel(), index[:, M.edges[:, 1]].ravel()
-    both = (a >= 0) & (b >= 0)
-    a, b = a[both], b[both]
-    link = lb[a] + lb[b] > np.linalg.norm(reflected[a] - reflected[b], axis=1) * (1.0 + 1e-12)
-    if np.any(link):
-        graph = sparse.coo_matrix((np.ones(np.count_nonzero(link)), (a[link], b[link])), shape=(n, n))
-        _, group = connected_components(graph, directed=False)
-    else:
-        group = np.arange(n)  # no far pair links: each far image is its own group
-
-    measured = ~far
-    far_at = np.flatnonzero(far)
-    representative = far_at[np.unique(group[far_at], return_index=True)[1]]
-    measured[representative] = True
-    depth = np.full(n, np.inf)
-    depth[measured] = signed_interior_distance(M, reflected[measured])
-    inside = np.zeros(n, dtype=bool)  # per group label
-    inside[group[representative]] = depth[representative] > 0.0
-    outside = far & ~inside[group]
-    known = np.where(depth < 0.0, -depth, np.where(outside, lb, -np.inf))
-    rest = outside & ~measured & (ub >= np.repeat(np.maximum.reduceat(known, starts), counts))
-    if np.any(rest):
-        depth[rest] = signed_interior_distance(M, reflected[rest])
+    depth[unsure] = signed_interior_distance(M, reflected[unsure])
     return depth
 
 

@@ -31,7 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyTrajectory, HyperflowError, NeverTouches, NoFramesPastTouch, PreconditionFailed
+from .errors import (
+    CenterOutside,
+    EmptyTrajectory,
+    HyperflowError,
+    NeverTouches,
+    NoFramesPastTouch,
+    PreconditionFailed,
+)
 from .flow_engine import FlowResidual, Trajectory, flow_residual
 from .geometry import fibonacci_sphere_directions, uniform_circle_directions
 from .hypersurface import inner_outer_radii
@@ -242,7 +249,12 @@ def rigidity_audit(
         )
 
     t_last, M_last = traj.frames[-1]
-    R_star = inner_outer_radii(M_last, center=y_inf).rho_minus
+    try:
+        R_star = inner_outer_radii(M_last, center=y_inf).rho_minus
+    except CenterOutside as exc:
+        raise PreconditionFailed(
+            f"the last frame, at t = {t_last}, does not contain the candidate point {y_inf.tolist()}"
+        ) from exc
     bad = [c for c in cs if not (0.0 < c < R_star)]
     if bad:
         raise ValueError(f"offsets {bad} outside (0, R_star = {R_star:.6g})")

@@ -242,8 +242,8 @@ def _depths_measured(M, pl, monkeypatch):
     s = pl.signed_coordinate(M.vertices)
     crossers = s > INCLUSION_BAND_FACTOR * M.bbox_diagonal
     reflected = pl.reflect(M.vertices[crossers])
-    bounds = np.array([2.0 * s[crossers].min()])
-    return _least_depths(M, crossers[None], reflected, bounds), sizes, signed_interior_distance(M, reflected)
+    bounds = np.full(reflected.shape[0], 2.0 * s[crossers].min())
+    return _least_depths(M, reflected, bounds), sizes, signed_interior_distance(M, reflected)
 
 
 def _assert_exact_at_the_minimiser(depth, exact):
@@ -253,37 +253,30 @@ def _assert_exact_at_the_minimiser(depth, exact):
     assert np.argmin(depth) == np.argmin(exact)
 
 
-def test_an_outside_group_measures_only_members_that_can_set_the_margin(monkeypatch):
-    # the whole circle lies beyond the plane and reflects outside itself, as
-    # one far group whose representative is not the farthest image; after the
-    # representatives only the members whose ub reaches the largest lb are
-    # measured, the ones that can be farther outside than every other image
-    M = shapes.circle_polygon(1.0, 256, center=(-2.0, 0.0))
-    depth, sizes, exact = _depths_measured(M, plane([-1, 0], 0.5), monkeypatch)
-    assert np.all(exact < 0.0)
-    assert len(sizes) == 2 and sum(sizes) < 0.2 * depth.shape[0]
-    _assert_exact_at_the_minimiser(depth, exact)
-
-
-def test_an_inside_group_is_certified_by_its_representative(monkeypatch):
-    # the inscribed ball certifies the images near the centre of the 4:1
-    # ellipse; the others form one chain inside it, and only those that may
-    # set the least depth, plus one representative, are measured
-    M = shapes.ellipse_polygon(4.0, 1.0, 512)
-    pl = plane([1, 0], 2.0)
+@pytest.mark.parametrize("name", ["circle at (-2, 0)", "4:1 ellipse"])
+def test_the_images_the_ball_leaves_are_measured_in_one_call(name, monkeypatch):
+    # beyond the plane [-1, 0] at 0.5 the whole circle reflects outside
+    # itself, so the ball certifies nothing; on the 4:1 ellipse it certifies
+    # the images near the centre and leaves the tips
+    if name == "4:1 ellipse":
+        M, pl = shapes.ellipse_polygon(4.0, 1.0, 512), plane([1, 0], 2.0)
+    else:
+        M, pl = shapes.circle_polygon(1.0, 256, center=(-2.0, 0.0)), plane([-1, 0], 0.5)
     depth, sizes, exact = _depths_measured(M, pl, monkeypatch)
-    certified = np.isinf(depth)
-    assert len(sizes) == 1 and sizes[0] == np.count_nonzero(~certified) < 0.1 * depth.shape[0]
     x0, radius = _inscribed_ball(M)
     s = pl.signed_coordinate(M.vertices)
     crossers = s > INCLUSION_BAND_FACTOR * M.bbox_diagonal
     by_ball = radius - np.linalg.norm(pl.reflect(M.vertices[crossers]) - x0, axis=1) > 2.0 * s[crossers].min()
-    assert 0 < np.count_nonzero(by_ball) < np.count_nonzero(certified)
+    certified = np.isinf(depth)
+    assert np.array_equal(certified, by_ball)
+    assert sizes == [np.count_nonzero(~certified)]
+    assert (np.count_nonzero(by_ball) > 0) == (name == "4:1 ellipse")
     _assert_exact_at_the_minimiser(depth, exact)
 
 
 def test_a_plane_with_no_far_vertex_measures_every_image(monkeypatch):
-    # one vertex beyond the plane: its own distance bound is the least
+    # one vertex beyond the plane, whose image is nearer M than U: the ball
+    # cannot certify it
     M = shapes.circle_polygon(1.0, 256)
     depth, sizes, exact = _depths_measured(M, plane([1, 0], 0.9999), monkeypatch)
     assert depth.shape == (1,) and sizes == [1]
@@ -297,7 +290,7 @@ def test_the_inscribed_ball_is_absent_or_thin_on_lopsided_shapes():
 
 
 # ---------------------------------------------------------------------------
-# batched verdicts: one bound pass and one distance query for many planes
+# batched verdicts: one ball test and one distance query for many planes
 
 
 MIXED_BATCHES = {

@@ -230,6 +230,19 @@ def test_audit_precondition_failure(ellipse_fam):
         rigidity_audit(ellipse_fam, F_K, [1.0, 0.0], directions=4, c_schedule=(0.2, 0.1))
 
 
+def test_audit_precondition_fails_when_the_last_frame_drifts_off_the_point():
+    # 64-gons of radius e^t come out of the origin, but for t > -1 their
+    # centre moves to (3 e^t, 0), and the last one does not contain the origin
+    template = shapes.circle_polygon(1.0, 64)
+    frames = []
+    for t in np.arange(-6.0, 0.25, 0.5).tolist():
+        shift = np.array([3.0 * math.exp(t), 0.0]) if t > -1.0 else np.zeros(2)
+        frames.append((t, template.with_vertices(math.exp(t) * template.vertices + shift)))
+    message = r"^the last frame, at t = 0\.0, does not contain the candidate point \[0\.0, 0\.0\]$"
+    with pytest.raises(PreconditionFailed, match=message):
+        rigidity_audit(Trajectory(frames=frames), F_K, [0.0, 0.0], directions=4, c_schedule=(0.2, 0.1))
+
+
 def test_audit_rejects_offsets_beyond_inscribed_radius():
     fam = families.exponential_sphere_family(-4.0, 0.0, 0.02, n=1, resolution=128)
     with pytest.raises(ValueError):
@@ -427,32 +440,25 @@ def test_post_touch_stage_matches_per_plane_oracle_on_criterion_7(criterion_7_fa
 
 def test_post_touch_stage_measures_few_reflected_vertices(criterion_7_fam, monkeypatch):
     # the frames are round, so the inscribed ball certifies most images
-    # inside at once; only those near the surface reach the bound pass
-    counts = {"reflected": 0, "bound pass": 0, "measured": 0}
-    least_depths, bounded_depths = reflection._least_depths, reflection._bounded_depths
-    measure = reflection.signed_interior_distance
+    # inside at once; only those near the surface are measured
+    counts = {"reflected": 0, "measured": 0}
+    least_depths, measure = reflection._least_depths, reflection.signed_interior_distance
 
-    def count_reflected(M, crossers, reflected, bounds):
+    def count_reflected(M, reflected, bounds):
         counts["reflected"] += reflected.shape[0]
-        return least_depths(M, crossers, reflected, bounds)
-
-    def count_bounded(M, crossers, reflected):
-        counts["bound pass"] += reflected.shape[0]
-        return bounded_depths(M, crossers, reflected)
+        return least_depths(M, reflected, bounds)
 
     def count_measured(M, points):
         counts["measured"] += points.shape[0]
         return measure(M, points)
 
     monkeypatch.setattr(reflection, "_least_depths", count_reflected)
-    monkeypatch.setattr(reflection, "_bounded_depths", count_bounded)
     monkeypatch.setattr(reflection, "signed_interior_distance", count_measured)
     report = rigidity_audit(criterion_7_fam, F_K, [0.0, 0.0], directions=_benchmark_directions(0), c_schedule=C_SCHEDULE_7)
     assert report.overall
     assert counts["reflected"] == 203056  # every reflected vertex of the audit
     assert counts["measured"] < 0.1 * counts["reflected"]
-    assert counts["bound pass"] == 4816  # the other 198 240 read +inf at once
-    assert counts["measured"] == 4752
+    assert counts["measured"] == 4816  # the other 198 240 read +inf at once
 
 
 @pytest.mark.parametrize("directions", [0, -2, np.zeros((0, 2))], ids=["zero", "negative", "empty rows"])

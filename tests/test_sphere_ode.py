@@ -143,12 +143,17 @@ def test_evidence_table_shape():
 
 def test_importing_the_package_leaves_scipy_integrate_unloaded():
     # the shell integrals use a fixed Gauss-Legendre rule, so no module needs
-    # scipy.integrate and a cold import does not pay for it
+    # scipy.integrate, and the reflection verdicts form no graph, so none
+    # needs scipy.sparse.csgraph; a cold import pays for neither
     src = str(Path(hyperflow.__file__).resolve().parents[1])
-    code = f"import sys; sys.path.insert(0, {src!r}); import hyperflow; print('scipy.integrate' in sys.modules)"
+    unused = ["scipy.integrate", "scipy.sparse.csgraph"]
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import hyperflow; "
+        f"print([m for m in {unused!r} if m in sys.modules])"
+    )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("fn,exact", [
