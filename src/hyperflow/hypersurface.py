@@ -16,13 +16,19 @@ through three consecutive vertices (curves) or from the two-ring jet fit
 ``_mesh_jet`` (meshes): over K-major two-ring rows padded with the vertex
 itself it sums twelve moments and five height moments, one block of
 vertices at a time, and solves the 5x5 normal equations by an LDL^T
-factorisation on (V,) arrays.  Distances and the embeddedness
+factorisation on (V,) arrays.  The two-ring table comes from the sorted
+directed edges: each vertex's neighbours' neighbours, sorted and deduplicated
+row by row.  Distances and the embeddedness
 sweep share one element path: a curve's elements are its edges and a mesh's
-are its triangles, pruned by a tree over element centroids.  A distance
-query measures each point against the element with the nearest centroid and
-then against every element whose centroid lies within that distance plus
-the largest element reach; the points go to the tree in blocks sized so that
-one ball query per block returns a bounded number of pairs, whatever the
+are its triangles, pruned by a uniform cell grid over element centroids
+(``_Grid``, numpy only: one stable sort of the cell keys and a start per
+cell).  A distance query measures each point against the element whose
+centroid is nearest in the point's 3^d cell neighbourhood, then against
+every element whose centroid lies within that distance plus the element's
+own reach.  When that ball fits in the neighbourhood its elements are the
+candidates; a wider ball takes the occupied cells it meets, so the work of
+a point follows its ball, not the whole surface.  The points go in blocks
+sized so that a block holds a bounded number of pairs, whatever the
 geometry.  Containment codes, signed distances and the centre search share
 one inside rule: the sign of the angle-weighted pseudonormal of the closest
 feature, with winding numbers only as the tie-break within the boundary band.
@@ -36,7 +42,7 @@ snapshot, 100 RK4 steps of a 2562-vertex mesh made about 470 000 minor page
 faults and spent about a quarter of their wall time in system time; blocked
 and shared, they make about 30 000.
 
-A query's structures (element corners, centroid tree and reach in
+A query's structures (element corners, centroid grid and reaches in
 ``_elements``; the feature pseudonormals in ``_feature_normals``, built only
 for signed distances) are kept for the last surface asked about, keyed by
 the immutable snapshot, so repeated queries of one surface pay for them
@@ -55,20 +61,19 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.spatial import cKDTree
 
 from . import geometry
 from .errors import CenterOutside, DegenerateElement, MeshDegeneracy
 
 BOUNDARY_TOL_FACTOR = 1e-9  # boundary band of containment and signs, relative to bbox diagonal
-_QUERY_PAIRS = 1 << 18  # worst-case point-element pairs per centroid-ball query
+_QUERY_PAIRS = 1 << 18  # worst-case point-element pairs per block of query points
 _BALL_PAIRS = 1 << 13  # point-element pairs per distance-kernel call of the ball pass
 _RING_SLOTS = 1 << 13  # two-ring slots per vertex block of the jet fit
 
@@ -105,6 +110,11 @@ class RadiiReport:
     @property
     def ratio(self) -> float:
         return self.rho_plus / self.rho_minus
+
+
+def _runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The integer runs first .. first + count - 1, end to end."""
+    return np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
 
 
 def _edge_table(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -146,17 +156,25 @@ class _MeshTopology:
         if num_vertices - self.unique_edges.shape[0] + faces.shape[0] != 2:
             raise ValueError("mesh is not a topological sphere")
 
-        ii = np.concatenate([self.unique_edges[:, 0], self.unique_edges[:, 1]])
-        jj = np.concatenate([self.unique_edges[:, 1], self.unique_edges[:, 0]])
-        adj = sparse.csr_matrix(
-            (np.ones(ii.shape[0], dtype=np.int8), (ii, jj)),
-            shape=(num_vertices, num_vertices),
-        )
-        two = (adj + adj @ adj) > 0
-        two.sort_indices()
-        rows = np.repeat(np.arange(num_vertices), np.diff(two.indptr))
-        off = rows != two.indices  # drop the diagonal
-        rows, cols = rows[off], two.indices[off]
+        # each vertex's neighbours' neighbours, from the directed edges sorted
+        # by source; on a closed mesh they hold the neighbours too.  Row v
+        # of a table padded with the sentinel n lists those of v; sorted,
+        # the first of each run of equal entries is kept
+        n = num_vertices
+        arcs = np.sort(np.concatenate([self.unique_edges @ [n, 1], self.unique_edges @ [1, n]]))
+        src, dst = np.divmod(arcs, n)
+        degree = np.bincount(src, minlength=n)
+        hops = degree[dst]
+        width = np.bincount(src, weights=hops, minlength=n).astype(np.intp)
+        owner = src.repeat(hops)
+        table = np.full((n, int(width.max())), n)
+        table[owner, np.arange(owner.shape[0]) - (np.cumsum(width) - width)[owner]] = dst[
+            _runs((np.cumsum(degree) - degree)[dst], hops)]
+        table.sort(axis=1)
+        keep = table != np.arange(n)[:, None]  # drop the diagonal
+        keep[:, 1:] &= table[:, 1:] != table[:, :-1]
+        keep &= table < n
+        rows, cols = np.nonzero(keep)[0], table[keep]
         counts = np.bincount(rows, minlength=num_vertices)
         slot = np.arange(rows.shape[0]) - (np.cumsum(counts) - counts)[rows]  # place within the row
         self.two_ring = np.tile(np.arange(num_vertices), (int(counts.max()), 1))
@@ -599,13 +617,179 @@ def _mesh_curvatures(verts: np.ndarray, topo: _MeshTopology, tri: _Triangles) ->
 # Containment and distance
 
 
+class _Grid:
+    """Sites in space (element centroids or vertices) binned into a uniform grid of cells.
+
+    The cells are cubes of edge ``side`` from ``origin``, one empty layer of
+    them padding the sites on every side, and linear keys number them in C
+    order.  The side is at least twice ``reach``, and at least the edge of
+    a cube whose volume is that of the sites' bounding box over their
+    number, so the grid has O(sites) cells.  The sites of cell k are
+    ``order[start[k] : start[k + 1]]``, and ``sites`` holds their
+    coordinates in that order, one row per axis.  A point's neighbourhood is
+    the 3^d block of cells around the cell of its coordinates clipped into
+    the layers that hold sites, so a point past the sites still gets the
+    cells nearest it.  The block is 3^(d-1) runs of three cells along the
+    last axis, and the sites of each run are one slice of ``order``.  Sites
+    beyond the block are reached through the boxes of the occupied cells.
+    """
+
+    def __init__(self, sites: np.ndarray, reach: float):
+        n, d = sites.shape
+        rows = np.ascontiguousarray(sites.T)  # reductions along rows are the quick ones
+        lo, hi = rows.min(axis=1), rows.max(axis=1)
+        span = (hi - lo).tolist()
+        widest = max(span)
+        self.side = max(2.0 * reach, widest * (math.prod(s / widest for s in span) / n) ** (1.0 / d))
+        self.origin = lo - self.side  # the lower corner of cell 0
+        # cell coordinates are positive, so truncation floors them
+        key = ((sites - self.origin) / self.side).astype(np.intp)
+        self.shape = shape = (((hi - self.origin) / self.side).astype(np.intp) + 2).tolist()
+        # the largest coordinate, in cells, of the layers that hold sites
+        self.top = np.array([math.nextafter(k - 1.0, 0.0) for k in shape])
+        stride = [1]
+        for k in shape[:0:-1]:
+            stride.insert(0, stride[0] * k)  # C order
+        self.stride = np.array(stride)
+        lin = key @ self.stride
+        self.order = np.argsort(lin, kind="stable")
+        self.sites = np.ascontiguousarray(sites[self.order].T)
+        self.start = np.zeros(math.prod(shape) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(lin, minlength=self.start.shape[0] - 1), out=self.start[1:])
+        # key offsets from a cell to the first cells of its neighbourhood's
+        # runs, and where the sites of the three cells from each key on begin
+        self.run_offsets = np.array([np.dot(off, self.stride[:-1]) - 1
+                                     for off in itertools.product((-1, 0, 1), repeat=d - 1)])
+        self.run_start = self.start[:-3]
+        self.run_count = self.start[3:] - self.run_start
+        for a in (self.origin, self.top, self.stride, self.order, self.sites, self.start, self.run_offsets,
+                  self.run_count):
+            a.setflags(write=False)
+
+    @cached_property
+    def occupied(self) -> np.ndarray:
+        """Keys of the cells that hold sites, (O,)."""
+        return np.flatnonzero(np.diff(self.start))
+
+    @cached_property
+    def centre(self) -> np.ndarray:
+        """Centres of the occupied cells, (d, O)."""
+        return self.origin[:, None] + self.side * (np.array(np.unravel_index(self.occupied, self.shape)) + 0.5)
+
+    @cached_property
+    def boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where the sites of each occupied cell begin in cell order, and how many they are."""
+        first = self.start[self.occupied]
+        return first, self.start[self.occupied + 1] - first
+
+    def sq_distances(self, points: np.ndarray, pos: np.ndarray, per: np.ndarray) -> np.ndarray:
+        """Squared distances from each point to its ``per`` sites at ``pos``, summed in axis order."""
+        total = None
+        for row, p in zip(self.sites, points.T):
+            diff = np.take(row, pos)
+            diff -= np.repeat(p, per)
+            diff *= diff
+            total = diff if total is None else np.add(total, diff, out=total)
+        return total
+
+    def neighbourhood(self, points: np.ndarray) -> tuple:
+        """The sites in each point's neighbourhood, and its clearance.
+
+        Returns the clearance, the sites' positions in cell order point by
+        point, the count per point and the squared distances.  The
+        clearance, one cell plus the least distance from the clipped point
+        to a face of its cell, less 1e-12 of it for rounding, is at most the
+        distance to any site outside the neighbourhood.
+        """
+        rel = np.clip((points - self.origin) / self.side, 1.0, self.top)
+        key = rel.astype(np.intp)
+        rel -= key
+        clear = reduce(np.minimum, np.minimum(rel, 1.0 - rel).T)
+        clear += 1.0
+        clear *= self.side * (1.0 - 1e-12)
+        cells = (key @ self.stride)[:, None] + self.run_offsets
+        count = self.run_count[cells]
+        pos = _runs(self.run_start[cells].ravel(), count.ravel())
+        per = count.sum(axis=1)
+        return clear, pos, per, self.sq_distances(points, pos, per)
+
+    def gap2(self, points: np.ndarray) -> np.ndarray:
+        """Squared distance from each point to the nearest point of each occupied cell."""
+        total = np.zeros((points.shape[0], self.occupied.shape[0]))
+        gap = np.empty_like(total)
+        for c, p in zip(self.centre, points.T):
+            np.abs(np.subtract(c, p[:, None], out=gap), out=gap)
+            gap -= 0.5 * self.side
+            np.maximum(gap, 0.0, out=gap)
+            gap *= gap
+            total += gap
+        return total
+
+    def in_cells(self, hit: np.ndarray):
+        """The sites of the occupied cells that ``hit`` (points, occupied) marks, point by point.
+
+        Yields groups of consecutive points holding about ``_BALL_PAIRS``
+        sites in all: a slice of the points, the sites' positions in cell
+        order and the count per point.
+        """
+        first, sizes = self.boxes
+        per = hit @ sizes
+        bounds = [0, *(np.flatnonzero(np.diff(np.cumsum(per) // _BALL_PAIRS)) + 1).tolist(), hit.shape[0]]
+        for rows in itertools.starmap(slice, itertools.pairwise(bounds)):
+            col = np.nonzero(hit[rows])[1]
+            yield rows, _runs(first[col], sizes[col]), per[rows]
+
+    def nearest(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each point's nearest site: the squared distance and, of the nearest, the last in cell order."""
+        clear, pos, per, d2 = self.neighbourhood(points)
+        low, site = _segment_min(d2, pos, per)
+        return self.settle(points, low, site, np.flatnonzero(~(low <= clear * clear)))
+
+    def settle(self, points, low, site, far) -> tuple[np.ndarray, np.ndarray]:
+        """Make the nearest sites so far, ``low`` and ``site``, exact at the points ``far``.
+
+        Those points are measured against the sites of every occupied cell
+        that comes as near as their nearest site so far, or as the first
+        site of their nearest cell.  A point whose neighbourhood holds a
+        site within its clearance needs no settling.
+        """
+        if far.size:
+            q = points[far]
+            gap2 = self.gap2(q)
+            bound = np.minimum(low[far], self.sq_distances(q, self.boxes[0][gap2.argmin(axis=1)], 1))
+            for rows, pos, per in self.in_cells(gap2 <= bound[:, None] * (1.0 + 1e-12)):
+                low[far[rows]], site[far[rows]] = _segment_min(self.sq_distances(q[rows], pos, per), pos, per)
+        return low, site
+
+
+def _segment_min(values: np.ndarray, pos: np.ndarray, per: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per run of ``per`` values, the least and the largest ``pos`` that attains it; inf and -1 for an empty run."""
+    starts = np.cumsum(per)
+    starts -= per
+    if per.all():
+        low = np.minimum.reduceat(values, starts)
+        return low, np.maximum.reduceat(np.where(values == np.repeat(low, per), pos, -1), starts)
+    low, arg = np.full(per.shape[0], np.inf), np.full(per.shape[0], -1)
+    has = per > 0
+    if values.size:
+        low[has], arg[has] = _segment_min(values, pos, per[has])
+    return low, arg
+
+
 class _Elements(NamedTuple):
-    """Elements of the pruned queries: a curve's edges, a mesh's triangles."""
+    """Elements of the pruned queries: a curve's edges, a mesh's triangles.
+
+    ``grid`` bins their centroids, with a cell side of at least twice the
+    largest reach.  ``extent`` holds each element's own reach in the grid's
+    cell order, so a candidate found by its position there needs no lookup
+    of its element id until it is measured.
+    """
 
     idx: np.ndarray  # vertex indices per element
     corners: tuple  # corner arrays, one per element vertex
-    tree: cKDTree  # over the element centroids
+    grid: _Grid  # over the element centroids
     reach: float  # largest distance from a centroid to its corners
+    extent: np.ndarray  # (E,) each element's own reach, in the grid's cell order
 
     # The kernels are looked up in ``geometry`` at each use, never stored: a
     # wrapper installed there after the memo was filled still sees every call.
@@ -626,10 +810,13 @@ def _elements(M: DiscreteHypersurface) -> _Elements:
     idx = M.edges if M.dimension == 1 else M.faces
     corners = tuple(M.vertices[idx[:, j]] for j in range(idx.shape[1]))
     cent = sum(corners[1:], corners[0]) / len(corners)
-    reach = float(np.max(np.stack([np.linalg.norm(p - cent, axis=1) for p in corners])))
-    for a in (idx, *corners):
+    extent = np.sqrt(np.max([np.einsum("ij,ij->i", v, v) for v in (p - cent for p in corners)], axis=0))
+    reach = float(extent.max())
+    grid = _Grid(cent, reach)
+    extent = extent[grid.order]
+    for a in (idx, *corners, extent):
         a.setflags(write=False)  # shared by every query of M
-    return _Elements(idx, corners, cKDTree(cent), reach)
+    return _Elements(idx, corners, grid, reach, extent)
 
 
 def _inside(M: DiscreteHypersurface, points: np.ndarray) -> np.ndarray:
@@ -639,35 +826,76 @@ def _inside(M: DiscreteHypersurface, points: np.ndarray) -> np.ndarray:
     return np.abs(geometry.winding_number_3d(M.vertices, M.faces, points)) > 0.5
 
 
+def _in_ball(el: _Elements, bound, pos, owner, d2) -> np.ndarray:
+    """Whether each candidate's centroid lies within its point's ``bound`` plus the element's reach."""
+    limit = bound[owner]
+    limit += el.extent[pos]
+    limit *= limit
+    return d2 <= limit
+
+
 def _nearest(points: np.ndarray, el: _Elements) -> tuple[np.ndarray, np.ndarray]:
     """Exact distance from each point to the surface and a nearest element.
 
-    The element with the nearest centroid gives a first distance ``best``.
-    Every element closer than that has its centroid within ``best + reach``,
-    so the point is then measured against the elements in that ball, which
-    holds the nearest element itself.  The points go to the tree in blocks
-    small enough that a block's balls hold at most ``_QUERY_PAIRS`` pairs
-    even if every ball holds every element, one ``query_ball_point`` call per
-    block; the kernel runs on slices of ``_BALL_PAIRS`` pairs.  Of the exact
-    minimisers, ``near`` is the one with the largest element index.
+    The element whose centroid is nearest among the point's neighbourhood
+    in the centroid grid, or nearest of all when the neighbourhood is
+    empty, gives a first distance ``bound``.  Every element at most that far
+    has its centroid within ``bound`` plus its own reach, so the point is
+    then measured against the elements whose centroids lie in that ball,
+    which holds every exact minimiser.  Where the largest such ball,
+    ``bound`` plus the largest reach, lies within the clearance of the
+    point's neighbourhood, the candidates are the neighbourhood's; elsewhere
+    they come from the occupied cells that the ball meets.  The points go in blocks small enough that a block holds at
+    most ``_QUERY_PAIRS`` pairs even if every neighbourhood holds every
+    element, occupied cells are expanded about ``_BALL_PAIRS`` candidates at
+    a time, and the kernel runs on slices of ``_BALL_PAIRS`` pairs.  Of the
+    exact minimisers, ``near`` is the one with the largest element index.
+    A point that is not finite, or whose squared distance to that nearest
+    centroid overflows, raises ValueError.
     """
-    _, near = el.tree.query(points)
-    best = el.distance(points, *(c[near] for c in el.corners))
-    radius = (best + el.reach) * (1.0 + 1e-12)  # rounding margin for the tree
+    if not np.isfinite(points).all():
+        raise ValueError("query points must be finite")
+    grid = el.grid
+    best = np.empty(points.shape[0])
+    near = np.empty(points.shape[0], dtype=np.intp)
     step = max(1, _QUERY_PAIRS // el.idx.shape[0])
     for s in range(0, points.shape[0], step):
-        balls = el.tree.query_ball_point(points[s : s + step], radius[s : s + step], return_sorted=False)
-        counts = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
-        elems = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp, count=counts.sum())
-        owner = np.repeat(np.arange(s, s + len(balls)), counts)
+        p = points[s : s + step]
+        clear, pos, per, d2 = grid.neighbourhood(p)
+        low, site = grid.settle(p, *_segment_min(d2, pos, per), np.flatnonzero(per == 0))
+        if not low.max() < np.inf:
+            raise ValueError("query point too far out: its squared distance to the surface overflows")
+        first = grid.order[site]
+        bound = el.distance(p, *(c[first] for c in el.corners))
+        radius = bound + el.reach
+        slack = radius * 1e-12  # rounding margin of the balls
+        radius += slack
+        bound += slack
+        narrow = radius <= clear
+        owner = np.repeat(np.arange(p.shape[0]), per)
+        keep = _in_ball(el, bound, pos, owner, d2)
+        keep &= narrow[owner]
+        pairs = [(owner[keep], grid.order[pos[keep]])]
+        wide = np.flatnonzero(~narrow)
+        if wide.size:
+            hit = grid.gap2(p[wide]) <= (radius * radius)[wide, None]
+            for rows, pos, per in grid.in_cells(hit):
+                at = wide[rows]
+                owner = np.repeat(at, per)
+                keep = _in_ball(el, bound, pos, owner, grid.sq_distances(p[at], pos, per))
+                pairs.append((owner[keep], grid.order[pos[keep]]))
+        narrow_pairs = pairs[0][0].size
+        owner, elems = (np.concatenate(x) for x in zip(*pairs))
+        del pairs
+        if wide.size and narrow_pairs:  # narrow and wide points alternate: group the pairs by point
+            order = np.argsort(owner, kind="stable")
+            owner, elems = owner[order], elems[order]
         d = np.empty(elems.shape[0])
         for k in range(0, elems.shape[0], _BALL_PAIRS):
             o, e = owner[k : k + _BALL_PAIRS], elems[k : k + _BALL_PAIRS]
-            d[k : k + _BALL_PAIRS] = el.distance(points[o], *(c[e] for c in el.corners))
+            d[k : k + _BALL_PAIRS] = el.distance(p[o], *(c[e] for c in el.corners))
         # each point's pairs are one run of d, never empty
-        starts = np.cumsum(counts) - counts
-        best[s : s + step] = np.minimum.reduceat(d, starts)
-        near[s : s + step] = np.maximum.reduceat(np.where(d == best[owner], elems, -1), starts)
+        best[s : s + step], near[s : s + step] = _segment_min(d, elems, np.bincount(owner, minlength=p.shape[0]))
     return best, near
 
 
@@ -779,12 +1007,18 @@ def chebyshev_center(M: DiscreteHypersurface) -> np.ndarray:
     a time.  A point's vertex distance bounds its depth from above, since
     the vertices lie on M, so the search stops once the deepest point so far
     is inside and at least as deep as the next point's bound: every point
-    left unmeasured is no deeper.
+    left unmeasured is no deeper.  The vertex distances come from a cell
+    grid over the vertices (``_Grid.nearest``), in blocks that bound its
+    point-cell tables, and have the bits of a kd-tree query: the square root
+    of the squared differences summed in axis order, so ties order alike.
     """
     dim = M.dimension + 1
     resolution = 129 if dim == 2 else 33
     lo = M.vertices.min(axis=0)
     hi = M.vertices.max(axis=0)
+    if dim == 3:
+        vertex_grid = _Grid(M.vertices, 0.0)
+        step = max(1, _QUERY_PAIRS // M.num_vertices)
 
     def search(lo_, hi_, res):
         axes = [np.linspace(lo_[i], hi_[i], res) for i in range(dim)]
@@ -794,14 +1028,15 @@ def chebyshev_center(M: DiscreteHypersurface) -> np.ndarray:
             d = signed_interior_distance(M, pts)
         else:
             pts = np.vstack([pts, M.vertices.mean(axis=0)[None, :]])
-            proxy, _ = cKDTree(M.vertices).query(pts)
+            proxy = np.sqrt(np.concatenate([vertex_grid.nearest(pts[s : s + step])[0]
+                                            for s in range(0, pts.shape[0], step)]))
             order = np.argsort(proxy)[::-1]
             pts, bound = pts[order], np.append(proxy[order], -np.inf)
-            step = max(256, res)
+            block = max(256, res)
             d = np.empty(0)
-            for s in range(0, pts.shape[0], step):
-                d = np.concatenate([d, signed_interior_distance(M, pts[s : s + step])])
-                if d.max() > 0.0 and d.max() >= bound[min(s + step, pts.shape[0])]:
+            for s in range(0, pts.shape[0], block):
+                d = np.concatenate([d, signed_interior_distance(M, pts[s : s + block])])
+                if d.max() > 0.0 and d.max() >= bound[min(s + block, pts.shape[0])]:
                     break
         j = int(np.argmax(d))
         return pts[j] if d[j] > 0.0 else None
@@ -830,16 +1065,42 @@ def inner_outer_radii(M: DiscreteHypersurface, center=None) -> RadiiReport:
 # Embeddedness sweep
 
 
+def _close_pairs(el: _Elements) -> np.ndarray:
+    """Element pairs (i, j) whose centroids lie within twice the largest reach, each once.
+
+    Such centroids lie in the same cell or in adjacent ones, so each
+    occupied cell is paired with itself and with the forward half of its
+    neighbourhood.
+    """
+    grid = el.grid
+    offsets = np.array([np.dot(off, grid.stride) for off in itertools.product((-1, 0, 1), repeat=len(grid.shape))])
+    ahead = offsets[offsets >= 0]
+    a = np.repeat(grid.occupied, ahead.shape[0])
+    b = (grid.occupied[:, None] + ahead).ravel()
+    a_first, b_first = grid.start[a], grid.start[b]
+    b_count = grid.start[b + 1] - b_first
+    count = (grid.start[a + 1] - a_first) * b_count
+    run = np.repeat(np.arange(count.shape[0]), count)
+    k = _runs(np.zeros_like(count), count)  # place within the run
+    i = a_first[run] + k // b_count[run]
+    j = b_first[run] + k % b_count[run]
+    d2 = sum((row[i] - row[j]) ** 2 for row in grid.sites)
+    limit = 2.0 * el.reach * (1.0 + 1e-12)
+    keep = ((a != b)[run] | (i < j)) & (d2 <= limit * limit)
+    return np.column_stack([grid.order[i[keep]], grid.order[j[keep]]])
+
+
 def is_embedded(M: DiscreteHypersurface) -> bool:
     """Mesh-scale self-intersection sweep.
 
     Two elements can only meet when their centroids lie within twice the
-    largest reach, so a centroid tree yields the candidate pairs.  Pairs that
-    share a vertex are dropped and the rest get an exact pair test.
+    largest reach, so the centroid grid yields the candidate pairs
+    (``_close_pairs``).  Pairs that share a vertex are dropped and the rest
+    get an exact pair test.
     """
     el = _elements(M)
     idx = el.idx
-    pairs = el.tree.query_pairs(2.0 * el.reach, output_type="ndarray")
+    pairs = _close_pairs(el)
     shares = np.any(idx[pairs[:, 0]][:, :, None] == idx[pairs[:, 1]][:, None, :], axis=(1, 2))
     i, j = pairs[~shares].T
     corners = M.vertices[idx]

@@ -239,18 +239,20 @@ def _inscribed_ball(M: DiscreteHypersurface) -> tuple[np.ndarray, float]:
     rounding of the depths, the reflections, the heights and |p - x0| of
     points near M.  d0 and the side of x0 are those of ``classify_points``
     and ``signed_interior_distance``, but x0 is measured against every
-    element in one kernel call.  For one point that is cheaper than the
-    tree query up to a few thousand elements: 35 against 213 us on a
-    256-gon, about even at 5 120 triangles, 3.4 against 1.3 ms at 20 480.
-    Kept for the last surface asked about, as ``_elements``: the planes
-    checked at one frame share it.
+    element in one kernel call.  For one point deep inside, that is cheaper
+    than the centroid-grid query up to several thousand elements (best of
+    several on a 2-core x86 host): 0.09 against 0.36-0.40 ms on a 256-gon,
+    0.5-0.8 against 0.9 ms at 1 280 triangles, 1.0 against 1.2-1.4 ms at
+    5 120, and 3.5-3.8 against 1.5-2.3 ms at 20 480.  Kept for the last
+    surface asked about, as ``_elements``: the planes checked at one frame
+    share it.
     """
     x0 = M.vertices.mean(axis=0)
     el = _elements(M)
     dist = el.distance(np.broadcast_to(x0, el.corners[0].shape), *el.corners)
     d0 = dist.min()
     # a boundary point, or one outside, gives no ball; of the nearest
-    # elements the sign reads the last, as the tree query does
+    # elements the sign reads the last, as the grid query does
     if not (d0 >= BOUNDARY_TOL_FACTOR * M.bbox_diagonal
             and _pseudonormal_inside(M, x0[None, :], np.flatnonzero(dist == d0)[-1:])[0]):
         return x0, 0.0

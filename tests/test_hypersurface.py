@@ -1,6 +1,10 @@
 import gc
+import itertools
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from hyperflow.hypersurface import (
     signed_interior_distance,
     surface_distance,
     write_surface,
+    _close_pairs,
     _curve_kernel,
     _edge_table,
     _elements,
@@ -874,6 +879,176 @@ def test_nearest_blocks_do_not_change_the_result(name, monkeypatch):
     got = _nearest(pts, el)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
+
+
+# ---------------------------------------------------------------------------
+# tree oracles: the centroid kd-tree and the sparse two-ring before the cell grid
+
+
+def _tree_nearest(points, el):
+    """Oracle: ``_nearest`` as it ran on a kd-tree over the element centroids.
+
+    The body is the tree version's; only the tree and the largest reach are
+    built here, as its element table built them.
+    """
+    cent = sum(el.corners[1:], el.corners[0]) / len(el.corners)
+    reach = float(np.max(np.stack([np.linalg.norm(p - cent, axis=1) for p in el.corners])))
+    tree = cKDTree(cent)
+    _, near = tree.query(points)
+    best = el.distance(points, *(c[near] for c in el.corners))
+    radius = (best + reach) * (1.0 + 1e-12)  # rounding margin for the tree
+    step = max(1, (1 << 18) // el.idx.shape[0])
+    for s in range(0, points.shape[0], step):
+        balls = tree.query_ball_point(points[s : s + step], radius[s : s + step], return_sorted=False)
+        counts = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
+        elems = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp, count=counts.sum())
+        owner = np.repeat(np.arange(s, s + len(balls)), counts)
+        d = np.empty(elems.shape[0])
+        for k in range(0, elems.shape[0], 1 << 13):
+            o, e = owner[k : k + (1 << 13)], elems[k : k + (1 << 13)]
+            d[k : k + (1 << 13)] = el.distance(points[o], *(c[e] for c in el.corners))
+        # each point's pairs are one run of d, never empty
+        starts = np.cumsum(counts) - counts
+        best[s : s + step] = np.minimum.reduceat(d, starts)
+        near[s : s + step] = np.maximum.reduceat(np.where(d == best[owner], elems, -1), starts)
+    return best, near
+
+
+def _around_the_grid(M, el):
+    """The vertex centroid, points 1e3 bounding boxes away, and points around and past the centroid grid."""
+    cent = sum(el.corners[1:], el.corners[0]) / len(el.corners)
+    lo, hi = cent.min(axis=0), cent.max(axis=0)
+    dim = lo.shape[0]
+    rng = np.random.default_rng(dim)
+    away = rng.normal(size=(16, dim))
+    away *= 1e3 * M.bbox_diagonal / np.linalg.norm(away, axis=1)[:, None]
+    side = el.grid.side
+    # past each face of the centroids' box by a share of a cell, and past its corners
+    past = []
+    for f in (0.01, 0.5, 0.99, 1.0, 1.5, 3.0):
+        for axis in range(dim):
+            for sign in (-1.0, 1.0):
+                p = rng.uniform(lo, hi, size=(4, dim))
+                p[:, axis] = (hi if sign > 0 else lo)[axis] + sign * f * side
+                past.append(p)
+        corners = np.array(np.meshgrid(*zip(lo - f * side, hi + f * side), indexing="ij")).reshape(dim, -1).T
+        past.append(corners)
+    return np.vstack([M.vertices.mean(axis=0)[None, :], away, *past])
+
+
+@pytest.mark.parametrize("name", [*_NEAREST_CASES, "square corner diagonals", "pushed icosphere vertices"])
+def test_nearest_has_the_bits_of_the_tree_query(name):
+    M, pts = _nearest_case(name)
+    el = _elements(M)
+    pts = np.vstack([pts, _around_the_grid(M, el)])
+    best, near = _nearest(pts, el)
+    want_best, want_near = _tree_nearest(pts, el)
+    assert best.tobytes() == want_best.tobytes()
+    assert near.tobytes() == want_near.tobytes()
+
+
+@pytest.mark.parametrize("M", [shapes.ellipse_polygon(2.0, 1.0, 64), shapes.icosphere(1.0, 2)], ids=["curve", "mesh"])
+def test_points_that_are_not_finite_or_too_far_are_a_value_error(M):
+    d = M.dimension + 1
+    for bad in (np.nan, np.inf, -np.inf):
+        p = np.zeros((3, d))
+        p[1, -1] = bad
+        for query in (surface_distance, signed_interior_distance, classify_points):
+            with pytest.raises(ValueError, match="must be finite"):
+                query(M, p)
+    # the squared distance to the nearest centroid overflows
+    far = np.zeros((2, d))
+    far[1, 0] = 1e155
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+        surface_distance(M, far)
+    far[1, 0] = 1e150
+    assert surface_distance(M, far)[1] == pytest.approx(1e150)
+
+
+def test_importing_the_package_loads_no_scipy():
+    src = str(Path(hypersurface.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import hyperflow; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def _sparse_two_ring(topo, num_vertices):
+    """Oracle: the two-ring table as the sparse adjacency product built it."""
+    from scipy import sparse
+
+    ii = np.concatenate([topo.unique_edges[:, 0], topo.unique_edges[:, 1]])
+    jj = np.concatenate([topo.unique_edges[:, 1], topo.unique_edges[:, 0]])
+    adj = sparse.csr_matrix(
+        (np.ones(ii.shape[0], dtype=np.int8), (ii, jj)),
+        shape=(num_vertices, num_vertices),
+    )
+    two = (adj + adj @ adj) > 0
+    two.sort_indices()
+    rows = np.repeat(np.arange(num_vertices), np.diff(two.indptr))
+    off = rows != two.indices  # drop the diagonal
+    rows, cols = rows[off], two.indices[off]
+    counts = np.bincount(rows, minlength=num_vertices)
+    slot = np.arange(rows.shape[0]) - (np.cumsum(counts) - counts)[rows]  # place within the row
+    two_ring = np.tile(np.arange(num_vertices), (int(counts.max()), 1))
+    two_ring[slot, rows] = cols
+    return two_ring
+
+
+def _read_back(M, tmp_path):
+    path = tmp_path / "mesh.obj"
+    write_surface(M, path)
+    return read_surface(path)
+
+
+@pytest.mark.parametrize("shape", [*(f"icosphere s{s}" for s in range(6)), "ellipsoid s3", "read remeshed"])
+def test_two_ring_is_the_sparse_product(shape, tmp_path):
+    if shape == "ellipsoid s3":
+        M = shapes.ellipsoid_mesh(1.5, 1.0, 0.75, 3)
+    elif shape == "read remeshed":
+        M = _read_back(_remeshed_icosphere(), tmp_path)
+    else:
+        M = shapes.icosphere(1.0, int(shape[-1]))
+    got = M.topology.two_ring
+    want = _sparse_two_ring(M.topology, M.num_vertices)
+    assert got.dtype == want.dtype and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
+def _unequal_figure_eight():
+    # the self-intersecting curve that the CLI rejects: a large counter-
+    # clockwise lobe and a small clockwise one crossing at the origin
+    t = 2.0 * np.pi * (np.arange(64) + 0.5) / 64
+    return DiscreteHypersurface(np.column_stack([np.cos(t), np.sin(t) * np.cos(t) * (1.0 + 0.5 * np.cos(t))]))
+
+
+def _pushed_through_icosphere():
+    ico = shapes.icosphere(1.0, 2)
+    v = ico.vertices.copy()
+    v[0] = -1.8 * v[0]  # pushed through the far side
+    return ico.with_vertices(v)
+
+
+@pytest.mark.parametrize("name", ["ellipsoid s4", "unequal figure-eight", "pushed-through icosphere", "half ball"])
+def test_close_pairs_hold_the_tree_pairs(name):
+    M = {
+        "ellipsoid s4": lambda: shapes.ellipsoid_mesh(1.0, 1.1, 0.9, 4),
+        "unequal figure-eight": _unequal_figure_eight,
+        "pushed-through icosphere": _pushed_through_icosphere,
+        "half ball": _half_ball,
+    }[name]()
+    el = _elements(M)
+    cent = sum(el.corners[1:], el.corners[0]) / len(el.corners)
+    reach = float(np.max(np.stack([np.linalg.norm(p - cent, axis=1) for p in el.corners])))
+    want = cKDTree(cent).query_pairs(2.0 * reach, output_type="ndarray")
+    got = np.sort(_close_pairs(el), axis=1)
+    assert np.all(got[:, 0] < got[:, 1])
+    got = set(map(tuple, got.tolist()))
+    assert len(got) == len(_close_pairs(el))  # each pair once
+    assert set(map(tuple, np.sort(want, axis=1).tolist())) <= got
 
 
 def _fresh(query, M, pts):

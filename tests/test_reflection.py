@@ -387,10 +387,16 @@ def test_stacked_heights_have_the_bits_of_signed_coordinate(surface):
             assert row.tobytes() == p.signed_coordinate(M.vertices).tobytes()
 
 
+def test_a_plane_too_far_to_measure_is_a_value_error():
+    # the images' squared distances to the surface overflow
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+        strict_reflection_check(shapes.ellipse_polygon(2.0, 1.0, 64), plane([1.0, 0.0], -1e160))
+
+
 @pytest.mark.parametrize("name", list(ORACLE_SURFACES))
 def test_the_inscribed_ball_has_the_radius_of_one_distance_pass(name):
     # x0 measured against every element gives the distance and side of the
-    # tree query that classify_points makes
+    # grid query that classify_points makes
     M = ORACLE_SURFACES[name]()
     x0, radius = _inscribed_ball(M)
     dist, code = _distances_and_codes(M, M.vertices.mean(axis=0)[None, :])
