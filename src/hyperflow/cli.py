@@ -8,7 +8,8 @@ takes the keys of its ``_KEYS`` table (``--help`` lists them), and a
 validation rule runs when the config has its key.
 
 Exit codes: 0 pass, 1 usage/config error, 2 audit failure, 3 numerical
-failure (cone exit, mesh degeneracy, failed preconditions).
+failure (any other toolkit error: cone exit, mesh degeneracy, failed
+preconditions).
 """
 
 from __future__ import annotations
@@ -27,18 +28,11 @@ import numpy as np
 
 from . import families, flow_engine, reflection, rigidity, shapes, sphere_ode, speeds
 from .errors import (
-    ConeExit,
     ConfigError,
-    CurvatureOutsideCone,
     DegenerateElement,
     HyperflowError,
     IndeterminateDivergence,
-    MeshDegeneracy,
-    NoFramesPastTouch,
-    NonFiniteState,
-    NonPositiveSpeed,
     ParseError,
-    PreconditionFailed,
     ValidationError,
 )
 from .hypersurface import (
@@ -62,14 +56,14 @@ _SPEED = {"speed": "k", "alpha": None}
 _SHAPE = {"shape": "circle", "radius": 1.0, "axes": None, "resolution": 256, "subdivisions": 4, "mesh_file": None}
 _KEYS: dict[str, dict] = {
     "simulate": {
-        "seed": 0, **_SPEED, **_SHAPE, "t0": 0.0, "t_end": 1.0, "dt": None, "cfl": 0.2,
+        **_SPEED, **_SHAPE, "t0": 0.0, "t_end": 1.0, "dt": None, "cfl": 0.2,
         "frame_interval": 0.01, "stop_on_cone_exit": True,
     },
-    "sphere-ode": {"seed": 0, **_SPEED, "dimension": 1, "t0": 0.0, "t_end": 1.0, "dt": None, "r0": 1.0},
+    "sphere-ode": {**_SPEED, "dimension": 1, "t0": 0.0, "t_end": 1.0, "dt": None, "r0": 1.0},
     "classify-speed": {"seed": 0, **_SPEED, "dimension": 1},
-    "reflect-audit": {"seed": 0, **_SHAPE, "plane_direction": (1.0, 0.0), "plane_offsets": (0.5,), "tol": None},
+    "reflect-audit": {**_SHAPE, "plane_direction": (1.0, 0.0), "plane_offsets": (0.5,), "tol": None},
     "rigidity-audit": {
-        "seed": 0, **_SPEED, "dimension": 1, "resolution": 256, "t0": 0.0, "t_end": 1.0,
+        **_SPEED, "dimension": 1, "resolution": 256, "t0": 0.0, "t_end": 1.0,
         "family": "sphere", "frame_dt": 0.01, "rates": (1.0, 2.0), "directions": 16,
         "c_schedule": (0.4, 0.2, 0.1, 0.05),
     },
@@ -291,24 +285,21 @@ def _run_simulate(cfg: SimpleNamespace) -> int:
         stop_on_cone_exit=cfg.stop_on_cone_exit,
     )
     traj = flow_engine.evolve(M0, F, cfg.t0, flow_cfg)
+    ext = "txt" if n == 1 else "obj"
+    index_rows = [{"t": t, "file": f"frames/frame_{i:06d}.{ext}"} for i, (t, _) in enumerate(traj.frames)]
+    diag_rows = []
+    for t, M in traj.frames:
+        rr = inner_outer_radii(M, center=M.vertices.mean(axis=0))
+        lam = M.curvature_data.principal
+        lens = M.edge_lengths
+        diag_rows.append(
+            [t, enclosed_volume(M), rr.rho_minus, rr.rho_plus,
+             float(lam.min()), float(lam.max()), float(lens.min()), float(lens.max())]
+        )
     with _output_dir(cfg) as out:
-        frames_dir = out / "frames"
-        frames_dir.mkdir(exist_ok=True)
-        ext = "txt" if n == 1 else "obj"
-        index_rows = []
-        diag_rows = []
-        for i, (t, M) in enumerate(traj.frames):
-            fname = f"frame_{i:06d}.{ext}"
-            write_surface(M, frames_dir / fname)
-            index_rows.append({"t": t, "file": f"frames/{fname}"})
-            centroid = M.vertices.mean(axis=0)
-            rr = inner_outer_radii(M, center=centroid)
-            lam = M.curvature_data.principal
-            lens = M.edge_lengths
-            diag_rows.append(
-                [t, enclosed_volume(M), rr.rho_minus, rr.rho_plus,
-                 float(lam.min()), float(lam.max()), float(lens.min()), float(lens.max())]
-            )
+        (out / "frames").mkdir(exist_ok=True)
+        for row, (_, M) in zip(index_rows, traj.frames):
+            write_surface(M, out / row["file"])
         _write_json(out / "index.json", {
             "schema_version": 1,
             "speed": F.name,
@@ -485,16 +476,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        ConeExit,
-        MeshDegeneracy,
-        NonFiniteState,
-        DegenerateElement,
-        NonPositiveSpeed,
-        CurvatureOutsideCone,
-        PreconditionFailed,
-        NoFramesPastTouch,
-    ) as exc:
+    except HyperflowError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -117,28 +117,32 @@ class Trajectory:
         """Support max_i x_i . v of every frame along each direction v.
 
         One direction (d,) gives (T,); rows (D, d) give (T, D) from one pass
-        over the frames, each column with the bits of its row's own series
-        (see ``_heights``).
+        over the frames.  The heights are ``_heights``, so each column has
+        the bits of its row's own series, and c minus a frame's support has
+        the bits of the support gap that a reflection verdict reports.
         """
         v = np.asarray(directions, dtype=float)
         rows = np.atleast_2d(v)
         table = np.empty((len(self.frames), rows.shape[0]))
         for f, (_, m) in enumerate(self.frames):
-            table[f] = _heights(m.vertices, rows).max(axis=0)
+            table[f] = _heights(m.vertices[:, None], rows).max(axis=0)
         return table[:, 0] if v.ndim == 1 else table
 
 
-def _heights(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Heights p . v of every point along every row, shape (P, D).
+def _heights(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Dot products p . v over the last axis, broadcast over the leading axes.
 
-    The component products are summed in coordinate order, so an entry's
-    bits do not depend on how many rows are passed (a matrix product's
-    do).  Support series and exact touch-time solves both use it, so a
-    frame scan and the solve on its bracket agree to the bit.
+    The package's one height rule: support series, touch-time solves,
+    ``Hyperplane.signed_coordinate`` and ``reflect``, and the heights and
+    tangency cosines of the reflection verdicts all take it.  The component
+    products are summed in coordinate order, so an entry's bits depend on
+    its own p and v only, not on the shapes passed as a matrix product's
+    fused multiply-adds do, and a frame scan, the solve on its bracket and
+    a verdict at the plane agree to the bit.
     """
-    out = points[:, :1] * rows[:, 0]
-    for k in range(1, points.shape[1]):
-        out += points[:, k : k + 1] * rows[:, k]
+    out = points[..., 0] * directions[..., 0]
+    for k in range(1, points.shape[-1]):
+        out += points[..., k] * directions[..., k]
     return out
 
 

@@ -931,14 +931,20 @@ def _pseudonormal_inside(M: DiscreteHypersurface, points: np.ndarray, near: np.n
     (p - q) . n < 0 (Baerentzen and Aanaes, IEEE TVCG 2005).  That rule needs
     an embedded surface.  Points with |(p - q) . n| within the boundary band
     (``BOUNDARY_TOL_FACTOR`` times the bounding-box diagonal), where rounding
-    could flip it, take the winding-number sign instead.
+    could flip it, take the winding-number sign instead.  A point outside the
+    vertex bounding box, which holds the enclosed region, is outside with no
+    pseudonormal: far enough away, every element ties within rounding.
     """
+    inside = np.zeros(points.shape[0], dtype=bool)
+    boxed = np.flatnonzero(
+        np.all((points >= M.vertices.min(axis=0)) & (points <= M.vertices.max(axis=0)), axis=1)
+    )
     el = _elements(M)
-    q, feature = el.closest_point(points, *(c[near] for c in el.corners))
-    offset = np.einsum("ij,ij->i", points - q, _feature_normals(M)[near, feature])
-    inside = offset < 0.0
-    unsure = ~(np.abs(offset) > BOUNDARY_TOL_FACTOR * M.bbox_diagonal)
-    if np.any(unsure):
+    q, feature = el.closest_point(points[boxed], *(c[near[boxed]] for c in el.corners))
+    offset = np.einsum("ij,ij->i", points[boxed] - q, _feature_normals(M)[near[boxed], feature])
+    inside[boxed] = offset < 0.0
+    unsure = boxed[~(np.abs(offset) > BOUNDARY_TOL_FACTOR * M.bbox_diagonal)]
+    if unsure.size:
         inside[unsure] = _inside(M, points[unsure])
     return inside
 

@@ -51,12 +51,11 @@ class Hyperplane:
         object.__setattr__(self, "c", float(self.c))
 
     def signed_coordinate(self, points: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(points) @ self.V - self.c
+        return _heights(np.atleast_2d(points), self.V) - self.c
 
     def reflect(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        s = pts @ self.V - self.c
-        return pts - 2.0 * s[:, None] * self.V[None, :]
+        return pts - 2.0 * self.signed_coordinate(pts)[:, None] * self.V[None, :]
 
 
 class ReflectionStatus(enum.Enum):
@@ -112,17 +111,14 @@ def _verdicts(
 ) -> list[ReflectionVerdict]:
     """``strict_reflection_check`` of M at each plane, in one pass over the planes.
 
-    The heights of the vertices above every plane come from one stacked
-    matrix-vector product, (planes, V), whose rows have the bits of each
-    plane's ``signed_coordinate``; a plain ``vertices @ V.T`` does not.  The
-    vacuous test, the tangency candidates, the crossers and each plane's
-    U = 2 s_min are array operations on it.  Two products stay per plane:
-    the normals of the tangency candidates and the heights that ``reflect``
-    takes of the crossers, because the bits of a matrix-vector product
-    depend on which rows it is given.  So every plane's rows are gathered
-    once and each plane multiplies its own slice, which has the bits of its
-    own subset; the ``arcsin``, the least angles and the images then run
-    once for all the planes, and ``_judge`` reads each plane's depths.
+    The heights s of the vertices above every plane, (planes, V), come from
+    ``_heights``, so each row has the bits of its plane's
+    ``signed_coordinate``.  The vacuous test, the tangency candidates, the
+    crossers, their heights and images and each plane's U = 2 s_min are
+    array operations on s; the tangency cosines are ``_heights`` of the
+    gathered (vertex normal, plane normal) pairs.  The ``arcsin``, the least
+    angles and the images run once for all the planes, and ``_judge`` reads
+    each plane's depths.
 
     A verdict reads only the least interior depth of a plane's reflected
     vertices and the first vertex that attains it, so ``_least_depths``
@@ -152,7 +148,7 @@ def _verdicts(
     band = tol if tol is not None else INCLUSION_BAND_FACTOR * M.bbox_diagonal
     V = np.array([plane.V for plane in planes])
     c = np.array([plane.c for plane in planes])
-    s = _plane_heights(M.vertices, V, c)
+    s = _heights(M.vertices, V[:, None]) - c[:, None]
     top = s.max(axis=1)  # a vacuous plane has no tangency candidate and no crosser
 
     # tangency candidates: vertices in the plane band plus endpoints of
@@ -162,19 +158,12 @@ def _verdicts(
     k, e = np.divmod(np.flatnonzero(s.take(a, axis=1) * s.take(b, axis=1) < 0.0), a.shape[0])
     near[k, a[e]] = True
     near[k, b[e]] = True
-    near_at, _, near_vertex = _plane_rows(near)
+    near_at, near_plane, near_vertex = _plane_rows(near)
+    cos = _heights(M.curvature_data.normals.take(near_vertex, axis=0), V.take(near_plane, axis=0))
     crossers = s > band
     cross_at, cross_plane, cross_vertex = _plane_rows(crossers)
-    normals = M.curvature_data.normals.take(near_vertex, axis=0)
     source = M.vertices.take(cross_vertex, axis=0)
-    cos = np.empty(normals.shape[0])
-    h = np.empty(source.shape[0])
-    near_runs = list(zip(near_at.tolist(), near_at[1:].tolist()))
-    cross_runs = list(zip(cross_at.tolist(), cross_at[1:].tolist()))
-    for plane, (lo, hi), (clo, chi) in zip(planes, near_runs, cross_runs):
-        cos[lo:hi] = normals[lo:hi] @ plane.V
-        h[clo:chi] = source[clo:chi] @ plane.V
-    h -= c.take(cross_plane)
+    h = s[crossers]
     reflected = source - 2.0 * h[:, None] * V.take(cross_plane, axis=0)
 
     tangent = near_at[1:] > near_at[:-1]
@@ -184,10 +173,11 @@ def _verdicts(
         tangency[tangent] = np.minimum.reduceat(angles, near_at[:-1][tangent])
     beyond = cross_at[1:] > cross_at[:-1]
     if beyond.any():
-        bounds = 2.0 * np.minimum.reduceat(s[crossers], cross_at[:-1][beyond])
+        bounds = 2.0 * np.minimum.reduceat(h, cross_at[:-1][beyond])
         depth = _least_depths(M, reflected, np.repeat(bounds, np.diff(cross_at)[beyond]))
 
     out = []
+    cross_runs = zip(cross_at.tolist(), cross_at[1:].tolist())
     for top_i, tangency_i, (lo, hi) in zip(top.tolist(), tangency.tolist(), cross_runs):
         if top_i < -band:
             out.append(ReflectionVerdict(
@@ -206,15 +196,6 @@ def _verdicts(
         else:
             out.append(_judge(band, tangency_i, source[lo:hi], reflected[lo:hi], depth[lo:hi]))
     return out
-
-
-def _plane_heights(points: np.ndarray, V: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Heights of the points above the planes of unit normals V and offsets c, (planes, points).
-
-    A stacked matrix-vector product gives each row the bits of its plane's
-    ``signed_coordinate``; the matrix product ``points @ V.T`` does not.
-    """
-    return (points @ V[:, :, None])[..., 0] - c[:, None]
 
 
 def _plane_rows(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -332,8 +313,8 @@ def _touch_time(traj: Trajectory, supports: np.ndarray, plane: Hyperplane) -> fl
     # j - 1 falls short (these heights have the support series' bits), and
     # the first vertex across sets the support
     ta, xa, tb, xb = traj.bracket(j)
-    a = _heights(xa, plane.V[None])[:, 0]
-    d = _heights(xb, plane.V[None])[:, 0] - a
+    a = _heights(xa, plane.V)
+    d = _heights(xb, plane.V) - a
     rising = d > 0.0
     return ta + (tb - ta) * float(np.min((c - a[rising]) / d[rising]))
 

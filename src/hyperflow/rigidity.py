@@ -39,7 +39,7 @@ from .errors import (
     NoFramesPastTouch,
     PreconditionFailed,
 )
-from .flow_engine import FlowResidual, Trajectory, flow_residual
+from .flow_engine import FlowResidual, Trajectory, _heights, flow_residual
 from .geometry import fibonacci_sphere_directions, uniform_circle_directions
 from .hypersurface import inner_outer_radii
 from .reflection import Hyperplane, ReflectionStatus, _frame_verdicts, _monitor, _touch_time, symmetry_certificate
@@ -269,7 +269,7 @@ def rigidity_audit(
     rows = np.array([Hyperplane(V=V, c=0.0).V for V in dirs]).reshape(dirs.shape)
     supports = traj.support_series(rows)
     for V, column in zip(dirs, supports.T):
-        offsets = [c + float(V @ y_inf) for c in cs]
+        offsets = [c + float(_heights(y_inf, V)) for c in cs]
         taus = _tau_limit(traj, V, column, offsets).taus
         for c, offset, tau in zip(cs, offsets, taus):
             if tau is None:

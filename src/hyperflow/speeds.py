@@ -27,7 +27,6 @@ FD_RELATIVE_STEP = 1e-5
 FD_ABSOLUTE_FLOOR = 1e-8
 
 POSITIVE = "positive"
-FULL = "full"
 CUSTOM = "custom"
 
 
@@ -35,8 +34,8 @@ CUSTOM = "custom"
 class Cone:
     """Open symmetric cone of admissible curvature tuples.
 
-    ``kind`` is one of ``positive`` (all entries > 0), ``full`` (everything
-    except the origin) or ``custom`` (membership delegated to ``predicate``).
+    ``kind`` is ``positive`` (all entries > 0) or ``custom`` (membership
+    delegated to ``predicate``).
     """
 
     kind: str
@@ -46,10 +45,6 @@ class Cone:
     @classmethod
     def positive(cls) -> "Cone":
         return cls(kind=POSITIVE, description="all principal curvatures positive")
-
-    @classmethod
-    def full(cls) -> "Cone":
-        return cls(kind=FULL, description="any curvature tuple except the origin")
 
     @classmethod
     def custom(cls, predicate: Callable[[np.ndarray], bool], description: str = "") -> "Cone":
@@ -65,8 +60,6 @@ class Cone:
         if self.kind == POSITIVE:
             with np.errstate(invalid="ignore"):
                 return finite & (self.interior_margin(lams) > 0.0)
-        if self.kind == FULL:
-            return finite & (np.max(np.abs(lams), axis=-1) > 0.0)
         if self.predicate is None:
             raise ValueError("custom cone without predicate")
         return np.array([ok and bool(self.predicate(row)) for ok, row in zip(finite, lams)], dtype=bool)
@@ -77,8 +70,8 @@ class Cone:
         For the positive cone this is min(lam) / max(|lam|), which is 1 on
         the diagonal and tends to 0 at the boundary.  For n = 1 it is
         constantly 1 on members (the only boundary is the origin), so
-        margin-based warnings are meaningful for n >= 2 only.  The other
-        kinds report an indicator (+1 member / -1 not) since they have no
+        margin-based warnings are meaningful for n >= 2 only.  A custom
+        cone reports an indicator (+1 member / -1 not) since it has no
         graded distance to a boundary.  At n = 1 the positive cone's margin
         is lam / |lam| without the two reductions over a length-1 axis: +1
         and -1 for finite non-zero lam, -1 for 0 and NaN, and NaN for +-inf,

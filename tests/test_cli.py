@@ -40,7 +40,7 @@ def test_minimal_simulate_config_resolves_with_defaults(tmp_path):
     assert resolved["frame_interval"] == 0.01  # default echoed
     assert "scheme" not in resolved and "remesh" not in resolved
     assert resolved["cfl"] == 0.2
-    assert resolved["seed"] == 0
+    assert "seed" not in resolved  # no sampled subsystem in simulate
 
 
 def test_alpha_must_be_positive(tmp_path):
@@ -185,6 +185,30 @@ def test_numeric_failure_exit_code(tmp_path):
     assert rc == EXIT_NUMERIC
 
 
+def test_a_failing_diagnostic_is_a_numeric_failure_with_no_output(tmp_path, capsys):
+    # an embedded crescent whose vertex centroid, about (0.091, 0), lies
+    # outside it: the diagnostics' radii about the centroid raise CenterOutside
+    outer = np.linspace(0.3, 2.0 * np.pi - 0.3, 120)
+    end = np.array([np.cos(0.3), -np.sin(0.3)]) - [0.5, 0.0]
+    phi = math.atan2(end[1], end[0])
+    inner = np.linspace(phi, phi - 2.0 * (np.pi + phi), 80)[1:-1]  # clockwise about (0.5, 0)
+    verts = np.vstack([
+        np.column_stack([np.cos(outer), np.sin(outer)]),
+        [0.5, 0.0] + np.linalg.norm(end) * np.column_stack([np.cos(inner), np.sin(inner)]),
+    ])
+    mesh = tmp_path / "crescent.txt"
+    write_surface(DiscreteHypersurface(verts), mesh)
+    out = tmp_path / "x"
+    rc = run_cli(
+        "simulate", "--out", str(out), "--set", "shape=mesh", "--set", f"mesh_file={mesh}",
+        "--set", "stop_on_cone_exit=false", "--set", "t_end=0.01", "--set", "dt=0.001",
+    )
+    assert rc == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: CenterOutside") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_output_lock(tmp_path):
     out = tmp_path / "locked"
     out.mkdir()
@@ -244,13 +268,13 @@ def test_resolved_config_rerun_reproduces_artifacts(tmp_path, command):
 
 # every key of each command, in echo order; the unset ones get a value here
 ECHOED_KEYS = {
-    "simulate": ["out_dir", "seed", "speed", "alpha", "shape", "radius", "axes", "resolution", "subdivisions",
+    "simulate": ["out_dir", "speed", "alpha", "shape", "radius", "axes", "resolution", "subdivisions",
                  "mesh_file", "t0", "t_end", "dt", "cfl", "frame_interval", "stop_on_cone_exit"],
-    "sphere-ode": ["out_dir", "seed", "speed", "alpha", "dimension", "t0", "t_end", "dt", "r0"],
+    "sphere-ode": ["out_dir", "speed", "alpha", "dimension", "t0", "t_end", "dt", "r0"],
     "classify-speed": ["out_dir", "seed", "speed", "alpha", "dimension"],
-    "reflect-audit": ["out_dir", "seed", "shape", "radius", "axes", "resolution", "subdivisions", "mesh_file",
+    "reflect-audit": ["out_dir", "shape", "radius", "axes", "resolution", "subdivisions", "mesh_file",
                       "plane_direction", "plane_offsets", "tol"],
-    "rigidity-audit": ["out_dir", "seed", "speed", "alpha", "dimension", "resolution", "t0", "t_end", "family",
+    "rigidity-audit": ["out_dir", "speed", "alpha", "dimension", "resolution", "t0", "t_end", "family",
                        "frame_dt", "rates", "directions", "c_schedule"],
 }
 UNSET_VALUES = {"alpha": 0.5, "axes": (2.0, 1.0), "mesh_file": "m.obj", "dt": 0.001, "tol": 1e-9}
@@ -302,6 +326,8 @@ def test_non_finite_value_names_the_key(tmp_path, command, key, value):
 
 REJECTED = [
     ("seed", "classify-speed", ["speed=k", "seed=-1"]),
+    # only classify-speed samples; the other commands have no seed to set
+    ("seed of simulate", "simulate", ["seed=0"]),
     ("alpha ignored by the speed", "sphere-ode", ["speed=k", "alpha=-1"]),
     ("alpha of a power speed", "classify-speed", ["speed=H^alpha", "alpha=0"]),
     ("power speed without alpha", "simulate", ["speed=H^alpha"]),

@@ -1253,6 +1253,23 @@ def test_winding_numbers_only_break_ties(shape, monkeypatch):
     assert wound == [3]
 
 
+@pytest.mark.parametrize("surface", ["curve", "mesh"])
+def test_points_beyond_the_bounding_box_are_outside(surface):
+    # so far out, every element ties within rounding and a pseudonormal would
+    # pick the side at random; the near point sets a box member beside them
+    if surface == "curve":
+        M = shapes.ellipse_polygon(2.0, 1.0, 64)
+        far = np.array([[0.0, 3e100], [-1e50, 1e50], [1e20, 0.0]])
+        near = np.array([[0.5, 0.0]])
+    else:
+        M = shapes.ellipsoid_mesh(2.0, 1.0, 1.0, 2)
+        far = np.array([[0.0, 0.0, 3e100], [-1e50, 1e50, 0.0], [0.0, -1e20, 1e20]])
+        near = np.array([[0.5, 0.0, 0.0]])
+    assert np.all(classify_points(M, far) == OUTSIDE_CODE)
+    assert np.all(signed_interior_distance(M, far) < 0.0)
+    assert classify_points(M, np.vstack([far, near])).tolist() == [OUTSIDE_CODE] * 3 + [INSIDE_CODE]
+
+
 def test_radii_reject_outside_center(ellipse_2_1):
     # the centre prints as plain floats, not as numpy scalars
     with pytest.raises(CenterOutside, match=r"^center \[5\.0, 0\.0\] is not inside the surface$"):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from hyperflow.errors import InsufficientFrames, NeverTouches, StartNotStrict
-from hyperflow.flow_engine import FlowConfig, Trajectory, evolve
+from hyperflow.flow_engine import FlowConfig, Trajectory, _heights, evolve
 from hyperflow import hypersurface, reflection
 from hyperflow.hypersurface import (
     BOUNDARY_TOL_FACTOR,
@@ -23,7 +23,6 @@ from hyperflow.reflection import (
     _inscribed_ball,
     _judge,
     _least_depths,
-    _plane_heights,
     _touch_time,
     _verdicts,
     first_touch_time,
@@ -156,7 +155,7 @@ def full_depth_verdict(M, pl):
     near[edges[s[edges[:, 0]] * s[edges[:, 1]] < 0.0].ravel()] = True
     tangency_margin = math.pi / 2.0
     if np.any(near):
-        angles = np.arcsin(np.clip(np.abs(M.curvature_data.normals[near] @ pl.V), 0.0, 1.0))
+        angles = np.arcsin(np.clip(np.abs(_heights(M.curvature_data.normals[near], pl.V)), 0.0, 1.0))
         tangency_margin = float(angles.min())
     crossers = s > band
     if not np.any(crossers):
@@ -355,7 +354,7 @@ def test_one_frame_pass_equals_the_oracle_and_one_plane_calls(name):
     planes = []
     for v, c in offsets:
         if c is None:  # the support along V: a vertex lies on the plane
-            c = float((M.vertices @ plane(v, 0.0).V).max())
+            c = float(_heights(M.vertices, plane(v, 0.0).V).max())
         planes.append(plane(v, c))
     batch = _verdicts(M, planes)
     for got, p in zip(batch, planes):
@@ -371,9 +370,10 @@ def test_one_frame_pass_equals_the_oracle_and_one_plane_calls(name):
 
 
 @pytest.mark.parametrize("surface", ["curve", "mesh"])
-def test_stacked_heights_have_the_bits_of_signed_coordinate(surface):
-    # each row must be the plane's own matrix-vector product; a matrix
-    # product of the points with every normal at once rounds differently
+def test_every_plane_height_has_the_bits_of_heights(surface):
+    # one height rule: a vacuous verdict's support gap is c less the support
+    # series, and signed_coordinate is _heights less c, to the bit; a matrix
+    # product with its fused multiply-adds rounds differently
     rng = np.random.default_rng(11)
     for trial in range(40):
         if surface == "curve":
@@ -381,10 +381,24 @@ def test_stacked_heights_have_the_bits_of_signed_coordinate(surface):
         else:
             M = shapes.noisy_sphere(1.0, 0.05, int(rng.integers(0, 4)), seed=trial)
         count = int(rng.integers(1, 40))
-        planes = [plane(v, c) for v, c in zip(rng.normal(size=(count, M.dimension + 1)), rng.normal(size=count))]
-        heights = _plane_heights(M.vertices, np.array([p.V for p in planes]), np.array([p.c for p in planes]))
-        for row, p in zip(heights, planes):
-            assert row.tobytes() == p.signed_coordinate(M.vertices).tobytes()
+        V = rng.normal(size=(count, M.dimension + 1))
+        V /= np.linalg.norm(V, axis=1)[:, None]
+        planes = [plane(v, c) for v, c in zip(V, 1.5 + rng.uniform(size=count))]
+        traj = Trajectory(frames=[(0.0, M)])
+        for verdict, p in zip(_verdicts(M, planes), planes):
+            assert verdict.status is ReflectionStatus.VACUOUS
+            gap = p.c - traj.support_series(p.V)[0]
+            assert np.float64(verdict.details["support_gap"]).tobytes() == np.float64(gap).tobytes()
+            assert p.signed_coordinate(M.vertices).tobytes() == (_heights(M.vertices, p.V) - p.c).tobytes()
+
+
+@pytest.mark.parametrize("c", [-1e20, -1e100])
+def test_a_far_plane_fails(c):
+    # every image lies far outside the surface's bounding box, where the
+    # nearest elements tie within rounding: the box, not a pseudonormal, decides
+    v = strict_reflection_check(shapes.ellipse_polygon(2.0, 1.0, 64), plane([1.0, 0.0], c))
+    assert v.status is ReflectionStatus.FAILS
+    assert v.inclusion_margin == pytest.approx(2.0 * c, rel=1e-12)
 
 
 def test_a_plane_too_far_to_measure_is_a_value_error():

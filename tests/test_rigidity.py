@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hyperflow.errors import EmptyTrajectory, InsufficientFrames, PreconditionFailed
-from hyperflow.flow_engine import FlowConfig, Trajectory, evolve
+from hyperflow.flow_engine import FlowConfig, Trajectory, _heights, evolve
 from hyperflow.hypersurface import inner_outer_radii
 from hyperflow.reflection import Hyperplane, ReflectionStatus
 from hyperflow.rigidity import (
@@ -167,7 +167,8 @@ def test_negative_control_ellipse_family(ellipse_fam):
 
 
 def test_audit_tau_table_is_the_tau_limit_check_of_each_direction():
-    # off-center family: each direction's offsets shift by V . y_inf
+    # off-center family: each direction's offsets shift by V . y_inf, a height
+    # that the audit takes from _heights as every other plane height
     center = np.array([0.3, 0.2])
     fam = families.exponential_sphere_family(-6.0, 0.0, 0.02, n=1, resolution=128, center=center)
     dirs = np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, 0.8]])
@@ -176,7 +177,7 @@ def test_audit_tau_table_is_the_tau_limit_check_of_each_direction():
     assert report.overall
     for k, V in enumerate(dirs):
         rows = report.tau_table[k * len(cs):(k + 1) * len(cs)]
-        taus = tau_limit_check(fam, V, [c + float(V @ center) for c in cs]).taus
+        taus = tau_limit_check(fam, V, [c + float(_heights(center, V)) for c in cs]).taus
         assert [row["tau"] for row in rows] == list(taus)
         assert [row["c"] for row in rows] == list(cs)
 
@@ -406,7 +407,7 @@ def _oracle_post_touch_rows(traj, y_inf, directions, cs):
     y_inf = np.asarray(y_inf, dtype=float)
     rows = []
     for V in _direction_set(traj.frames[0][1].dimension, directions):
-        offsets = [c + float(V @ y_inf) for c in cs]
+        offsets = [c + float(_heights(y_inf, V)) for c in cs]
         for c, offset, tau in zip(cs, offsets, tau_limit_check(traj, V, offsets).taus):
             if tau is not None:
                 entry = _oracle_entry(traj, Hyperplane(V=V, c=offset), tau)

@@ -178,9 +178,8 @@ CONE_SAMPLES = np.array([
 
 @pytest.mark.parametrize("cone", [
     Cone.positive(),
-    Cone.full(),
     Cone.custom(lambda lam: bool(lam.sum() > 1.0), "lambda_1 + lambda_2 > 1"),
-], ids=["positive", "full", "custom"])
+], ids=["positive", "custom"])
 def test_cone_membership_forms_agree(cone):
     one_by_one = np.array([cone.contains(row) for row in CONE_SAMPLES])
     with np.errstate(invalid="ignore"):
