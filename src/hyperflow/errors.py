@@ -61,10 +61,6 @@ class PreconditionFailed(HyperflowError):
     """A composite audit's precondition did not hold."""
 
 
-class NoFramesPastTouch(HyperflowError):
-    """No trajectory frames exist after a first-touch time."""
-
-
 class ConfigError(HyperflowError):
     pass
 

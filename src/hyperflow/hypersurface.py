@@ -683,13 +683,17 @@ class _Grid:
         return first, self.start[self.occupied + 1] - first
 
     def sq_distances(self, points: np.ndarray, pos: np.ndarray, per: np.ndarray) -> np.ndarray:
-        """Squared distances from each point to its ``per`` sites at ``pos``, summed in axis order."""
+        """Squared distances from each point to its ``per`` sites at ``pos``, summed in axis order.
+
+        A square or sum that overflows reads inf; the callers reject such a point.
+        """
         total = None
-        for row, p in zip(self.sites, points.T):
-            diff = np.take(row, pos)
-            diff -= np.repeat(p, per)
-            diff *= diff
-            total = diff if total is None else np.add(total, diff, out=total)
+        with np.errstate(over="ignore"):
+            for row, p in zip(self.sites, points.T):
+                diff = np.take(row, pos)
+                diff -= np.repeat(p, per)
+                diff *= diff
+                total = diff if total is None else np.add(total, diff, out=total)
         return total
 
     def neighbourhood(self, points: np.ndarray) -> tuple:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -155,7 +156,8 @@ def _verdicts(
     # plane-crossing edges (coarse meshes may have no vertex near the plane)
     near = np.abs(s) <= band
     a, b = M.edges.T
-    k, e = np.divmod(np.flatnonzero(s.take(a, axis=1) * s.take(b, axis=1) < 0.0), a.shape[0])
+    with np.errstate(over="ignore"):  # far heights' products overflow to inf of the right sign
+        k, e = np.divmod(np.flatnonzero(s.take(a, axis=1) * s.take(b, axis=1) < 0.0), a.shape[0])
     near[k, a[e]] = True
     near[k, b[e]] = True
     near_at, near_plane, near_vertex = _plane_rows(near)
@@ -255,8 +257,10 @@ def _least_depths(M: DiscreteHypersurface, reflected: np.ndarray, bounds: np.nda
     measured in one ``signed_interior_distance`` call.
     """
     x0, radius = _inscribed_ball(M)
-    # with no ball (radius <= 0) every image is unsure, as U > 0
-    unsure = radius - np.linalg.norm(reflected - x0, axis=1) <= bounds
+    # with no ball (radius <= 0) every image is unsure, as U > 0; a norm
+    # that overflows leaves its image unsure, and the query rejects it
+    with np.errstate(over="ignore"):
+        unsure = radius - np.linalg.norm(reflected - x0, axis=1) <= bounds
     depth = np.full(reflected.shape[0], np.inf)
     depth[unsure] = signed_interior_distance(M, reflected[unsure])
     return depth
@@ -295,17 +299,26 @@ def first_touch_time(traj: Trajectory, plane: Hyperplane) -> float:
     provided frames are dense enough that support is monotone across the
     bracket.
     """
-    return _touch_time(traj, traj.support_series(plane.V), plane)
+    supports = traj.support_series(plane.V)
+    tau = _touch_time(traj, supports, plane)
+    if tau is None:
+        raise NeverTouches(
+            f"support never reaches c = {plane.c} (max {float(supports.max()):.6g})"
+        )
+    return tau
 
 
-def _touch_time(traj: Trajectory, supports: np.ndarray, plane: Hyperplane) -> float:
-    """First-touch time given the trajectory's support series along plane.V."""
+def _touch_time(traj: Trajectory, supports: np.ndarray, plane: Hyperplane) -> float | None:
+    """First-touch time given the trajectory's support series along plane.V.
+
+    None when the support never reaches the plane.  Otherwise the time is a
+    frame time or lies in the frame bracket where the support first reaches
+    c, so it is never past the last frame.
+    """
     c = plane.c
     hits = np.nonzero(supports >= c)[0]
     if hits.shape[0] == 0:
-        raise NeverTouches(
-            f"support never reaches c = {c} (max {float(supports.max()):.6g})"
-        )
+        return None
     j = int(hits[0])
     if j == 0:
         return traj.frames[0][0]
@@ -327,60 +340,66 @@ def monitor_reflection(
     Requires a strict verdict at the starting frame; sampled frames follow
     at the given stride (the final frame is always included).  Monitoring
     stops at the first failing or vacuous verdict, which is then the last
-    one returned.  This is the one-plane view of the frame-major driver that
-    the rigidity audit runs for all its planes at once.
-    """
-    return _monitor(traj, [plane], [t_start], [stride], [{}])[0]
-
-
-def _monitor(
-    traj: Trajectory,
-    planes: list[Hyperplane],
-    t_starts: list[float],
-    strides: list[int],
-    seen: list[dict[int, ReflectionVerdict]],
-) -> list[list[tuple[float, ReflectionVerdict]]]:
-    """``monitor_reflection`` of every plane, walking the frames in order.
-
-    Each frame's active planes share one ``_verdicts`` call.  ``seen[i]``
-    maps frame indices to verdicts already known for plane i; they are
-    reused, and every new verdict is added.
+    one returned.  This is the frame walk of the rigidity audit for one
+    plane, whose one probe is the starting frame.
     """
     times = traj.times()
-    schedules = []
-    for t_start, stride in zip(t_starts, strides):
-        frames = np.flatnonzero(times >= t_start - 1e-12).tolist()
-        if not frames:
-            raise StartNotStrict(f"trajectory has no frames at or after t = {t_start}")
-        picked = frames[::max(1, stride)]
-        if times[picked[-1]] != times[frames[-1]]:
-            picked.append(frames[-1])
-        schedules.append(picked)
+    frames = np.flatnonzero(times >= t_start - 1e-12)
+    if not frames.size:
+        raise StartNotStrict(f"trajectory has no frames at or after t = {t_start}")
+    f = int(frames[0])
+    [([start], run)] = _walk(traj, [plane], [[f]], lambda _: max(1, stride))
+    if not run:
+        raise StartNotStrict(f"verdict at t = {traj.frames[f][0]} is {start.status.value}, not strict")
+    return run
 
-    out: list[list[tuple[float, ReflectionVerdict]]] = [[] for _ in planes]
-    active = list(range(len(planes)))
-    while active:
-        f = min(schedules[i][len(out[i])] for i in active)
-        due = [i for i in active if schedules[i][len(out[i])] == f]
+
+def _walk(
+    traj: Trajectory, planes: list[Hyperplane], probes: list[list[int]], stride: Callable[[int], int]
+) -> list[tuple[list[ReflectionVerdict], list[tuple[float, ReflectionVerdict]]]]:
+    """Verdicts of each plane at its probe frames and along its monitoring run.
+
+    ``probes[i]`` lists plane i's probe frames in ascending order; every
+    probe is checked.  The first strict probe, at frame f, starts the
+    plane's monitoring: the frames from f on at the stride ``stride(f)``,
+    plus the last frame, up to the first failing or vacuous verdict.  The
+    walk visits the frames in ascending order and the planes due at a frame
+    share one ``_verdicts`` call, so each (plane, frame) pair is checked at
+    most once and each frame builds its distance tables once.
+
+    Returns, per plane, the verdicts of its probes in probe order and its
+    monitoring run as (time, verdict) pairs, empty when no probe is strict.
+    """
+    last = len(traj.frames) - 1
+    probed: list[list[ReflectionVerdict]] = [[] for _ in planes]
+    runs: list[list[tuple[float, ReflectionVerdict]]] = [[] for _ in planes]
+    watch: list[list[int]] = [[] for _ in planes]  # monitoring frames still to visit, descending
+
+    def due(i: int) -> int | None:
+        k = len(probed[i])
+        return min(probes[i][k:k + 1] + watch[i][-1:], default=None)
+
+    nexts = [due(i) for i in range(len(planes))]
+    while any(g is not None for g in nexts):
+        f = min(g for g in nexts if g is not None)
+        at = [i for i, g in enumerate(nexts) if g == f]
         t = traj.frames[f][0]
-        for i, verdict in zip(due, _frame_verdicts(traj, f, [planes[i] for i in due], [seen[i] for i in due])):
-            if not out[i] and verdict.status is not ReflectionStatus.STRICT:
-                raise StartNotStrict(f"verdict at t = {t} is {verdict.status.value}, not strict")
-            out[i].append((t, verdict))
-            stopped = verdict.status in (ReflectionStatus.FAILS, ReflectionStatus.VACUOUS)
-            if stopped or len(out[i]) == len(schedules[i]):
-                active.remove(i)
-    return out
-
-
-def _frame_verdicts(
-    traj: Trajectory, f: int, planes: list[Hyperplane], seen: list[dict[int, ReflectionVerdict]]
-) -> list[ReflectionVerdict]:
-    """Verdicts of frame f at each plane; ``seen`` caches them per plane."""
-    todo = [i for i, known in enumerate(seen) if f not in known]
-    for i, verdict in zip(todo, _verdicts(traj.frames[f][1], [planes[i] for i in todo])):
-        seen[i][f] = verdict
-    return [known[f] for known in seen]
+        for i, verdict in zip(at, _verdicts(traj.frames[f][1], [planes[i] for i in at])):
+            if watch[i] and watch[i][-1] == f:
+                watch[i].pop()
+                runs[i].append((t, verdict))
+                if verdict.status in (ReflectionStatus.FAILS, ReflectionStatus.VACUOUS):
+                    watch[i].clear()
+            while len(probed[i]) < len(probes[i]) and probes[i][len(probed[i])] == f:
+                probed[i].append(verdict)
+                if not runs[i] and verdict.status is ReflectionStatus.STRICT:
+                    runs[i].append((t, verdict))
+                    picked = list(range(f, last + 1, stride(f)))
+                    if picked[-1] != last:
+                        picked.append(last)
+                    watch[i] = picked[:0:-1]
+            nexts[i] = due(i)
+    return list(zip(probed, runs))
 
 
 @dataclass(frozen=True)

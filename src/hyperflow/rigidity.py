@@ -10,11 +10,13 @@ solution emerging from a point passes; an injected non-round family fails
 the sphericity stage, and the flow-law residual is reported as the
 explanation.  The residual is reported, not gated.
 
-The touch times of all directions read one support table, built in one pass
-over the frames.  The post-touch stage runs frame-major: it walks the frames
-in time order and judges every plane that probes or monitors a frame with
-one batched reflection kernel call, so each frame builds its distance tables
-once.
+Every touch time is the solve of ``first_touch_time`` on one support table
+of all directions, built in one pass over the frames.  The post-touch stage
+is one walk over the frames in time order, the one ``monitor_reflection``
+runs for a single plane: the probes and the monitoring of every plane share
+it, the planes due at a frame share one batched reflection kernel call, and
+no plane is judged twice at a frame, so each frame builds its distance
+tables once.
 
 The sphericity bound is the moving-plane lemma (Chow & Gulliver,
 "Aleksandrov reflection and geometric evolution of hypersurfaces", 2001):
@@ -31,18 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CenterOutside,
-    EmptyTrajectory,
-    HyperflowError,
-    NeverTouches,
-    NoFramesPastTouch,
-    PreconditionFailed,
-)
+from .errors import CenterOutside, EmptyTrajectory, HyperflowError, PreconditionFailed
 from .flow_engine import FlowResidual, Trajectory, _heights, flow_residual
 from .geometry import fibonacci_sphere_directions, uniform_circle_directions
 from .hypersurface import inner_outer_radii
-from .reflection import Hyperplane, ReflectionStatus, _frame_verdicts, _monitor, _touch_time, symmetry_certificate
+from .reflection import Hyperplane, ReflectionStatus, _touch_time, _walk, symmetry_certificate
 from .speeds import SpeedFunction
 
 # Reflection is checked at tau + {1, 2, 4} spacings of the frame bracket that
@@ -170,20 +165,11 @@ def tau_limit_check(traj: Trajectory, direction, c_schedule) -> TauLimitReport:
     strictly toward the initial time as the plane offset shrinks.
     """
     direction = np.asarray(direction, dtype=float)
-    return _tau_limit(traj, direction, traj.support_series(Hyperplane(V=direction, c=0.0).V), c_schedule)
-
-
-def _tau_limit(traj: Trajectory, direction: np.ndarray, supports: np.ndarray, c_schedule) -> TauLimitReport:
-    """``tau_limit_check`` given the support series along ``direction`` made unit."""
+    supports = traj.support_series(Hyperplane(V=direction, c=0.0).V)
     cs = [float(c) for c in c_schedule]
     if any(b >= a for a, b in zip(cs, cs[1:])):
         raise ValueError("c_schedule must be strictly decreasing")
-    taus: list[float | None] = []
-    for c in cs:
-        try:
-            taus.append(_touch_time(traj, supports, Hyperplane(V=direction, c=c)))
-        except NeverTouches:
-            taus.append(None)
+    taus = [_touch_time(traj, supports, Hyperplane(V=direction, c=c)) for c in cs]
     got = [t for t in taus if t is not None]
     decreasing = all(b < a for a, b in zip(got, got[1:]))
     return TauLimitReport(
@@ -269,17 +255,15 @@ def rigidity_audit(
     rows = np.array([Hyperplane(V=V, c=0.0).V for V in dirs]).reshape(dirs.shape)
     supports = traj.support_series(rows)
     for V, column in zip(dirs, supports.T):
-        offsets = [c + float(_heights(y_inf, V)) for c in cs]
-        taus = _tau_limit(traj, V, column, offsets).taus
-        for c, offset, tau in zip(cs, offsets, taus):
+        for c in cs:
+            plane = Hyperplane(V=V, c=c + float(_heights(y_inf, V)))
+            tau = _touch_time(traj, column, plane)
             if tau is None:
                 tau_table.append({"direction": V.tolist(), "c": c, "tau": "never_touches"})
                 reflection_ok = False
                 continue
             tau_table.append({"direction": V.tolist(), "c": c, "tau": tau})
-            if not np.any(times >= tau - 1e-12):
-                raise NoFramesPastTouch(f"no frames at or after tau = {tau}")
-            touched.append((Hyperplane(V=V, c=offset), V.tolist(), c, tau))
+            touched.append((plane, V.tolist(), c, tau))
     post_verdicts = _post_touch_stage(traj, times, touched)
     reflection_ok = reflection_ok and all(row["passed"] for row in post_verdicts)
 
@@ -318,59 +302,41 @@ def _post_touch_stage(
     times: np.ndarray,
     touched: list[tuple[Hyperplane, list, float, float]],
 ) -> list[dict]:
-    """Post-touch rows of the touched planes, checked frame by frame.
+    """Post-touch rows of the touched planes, from one walk over the frames.
 
     Each plane is probed at the frames nearest tau + POST_TOUCH_OFFSETS
     spacings of the frame bracket that holds tau, keeping those that are not
-    before tau, so a grid whose spacing varies still probes past tau; its
-    first strict probe starts
-    its monitoring at a stride that samples about 32 frames.  Planes that
-    probe or monitor the same frame share one verdict kernel call there, and
-    the probe verdicts are reused by the monitoring.
+    before tau, so a grid whose spacing varies still probes past tau.  Its
+    first strict probe starts its monitoring, at a stride that samples about
+    32 of the frames from there on.  ``reflection._walk`` runs the probes
+    and the monitoring of every plane together: the planes due at a frame
+    share one verdict kernel call there.
     """
-    planes = [plane for plane, _, _, _ in touched]
-    seen: list[dict] = [{} for _ in planes]  # frame index -> verdict, per plane
     probes = []
-    by_frame: dict[int, list[int]] = {}
-    for i, (_, _, _, tau) in enumerate(touched):
+    for _, _, _, tau in touched:
         j = int(np.clip(np.searchsorted(times, tau), 1, times.shape[0] - 1))
         steps = np.array(POST_TOUCH_OFFSETS) * (times[j] - times[j - 1])
         nearest = np.abs(times[None, :] - (tau + steps)[:, None]).argmin(axis=1).tolist()
         probes.append([f for f in nearest if times[f] >= tau])
-        for f in dict.fromkeys(probes[-1]):
-            by_frame.setdefault(f, []).append(i)
-    for f in sorted(by_frame):
-        due = by_frame[f]
-        _frame_verdicts(traj, f, [planes[i] for i in due], [seen[i] for i in due])
+    walked = _walk(traj, [plane for plane, _, _, _ in touched], probes,
+                   lambda f: max(1, (times.shape[0] - f) // 32))
 
     rows = []
-    monitored, starts, strides = [], [], []
-    for i, (_, _, _, tau) in enumerate(touched):
+    for (_, direction, c, tau), probe_frames, (probed, run) in zip(touched, probes, walked):
         row = {
             "tau": tau,
-            "probes": [{"t": traj.frames[f][0], "status": seen[i][f].status.value} for f in probes[i]],
+            "probes": [{"t": traj.frames[f][0], "status": v.status.value} for f, v in zip(probe_frames, probed)],
         }
-        strict = [f for f in probes[i] if seen[i][f].status is ReflectionStatus.STRICT]
-        if strict:
-            start_t = traj.frames[strict[0]][0]
-            monitored.append(i)
-            starts.append(start_t)
-            strides.append(max(1, int(np.count_nonzero(times >= start_t - 1e-12)) // 32))
+        if run:
+            t, last = run[-1]
+            fail_at = None
+            if last.status in (ReflectionStatus.FAILS, ReflectionStatus.VACUOUS):
+                fail_at = {"t": t, "status": last.status.value, "inclusion_margin": last.inclusion_margin}
+            row.update(strict_from=run[0][0], monitored_frames=len(run), passed=fail_at is None, failure=fail_at)
         else:
             row.update(passed=False, failure="no strict verdict just above the touch time")
-        rows.append(row)
-
-    runs = _monitor(traj, [planes[i] for i in monitored], starts, strides, [seen[i] for i in monitored])
-    for i, start_t, verdicts in zip(monitored, starts, runs):
-        t, last = verdicts[-1]
-        fail_at = None
-        if last.status in (ReflectionStatus.FAILS, ReflectionStatus.VACUOUS):
-            fail_at = {"t": t, "status": last.status.value, "inclusion_margin": last.inclusion_margin}
-        rows[i].update(
-            strict_from=start_t, monitored_frames=len(verdicts), passed=fail_at is None, failure=fail_at
-        )
-    for row, (_, direction, c, _) in zip(rows, touched):
         row.update(direction=direction, c=c)
+        rows.append(row)
     return rows
 
 

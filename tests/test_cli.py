@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -510,6 +513,22 @@ def test_bad_input_is_a_one_line_config_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert named in err
+    assert not out.exists()
+
+
+def test_a_plane_too_far_to_measure_is_one_stderr_line(tmp_path):
+    # the images' heights, norms and squared distances overflow to inf on the
+    # way to the error; no RuntimeWarning may reach stderr before it
+    src = str(Path(shapes.__file__).resolve().parents[1])
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); from hyperflow.cli import entrypoint; entrypoint()",
+         "reflect-audit", "--out", str(out), "--set", "shape=ellipse", "--set", "axes=2,1",
+         "--set", "resolution=64", "--set", "plane_offsets=-1e160"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr.startswith("config error: query point too far out") and done.stderr.count("\n") == 1
     assert not out.exists()
 
 

@@ -403,7 +403,7 @@ def test_a_far_plane_fails(c):
 
 def test_a_plane_too_far_to_measure_is_a_value_error():
     # the images' squared distances to the surface overflow
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+    with pytest.raises(ValueError, match="overflows"):
         strict_reflection_check(shapes.ellipse_polygon(2.0, 1.0, 64), plane([1.0, 0.0], -1e160))
 
 
@@ -458,8 +458,9 @@ def test_first_touch_matches_logarithm():
 
 def test_first_touch_never_touches():
     fam = families.exponential_sphere_family(-2.0, 0.0, 0.05, n=1, resolution=64)
-    with pytest.raises(NeverTouches):
+    with pytest.raises(NeverTouches, match=r"^support never reaches c = 1.5 \(max 1\)$"):
         first_touch_time(fam, plane([1, 0], 1.5))
+    assert _touch_time(fam, fam.support_series(np.array([1.0, 0.0])), plane([1, 0], 1.5)) is None
 
 
 def test_first_touch_clamps_to_start_for_tiny_offsets():
@@ -551,9 +552,9 @@ def test_monitor_ellipse_under_flow_stays_strict(ellipse_2_1):
 
 def test_monitor_requires_strict_start(unit_circle_256):
     fam = families.exponential_sphere_family(-1.0, 0.0, 0.05, n=1, resolution=64)
-    with pytest.raises(StartNotStrict):
+    with pytest.raises(StartNotStrict, match=r"^verdict at t = -1.0 is nonstrict, not strict$"):
         monitor_reflection(fam, plane([1, 0], 0.0), t_start=-1.0)  # symmetry plane
-    with pytest.raises(StartNotStrict):
+    with pytest.raises(StartNotStrict, match=r"^trajectory has no frames at or after t = 5.0$"):
         monitor_reflection(fam, plane([1, 0], 0.5), t_start=5.0)  # past the end
 
 

@@ -510,6 +510,32 @@ def test_post_touch_stage_matches_per_plane_oracle_on_coarse_icosphere():
     assert any(row["failure"] and row["failure"]["status"] == "fails" for row in rows)
 
 
+@pytest.mark.parametrize("case", ["criterion 7", "criterion 8", "coarse icosphere"])
+def test_the_audit_makes_one_verdict_call_per_frame(criterion_7_fam, ellipse_fam, case, monkeypatch):
+    # probes and monitoring share one walk over the frames: the planes due at
+    # a frame share one call, and no plane is judged twice at a frame
+    F, y, cs = F_K, np.zeros(2), C_SCHEDULE_7
+    if case == "criterion 7":
+        traj, directions = criterion_7_fam, _benchmark_directions(0)
+    elif case == "criterion 8":
+        traj, directions = ellipse_fam, 16
+    else:
+        traj = families.sphere_family(-4.0 + 0.05 * np.arange(81), math.exp, n=2, resolution=2)
+        F, y, directions, cs = speed_by_name("H", 2), np.zeros(3), 6, (0.4, 0.2, 0.1)
+    calls = []
+    verdicts = reflection._verdicts
+
+    def logged(M, planes, tol=None):
+        calls.append([(id(M), plane.V.tobytes(), plane.c) for plane in planes])
+        return verdicts(M, planes, tol)
+
+    monkeypatch.setattr(reflection, "_verdicts", logged)
+    rigidity_audit(traj, F, y, directions=directions, c_schedule=cs)
+    checks = [check for call in calls for check in call]
+    assert len(calls) == len({call[0][0] for call in calls})
+    assert len(checks) == len(set(checks))
+
+
 # ---------------------------------------------------------------------------
 # ancient flows
 
