@@ -27,7 +27,6 @@ from .reflection import (
     ReflectionVerdict,
     SymmetryOutcome,
     first_touch_time,
-    monitor_reflection,
     strict_reflection_check,
     symmetry_certificate,
 )
@@ -36,7 +35,6 @@ from .rigidity import (
     RigidityAuditReport,
     comes_out_of_point,
     rigidity_audit,
-    tau_limit_check,
 )
 from .speeds import (
     Cone,

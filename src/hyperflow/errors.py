@@ -45,10 +45,6 @@ class InsufficientFrames(HyperflowError):
     pass
 
 
-class StartNotStrict(HyperflowError):
-    """Reflection monitoring requires a strict verdict at its start time."""
-
-
 class NeverTouches(HyperflowError):
     """The trajectory never reaches the given plane."""
 

@@ -29,9 +29,9 @@ own reach.  When that ball fits in the neighbourhood its elements are the
 candidates; a wider ball takes the occupied cells it meets, so the work of
 a point follows its ball, not the whole surface.  The points go in blocks
 sized so that a block holds a bounded number of pairs, whatever the
-geometry.  Containment codes, signed distances and the centre search share
-one inside rule: the sign of the angle-weighted pseudonormal of the closest
-feature, with winding numbers only as the tie-break within the boundary band.
+geometry.  Containment codes and signed distances share one inside rule:
+the sign of the angle-weighted pseudonormal of the closest feature, with
+winding numbers only as the tie-break within the boundary band.
 
 The blocked fit and the face-kernel memo keep a mesh stage's transient
 arrays small.  A flow runs hundreds of stages, and glibc hands freed heap
@@ -618,7 +618,7 @@ def _mesh_curvatures(verts: np.ndarray, topo: _MeshTopology, tri: _Triangles) ->
 
 
 class _Grid:
-    """Sites in space (element centroids or vertices) binned into a uniform grid of cells.
+    """Sites in space, the element centroids of ``_elements``, binned into a uniform grid of cells.
 
     The cells are cubes of edge ``side`` from ``origin``, one empty layer of
     them padding the sites on every side, and linear keys number them in C
@@ -742,12 +742,6 @@ class _Grid:
         for rows in itertools.starmap(slice, itertools.pairwise(bounds)):
             col = np.nonzero(hit[rows])[1]
             yield rows, _runs(first[col], sizes[col]), per[rows]
-
-    def nearest(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each point's nearest site: the squared distance and, of the nearest, the last in cell order."""
-        clear, pos, per, d2 = self.neighbourhood(points)
-        low, site = _segment_min(d2, pos, per)
-        return self.settle(points, low, site, np.flatnonzero(~(low <= clear * clear)))
 
     def settle(self, points, low, site, far) -> tuple[np.ndarray, np.ndarray]:
         """Make the nearest sites so far, ``low`` and ``site``, exact at the points ``far``.
@@ -1007,63 +1001,18 @@ def enclosed_volume(M: DiscreteHypersurface) -> float:
 # Inradius and circumradius
 
 
-def chebyshev_center(M: DiscreteHypersurface) -> np.ndarray:
-    """Interior point (approximately) maximising distance to the surface.
-
-    Axis-aligned grid search over the bounding box, refined once around the
-    best cell.  Adequate for diagnostics; not a convex-programming solve.
-    On meshes the grid (plus the vertex centroid) is measured in descending
-    order of the distance to the nearest vertex, ``max(256, res)`` points at
-    a time.  A point's vertex distance bounds its depth from above, since
-    the vertices lie on M, so the search stops once the deepest point so far
-    is inside and at least as deep as the next point's bound: every point
-    left unmeasured is no deeper.  The vertex distances come from a cell
-    grid over the vertices (``_Grid.nearest``), in blocks that bound its
-    point-cell tables, and have the bits of a kd-tree query: the square root
-    of the squared differences summed in axis order, so ties order alike.
-    """
-    dim = M.dimension + 1
-    resolution = 129 if dim == 2 else 33
-    lo = M.vertices.min(axis=0)
-    hi = M.vertices.max(axis=0)
-    if dim == 3:
-        vertex_grid = _Grid(M.vertices, 0.0)
-        step = max(1, _QUERY_PAIRS // M.num_vertices)
-
-    def search(lo_, hi_, res):
-        axes = [np.linspace(lo_[i], hi_[i], res) for i in range(dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.column_stack([m.ravel() for m in mesh])
-        if dim == 2:
-            d = signed_interior_distance(M, pts)
-        else:
-            pts = np.vstack([pts, M.vertices.mean(axis=0)[None, :]])
-            proxy = np.sqrt(np.concatenate([vertex_grid.nearest(pts[s : s + step])[0]
-                                            for s in range(0, pts.shape[0], step)]))
-            order = np.argsort(proxy)[::-1]
-            pts, bound = pts[order], np.append(proxy[order], -np.inf)
-            block = max(256, res)
-            d = np.empty(0)
-            for s in range(0, pts.shape[0], block):
-                d = np.concatenate([d, signed_interior_distance(M, pts[s : s + block])])
-                if d.max() > 0.0 and d.max() >= bound[min(s + block, pts.shape[0])]:
-                    break
-        j = int(np.argmax(d))
-        return pts[j] if d[j] > 0.0 else None
-
-    best = search(lo, hi, resolution)
-    if best is None:
-        raise MeshDegeneracy("no interior grid point found")
-    cell = (hi - lo) / (resolution - 1)
-    refined = search(best - cell, best + cell, 17)
-    return refined if refined is not None else best
+def _point(name: str, value, M: DiscreteHypersurface) -> np.ndarray:
+    """``value`` as a point of the space that M lies in, or ValueError naming ``name``."""
+    point = np.asarray(value, dtype=float)
+    n = M.dimension + 1
+    if point.shape != (n,) or not np.all(np.isfinite(point)):
+        raise ValueError(f"{name} must be a finite point with {n} components, got {point.tolist()}")
+    return point
 
 
-def inner_outer_radii(M: DiscreteHypersurface, center=None) -> RadiiReport:
-    """Inradius and circumradius about a center (searched when omitted)."""
-    if center is None:
-        center = chebyshev_center(M)
-    center = np.asarray(center, dtype=float)
+def inner_outer_radii(M: DiscreteHypersurface, center) -> RadiiReport:
+    """Inradius and circumradius about a center, which must lie inside M."""
+    center = _point("center", center, M)
     dist, code = _distances_and_codes(M, center[None, :])
     if code[0] != INSIDE_CODE:
         raise CenterOutside(f"center {center.tolist()} is not inside the surface")

@@ -18,13 +18,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NeverTouches, StartNotStrict
+from .errors import NeverTouches
 from .flow_engine import Trajectory, _heights
 from .hypersurface import (
     BOUNDARY_TOL_FACTOR,
     Containment,
     DiscreteHypersurface,
     _elements,
+    _point,
     _pseudonormal_inside,
     contains_point,
     signed_interior_distance,
@@ -332,28 +333,6 @@ def _touch_time(traj: Trajectory, supports: np.ndarray, plane: Hyperplane) -> fl
     return ta + (tb - ta) * float(np.min((c - a[rising]) / d[rising]))
 
 
-def monitor_reflection(
-    traj: Trajectory, plane: Hyperplane, t_start: float, stride: int = 1
-) -> list[tuple[float, ReflectionVerdict]]:
-    """Reflection verdicts along the trajectory from t_start to the end.
-
-    Requires a strict verdict at the starting frame; sampled frames follow
-    at the given stride (the final frame is always included).  Monitoring
-    stops at the first failing or vacuous verdict, which is then the last
-    one returned.  This is the frame walk of the rigidity audit for one
-    plane, whose one probe is the starting frame.
-    """
-    times = traj.times()
-    frames = np.flatnonzero(times >= t_start - 1e-12)
-    if not frames.size:
-        raise StartNotStrict(f"trajectory has no frames at or after t = {t_start}")
-    f = int(frames[0])
-    [([start], run)] = _walk(traj, [plane], [[f]], lambda _: max(1, stride))
-    if not run:
-        raise StartNotStrict(f"verdict at t = {traj.frames[f][0]} is {start.status.value}, not strict")
-    return run
-
-
 def _walk(
     traj: Trajectory, planes: list[Hyperplane], probes: list[list[int]], stride: Callable[[int], int]
 ) -> list[tuple[list[ReflectionVerdict], list[tuple[float, ReflectionVerdict]]]]:
@@ -436,7 +415,7 @@ def symmetry_certificate(M: DiscreteHypersurface, center, tol: float) -> Symmetr
     """
     if not 0.0 < tol < math.inf:  # written so that NaN fails
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    center = np.asarray(center, dtype=float)
+    center = _point("center", center, M)
     inside = contains_point(M, center) is Containment.INSIDE
     radii = np.linalg.norm(M.vertices - center, axis=1)
     spread = float(radii.max() - radii.min())

@@ -1,4 +1,4 @@
-"""Composite audits: point origins, first-touch limits and reflection rigidity.
+"""Composite audits: point origins and reflection rigidity.
 
 The central audit takes a trajectory claimed to emerge from a single point
 and exercises the uniqueness mechanism end to end: an inscribed radius at
@@ -12,11 +12,10 @@ explanation.  The residual is reported, not gated.
 
 Every touch time is the solve of ``first_touch_time`` on one support table
 of all directions, built in one pass over the frames.  The post-touch stage
-is one walk over the frames in time order, the one ``monitor_reflection``
-runs for a single plane: the probes and the monitoring of every plane share
-it, the planes due at a frame share one batched reflection kernel call, and
-no plane is judged twice at a frame, so each frame builds its distance
-tables once.
+is one walk over the frames in time order, ``reflection._walk``: the probes
+and the monitoring of every plane share it, the planes due at a frame share
+one batched reflection kernel call, and no plane is judged twice at a frame,
+so each frame builds its distance tables once.
 
 The sphericity bound is the moving-plane lemma (Chow & Gulliver,
 "Aleksandrov reflection and geometric evolution of hypersurfaces", 2001):
@@ -36,7 +35,7 @@ import numpy as np
 from .errors import CenterOutside, EmptyTrajectory, HyperflowError, PreconditionFailed
 from .flow_engine import FlowResidual, Trajectory, _heights, flow_residual
 from .geometry import fibonacci_sphere_directions, uniform_circle_directions
-from .hypersurface import inner_outer_radii
+from .hypersurface import _point, inner_outer_radii
 from .reflection import Hyperplane, ReflectionStatus, _touch_time, _walk, symmetry_certificate
 from .speeds import SpeedFunction
 
@@ -79,10 +78,7 @@ def comes_out_of_point(traj: Trajectory, y_inf, radii) -> PointOriginReport:
     """Check that the trajectory fits in every ball B_r(y_inf) near its start."""
     if not traj.frames:
         raise EmptyTrajectory("trajectory has no frames")
-    y_inf = np.asarray(y_inf, dtype=float)
-    n = traj.frames[0][1].dimension + 1
-    if y_inf.shape != (n,) or not np.all(np.isfinite(y_inf)):
-        raise ValueError(f"y_inf must be a finite point with {n} components, got {y_inf.tolist()}")
+    y_inf = _point("y_inf", y_inf, traj.frames[0][1])
     radii = _radii(radii)
 
     reach = np.array(
@@ -137,48 +133,6 @@ def _direction_set(dimension: int, directions: int | np.ndarray) -> np.ndarray:
     if np.any(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) > 1e-9):
         raise ValueError("directions must be unit vectors")
     return dirs
-
-
-@dataclass(frozen=True)
-class TauLimitReport:
-    direction: np.ndarray
-    offsets: tuple[float, ...]
-    taus: tuple[float | None, ...]
-    strictly_decreasing: bool
-    passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "direction": self.direction.tolist(),
-            "offsets": list(self.offsets),
-            "taus": [t if t is not None else "never_touches" for t in self.taus],
-            "strictly_decreasing": self.strictly_decreasing,
-            "passed": self.passed,
-        }
-
-
-def tau_limit_check(traj: Trajectory, direction, c_schedule) -> TauLimitReport:
-    """First-touch times along a decreasing offset schedule for one direction.
-
-    On a trajectory emerging from a point the touch times must decrease
-    strictly toward the initial time as the plane offset shrinks.
-    """
-    direction = np.asarray(direction, dtype=float)
-    supports = traj.support_series(Hyperplane(V=direction, c=0.0).V)
-    cs = [float(c) for c in c_schedule]
-    if any(b >= a for a, b in zip(cs, cs[1:])):
-        raise ValueError("c_schedule must be strictly decreasing")
-    taus = [_touch_time(traj, supports, Hyperplane(V=direction, c=c)) for c in cs]
-    got = [t for t in taus if t is not None]
-    decreasing = all(b < a for a, b in zip(got, got[1:]))
-    return TauLimitReport(
-        direction=direction,
-        offsets=tuple(cs),
-        taus=tuple(taus),
-        strictly_decreasing=decreasing,
-        passed=decreasing and len(got) == len(cs),
-    )
 
 
 @dataclass(frozen=True)

@@ -112,26 +112,3 @@ def ellipsoid_mesh(a: float, b: float, c: float, subdivisions: int = 3, center=(
     sphere = icosphere(1.0, subdivisions)
     verts = sphere.vertices * np.array([a, b, c], dtype=float) + np.asarray(center, dtype=float)
     return DiscreteHypersurface(verts, sphere.faces)
-
-
-def noisy_sphere(radius: float = 1.0, amplitude: float = 0.01, subdivisions: int = 3, seed: int = 0) -> DiscreteHypersurface:
-    """Sphere with seeded uniform radial noise, for negative-control tests."""
-    sphere = icosphere(1.0, subdivisions)
-    rng = np.random.default_rng(seed)
-    r = radius * (1.0 + amplitude * rng.uniform(-1.0, 1.0, size=sphere.num_vertices))
-    return DiscreteHypersurface(sphere.vertices * r[:, None], sphere.faces)
-
-
-def noisy_circle(radius: float = 1.0, amplitude: float = 0.01, count: int = 256, seed: int = 0) -> DiscreteHypersurface:
-    theta = 2.0 * np.pi * np.arange(count) / count
-    rng = np.random.default_rng(seed)
-    r = radius * (1.0 + amplitude * rng.uniform(-1.0, 1.0, size=count))
-    return DiscreteHypersurface(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
-
-
-def peanut_polygon(count: int = 128) -> DiscreteHypersurface:
-    """Non-convex dumbbell; its waist has negative curvature."""
-    theta = 2.0 * np.pi * np.arange(count) / count
-    r = 1.0 + 0.6 * np.cos(2.0 * theta)
-    verts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-    return DiscreteHypersurface(verts)

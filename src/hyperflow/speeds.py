@@ -254,19 +254,6 @@ def speed_by_name(name: str, n: int, alpha: float | None = None) -> SpeedFunctio
     return F
 
 
-def catalog(n: int) -> list[SpeedFunction]:
-    """The built-in speeds at a given arity (used by property suites)."""
-    speeds = [
-        mean_curvature(n),
-        mean_curvature_power(n, 0.5),
-        mean_curvature_power(n, 2.0),
-        curvature_product(n),
-    ]
-    if n == 2:
-        speeds.append(sqrt_second_symmetric(2))
-    return speeds
-
-
 # ---------------------------------------------------------------------------
 # Sampling and admissibility
 

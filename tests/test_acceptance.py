@@ -28,6 +28,7 @@ from hyperflow.rigidity import comes_out_of_point, rigidity_audit
 from hyperflow import families, shapes
 from hyperflow.sphere_ode import initial_time_estimate, is_ancient
 from hyperflow.speeds import mean_curvature, mean_curvature_power
+import oracles
 
 
 def _report(number, text):
@@ -120,7 +121,7 @@ def test_criterion_6_roundness_improvement(ellipse_flow):
     ratios = []
     for t in (0.0, 0.5, 1.0):
         M = ellipse_flow.frames[int(np.argmin(np.abs(ellipse_flow.times() - t)))][1]
-        ratios.append(inner_outer_radii(M).ratio)
+        ratios.append(inner_outer_radii(M, center=oracles.chebyshev_center(M)).ratio)
     assert ratios[0] - ratios[1] > 1e-3
     assert ratios[1] - ratios[2] > 1e-3
     _report(6, f"outer/inner radius ratio fell {ratios[0]:.4f} -> {ratios[1]:.4f} -> {ratios[2]:.4f}")

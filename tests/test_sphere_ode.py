@@ -9,7 +9,8 @@ import pytest
 import hyperflow
 
 from hyperflow.errors import ConeExit, IndeterminateDivergence
-from hyperflow.speeds import Cone, SpeedFunction, catalog, mean_curvature, mean_curvature_power
+from hyperflow.speeds import Cone, SpeedFunction, mean_curvature, mean_curvature_power
+from oracles import catalog
 from hyperflow.sphere_ode import (
     _shell_integrals,
     initial_time_estimate,
