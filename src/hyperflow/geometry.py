@@ -12,12 +12,14 @@ of query points against every element, with points per block chosen so
 that a block holds about ``_PAIRS`` point-element pairs: their temporaries
 stay a few megabytes whatever the element count.
 
-The paired segment and triangle kernels work one component at a time: they
-take the views ``x[..., i]`` and form every dot product, clip, ``where`` and
-length on (...)-shaped arrays, never looping over a length-3 axis.  Dot
-products sum in the order of ``np.einsum`` and lengths in that of
-``np.linalg.norm``, so every result has the bits of the row-form kernels
-kept as oracles in the tests.  Only the closest-point forms label features.
+The paired segment and triangle kernels and the 3D winding number work one
+component at a time: they take the views ``x[..., i]`` and form every dot
+product, cross product, clip, ``where`` and length on (...)-shaped arrays,
+never looping over a length-3 axis.  Dot products sum in the order of
+``np.einsum``, cross products as ``np.cross`` forms them and lengths in the
+order of ``np.linalg.norm``, so every result has the bits of the row-form
+kernels kept as oracles in the tests.  Only the closest-point forms label
+features.
 """
 
 from __future__ import annotations
@@ -56,31 +58,30 @@ def winding_number_3d(vertices: np.ndarray, faces: np.ndarray, points: np.ndarra
     """Generalised winding number: summed signed solid angle over 4*pi.
 
     Close to 1 inside a consistently oriented closed surface and close to 0
-    outside (van Oosterom-Strackee per-triangle solid angles).
+    outside (van Oosterom-Strackee per-triangle solid angles).  The corners
+    relative to a block of points, their lengths, dot products and the cross
+    product b x c are taken one component at a time on (points, faces)
+    arrays, with the bits of the row form kept as the oracle in the tests.
     """
     points = np.atleast_2d(points)
-    ta = vertices[faces[:, 0]]
-    tb = vertices[faces[:, 1]]
-    tc = vertices[faces[:, 2]]
+    corners = [[vertices[faces[:, j], i] for i in range(3)] for j in range(3)]
     out = np.empty(points.shape[0], dtype=float)
     step = _block(faces.shape[0])
     for s in range(0, points.shape[0], step):
-        p = points[s : s + step]
-        a = ta[None, :, :] - p[:, None, :]
-        b = tb[None, :, :] - p[:, None, :]
-        c = tc[None, :, :] - p[:, None, :]
-        la = np.linalg.norm(a, axis=2)
-        lb = np.linalg.norm(b, axis=2)
-        lc = np.linalg.norm(c, axis=2)
-        num = np.einsum("qij,qij->qi", a, np.cross(b, c))
-        den = (
-            la * lb * lc
-            + np.einsum("qij,qij->qi", a, b) * lc
-            + np.einsum("qij,qij->qi", b, c) * la
-            + np.einsum("qij,qij->qi", c, a) * lb
-        )
-        omega = 2.0 * np.arctan2(num, den)
-        out[s : s + step] = np.sum(omega, axis=1) / (4.0 * np.pi)
+        p = [x[:, None] for x in points[s : s + step].T]
+        a, b, c = ([ti[None, :] - pi for ti, pi in zip(t, p)] for t in corners)
+        la, lb, lc = _length(a), _length(b), _length(c)
+        den = la * lb * lc
+        den += _dot(a, b) * lc
+        den += _dot(b, c) * la
+        den += _dot(c, a) * lb
+        # a . (b x c), the components of b x c as np.cross forms them, summed in _dot's order
+        num = a[0] * (b[1] * c[2] - b[2] * c[1])
+        num += a[2] * (b[0] * c[1] - b[1] * c[0])
+        num += a[1] * (b[2] * c[0] - b[0] * c[2])
+        num += 0.0  # einsum's sum starts at +0, so a zero triple product is +0: arctan2 reads its sign
+        # the solid angles are 2 arctan2(num, den); doubling after the sum is exact
+        out[s : s + step] = np.sum(np.arctan2(num, den, out=num), axis=1) * 2.0 / (4.0 * np.pi)
     return out
 
 

@@ -14,17 +14,21 @@ import enum
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
+from . import geometry
 from .errors import NeverTouches
 from .flow_engine import Trajectory, _heights
 from .hypersurface import (
     BOUNDARY_TOL_FACTOR,
     Containment,
     DiscreteHypersurface,
+    _curve_kernel,
     _elements,
+    _face_kernel,
+    _feature_normals,
     _point,
     _pseudonormal_inside,
     contains_point,
@@ -126,12 +130,15 @@ def _verdicts(
     vertices and the first vertex that attains it, so ``_least_depths``
     measures the vertices that can attain it and certifies the others deeper
     without measuring them; they read +inf.  U bounds each plane's least
-    depth from above at no cost: images inside the inscribed ball of M and
-    deeper than U by the ball's bound need no query.  That is almost every
+    depth from above at no cost, and two certificates show an image deeper
+    than U with no query.  The inscribed ball of M certifies almost every
     image of a near-round frame and fewer on an eccentric one: about a
     quarter on a 1.5 : 1 : 0.75 ellipsoid at planes parallel to its mirror
-    planes.  The reflected vertices of every plane share one ball test, and
-    the images the ball leaves share one ``signed_interior_distance`` call,
+    planes.  On a surface that passes the convexity test, the element planes
+    then certify every image the ball leaves that lies deeper than U, so
+    only about a fifth of that ellipsoid's images are measured.  The
+    reflected vertices of every plane share one ball test and one plane
+    test, and the images left share one ``signed_interior_distance`` call,
     which measures each point on its own.  On an embedded surface, the
     precondition of ``signed_interior_distance``, every verdict is bitwise
     the one that measuring every reflected vertex gives, and the one a call
@@ -214,12 +221,13 @@ def _plane_rows(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=1)
-def _inscribed_ball(M: DiscreteHypersurface) -> tuple[np.ndarray, float]:
-    """A ball inside M: the vertex centroid x0 and a radius, at most 0 when there is none.
+def _inscribed_ball(M: DiscreteHypersurface) -> tuple[np.ndarray, float, float, Callable[[], tuple | None]]:
+    """A ball inside M, the outer radius of M about its centre, and M's element planes on demand.
 
-    x0 at depth d0 > 0 clears M by d0, so the open ball B(x0, d0) lies
-    inside M and an image p there has depth at least d0 - |p - x0|.  The
-    radius is d0 less 1e-12 of the largest coordinate, which covers the
+    The ball is the vertex centroid x0 and a radius, at most 0 when there is
+    none.  x0 at depth d0 > 0 clears M by d0, so the open ball B(x0, d0)
+    lies inside M and an image p there has depth at least d0 - |p - x0|.
+    The radius is d0 less 1e-12 of the largest coordinate, which covers the
     rounding of the depths, the reflections, the heights and |p - x0| of
     points near M.  d0 and the side of x0 are those of ``classify_points``
     and ``signed_interior_distance``, but x0 is measured against every
@@ -227,20 +235,79 @@ def _inscribed_ball(M: DiscreteHypersurface) -> tuple[np.ndarray, float]:
     than the centroid-grid query up to several thousand elements (best of
     several on a 2-core x86 host): 0.09 against 0.36-0.40 ms on a 256-gon,
     0.5-0.8 against 0.9 ms at 1 280 triangles, 1.0 against 1.2-1.4 ms at
-    5 120, and 3.5-3.8 against 1.5-2.3 ms at 20 480.  Kept for the last
-    surface asked about, as ``_elements``: the planes checked at one frame
-    share it.
+    5 120, and 3.5-3.8 against 1.5-2.3 ms at 20 480.
+
+    The outer radius R is the largest distance from x0 to a vertex.  The
+    planes are those of ``_element_planes``, with the ball's slack in their
+    offsets, or None when M fails its convexity test: on a surface that is
+    not convex their bound is weak and costs more than it saves.  They are
+    formed at the first call of the returned function and kept with the
+    ball, since most frames of an audited round flow never need them.  All
+    of it is kept for the last surface asked about, as ``_elements``: the
+    planes checked at one frame share it.
     """
     x0 = M.vertices.mean(axis=0)
     el = _elements(M)
     dist = el.distance(np.broadcast_to(x0, el.corners[0].shape), *el.corners)
     d0 = dist.min()
+    slack = 1e-12 * float(np.abs(M.vertices).max())
+    spoke = M.vertices - x0
+    outer = math.sqrt(float(np.einsum("ij,ij->i", spoke, spoke).max()))
+    planes = cache(partial(_element_planes, M, slack))
     # a boundary point, or one outside, gives no ball; of the nearest
     # elements the sign reads the last, as the grid query does
     if not (d0 >= BOUNDARY_TOL_FACTOR * M.bbox_diagonal
             and _pseudonormal_inside(M, x0[None, :], np.flatnonzero(dist == d0)[-1:])[0]):
-        return x0, 0.0
-    return x0, float(d0) - 1e-12 * float(np.abs(M.vertices).max())
+        return x0, 0.0, outer, planes
+    return x0, float(d0) - slack, outer, planes
+
+
+def _element_planes(M: DiscreteHypersurface, slack: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """The element planes of a convex M, None when M is not convex.
+
+    Returns the unit outward normals n_e of the elements, (E, d), and the
+    offsets n_e . a_e - slack, with a_e the element's first corner.  M is
+    convex when every consecutive edge cross product of a curve is >= 0, or
+    when for every edge of a mesh the centroid of its second face lies
+    strictly on the inner side of its first face's plane.  One pass and no
+    tolerance: a flat region that rounds to "not convex" only leaves its
+    images to be measured, since the bound is sound on any embedded M.
+    """
+    if M.dimension == 1:
+        ex, ey = _curve_kernel(M).edge
+        convex = bool(np.all(ex[:-1] * ey[1:] - ey[:-1] * ex[1:] >= 0.0))
+    else:
+        tri = _face_kernel(M)
+        first, second = M.topology.edge_faces.T
+        centroid = sum(tri.ext[i, second] for i in range(3)) / 3.0
+        convex = bool(np.all(np.einsum("ij,ij->i", centroid - tri.ext[0, first], tri.cross[first]) < 0.0))
+    if not convex:
+        return None
+    normals = np.ascontiguousarray(_feature_normals(M)[:, 0])
+    offsets = np.einsum("ij,ij->i", normals, _elements(M).corners[0])
+    offsets -= slack
+    return normals, offsets
+
+
+def _plane_depths(planes: tuple[np.ndarray, np.ndarray], points: np.ndarray) -> np.ndarray:
+    """Each point's least depth below the element planes, min over e of n_e . a_e - slack - n_e . p.
+
+    On an embedded M this is at most the interior depth of a point inside
+    and at most 0 for a point outside (see ``_least_depths``); inside a
+    convex M it is the depth less the slack.  It is a bound and is never
+    reported, so a matrix product forms it.  Blocks of points hold at most
+    ``geometry._PAIRS`` point-plane pairs.  A far point whose products
+    overflow reads -inf or NaN, so it is never certified.
+    """
+    normals, offsets = planes
+    out = np.empty(points.shape[0])
+    step = geometry._block(offsets.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, points.shape[0], step):
+            below = points[s : s + step] @ normals.T
+            np.subtract(offsets, below, out=below)
+            out[s : s + step] = below.min(axis=1)
+    return out
 
 
 def _least_depths(M: DiscreteHypersurface, reflected: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -249,19 +316,36 @@ def _least_depths(M: DiscreteHypersurface, reflected: np.ndarray, bounds: np.nda
     ``bounds`` holds, for each image, its plane's U = 2 s_min, with s_min
     the height of the plane's crosser nearest the plane: that crosser's
     image lies 2 s_min from the crosser itself, a point of M, so the plane's
-    least depth is at most U.  An image inside the ball of
-    ``_inscribed_ball`` with d0 - |p - x0| > U is inside and deeper than U,
-    so it reads +inf without a query.  On a near-round frame, such as those
-    of an audited flow that comes out of a point, that is almost every
-    image; on an eccentric surface the ball certifies fewer, and a vertex
-    centroid that is not inside gives no ball.  The other images are
-    measured in one ``signed_interior_distance`` call.
+    least depth is at most U.  Two certificates read +inf without a query.
+    First the ball of ``_inscribed_ball``: an image p with d0 - |p - x0| > U
+    is inside and deeper than U.  Then, on a convex M, the element planes:
+    an image whose ``_plane_depths`` exceeds U is inside every element's
+    plane by more than U.  By the pseudonormal theorem that
+    ``signed_interior_distance`` rests on, a point outside an embedded M
+    lies on the outer side of the plane of the element that holds its
+    closest point, and a point inside is at least its offset below that
+    plane away from M; so the image is inside and deeper than U.  M lies in
+    the hull of its vertices, so in B(x0, R) for the outer radius R, and an
+    image is at most R - |p - x0| deep: only the images with R - |p - x0| >
+    U are tested against the planes.
+
+    The ball certifies almost every image of a near-round frame, such as
+    those of an audited flow that comes out of a point, and fewer on an
+    eccentric one.  On a convex M the planes give the exact depth up to the
+    slack, so every image deeper than U is certified and only those at
+    depth up to U are measured.  The images left are measured in one
+    ``signed_interior_distance`` call.
     """
-    x0, radius = _inscribed_ball(M)
+    x0, radius, outer, planes = _inscribed_ball(M)
     # with no ball (radius <= 0) every image is unsure, as U > 0; a norm
     # that overflows leaves its image unsure, and the query rejects it
     with np.errstate(over="ignore"):
-        unsure = radius - np.linalg.norm(reflected - x0, axis=1) <= bounds
+        gap = np.linalg.norm(reflected - x0, axis=1)
+    unsure = radius - gap <= bounds
+    left = np.flatnonzero(unsure)
+    deep = left[outer - gap[left] > bounds[left]]
+    if deep.size and planes() is not None:
+        unsure[deep[_plane_depths(planes(), reflected[deep]) > bounds[deep]]] = False
     depth = np.full(reflected.shape[0], np.inf)
     depth[unsure] = signed_interior_distance(M, reflected[unsure])
     return depth

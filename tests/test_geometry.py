@@ -1,17 +1,19 @@
-"""The paired distance kernels against their row-form oracles, bit for bit.
+"""The paired distance kernels and the 3D winding number against their row-form oracles, bit for bit.
 
-``geometry`` computes the segment and triangle kernels one component at a
-time.  The oracles below are the earlier kernels, which did the same
-arithmetic on (..., d) rows with ``np.einsum``, ``np.where`` over broadcast
-masks and ``np.linalg.norm``.  Every closest point, feature and distance
-must be equal, on random pairs and on the degenerate ones: zero-length
-edges, collinear triangles and points on corners and edges.
+``geometry`` computes the segment and triangle kernels and the solid angles
+of the winding number one component at a time.  The oracles below are the
+earlier kernels, which did the same arithmetic on (..., d) rows with
+``np.einsum``, ``np.cross``, ``np.where`` over broadcast masks and
+``np.linalg.norm``.  Every closest point, feature, distance and winding
+number must be equal, on random pairs and on the degenerate ones:
+zero-length edges, collinear triangles and points on corners and edges.
 """
 
 import numpy as np
 import pytest
 
-from hyperflow import geometry
+from hyperflow import geometry, shapes
+import oracles
 
 
 def _closest_point_segment_oracle(points, seg_a, seg_b):
@@ -146,3 +148,56 @@ def test_kernels_take_a_single_pair():
     p, a, b, c = rng.normal(size=(4, 3))
     _assert_segment_kernels_equal(p, a, b)
     _assert_triangle_kernels_equal(p, a, b, c)
+
+
+def _winding_number_3d_oracle(vertices, faces, points):
+    points = np.atleast_2d(points)
+    ta = vertices[faces[:, 0]]
+    tb = vertices[faces[:, 1]]
+    tc = vertices[faces[:, 2]]
+    out = np.empty(points.shape[0], dtype=float)
+    step = max(1, (1 << 16) // faces.shape[0])
+    for s in range(0, points.shape[0], step):
+        p = points[s : s + step]
+        a = ta[None, :, :] - p[:, None, :]
+        b = tb[None, :, :] - p[:, None, :]
+        c = tc[None, :, :] - p[:, None, :]
+        la = np.linalg.norm(a, axis=2)
+        lb = np.linalg.norm(b, axis=2)
+        lc = np.linalg.norm(c, axis=2)
+        num = np.einsum("qij,qij->qi", a, np.cross(b, c))
+        den = (
+            la * lb * lc
+            + np.einsum("qij,qij->qi", a, b) * lc
+            + np.einsum("qij,qij->qi", b, c) * la
+            + np.einsum("qij,qij->qi", c, a) * lb
+        )
+        omega = 2.0 * np.arctan2(num, den)
+        out[s : s + step] = np.sum(omega, axis=1) / (4.0 * np.pi)
+    return out
+
+
+@pytest.mark.parametrize("shape", ["icosphere s2", "icosphere s3", "icosphere s4", "ellipsoid s3", "noisy sphere"])
+def test_winding_number_3d_equals_the_row_oracle(shape):
+    # on an edge a face's triple product is 0 and its solid angle +-2 pi by
+    # the sign of that zero, so edge midpoints and vertices pin the signed zeros
+    M = {
+        "icosphere s2": lambda: shapes.icosphere(1.0, 2),
+        "icosphere s3": lambda: shapes.icosphere(1.0, 3),
+        "icosphere s4": lambda: shapes.icosphere(1.0, 4),
+        "ellipsoid s3": lambda: shapes.ellipsoid_mesh(1.5, 1.0, 0.75, 3),
+        "noisy sphere": lambda: oracles.noisy_sphere(1.0, 0.05, 2, seed=5),
+    }[shape]()
+    e = M.edges
+    rng = np.random.default_rng(23)
+    points = np.vstack([
+        M.vertices,
+        0.5 * (M.vertices[e[:, 0]] + M.vertices[e[:, 1]]),
+        M.vertices[M.faces].mean(axis=1),
+        rng.uniform(-1.6, 1.6, size=(200, 3)),
+        np.zeros((1, 3)),
+    ])
+    if M.faces.shape[0] > 1000:  # keep the oracle's time small
+        points = points[rng.permutation(points.shape[0])[:600]]
+    got = geometry.winding_number_3d(M.vertices, M.faces, points)
+    assert got.tobytes() == _winding_number_3d_oracle(M.vertices, M.faces, points).tobytes()
