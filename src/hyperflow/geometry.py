@@ -91,11 +91,13 @@ def _parts(x: np.ndarray) -> list:
 
 
 def _dot(x: list, y: list) -> np.ndarray:
-    """Dot product of two component lists, with the bits of ``np.einsum``.
+    """Dot product of two component lists, with the bits of ``np.einsum`` up to the sign of a zero.
 
     einsum over a last axis of length 2 or 3 sums in two lanes, the even
     components in one and the odd in the other, and adds the lanes last:
-    (x0 y0 + x2 y2) + x1 y1.
+    (x0 y0 + x2 y2) + x1 y1.  Its lanes start at +0, so a sum of -0
+    products is +0 there and -0 here; a caller whose result reads that sign
+    adds +0 to the sum.
     """
     s = x[0] * y[0]
     if len(x) == 3:
@@ -121,7 +123,9 @@ def _segment_parameter(p: list, a: list, b: list) -> tuple[list, np.ndarray]:
     d = [bi - ai for ai, bi in zip(a, b)]
     dd = _dot(d, d)
     dd = np.where(dd > 0.0, dd, 1.0)
-    return d, np.clip(_dot([pi - ai for pi, ai in zip(p, a)], d) / dd, 0.0, 1.0)
+    num = _dot([pi - ai for pi, ai in zip(p, a)], d)
+    num += 0.0  # einsum's sum starts at +0, so a zero numerator is +0: a + t d reads the sign of t's zero
+    return d, np.clip(num / dd, 0.0, 1.0)
 
 
 def closest_point_segment(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray):

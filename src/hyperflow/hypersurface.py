@@ -42,14 +42,15 @@ snapshot, 100 RK4 steps of a 2562-vertex mesh made about 470 000 minor page
 faults and spent about a quarter of their wall time in system time; blocked
 and shared, they make about 30 000.
 
-A query's structures (element corners, centroid grid and reaches in
-``_elements``; the feature pseudonormals in ``_feature_normals``, built only
-for signed distances) are kept for the last surface asked about, keyed by
-the immutable snapshot, so repeated queries of one surface pay for them
-once.  The memo holds one surface, not one per snapshot: an audit walks
-hundreds of frames and queries each once, and a set per frame would stay
-alive with its frame.  It holds arrays only; the kernels are looked up in
-``geometry`` at each call, so a wrapper installed there later sees them all.
+A query's structures (element corners in ``_elements``, with the centroid
+grid and reaches built at the first pruned query; the feature pseudonormals
+in ``_feature_normals``, built only for signed distances) are kept for the
+last surface asked about, keyed by the immutable snapshot, so repeated
+queries of one surface pay for them once.  The memo holds one surface, not
+one per snapshot: an audit walks hundreds of frames and queries each once,
+and a set per frame would stay alive with its frame.  It holds arrays only;
+the kernels are looked up in ``geometry`` at each call, so a wrapper
+installed there later sees them all.
 
 The curve estimator reproduces circles exactly: three points of a circle
 determine it.  That choice keeps round flows free of discretisation bias, at
@@ -774,20 +775,48 @@ def _segment_min(values: np.ndarray, pos: np.ndarray, per: np.ndarray) -> tuple[
     return low, arg
 
 
-class _Elements(NamedTuple):
-    """Elements of the pruned queries: a curve's edges, a mesh's triangles.
+class _Elements:
+    """Elements of the distance queries: a curve's edges, a mesh's triangles.
 
-    ``grid`` bins their centroids, with a cell side of at least twice the
-    largest reach.  ``extent`` holds each element's own reach in the grid's
-    cell order, so a candidate found by its position there needs no lookup
-    of its element id until it is measured.
+    ``idx`` and ``corners`` are formed with the elements.  The pruned
+    queries (``_nearest`` and ``_close_pairs``) also need ``grid``, which
+    bins the centroids with a cell side of at least twice the largest
+    ``reach``, and ``extent``, each element's own reach in the grid's cell
+    order, so a candidate found by its position there needs no lookup of
+    its element id until it is measured.  Those three are formed at their
+    first use, as a query that measures points against chosen elements
+    needs none of them.
     """
 
-    idx: np.ndarray  # vertex indices per element
-    corners: tuple  # corner arrays, one per element vertex
-    grid: _Grid  # over the element centroids
-    reach: float  # largest distance from a centroid to its corners
-    extent: np.ndarray  # (E,) each element's own reach, in the grid's cell order
+    def __init__(self, idx: np.ndarray, corners: tuple):
+        self.idx = idx  # vertex indices per element
+        self.corners = corners  # corner arrays, one per element vertex
+
+    @cached_property
+    def _binned(self) -> tuple[_Grid, float, np.ndarray]:
+        corners = self.corners
+        cent = sum(corners[1:], corners[0]) / len(corners)
+        extent = np.sqrt(np.max([np.einsum("ij,ij->i", v, v) for v in (p - cent for p in corners)], axis=0))
+        reach = float(extent.max())
+        grid = _Grid(cent, reach)
+        extent = extent[grid.order]
+        extent.setflags(write=False)  # shared by every query of M
+        return grid, reach, extent
+
+    @property
+    def grid(self) -> _Grid:
+        """The grid over the element centroids."""
+        return self._binned[0]
+
+    @property
+    def reach(self) -> float:
+        """The largest distance from a centroid to its corners."""
+        return self._binned[1]
+
+    @property
+    def extent(self) -> np.ndarray:
+        """(E,) each element's own reach, in the grid's cell order."""
+        return self._binned[2]
 
     # The kernels are looked up in ``geometry`` at each use, never stored: a
     # wrapper installed there after the memo was filled still sees every call.
@@ -807,14 +836,9 @@ def _elements(M: DiscreteHypersurface) -> _Elements:
     """The query structures of M, kept for the last surface asked about."""
     idx = M.edges if M.dimension == 1 else M.faces
     corners = tuple(M.vertices[idx[:, j]] for j in range(idx.shape[1]))
-    cent = sum(corners[1:], corners[0]) / len(corners)
-    extent = np.sqrt(np.max([np.einsum("ij,ij->i", v, v) for v in (p - cent for p in corners)], axis=0))
-    reach = float(extent.max())
-    grid = _Grid(cent, reach)
-    extent = extent[grid.order]
-    for a in (idx, *corners, extent):
+    for a in (idx, *corners):
         a.setflags(write=False)  # shared by every query of M
-    return _Elements(idx, corners, grid, reach, extent)
+    return _Elements(idx, corners)
 
 
 def _inside(M: DiscreteHypersurface, points: np.ndarray) -> np.ndarray:

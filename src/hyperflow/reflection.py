@@ -31,6 +31,7 @@ from .hypersurface import (
     _feature_normals,
     _point,
     _pseudonormal_inside,
+    _segment_min,
     contains_point,
     signed_interior_distance,
 )
@@ -136,10 +137,13 @@ def _verdicts(
     quarter on a 1.5 : 1 : 0.75 ellipsoid at planes parallel to its mirror
     planes.  On a surface that passes the convexity test, the element planes
     then certify every image the ball leaves that lies deeper than U, so
-    only about a fifth of that ellipsoid's images are measured.  The
+    only about a fifth of that ellipsoid's images are measured, and they
+    measure most of those as well, each against its nearest element planes
+    alone.  The
     reflected vertices of every plane share one ball test and one plane
-    test, and the images left share one ``signed_interior_distance`` call,
-    which measures each point on its own.  On an embedded surface, the
+    pass, the images measured by their planes share one kernel call, and
+    the images left share one ``signed_interior_distance`` call, which
+    measures each point on its own.  On an embedded surface, the
     precondition of ``signed_interior_distance``, every verdict is bitwise
     the one that measuring every reflected vertex gives, and the one a call
     for its plane alone gives.
@@ -222,44 +226,41 @@ def _plane_rows(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=1)
 def _inscribed_ball(M: DiscreteHypersurface) -> tuple[np.ndarray, float, float, Callable[[], tuple | None]]:
-    """A ball inside M, the outer radius of M about its centre, and M's element planes on demand.
+    """A ball inside M, its rounding slack, and M's element planes on demand.
 
     The ball is the vertex centroid x0 and a radius, at most 0 when there is
     none.  x0 at depth d0 > 0 clears M by d0, so the open ball B(x0, d0)
     lies inside M and an image p there has depth at least d0 - |p - x0|.
-    The radius is d0 less 1e-12 of the largest coordinate, which covers the
-    rounding of the depths, the reflections, the heights and |p - x0| of
-    points near M.  d0 and the side of x0 are those of ``classify_points``
-    and ``signed_interior_distance``, but x0 is measured against every
-    element in one kernel call.  For one point deep inside, that is cheaper
-    than the centroid-grid query up to several thousand elements (best of
-    several on a 2-core x86 host): 0.09 against 0.36-0.40 ms on a 256-gon,
-    0.5-0.8 against 0.9 ms at 1 280 triangles, 1.0 against 1.2-1.4 ms at
-    5 120, and 3.5-3.8 against 1.5-2.3 ms at 20 480.
+    The radius is d0 less the slack, 1e-12 of the largest coordinate, which
+    covers the rounding of the depths, the reflections, the heights and
+    |p - x0| of points near M.  d0 and the side of x0 are those of
+    ``classify_points`` and ``signed_interior_distance``, but x0 is measured
+    against every element in one kernel call.  For one point deep inside,
+    that is cheaper than the centroid-grid query up to several thousand
+    elements (best of several on a 2-core x86 host): 0.09 against 0.36-0.40
+    ms on a 256-gon, 0.5-0.8 against 0.9 ms at 1 280 triangles, 1.0 against
+    1.2-1.4 ms at 5 120, and 3.5-3.8 against 1.5-2.3 ms at 20 480.
 
-    The outer radius R is the largest distance from x0 to a vertex.  The
-    planes are those of ``_element_planes``, with the ball's slack in their
+    The planes are those of ``_element_planes``, with the slack in their
     offsets, or None when M fails its convexity test: on a surface that is
-    not convex their bound is weak and costs more than it saves.  They are
-    formed at the first call of the returned function and kept with the
-    ball, since most frames of an audited round flow never need them.  All
-    of it is kept for the last surface asked about, as ``_elements``: the
-    planes checked at one frame share it.
+    not convex their least depth is a weak bound and says nothing of the
+    nearest element.  They are formed at the first call of the returned
+    function and kept with the ball, since a frame whose images the ball
+    settles never needs them.  All of it is kept for the last surface asked
+    about, as ``_elements``: the planes checked at one frame share it.
     """
     x0 = M.vertices.mean(axis=0)
     el = _elements(M)
     dist = el.distance(np.broadcast_to(x0, el.corners[0].shape), *el.corners)
     d0 = dist.min()
     slack = 1e-12 * float(np.abs(M.vertices).max())
-    spoke = M.vertices - x0
-    outer = math.sqrt(float(np.einsum("ij,ij->i", spoke, spoke).max()))
     planes = cache(partial(_element_planes, M, slack))
     # a boundary point, or one outside, gives no ball; of the nearest
     # elements the sign reads the last, as the grid query does
     if not (d0 >= BOUNDARY_TOL_FACTOR * M.bbox_diagonal
             and _pseudonormal_inside(M, x0[None, :], np.flatnonzero(dist == d0)[-1:])[0]):
-        return x0, 0.0, outer, planes
-    return x0, float(d0) - slack, outer, planes
+        return x0, 0.0, slack, planes
+    return x0, float(d0) - slack, slack, planes
 
 
 def _element_planes(M: DiscreteHypersurface, slack: float) -> tuple[np.ndarray, np.ndarray] | None:
@@ -289,25 +290,34 @@ def _element_planes(M: DiscreteHypersurface, slack: float) -> tuple[np.ndarray, 
     return normals, offsets
 
 
-def _plane_depths(planes: tuple[np.ndarray, np.ndarray], points: np.ndarray) -> np.ndarray:
-    """Each point's least depth below the element planes, min over e of n_e . a_e - slack - n_e . p.
+def _plane_depths(
+    planes: tuple[np.ndarray, np.ndarray], points: np.ndarray, margin: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each point's least depth below the element planes, and the elements within ``margin`` of it.
 
-    On an embedded M this is at most the interior depth of a point inside
-    and at most 0 for a point outside (see ``_least_depths``); inside a
-    convex M it is the depth less the slack.  It is a bound and is never
-    reported, so a matrix product forms it.  Blocks of points hold at most
-    ``geometry._PAIRS`` point-plane pairs.  A far point whose products
-    overflow reads -inf or NaN, so it is never certified.
+    With lb_e(p) = n_e . a_e - slack - n_e . p, returns least(p), the min
+    over e of lb_e(p), then the pairs (point, element) with lb_e(p) <=
+    least(p) + margin, point by point.  On an embedded M, least is at most
+    the interior depth of a point inside and at most 0 for a point outside
+    (see ``_least_depths``); inside a convex M it is the depth less the
+    slack.  The depths are only compared, never reported, so a matrix
+    product forms them.  Blocks of points hold at most ``geometry._PAIRS``
+    point-plane pairs.  A far point whose products overflow reads -inf or
+    NaN, and has no pair when it reads NaN.
     """
     normals, offsets = planes
-    out = np.empty(points.shape[0])
+    least = np.empty(points.shape[0])
+    owner, elems = [], []
     step = geometry._block(offsets.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(0, points.shape[0], step):
             below = points[s : s + step] @ normals.T
             np.subtract(offsets, below, out=below)
-            out[s : s + step] = below.min(axis=1)
-    return out
+            low = np.min(below, axis=1, out=least[s : s + step])
+            i, e = np.divmod(np.flatnonzero(below <= (low + margin)[:, None]), offsets.shape[0])
+            owner.append(i + s)
+            elems.append(e)
+    return least, np.concatenate(owner), np.concatenate(elems)
 
 
 def _least_depths(M: DiscreteHypersurface, reflected: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -316,38 +326,67 @@ def _least_depths(M: DiscreteHypersurface, reflected: np.ndarray, bounds: np.nda
     ``bounds`` holds, for each image, its plane's U = 2 s_min, with s_min
     the height of the plane's crosser nearest the plane: that crosser's
     image lies 2 s_min from the crosser itself, a point of M, so the plane's
-    least depth is at most U.  Two certificates read +inf without a query.
-    First the ball of ``_inscribed_ball``: an image p with d0 - |p - x0| > U
-    is inside and deeper than U.  Then, on a convex M, the element planes:
-    an image whose ``_plane_depths`` exceeds U is inside every element's
-    plane by more than U.  By the pseudonormal theorem that
-    ``signed_interior_distance`` rests on, a point outside an embedded M
-    lies on the outer side of the plane of the element that holds its
-    closest point, and a point inside is at least its offset below that
-    plane away from M; so the image is inside and deeper than U.  M lies in
-    the hull of its vertices, so in B(x0, R) for the outer radius R, and an
-    image is at most R - |p - x0| deep: only the images with R - |p - x0| >
-    U are tested against the planes.
+    least depth is at most U.  First the ball of ``_inscribed_ball``: an
+    image p with d0 - |p - x0| > U is inside and deeper than U, and reads
+    +inf with no query.  On a surface that is not convex every image the
+    ball leaves is measured, in one ``signed_interior_distance`` call.
 
-    The ball certifies almost every image of a near-round frame, such as
-    those of an audited flow that comes out of a point, and fewer on an
-    eccentric one.  On a convex M the planes give the exact depth up to the
-    slack, so every image deeper than U is certified and only those at
-    depth up to U are measured.  The images left are measured in one
-    ``signed_interior_distance`` call.
+    On a convex M every image the ball leaves gets its plane depths in one
+    blocked pass, ``_plane_depths`` with margin delta = 4 slack, and is
+    routed by its least plane depth ``least``:
+
+    - least > U: the image reads +inf.  By the pseudonormal theorem that
+      ``signed_interior_distance`` rests on, a point outside an embedded M
+      lies on the outer side of the plane of the element that holds its
+      closest point, and a point inside is at least its offset below that
+      plane away from M; so the image is inside and deeper than U.
+    - tau < least <= U, with tau = ``BOUNDARY_TOL_FACTOR`` times the
+      bounding-box diagonal plus delta: the image is measured against its
+      candidates, the elements e with lb_e <= least + delta, in one kernel
+      call for all such images, and its depth is the least of those
+      distances.
+    - least <= tau, or NaN or -inf where the products overflow: the image
+      goes to ``signed_interior_distance``, which rejects a far one.
+
+    The measured depths have the bits of ``signed_interior_distance``.
+    Inside a convex polytope the distance D to the boundary is the least
+    distance to a face plane: the ball of radius D about p lies inside
+    every plane, so inside M, and the foot of the perpendicular to the
+    nearest plane lies in it, so on an element whose kernel distance is D.
+    The kernel distance to any element is at least its plane distance.
+    Each formula rounds by a few tens of units in the last place of the
+    largest coordinate, normals included, on elements that are not slivers,
+    while delta, 4e-12 of that coordinate, is about 18 000 of them.  So an
+    element with lb_e > least + delta lies farther than the nearest plane's
+    element by more than twice the rounding of both formulas and never
+    attains the kernel minimum, and the candidates hold every element that
+    does.  ``_nearest`` measures a set that holds every minimiser too, so
+    both give the same least kernel distance.  Its sign needs no
+    pseudonormal: the image lies deeper than the boundary band, where the
+    pseudonormal test and its winding-number tie-break both read inside.
     """
-    x0, radius, outer, planes = _inscribed_ball(M)
+    x0, radius, slack, planes = _inscribed_ball(M)
     # with no ball (radius <= 0) every image is unsure, as U > 0; a norm
     # that overflows leaves its image unsure, and the query rejects it
     with np.errstate(over="ignore"):
-        gap = np.linalg.norm(reflected - x0, axis=1)
-    unsure = radius - gap <= bounds
-    left = np.flatnonzero(unsure)
-    deep = left[outer - gap[left] > bounds[left]]
-    if deep.size and planes() is not None:
-        unsure[deep[_plane_depths(planes(), reflected[deep]) > bounds[deep]]] = False
+        unsure = np.flatnonzero(radius - np.linalg.norm(reflected - x0, axis=1) <= bounds)
     depth = np.full(reflected.shape[0], np.inf)
-    depth[unsure] = signed_interior_distance(M, reflected[unsure])
+    if unsure.size and planes() is not None:
+        delta = 4.0 * slack
+        points = reflected[unsure]
+        least, owner, elems = _plane_depths(planes(), points, delta)
+        certified = least > bounds[unsure]
+        inner = least > BOUNDARY_TOL_FACTOR * M.bbox_diagonal + delta
+        measured = inner & ~certified
+        if measured.any():
+            take = measured[owner]  # the pairs run point by point, so each point's candidates are one run
+            owner, elems = owner[take], elems[take]
+            el = _elements(M)
+            d = el.distance(points[owner], *(c[elems] for c in el.corners))
+            depth[unsure[measured]] = _segment_min(d, elems, np.bincount(owner, minlength=unsure.size)[measured])[0]
+        unsure = unsure[~(inner | certified)]
+    if unsure.size:
+        depth[unsure] = signed_interior_distance(M, reflected[unsure])
     return depth
 
 

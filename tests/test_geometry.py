@@ -5,8 +5,10 @@ of the winding number one component at a time.  The oracles below are the
 earlier kernels, which did the same arithmetic on (..., d) rows with
 ``np.einsum``, ``np.cross``, ``np.where`` over broadcast masks and
 ``np.linalg.norm``.  Every closest point, feature, distance and winding
-number must be equal, on random pairs and on the degenerate ones:
-zero-length edges, collinear triangles and points on corners and edges.
+number must be equal byte for byte, signed zeros included, on random pairs
+and on the degenerate ones: zero-length edges, collinear triangles, points
+on corners and edges, and axis-aligned elements whose dot products are sums
+of -0 products.
 """
 
 import numpy as np
@@ -107,22 +109,32 @@ def _triangles(rng, n):
     return points, a, b, c
 
 
+def _axis_aligned(rng, n, d, corners):
+    """Points and elements with coordinates in {-1, -0, +0, 1, 2}: many products are -0, many sums 0."""
+    values = np.array([-1.0, -0.0, 0.0, 1.0, 2.0])
+    return [values[rng.integers(0, values.shape[0], size=(n, d))] for _ in range(1 + corners)]
+
+
+def _assert_same_bytes(got, want):
+    # np.array_equal treats -0.0 and +0.0 as equal
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def _assert_segment_kernels_equal(points, a, b):
     want_q, want_feature = _closest_point_segment_oracle(points, a, b)
     got_q, got_feature = geometry.closest_point_segment(points, a, b)
-    assert got_q.shape == want_q.shape
-    assert np.array_equal(got_q, want_q)
+    _assert_same_bytes(got_q, want_q)
     assert np.array_equal(got_feature, want_feature)
-    assert np.array_equal(geometry.point_segment_pair_distance(points, a, b), _distance(points, want_q))
+    _assert_same_bytes(geometry.point_segment_pair_distance(points, a, b), _distance(points, want_q))
 
 
 def _assert_triangle_kernels_equal(points, a, b, c):
     want_q, want_feature = _closest_point_triangle_oracle(points, a, b, c)
     got_q, got_feature = geometry.closest_point_triangle(points, a, b, c)
-    assert got_q.shape == want_q.shape
-    assert np.array_equal(got_q, want_q)
+    _assert_same_bytes(got_q, want_q)
     assert np.array_equal(got_feature, want_feature)
-    assert np.array_equal(geometry.point_triangle_distance(points, a, b, c), _distance(points, want_q))
+    _assert_same_bytes(geometry.point_triangle_distance(points, a, b, c), _distance(points, want_q))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -141,6 +153,23 @@ def test_triangle_kernels_equal_the_row_oracles():
     _assert_triangle_kernels_equal(points, a, b, c)
     _assert_triangle_kernels_equal(points[:150, None, :], a[None, :200], b[None, :200], c[None, :200])
     assert set(np.unique(geometry.closest_point_triangle(points, a, b, c)[1])) == set(range(7))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_segment_kernels_keep_the_oracles_signed_zeros(d):
+    # einsum's sums start at +0; a closest point a + t d with a at -0 and t
+    # a zero parameter reads the sign of that zero
+    points, a, b = _axis_aligned(np.random.default_rng(40 + d), 20000, d, 2)
+    _assert_segment_kernels_equal(points, a, b)
+    want_q = _closest_point_segment_oracle(points, a, b)[0]
+    assert np.any(np.signbit(want_q) & (want_q == 0.0)) and np.any(~np.signbit(want_q) & (want_q == 0.0))
+
+
+def test_triangle_kernels_keep_the_oracles_signed_zeros():
+    points, a, b, c = _axis_aligned(np.random.default_rng(43), 20000, 3, 3)
+    _assert_triangle_kernels_equal(points, a, b, c)
+    want_q = _closest_point_triangle_oracle(points, a, b, c)[0]
+    assert np.any(np.signbit(want_q) & (want_q == 0.0)) and np.any(~np.signbit(want_q) & (want_q == 0.0))
 
 
 def test_kernels_take_a_single_pair():

@@ -267,9 +267,10 @@ def _polygon_plane_depths(M, points):
 @pytest.mark.parametrize("name", ["circle at (-2, 0)", "4:1 ellipse"])
 def test_the_images_the_ball_leaves_are_measured_in_one_call(name, monkeypatch):
     # beyond the plane [-1, 0] at 0.5 the whole circle reflects outside
-    # itself, so neither the ball nor the edge planes certify anything; on
-    # the 4:1 ellipse the ball certifies the images near the centre and the
-    # planes the deep ones it leaves towards the tips
+    # itself, so neither the ball nor the edge planes certify anything and
+    # every image goes to the grid query; on the 4:1 ellipse the ball
+    # certifies the images near the centre and the planes the deep ones it
+    # leaves towards the tips, and the planes measure the 6 left
     if name == "4:1 ellipse":
         M, pl = shapes.ellipse_polygon(4.0, 1.0, 512), plane([1, 0], 2.0)
     else:
@@ -284,7 +285,10 @@ def test_the_images_the_ball_leaves_are_measured_in_one_call(name, monkeypatch):
     by_planes = _polygon_plane_depths(M, reflected) > U
     certified = np.isinf(depth)
     assert np.array_equal(certified, by_ball | by_planes)
-    assert sizes == [np.count_nonzero(~certified)]
+    if name == "4:1 ellipse":
+        assert np.count_nonzero(~certified) == 6 and sizes == []
+    else:
+        assert sizes == [np.count_nonzero(~certified)]
     assert (np.count_nonzero(by_ball) > 0) == (name == "4:1 ellipse")
     assert (np.count_nonzero(by_planes & ~by_ball) > 0) == (name == "4:1 ellipse")
     _assert_exact_at_the_minimiser(depth, exact)
@@ -292,11 +296,12 @@ def test_the_images_the_ball_leaves_are_measured_in_one_call(name, monkeypatch):
 
 def test_a_plane_with_no_far_vertex_measures_every_image(monkeypatch):
     # one vertex beyond the plane, whose image is nearer M than U: the ball
-    # cannot certify it
+    # cannot certify it.  It lies 2e-4 deep, far past the boundary band, so
+    # its element planes measure it and the grid query is not called
     M = shapes.circle_polygon(1.0, 256)
     depth, sizes, exact = _depths_measured(M, plane([1, 0], 0.9999), monkeypatch)
-    assert depth.shape == (1,) and sizes == [1]
-    assert np.array_equal(depth, exact)
+    assert depth.shape == (1,) and sizes == []
+    assert depth.tobytes() == exact.tobytes()
 
 
 def test_the_inscribed_ball_is_absent_or_thin_on_lopsided_shapes():
@@ -332,9 +337,9 @@ def test_no_plane_bound_is_formed_on_a_surface_that_is_not_convex(name, monkeypa
     M = ORACLE_SURFACES[name]()
     calls = []
 
-    def spy(planes, points):
+    def spy(planes, points, margin):
         calls.append(points.shape[0])
-        return _plane_depths(planes, points)
+        return _plane_depths(planes, points, margin)
 
     monkeypatch.setattr(reflection, "_plane_depths", spy)
     rng = np.random.default_rng(17)
@@ -364,7 +369,7 @@ def test_the_plane_bound_is_the_depth_inside_and_at_most_0_outside(name):
         *(plane(v, ci).reflect(M.vertices) for v, ci in zip(V, c)),  # images, inside and outside
     ])
     exact = signed_interior_distance(M, points)
-    lb = _plane_depths(planes, points)
+    lb = _plane_depths(planes, points, 0.0)[0]
     inside = exact > 0.0
     assert 300 < np.count_nonzero(inside) < points.shape[0] - 300
     assert np.all(lb[inside] <= exact[inside])
@@ -398,6 +403,78 @@ def test_the_planes_leave_only_images_near_the_least_depth_on_an_ellipsoid(monke
     assert reflected.shape[0] == 10572
     assert np.count_nonzero(~certified) == 2204
     assert np.count_nonzero(~certified) < 0.3 * reflected.shape[0]
+
+
+def _small_far_icosphere():
+    # radius 1e-4 at (5, 5, 5): coordinates round at the scale of the
+    # offset, and the slack, 1e-12 of the largest coordinate, is 5e-8 of the
+    # radius
+    M = shapes.icosphere(1.0, 3)
+    return M.with_vertices(1e-4 * M.vertices + 5.0)
+
+
+def _face_plane_depths(M, points):
+    """min over the faces (a, b, c) of n . a - n . p less 1e-12 of the largest coordinate, n the outward unit normal."""
+    a, b, c = (M.vertices[M.faces[:, j]] for j in range(3))
+    n = np.cross(b - a, c - a)
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    offsets = np.einsum("ij,ij->i", n, a) - 1e-12 * float(np.abs(M.vertices).max())
+    return (offsets - points @ n.T).min(axis=1)
+
+
+PLANE_PASS_SURFACES = {
+    **{name: ORACLE_SURFACES[name] for name, convex in CONVEX.items() if convex},
+    "icosphere 1e-4 at (5, 5, 5)": _small_far_icosphere,
+}
+
+
+@pytest.mark.parametrize("name", list(PLANE_PASS_SURFACES))
+def test_the_plane_pass_measures_with_the_bits_of_the_grid_query(name, monkeypatch):
+    # random planes through the body, whose images lie inside and outside;
+    # planes along the axes and the diagonal, whose images on the symmetric
+    # surfaces sit where planes of several elements tie within rounding (on
+    # the 256-gon the pass reads other bits if it keeps only the least
+    # plane); those through the centre are mirror planes, whose images land
+    # within rounding of the vertices, in the boundary band.  The square's
+    # collinear edges tie their planes exactly
+    M = PLANE_PASS_SURFACES[name]()
+    d = M.dimension + 1
+    rng = np.random.default_rng(29)
+    axes = np.repeat(np.vstack([np.eye(d), -np.eye(d), np.ones((1, d))]), 4, axis=0)
+    V = np.vstack([axes, rng.normal(size=(30, d))])
+    V /= np.linalg.norm(V, axis=1)[:, None]
+    centre = 0.5 * (M.vertices.min(axis=0) + M.vertices.max(axis=0))
+    fraction = np.concatenate([np.tile([0.0, 0.25, 0.5, 0.75], axes.shape[0] // 4), rng.uniform(-0.9, 0.9, size=30)])
+    c = centre @ V.T + fraction * ((M.vertices - centre) @ V.T).max(axis=0)
+    reflected, bounds = [], []
+    for pl in (plane(v, ci) for v, ci in zip(V, c)):
+        s = pl.signed_coordinate(M.vertices)
+        crossers = s > INCLUSION_BAND_FACTOR * M.bbox_diagonal
+        reflected.append(pl.reflect(M.vertices[crossers]))
+        bounds.append(np.full(np.count_nonzero(crossers), 2.0 * s[crossers].min()))
+    reflected, bounds = np.concatenate(reflected), np.concatenate(bounds)
+    sizes = []
+
+    def spy(M, points):
+        sizes.append(points.shape[0])
+        return signed_interior_distance(M, points)
+
+    monkeypatch.setattr(reflection, "signed_interior_distance", spy)
+    depth = _least_depths(M, reflected, bounds)
+    exact = signed_interior_distance(M, reflected)
+    measured = np.isfinite(depth)
+    assert depth[measured].tobytes() == exact[measured].tobytes()
+    # the certified set is the ball's and the planes'
+    x0, radius, *_ = _inscribed_ball(M)
+    oracle = _polygon_plane_depths if M.dimension == 1 else _face_plane_depths
+    by_planes = oracle(M, reflected) > bounds
+    assert np.array_equal(~measured, (radius - np.linalg.norm(reflected - x0, axis=1) > bounds) | by_planes)
+    # both routes run: the planes measure the images deeper than the band
+    # plus 4 slacks, the grid query the others, in the band or outside
+    band = BOUNDARY_TOL_FACTOR * M.bbox_diagonal
+    tau = band + 4e-12 * float(np.abs(M.vertices).max())
+    assert np.any(np.abs(exact) < band) and np.any(exact < -band) and np.any(measured & (exact > tau))
+    assert sizes == [np.count_nonzero(measured & (exact <= tau))]
 
 
 def test_least_depths_memory_is_bounded_by_the_plane_block():

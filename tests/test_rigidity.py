@@ -14,7 +14,7 @@ from hyperflow.rigidity import (
     comes_out_of_point,
     rigidity_audit,
 )
-from hyperflow import families, reflection, rigidity, shapes
+from hyperflow import families, hypersurface, reflection, rigidity, shapes
 from hyperflow.sphere_ode import initial_time_estimate
 from hyperflow.speeds import mean_curvature, speed_by_name
 from test_reflection import full_depth_verdict
@@ -464,25 +464,40 @@ def test_post_touch_stage_matches_per_plane_oracle_on_criterion_7(criterion_7_fa
 
 def test_post_touch_stage_measures_few_reflected_vertices(criterion_7_fam, monkeypatch):
     # the frames are round, so the inscribed ball certifies most images
-    # inside at once; only those near the surface are measured
-    counts = {"reflected": 0, "measured": 0}
+    # inside at once; only those near the surface are measured, each by its
+    # nearest element planes, so no image reaches the grid query and no
+    # reflection check builds a centroid grid
+    counts = {"reflected": 0, "finite": 0, "grid": 0, "grids": 0}
     least_depths, measure = reflection._least_depths, reflection.signed_interior_distance
+    grid_init = hypersurface._Grid.__init__
 
     def count_reflected(M, reflected, bounds):
+        depth = least_depths(M, reflected, bounds)
         counts["reflected"] += reflected.shape[0]
-        return least_depths(M, reflected, bounds)
+        counts["finite"] += np.count_nonzero(np.isfinite(depth))
+        return depth
 
     def count_measured(M, points):
-        counts["measured"] += points.shape[0]
+        counts["grid"] += points.shape[0]
         return measure(M, points)
+
+    def count_grids(self, *args):
+        counts["grids"] += 1
+        grid_init(self, *args)
 
     monkeypatch.setattr(reflection, "_least_depths", count_reflected)
     monkeypatch.setattr(reflection, "signed_interior_distance", count_measured)
+    monkeypatch.setattr(hypersurface._Grid, "__init__", count_grids)
+    hypersurface._elements.cache_clear()  # an earlier audit of this family leaves its last frame's grid
     report = rigidity_audit(criterion_7_fam, F_K, [0.0, 0.0], directions=_benchmark_directions(0), c_schedule=C_SCHEDULE_7)
     assert report.overall
     assert counts["reflected"] == 203056  # every reflected vertex of the audit
-    assert counts["measured"] < 0.1 * counts["reflected"]
-    assert counts["measured"] == 4816  # the other 198 240 read +inf at once
+    assert counts["finite"] < 0.1 * counts["reflected"]
+    assert counts["finite"] == 4816  # the other 198 240 read +inf at once
+    assert counts["grid"] == 0
+    # the last frame's inradius and the 12 sphericity frames' containment
+    # tests build the only grids (137 when the grid query measured the images)
+    assert counts["grids"] == 13
 
 
 @pytest.mark.parametrize("directions", [0, -2, np.zeros((0, 2))], ids=["zero", "negative", "empty rows"])
