@@ -178,7 +178,6 @@ _RULES: dict[str, tuple[Callable[[SimpleNamespace], bool], str]] = {
     ),
     "family": (lambda c: c.family in ("sphere", "ellipse"), "unknown family {family!r}"),
     "frame_dt": (lambda c: c.frame_dt > 0, "frame_dt must be positive"),
-    "directions": (lambda c: c.directions >= 2, "need at least 2 directions"),
     "plane_offsets": (lambda c: len(c.plane_offsets) >= 1, "at least one plane offset required"),
 }
 

@@ -51,7 +51,8 @@ class FlowConfig:
     requested step within the limit is one RK4 step; a longer one is one RKC
     step whose s stages stretch the limit about 0.65 s^2 / 2.78-fold (equal
     RKC steps above RKC_MAX_STAGES stages).  Frames and cadence always follow
-    the requested dt grid.
+    the requested dt grid.  Under either policy a step's start surface passes
+    the cone and speed checks before its step is sized.
     """
 
     t_end: float
@@ -156,13 +157,11 @@ def _stage_surface(template: DiscreteHypersurface, verts: np.ndarray) -> Discret
         raise MeshDegeneracy(str(exc)) from exc
 
 
-def _velocity(
-    M: DiscreteHypersurface, F: SpeedFunction, speeds: np.ndarray | None = None
-) -> tuple[np.ndarray, float, np.ndarray]:
+def _velocity(M: DiscreteHypersurface, F: SpeedFunction) -> tuple[np.ndarray, float, np.ndarray]:
     """Outward velocity field, min cone margin and the speeds at the vertices.
 
-    ``speeds`` are F's values on M when the caller has them already; they
-    are checked after the cone all the same.
+    The cone is checked first, so F is evaluated only on tuples whose margin
+    exceeds MARGIN_HARD, and then the speeds must be finite and positive.
     """
     data = M.curvature_data
     lam = data.principal
@@ -171,8 +170,7 @@ def _velocity(
         raise ConeExit(
             f"curvature tuple left the admissible cone (margin {margin_min:.3e})"
         )
-    if speeds is None:
-        speeds = F.values(lam)
+    speeds = F.values(lam)
     # the minimum is NaN when any speed is, so NaN fails the first test and +inf the second
     if not (float(speeds.min()) > 0.0 and speeds.max() < math.inf):
         raise NonPositiveSpeed(f"{F.name} non-positive along the surface")
@@ -231,7 +229,7 @@ def stable_substep(M: DiscreteHypersurface, F: SpeedFunction) -> float:
 
 
 def _stable_substep(M: DiscreteHypersurface, F: SpeedFunction, fval: np.ndarray) -> float:
-    """``stable_substep`` given F's values on M, which ``evolve`` shares with the first stage."""
+    """``stable_substep`` given F's values on M, the checked speeds of a step start."""
     lam = M.curvature_data.principal
     diffusivity = _raw_gradient(F, lam).sum(axis=-1) / (fval * fval)
     h = _local_min_edge(M)
@@ -242,12 +240,12 @@ def _stable_substep(M: DiscreteHypersurface, F: SpeedFunction, fval: np.ndarray)
 
 
 def _substep(
-    M: DiscreteHypersurface, F: SpeedFunction, dt: float, start: tuple | None = None
+    M: DiscreteHypersurface, F: SpeedFunction, dt: float, start: tuple
 ) -> tuple[DiscreteHypersurface, float]:
-    """One classical RK4 step from the first stage ``start`` (evaluated when None):
+    """One classical RK4 step from the first stage ``start`` = ``_velocity(M, F)``:
     the new surface, checked against the edge floor, and its least cone margin."""
     x = M.vertices
-    k1, m1, _ = _velocity(M, F) if start is None else start
+    k1, m1, _ = start
     k2, m2, _ = _velocity(_stage_surface(M, x + 0.5 * dt * k1), F)
     k3, m3, _ = _velocity(_stage_surface(M, x + 0.5 * dt * k2), F)
     k4, m4, _ = _velocity(_stage_surface(M, x + dt * k3), F)
@@ -298,13 +296,13 @@ def _rkc_plan(ratio: float) -> tuple[int, int]:
 
 
 def _rkc_step(
-    M: DiscreteHypersurface, F: SpeedFunction, dt: float, s: int, start: tuple | None = None
+    M: DiscreteHypersurface, F: SpeedFunction, dt: float, s: int, start: tuple
 ) -> tuple[DiscreteHypersurface, float]:
-    """One s-stage RKC step from the first stage ``start`` (evaluated when None):
+    """One s-stage RKC step from the first stage ``start`` = ``_velocity(M, F)``:
     the new surface, checked against the edge floor, and its least cone margin."""
     _, mu1, stages = _rkc_coefficients(s)
     x0 = M.vertices
-    f0, margin, _ = _velocity(M, F) if start is None else start
+    f0, margin, _ = start
     prev, cur = x0, x0 + (mu1 * dt) * f0
     for mu, nu, mu_t, gamma_t in stages:
         f, m, _ = _velocity(_stage_surface(M, cur), F)
@@ -324,6 +322,9 @@ def evolve(
 ) -> Trajectory:
     """Run the flow from M0 at time t0 until config.t_end.
 
+    Each requested step first checks its start surface (cone margin, then
+    finite positive speeds, in ``_velocity``), and only then evaluates the
+    stiffness, sizes the step and logs a change in its evaluation count.
     Frames are stored roughly every ``frame_interval`` time units plus the
     final state.  Events record every change in the velocity evaluations per
     requested step, near-cone-boundary warnings, volume decreases and, with
@@ -341,29 +342,20 @@ def evolve(
     last_evals = 4
     while t < config.t_end - 1e-15 * max(1.0, abs(config.t_end)):
         try:
-            # F is evaluated once on the start snapshot, for the stable step
-            # and the first stage, and each check keeps its place: under the
-            # CFL policy the start velocity sets dt; otherwise it is formed
-            # after the stability event
-            if config.dt is None:
-                start = _velocity(M, F)
-                speeds = start[2]
-                dt = config.cfl * float(M.edge_lengths.min()) * float(speeds.min())
-            else:
-                start = None
-                speeds = F.values(M.curvature_data.principal)
-                dt = config.dt
+            # the start surface is checked before its speeds size the step
+            start = _velocity(M, F)
+            dt = config.dt
+            if dt is None:
+                dt = config.cfl * float(M.edge_lengths.min()) * float(start[2].min())
             dt = min(dt, config.t_end - t)
             # one RK4 step where it is stable (four evaluations), else RKC
-            ratio = dt / _stable_substep(M, F, speeds)
+            ratio = dt / _stable_substep(M, F, start[2])
             n_rkc, s = _rkc_plan(ratio) if ratio > 1.0 else (1, 4)
             evals = n_rkc * s
             if evals != last_evals:
                 detail = f"requested dt {dt:.3e} executed as {evals} evaluations (was {last_evals})"
                 traj.events.append({"t": t, "type": "stability_stages", "detail": detail})
                 last_evals = evals
-            if start is None:
-                start = _velocity(M, F, speeds)
             if ratio <= 1.0:
                 M, margin = _substep(M, F, dt, start)
             else:
@@ -374,7 +366,7 @@ def evolve(
             if evaluations > MAX_EVALUATIONS:
                 raise MeshDegeneracy("max step count exceeded")
             for _ in range(n_rkc - 1):
-                M, m_step = _rkc_step(M, F, dt / n_rkc, s)
+                M, m_step = _rkc_step(M, F, dt / n_rkc, s, _velocity(M, F))
                 margin = min(margin, m_step)
         except ConeExit as exc:
             if config.stop_on_cone_exit:

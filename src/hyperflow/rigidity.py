@@ -174,12 +174,14 @@ def rigidity_audit(
     All stages run even after a failure so the report carries the complete
     evidence; the overall verdict is the conjunction of the reflection and
     sphericity stages.  The sphericity bound is 2 min(c_schedule), by the
-    moving-plane lemma.
+    moving-plane lemma.  The schedule's form and the direction set are
+    checked before any stage runs.
     """
     try:  # the schedule's offsets are the radii checked
         cs = _radii(c_schedule)
     except ValueError as exc:
         raise ValueError(f"c_schedule: {exc}") from exc
+    dirs = _direction_set(traj.frames[0][1].dimension, directions)
     origin_report = comes_out_of_point(traj, y_inf, cs)
     y_inf = origin_report.y_infinity
     if not origin_report.passed:
@@ -199,7 +201,6 @@ def rigidity_audit(
     if bad:
         raise ValueError(f"offsets {bad} outside (0, R_star = {R_star:.6g})")
 
-    dirs = _direction_set(traj.frames[0][1].dimension, directions)
     times = traj.times()
 
     tau_table: list[dict] = []

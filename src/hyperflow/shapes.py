@@ -7,11 +7,11 @@ import numpy as np
 from .hypersurface import DiscreteHypersurface
 
 
-def circle_polygon(radius: float = 1.0, count: int = 256, center=(0.0, 0.0), phase: float = 0.0) -> DiscreteHypersurface:
-    """Regular polygon inscribed in a circle; first vertex at angle ``phase``."""
+def circle_polygon(radius: float = 1.0, count: int = 256, center=(0.0, 0.0)) -> DiscreteHypersurface:
+    """Regular polygon inscribed in a circle; first vertex at angle 0."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    theta = phase + 2.0 * np.pi * np.arange(count) / count
+    theta = 2.0 * np.pi * np.arange(count) / count
     verts = np.column_stack([np.cos(theta), np.sin(theta)]) * radius + np.asarray(center, dtype=float)
     return DiscreteHypersurface(verts)
 

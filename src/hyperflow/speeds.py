@@ -40,15 +40,14 @@ class Cone:
 
     kind: str
     predicate: Callable[[np.ndarray], bool] | None = None
-    description: str = ""
 
     @classmethod
     def positive(cls) -> "Cone":
-        return cls(kind=POSITIVE, description="all principal curvatures positive")
+        return cls(kind=POSITIVE)
 
     @classmethod
-    def custom(cls, predicate: Callable[[np.ndarray], bool], description: str = "") -> "Cone":
-        return cls(kind=CUSTOM, predicate=predicate, description=description)
+    def custom(cls, predicate: Callable[[np.ndarray], bool]) -> "Cone":
+        return cls(kind=CUSTOM, predicate=predicate)
 
     def contains(self, lam: np.ndarray) -> bool:
         return bool(self.contains_many(lam)[0])
@@ -294,10 +293,6 @@ class AdmissibilityRow:
     monotone: bool
     symmetry_residual: float
 
-    @property
-    def passed(self) -> bool:
-        return self.positive and self.monotone
-
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
@@ -305,9 +300,6 @@ class AdmissibilityReport:
     rows: tuple[AdmissibilityRow, ...]
     passed: bool
     note: str = "sampled verdict: positivity and monotonicity checked at finitely many cone points, not proved"
-
-    def failures(self) -> list[AdmissibilityRow]:
-        return [r for r in self.rows if not r.passed]
 
     def to_json_dict(self) -> dict:
         return {

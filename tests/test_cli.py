@@ -371,7 +371,7 @@ REJECTED = [
     ("no plane offsets", "reflect-audit", ["plane_offsets=,"]),
     ("unknown family", "rigidity-audit", ["family=torus"]),
     ("frame_dt", "rigidity-audit", ["frame_dt=0"]),
-    ("directions", "rigidity-audit", ["directions=1"]),
+    ("directions", "rigidity-audit", ["directions=0"]),
     ("c_schedule empty", "rigidity-audit", ["c_schedule=,"]),
     ("c_schedule not positive", "rigidity-audit", ["c_schedule=0.4,-0.1"]),
     ("c_schedule increasing", "rigidity-audit", ["c_schedule=0.1,0.2"]),
@@ -530,6 +530,21 @@ def test_a_plane_too_far_to_measure_is_one_stderr_line(tmp_path):
     )
     assert done.returncode == EXIT_USAGE
     assert done.stderr.startswith("config error: query point too far out") and done.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_fixed_step_square_run_is_a_one_line_cone_exit(tmp_path):
+    # the square's collinear vertices have k = 0 exactly: with a fixed dt too,
+    # the start check must report them before the stable step divides by F^2
+    src = str(Path(shapes.__file__).resolve().parents[1])
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); from hyperflow.cli import entrypoint; entrypoint()",
+         "simulate", "--out", str(out), "--set", "shape=square", "--set", "dt=0.001"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == EXIT_NUMERIC
+    assert done.stderr.startswith("numerical failure: ConeExit") and done.stderr.count("\n") == 1
     assert not out.exists()
 
 

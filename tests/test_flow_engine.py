@@ -99,9 +99,9 @@ def test_the_speed_is_evaluated_once_per_stage(monkeypatch, dt):
         evaluations.append(lam.shape[0])
         return F_K.fn(lam)
 
-    def counting_velocity(M, F, speeds=None):
+    def counting_velocity(M, F):
         stages.append(M)
-        return velocity(M, F, speeds)
+        return velocity(M, F)
 
     velocity = flow_engine._velocity
     monkeypatch.setattr(flow_engine, "_velocity", counting_velocity)
@@ -118,9 +118,9 @@ def test_the_stage_ceiling_bounds_the_first_step_on_the_edge_floor(monkeypatch):
     M = DiscreteHypersurface(np.column_stack([np.cos(th), np.sin(th)]))
     calls = []
 
-    def counting_velocity(M, F, speeds=None):
+    def counting_velocity(M, F):
         calls.append(M)
-        return _velocity(M, F, speeds)
+        return _velocity(M, F)
 
     monkeypatch.setattr(flow_engine, "_velocity", counting_velocity)
     with pytest.raises(MeshDegeneracy, match="quality floor"):
@@ -321,7 +321,7 @@ def _textbook_rk4(M, F, dt):
     ids=["ellipse 256-gon, 1/k", "icosphere s2, 1/H"],
 )
 def test_rk4_substep_equals_the_textbook_update(M, F, dt):
-    assert np.array_equal(_substep(M, F, dt)[0].vertices, _textbook_rk4(M, F, dt))
+    assert np.array_equal(_substep(M, F, dt, _velocity(M, F))[0].vertices, _textbook_rk4(M, F, dt))
 
 
 def test_curve_errors_keep_their_types_and_messages():
@@ -371,7 +371,7 @@ def test_one_rk4_substep_of_a_curve_builds_four_snapshots_and_four_curvatures(mo
     monkeypatch.setattr(DiscreteHypersurface, "curvature_data", prop)
     M = shapes.ellipse_polygon(2.0, 1.0, 256)
     counts.update(construct=0)
-    _substep(M, F_K, 1e-5)
+    _substep(M, F_K, 1e-5, _velocity(M, F_K))
     assert counts == {"construct": 4, "curvature": 4}
 
     M = shapes.ellipse_polygon(2.0, 1.0, 256)
@@ -540,24 +540,24 @@ def test_one_curvature_margin_equals_the_general_formula_bitwise():
         assert np.array_equal(cone.interior_margin(finite), _margin_oracle(finite))
 
 
-def _velocity_oracle(M, F, speeds=None):
+def _velocity_oracle(M, F):
     """The stage velocity with one pass per check."""
     data = M.curvature_data
     lam = data.principal
     margin_min = float(F.cone.interior_margin(lam).min())
     if margin_min <= flow_engine.MARGIN_HARD:
         raise ConeExit(f"curvature tuple left the admissible cone (margin {margin_min:.3e})")
-    speeds = F.values(lam) if speeds is None else speeds
+    speeds = F.values(lam)
     if not np.all(np.isfinite(speeds)) or np.any(speeds <= 0.0):
         raise NonPositiveSpeed(f"{F.name} non-positive along the surface")
     return data.normals / speeds[:, None], margin_min, speeds
 
 
-def _rkc_step_oracle(M, F, dt, s, start=None):
+def _rkc_step_oracle(M, F, dt, s, start):
     """The RKC step with each stage's update written as one expression."""
     _, mu1, stages = flow_engine._rkc_coefficients(s)
     x0 = M.vertices
-    f0, margin, _ = flow_engine._velocity(M, F) if start is None else start
+    f0, margin, _ = start
     prev, cur = x0, x0 + (mu1 * dt) * f0
     for mu, nu, mu_t, gamma_t in stages:
         f, m, _ = flow_engine._velocity(flow_engine._stage_surface(M, cur), F)
@@ -615,8 +615,8 @@ def test_cone_margin_warning_event():
 def test_cone_exit_stops_gracefully_when_configured():
     cfg = FlowConfig(t_end=1.0, dt=1e-3, stop_on_cone_exit=False)
     traj = evolve(oracles.peanut_polygon(128), F_K, 0.0, cfg)
-    # a fixed dt sets the stage count before the first stage meets the cone
-    assert [e["type"] for e in traj.events] == ["stability_stages", "cone_exit"]
+    # the start surface meets the cone before the step is sized, as under the CFL policy
+    assert [e["type"] for e in traj.events] == ["cone_exit"]
     assert traj.t1 < 1.0
 
 
@@ -629,12 +629,27 @@ def test_cone_exit_stops_gracefully_under_the_cfl_policy():
     assert len(traj.frames) == 1 and traj.t1 == 0.0
 
 
+def test_a_zero_curvature_start_is_the_same_cone_exit_under_both_step_policies():
+    # the square's collinear vertices have k = 0 exactly: the start check
+    # reports it before anything divides by the speed, whatever sizes the step
+    M = shapes.square_polygon(2.0, per_side=4)
+    messages = []
+    for dt in (1e-3, None):
+        with pytest.raises(ConeExit) as info:
+            evolve(M, F_K, 0.0, FlowConfig(t_end=0.1, dt=dt))
+        messages.append(str(info.value))
+        traj = evolve(M, F_K, 0.0, FlowConfig(t_end=0.1, dt=dt, stop_on_cone_exit=False))
+        assert [e["type"] for e in traj.events] == ["cone_exit"]
+        assert len(traj.frames) == 1 and traj.t1 == 0.0
+    assert messages[0] == messages[1] == "curvature tuple left the admissible cone (margin -1.000e+00)"
+
+
 def test_the_cfl_policy_evaluates_the_start_velocity_once(monkeypatch):
     calls = []
 
-    def counting_velocity(M, F, speeds=None):
+    def counting_velocity(M, F):
         calls.append(M)
-        return _velocity(M, F, speeds)
+        return _velocity(M, F)
 
     monkeypatch.setattr(flow_engine, "_velocity", counting_velocity)
     M = shapes.circle_polygon(1.0, 16)

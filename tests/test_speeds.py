@@ -138,14 +138,14 @@ def test_undeclared_homogeneity_is_probed():
 
 
 def test_homogeneity_probe_respects_cone():
-    capped = Cone.custom(lambda lam: bool(np.all(lam > 0) and np.all(lam < 3)), "capped")
+    capped = Cone.custom(lambda lam: bool(np.all(lam > 0) and np.all(lam < 3)))
     F = SpeedFunction(name="capped-H", arity=2, cone=capped, fn=lambda lam: np.sum(lam, axis=-1))
     with pytest.raises(CurvatureOutsideCone):
         homogeneity_degree(F)
 
 
 def test_empty_sample_raises():
-    never = Cone.custom(lambda lam: False, "empty")
+    never = Cone.custom(lambda lam: False)
     with pytest.raises(EmptySample):
         SamplePlan().points(2, never)
 
@@ -178,7 +178,7 @@ CONE_SAMPLES = np.array([
 
 @pytest.mark.parametrize("cone", [
     Cone.positive(),
-    Cone.custom(lambda lam: bool(lam.sum() > 1.0), "lambda_1 + lambda_2 > 1"),
+    Cone.custom(lambda lam: bool(lam.sum() > 1.0)),
 ], ids=["positive", "custom"])
 def test_cone_membership_forms_agree(cone):
     one_by_one = np.array([cone.contains(row) for row in CONE_SAMPLES])

@@ -61,7 +61,7 @@ def test_integration_lands_exactly_on_t1():
 
 def test_cone_exit_during_integration():
     # custom cone requiring lambda > 0.5: expansion drives 1/r below it
-    cone = Cone.custom(lambda lam: bool(np.all(lam > 0.5)), "lambda > 0.5")
+    cone = Cone.custom(lambda lam: bool(np.all(lam > 0.5)))
     F = SpeedFunction(name="kc", arity=1, cone=cone, fn=lambda lam: np.sum(lam, axis=-1))
     with pytest.raises(ConeExit):
         integrate_radius(F, r0=1.0, t0=0.0, t1=2.0, dt=1e-2)
