@@ -63,7 +63,7 @@ _KEYS: dict[str, dict] = {
     "classify-speed": {"seed": 0, **_SPEED, "dimension": 1},
     "reflect-audit": {**_SHAPE, "plane_direction": (1.0, 0.0), "plane_offsets": (0.5,), "tol": None},
     "rigidity-audit": {
-        **_SPEED, "dimension": 1, "resolution": 256, "t0": 0.0, "t_end": 1.0,
+        **_SPEED, "dimension": 1, "resolution": 256, "t0": -6.0, "t_end": 1.0,
         "family": "sphere", "frame_dt": 0.01, "rates": (1.0, 2.0), "directions": 16,
         "c_schedule": (0.4, 0.2, 0.1, 0.05),
     },

@@ -24,12 +24,13 @@ import numpy as np
 from .errors import (
     ConeExit,
     DegenerateElement,
+    EmptyTrajectory,
     InsufficientFrames,
     MeshDegeneracy,
     NonFiniteState,
     NonPositiveSpeed,
 )
-from .hypersurface import DiscreteHypersurface, _curve_kernel, enclosed_volume
+from .hypersurface import DiscreteHypersurface, _snapshot, enclosed_volume
 from .speeds import SpeedFunction, _raw_gradient
 
 MARGIN_HARD = 1e-6  # relative cone-interior margin that aborts a step
@@ -79,6 +80,10 @@ class Trajectory:
 
     frames: list[tuple[float, DiscreteHypersurface]]
     events: list[dict] = field(default_factory=list)
+
+    def __post_init__(self):
+        if not self.frames:
+            raise EmptyTrajectory("trajectory has no frames")
 
     @property
     def t0(self) -> float:
@@ -194,7 +199,7 @@ def _local_min_edge(M: DiscreteHypersurface) -> np.ndarray:
     over its edge list.
     """
     if M.dimension == 1:
-        length = _curve_kernel(M).length
+        length = _snapshot(M).kernel.length
         return np.minimum(length[:-1], length[1:])
     e = M.edges
     lens = M.edge_lengths
@@ -223,9 +228,11 @@ def stable_substep(M: DiscreteHypersurface, F: SpeedFunction) -> float:
     and F is evaluated once.  A vertex where the gradient sum is not positive
     adds no stiffness; a surface with no positive sum has no limit (inf).
     On a curve the shortest incident edges come from the snapshot's kernel
-    (``_local_min_edge``), which its construction formed already.
+    (``_local_min_edge``), which its construction formed already.  M must
+    pass the start check of ``evolve`` (``_velocity``), which raises
+    ConeExit or NonPositiveSpeed before F's gradient is divided by F^2.
     """
-    return _stable_substep(M, F, F.values(M.curvature_data.principal))
+    return _stable_substep(M, F, _velocity(M, F)[2])
 
 
 def _stable_substep(M: DiscreteHypersurface, F: SpeedFunction, fval: np.ndarray) -> float:

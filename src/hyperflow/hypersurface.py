@@ -7,11 +7,7 @@ constructor validates through it and keeps the volume it measures.
 are slices, and gives edge lengths, normals, circumcircle curvatures and the
 area.  ``_triangles`` forms a mesh's face corners, edges and cross products,
 and gives the zero-area check, the volume and the face and angle-weighted
-vertex normals.  ``_curve_kernel`` and ``_face_kernel`` keep the kernel for
-the last snapshot asked about, so the constructor, the curvature estimate
-and the feature pseudonormals of one snapshot share one kernel; on curves
-``edge_lengths`` and the flow's stable step read it as well, so a curve
-stage forms it once.  Principal curvatures come from the circle
+vertex normals.  Principal curvatures come from the circle
 through three consecutive vertices (curves) or from the two-ring jet fit
 ``_mesh_jet`` (meshes): over K-major two-ring rows padded with the vertex
 itself it sums twelve moments and five height moments, one block of
@@ -33,7 +29,19 @@ geometry.  Containment codes and signed distances share one inside rule:
 the sign of the angle-weighted pseudonormal of the closest feature, with
 winding numbers only as the tie-break within the boundary band.
 
-The blocked fit and the face-kernel memo keep a mesh stage's transient
+One memo holds what is derived from a snapshot: ``_snapshot(M)`` gives an
+object whose kernel, elements, centroid grid, feature pseudonormals,
+inscribed ball and element planes are each formed at their first use.  It
+is kept for the last surface asked about, keyed by the immutable snapshot.
+The constructor, the curvature estimate, the stable step, the distance
+queries and the reflection verdicts of one snapshot share it, so each
+structure is formed once per visit.  It holds one surface, not one per
+snapshot: a flow forms hundreds of stages and an audit walks hundreds of
+frames, and a set kept with each would stay alive with its snapshot.  It
+holds arrays only; the distance kernels are looked up in ``geometry`` at
+each call, so a wrapper installed there later sees them all.
+
+The blocked fit and the shared face kernel keep a mesh stage's transient
 arrays small.  A flow runs hundreds of stages, and glibc hands freed heap
 memory back to the system once the top of the heap holds more than its trim
 threshold, so the next stage faults the same pages in again.  With a dozen
@@ -41,16 +49,6 @@ whole-mesh (K, V) arrays per fit and the face kernel formed twice per
 snapshot, 100 RK4 steps of a 2562-vertex mesh made about 470 000 minor page
 faults and spent about a quarter of their wall time in system time; blocked
 and shared, they make about 30 000.
-
-A query's structures (element corners in ``_elements``, with the centroid
-grid and reaches built at the first pruned query; the feature pseudonormals
-in ``_feature_normals``, built only for signed distances) are kept for the
-last surface asked about, keyed by the immutable snapshot, so repeated
-queries of one surface pay for them once.  The memo holds one surface, not
-one per snapshot: an audit walks hundreds of frames and queries each once,
-and a set per frame would stay alive with its frame.  It holds arrays only;
-the kernels are looked up in ``geometry`` at each call, so a wrapper
-installed there later sees them all.
 
 The curve estimator reproduces circles exactly: three points of a circle
 determine it.  That choice keeps round flows free of discretisation bias, at
@@ -207,7 +205,7 @@ class DiscreteHypersurface:
                 raise ValueError("closed curve needs at least 3 vertices")
             self.faces = None
             self.topology = None
-            poly = _curve_kernel(self)
+            poly = _snapshot(self).kernel
             if poly.length.min() <= 0.0:
                 raise DegenerateElement("zero-length polygon edge")
             self._volume = poly.area()
@@ -224,7 +222,7 @@ class DiscreteHypersurface:
             self.faces = faces
             self.faces.setflags(write=False)
             topo = _topology if _topology is not None else _MeshTopology(faces, vertices.shape[0])
-            tri = _face_kernel(self)
+            tri = _snapshot(self).kernel
             if np.any(tri.area2 <= 0.0):
                 raise DegenerateElement("zero-area triangle")
             self._volume = tri.volume()
@@ -259,7 +257,7 @@ class DiscreteHypersurface:
     @cached_property
     def edge_lengths(self) -> np.ndarray:
         if self.dimension == 1:
-            return _curve_kernel(self).edge_lengths
+            return _snapshot(self).kernel.edge_lengths
         e = self.edges
         return np.linalg.norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]], axis=1)
 
@@ -272,10 +270,10 @@ class DiscreteHypersurface:
     @cached_property
     def curvature_data(self) -> CurvatureData:
         if self.dimension == 1:
-            poly = _curve_kernel(self)
+            poly = _snapshot(self).kernel
             normals, principal = poly.normals()[1], poly.curvature()[:, None]
         else:
-            normals, principal = _mesh_curvatures(self.vertices, self.topology, _face_kernel(self))
+            normals, principal = _mesh_curvatures(self.vertices, self.topology, _snapshot(self).kernel)
         normals.setflags(write=False)
         principal.setflags(write=False)
         return CurvatureData(normals=normals, principal=principal)
@@ -370,22 +368,6 @@ def _polygon(verts: np.ndarray) -> _Polygon:
     return _Polygon(ext, edge, np.sqrt(ex * ex + ey * ey))
 
 
-@lru_cache(maxsize=1)
-def _curve_kernel(M: DiscreteHypersurface) -> _Polygon:
-    """The curve kernel of polygon M, kept for the last snapshot asked about.
-
-    The constructor validates through it, and ``edge_lengths``, the
-    curvature, the feature pseudonormals and the stable step of the same
-    snapshot reuse it, so a flow stage forms it once.  Like ``_face_kernel``
-    it holds one snapshot: an audit keeps hundreds of frames alive, and a
-    kernel on each would stay with its frame.
-    """
-    poly = _polygon(M.vertices)
-    for a in poly:
-        a.setflags(write=False)  # shared by every consumer of M
-    return poly
-
-
 # ---------------------------------------------------------------------------
 # Mesh face kernel
 
@@ -438,21 +420,6 @@ def _triangles(verts: np.ndarray, faces: np.ndarray) -> _Triangles:
     edge = ext[1:] - ext[:-1]
     cross = np.cross(edge[2], edge[0])  # the bits of (b - a) x (c - a): factors swap
     return _Triangles(faces, ext, edge, cross, _length(cross))
-
-
-@lru_cache(maxsize=1)
-def _face_kernel(M: DiscreteHypersurface) -> _Triangles:
-    """The face kernel of mesh M, kept for the last snapshot asked about.
-
-    The constructor validates through it and the curvature fit and the
-    feature pseudonormals of the same snapshot reuse it.  Like ``_elements``
-    it holds one snapshot: a flow keeps about 1 MB of kernel per s4 frame
-    otherwise.
-    """
-    tri = _triangles(M.vertices, M.faces)
-    for a in tri:
-        a.setflags(write=False)  # shared by every consumer of M
-    return tri
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +586,12 @@ def _mesh_curvatures(verts: np.ndarray, topo: _MeshTopology, tri: _Triangles) ->
 
 
 class _Grid:
-    """Sites in space, the element centroids of ``_elements``, binned into a uniform grid of cells.
+    """Sites in space, the element centroids of ``_snapshot``, binned into a uniform grid of cells.
 
+    Each site comes with its element's own reach, the largest distance from
+    the centroid to a corner; ``reach`` is the largest of them and
+    ``extent`` holds them in cell order, so a candidate found by its
+    position there needs no lookup of its element id until it is measured.
     The cells are cubes of edge ``side`` from ``origin``, one empty layer of
     them padding the sites on every side, and linear keys number them in C
     order.  The side is at least twice ``reach``, and at least the edge of
@@ -635,7 +606,8 @@ class _Grid:
     beyond the block are reached through the boxes of the occupied cells.
     """
 
-    def __init__(self, sites: np.ndarray, reach: float):
+    def __init__(self, sites: np.ndarray, extent: np.ndarray):
+        self.reach = reach = float(extent.max())
         n, d = sites.shape
         rows = np.ascontiguousarray(sites.T)  # reductions along rows are the quick ones
         lo, hi = rows.min(axis=1), rows.max(axis=1)
@@ -655,6 +627,7 @@ class _Grid:
         lin = key @ self.stride
         self.order = np.argsort(lin, kind="stable")
         self.sites = np.ascontiguousarray(sites[self.order].T)
+        self.extent = extent[self.order]
         self.start = np.zeros(math.prod(shape) + 1, dtype=np.intp)
         np.cumsum(np.bincount(lin, minlength=self.start.shape[0] - 1), out=self.start[1:])
         # key offsets from a cell to the first cells of its neighbourhood's
@@ -663,8 +636,8 @@ class _Grid:
                                      for off in itertools.product((-1, 0, 1), repeat=d - 1)])
         self.run_start = self.start[:-3]
         self.run_count = self.start[3:] - self.run_start
-        for a in (self.origin, self.top, self.stride, self.order, self.sites, self.start, self.run_offsets,
-                  self.run_count):
+        for a in (self.origin, self.top, self.stride, self.order, self.sites, self.extent, self.start,
+                  self.run_offsets, self.run_count):
             a.setflags(write=False)
 
     @cached_property
@@ -775,70 +748,155 @@ def _segment_min(values: np.ndarray, pos: np.ndarray, per: np.ndarray) -> tuple[
     return low, arg
 
 
-class _Elements:
-    """Elements of the distance queries: a curve's edges, a mesh's triangles.
+class _Derived:
+    """What is derived from snapshot M, each part formed at its first use.
 
-    ``idx`` and ``corners`` are formed with the elements.  The pruned
-    queries (``_nearest`` and ``_close_pairs``) also need ``grid``, which
-    bins the centroids with a cell side of at least twice the largest
-    ``reach``, and ``extent``, each element's own reach in the grid's cell
-    order, so a candidate found by its position there needs no lookup of
-    its element id until it is measured.  Those three are formed at their
-    first use, as a query that measures points against chosen elements
-    needs none of them.
+    ``kernel`` is the curve or face kernel.  The elements of the distance
+    queries are a curve's edges and a mesh's triangles: ``idx`` holds their
+    vertex indices and ``corners`` one corner array per element vertex.
+    ``grid`` bins their centroids with a cell side of at least twice the
+    largest reach, for the pruned queries (``_nearest`` and
+    ``_close_pairs``); a query that measures points against chosen elements
+    needs no grid.  ``feature_normals`` serve the signed distances, and
+    ``ball`` and ``planes`` the reflection verdicts' certificates.
     """
 
-    def __init__(self, idx: np.ndarray, corners: tuple):
-        self.idx = idx  # vertex indices per element
-        self.corners = corners  # corner arrays, one per element vertex
+    def __init__(self, M: DiscreteHypersurface):
+        self.M = M
 
     @cached_property
-    def _binned(self) -> tuple[_Grid, float, np.ndarray]:
+    def kernel(self) -> _Polygon | _Triangles:
+        """The curve kernel of a polygon, the face kernel of a mesh."""
+        M = self.M
+        kernel = _polygon(M.vertices) if M.dimension == 1 else _triangles(M.vertices, M.faces)
+        for a in kernel:
+            a.setflags(write=False)  # shared by every consumer of M
+        return kernel
+
+    @cached_property
+    def idx(self) -> np.ndarray:
+        """Vertex indices per element."""
+        idx = self.M.edges if self.M.dimension == 1 else self.M.faces
+        idx.setflags(write=False)
+        return idx
+
+    @cached_property
+    def corners(self) -> tuple:
+        """Corner arrays, one per element vertex."""
+        corners = tuple(self.M.vertices[self.idx[:, j]] for j in range(self.idx.shape[1]))
+        for a in corners:
+            a.setflags(write=False)
+        return corners
+
+    @cached_property
+    def grid(self) -> _Grid:
+        """The grid over the element centroids."""
         corners = self.corners
         cent = sum(corners[1:], corners[0]) / len(corners)
         extent = np.sqrt(np.max([np.einsum("ij,ij->i", v, v) for v in (p - cent for p in corners)], axis=0))
-        reach = float(extent.max())
-        grid = _Grid(cent, reach)
-        extent = extent[grid.order]
-        extent.setflags(write=False)  # shared by every query of M
-        return grid, reach, extent
+        return _Grid(cent, extent)
 
-    @property
-    def grid(self) -> _Grid:
-        """The grid over the element centroids."""
-        return self._binned[0]
+    @cached_property
+    def feature_normals(self) -> np.ndarray:
+        """Outward unit pseudonormals of every element feature, (elements, features, d).
 
-    @property
-    def reach(self) -> float:
-        """The largest distance from a centroid to its corners."""
-        return self._binned[1]
+        Features are numbered as in the closest-point kernels: the element
+        itself, then a triangle's edges ab, bc and ca, then the corners.  A
+        mesh edge's pseudonormal is the sum of its two face normals; the
+        vertex normals are those of ``_Polygon.normals`` and
+        ``_Triangles.normals``.
+        """
+        M, idx = self.M, self.idx
+        if M.dimension == 1:
+            element_n, vertex_n = self.kernel.normals()
+            out = np.concatenate([element_n[:, None], vertex_n[idx]], axis=1)
+        else:
+            topo = M.topology
+            element_n, vertex_n = self.kernel.normals(M.num_vertices)
+            edge_n = element_n[topo.edge_faces].sum(axis=1)
+            edge_n /= np.linalg.norm(edge_n, axis=1)[:, None]
+            out = np.concatenate([element_n[:, None], edge_n[topo.face_edges], vertex_n[idx]], axis=1)
+        out.setflags(write=False)
+        return out
 
-    @property
-    def extent(self) -> np.ndarray:
-        """(E,) each element's own reach, in the grid's cell order."""
-        return self._binned[2]
+    @cached_property
+    def ball(self) -> tuple[np.ndarray, float, float]:
+        """A ball inside M and its rounding slack: centre x0, radius and slack.
+
+        The ball is the vertex centroid x0 and a radius, at most 0 when there
+        is none.  x0 at depth d0 > 0 clears M by d0, so the open ball
+        B(x0, d0) lies inside M and an image p there has depth at least
+        d0 - |p - x0|.  The radius is d0 less the slack, 1e-12 of the largest
+        coordinate, which covers the rounding of the depths, the reflections,
+        the heights and |p - x0| of points near M.  d0 and the side of x0 are
+        those of ``classify_points`` and ``signed_interior_distance``, but x0
+        is measured against every element in one kernel call.  For one point
+        deep inside, that is cheaper than the centroid-grid query up to
+        several thousand elements (best of several on a 2-core x86 host):
+        0.09 against 0.36-0.40 ms on a 256-gon, 0.5-0.8 against 0.9 ms at
+        1 280 triangles, 1.0 against 1.2-1.4 ms at 5 120, and 3.5-3.8 against
+        1.5-2.3 ms at 20 480.
+        """
+        M = self.M
+        x0 = M.vertices.mean(axis=0)
+        dist = self.distance(np.broadcast_to(x0, self.corners[0].shape), *self.corners)
+        d0 = dist.min()
+        slack = 1e-12 * float(np.abs(M.vertices).max())
+        # a boundary point, or one outside, gives no ball; of the nearest
+        # elements the sign reads the last, as the grid query does
+        if not (d0 >= BOUNDARY_TOL_FACTOR * M.bbox_diagonal
+                and _pseudonormal_inside(M, x0[None, :], np.flatnonzero(dist == d0)[-1:])[0]):
+            return x0, 0.0, slack
+        return x0, float(d0) - slack, slack
+
+    @cached_property
+    def planes(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The element planes of a convex M, None when M is not convex.
+
+        Returns the unit outward normals n_e of the elements, (E, d), and the
+        offsets n_e . a_e - slack, with a_e the element's first corner and
+        the slack that of ``ball``.  M is convex when every consecutive edge
+        cross product of a curve is >= 0, or when for every edge of a mesh
+        the centroid of its second face lies strictly on the inner side of
+        its first face's plane.  One pass and no tolerance: a flat region
+        that rounds to "not convex" only leaves its images to be measured,
+        since the bound is sound on any embedded M.  On a surface that is not
+        convex the planes' least depth is a weak bound and says nothing of
+        the nearest element.
+        """
+        M = self.M
+        if M.dimension == 1:
+            ex, ey = self.kernel.edge
+            convex = bool(np.all(ex[:-1] * ey[1:] - ey[:-1] * ex[1:] >= 0.0))
+        else:
+            tri = self.kernel
+            first, second = M.topology.edge_faces.T
+            centroid = sum(tri.ext[i, second] for i in range(3)) / 3.0
+            convex = bool(np.all(np.einsum("ij,ij->i", centroid - tri.ext[0, first], tri.cross[first]) < 0.0))
+        if not convex:
+            return None
+        normals = np.ascontiguousarray(self.feature_normals[:, 0])
+        offsets = np.einsum("ij,ij->i", normals, self.corners[0])
+        offsets -= self.ball[2]
+        return normals, offsets
 
     # The kernels are looked up in ``geometry`` at each use, never stored: a
     # wrapper installed there after the memo was filled still sees every call.
     @property
     def distance(self) -> Callable:
         """Paired point-element distance kernel."""
-        return geometry.point_segment_pair_distance if len(self.corners) == 2 else geometry.point_triangle_distance
+        return geometry.point_segment_pair_distance if self.M.dimension == 1 else geometry.point_triangle_distance
 
     @property
     def closest_point(self) -> Callable:
         """Paired closest point and its feature."""
-        return geometry.closest_point_segment if len(self.corners) == 2 else geometry.closest_point_triangle
+        return geometry.closest_point_segment if self.M.dimension == 1 else geometry.closest_point_triangle
 
 
 @lru_cache(maxsize=1)
-def _elements(M: DiscreteHypersurface) -> _Elements:
-    """The query structures of M, kept for the last surface asked about."""
-    idx = M.edges if M.dimension == 1 else M.faces
-    corners = tuple(M.vertices[idx[:, j]] for j in range(idx.shape[1]))
-    for a in (idx, *corners):
-        a.setflags(write=False)  # shared by every query of M
-    return _Elements(idx, corners)
+def _snapshot(M: DiscreteHypersurface) -> _Derived:
+    """What is derived from M, kept for the last surface asked about."""
+    return _Derived(M)
 
 
 def _inside(M: DiscreteHypersurface, points: np.ndarray) -> np.ndarray:
@@ -848,15 +906,15 @@ def _inside(M: DiscreteHypersurface, points: np.ndarray) -> np.ndarray:
     return np.abs(geometry.winding_number_3d(M.vertices, M.faces, points)) > 0.5
 
 
-def _in_ball(el: _Elements, bound, pos, owner, d2) -> np.ndarray:
+def _in_ball(grid: _Grid, bound, pos, owner, d2) -> np.ndarray:
     """Whether each candidate's centroid lies within its point's ``bound`` plus the element's reach."""
     limit = bound[owner]
-    limit += el.extent[pos]
+    limit += grid.extent[pos]
     limit *= limit
     return d2 <= limit
 
 
-def _nearest(points: np.ndarray, el: _Elements) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(points: np.ndarray, el: _Derived) -> tuple[np.ndarray, np.ndarray]:
     """Exact distance from each point to the surface and a nearest element.
 
     The element whose centroid is nearest among the point's neighbourhood
@@ -889,13 +947,13 @@ def _nearest(points: np.ndarray, el: _Elements) -> tuple[np.ndarray, np.ndarray]
             raise ValueError("query point too far out: its squared distance to the surface overflows")
         first = grid.order[site]
         bound = el.distance(p, *(c[first] for c in el.corners))
-        radius = bound + el.reach
+        radius = bound + grid.reach
         slack = radius * 1e-12  # rounding margin of the balls
         radius += slack
         bound += slack
         narrow = radius <= clear
         owner = np.repeat(np.arange(p.shape[0]), per)
-        keep = _in_ball(el, bound, pos, owner, d2)
+        keep = _in_ball(grid, bound, pos, owner, d2)
         keep &= narrow[owner]
         pairs = [(owner[keep], grid.order[pos[keep]])]
         wide = np.flatnonzero(~narrow)
@@ -904,7 +962,7 @@ def _nearest(points: np.ndarray, el: _Elements) -> tuple[np.ndarray, np.ndarray]
             for rows, pos, per in grid.in_cells(hit):
                 at = wide[rows]
                 owner = np.repeat(at, per)
-                keep = _in_ball(el, bound, pos, owner, grid.sq_distances(p[at], pos, per))
+                keep = _in_ball(grid, bound, pos, owner, grid.sq_distances(p[at], pos, per))
                 pairs.append((owner[keep], grid.order[pos[keep]]))
         narrow_pairs = pairs[0][0].size
         owner, elems = (np.concatenate(x) for x in zip(*pairs))
@@ -919,30 +977,6 @@ def _nearest(points: np.ndarray, el: _Elements) -> tuple[np.ndarray, np.ndarray]
         # each point's pairs are one run of d, never empty
         best[s : s + step], near[s : s + step] = _segment_min(d, elems, np.bincount(owner, minlength=p.shape[0]))
     return best, near
-
-
-@lru_cache(maxsize=1)
-def _feature_normals(M: DiscreteHypersurface) -> np.ndarray:
-    """Outward unit pseudonormals of every element feature, (elements, features, d).
-
-    Elements are those of ``_elements``.  Features are numbered as in the
-    closest-point kernels: the element itself, then a triangle's edges ab, bc
-    and ca, then the corners.  A mesh edge's pseudonormal is the sum of its
-    two face normals; the vertex normals are those of ``_Polygon.normals``
-    and ``_Triangles.normals``.  Kept for the last surface, as ``_elements``.
-    """
-    idx = _elements(M).idx
-    if M.dimension == 1:
-        element_n, vertex_n = _curve_kernel(M).normals()
-        out = np.concatenate([element_n[:, None], vertex_n[idx]], axis=1)
-    else:
-        topo = M.topology
-        element_n, vertex_n = _face_kernel(M).normals(M.num_vertices)
-        edge_n = element_n[topo.edge_faces].sum(axis=1)
-        edge_n /= np.linalg.norm(edge_n, axis=1)[:, None]
-        out = np.concatenate([element_n[:, None], edge_n[topo.face_edges], vertex_n[idx]], axis=1)
-    out.setflags(write=False)
-    return out
 
 
 def _pseudonormal_inside(M: DiscreteHypersurface, points: np.ndarray, near: np.ndarray) -> np.ndarray:
@@ -961,9 +995,9 @@ def _pseudonormal_inside(M: DiscreteHypersurface, points: np.ndarray, near: np.n
     boxed = np.flatnonzero(
         np.all((points >= M.vertices.min(axis=0)) & (points <= M.vertices.max(axis=0)), axis=1)
     )
-    el = _elements(M)
+    el = _snapshot(M)
     q, feature = el.closest_point(points[boxed], *(c[near[boxed]] for c in el.corners))
-    offset = np.einsum("ij,ij->i", points[boxed] - q, _feature_normals(M)[near[boxed], feature])
+    offset = np.einsum("ij,ij->i", points[boxed] - q, el.feature_normals[near[boxed], feature])
     inside[boxed] = offset < 0.0
     unsure = boxed[~(np.abs(offset) > BOUNDARY_TOL_FACTOR * M.bbox_diagonal)]
     if unsure.size:
@@ -974,12 +1008,12 @@ def _pseudonormal_inside(M: DiscreteHypersurface, points: np.ndarray, near: np.n
 def surface_distance(M: DiscreteHypersurface, points: np.ndarray) -> np.ndarray:
     """Unsigned distance from each query point to the surface, exact."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return _nearest(points, _elements(M))[0]
+    return _nearest(points, _snapshot(M))[0]
 
 
 def _distances_and_codes(M: DiscreteHypersurface, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact distance to M and containment code of each point, from one ``_nearest`` pass."""
-    dist, near = _nearest(points, _elements(M))
+    dist, near = _nearest(points, _snapshot(M))
     off = ~(dist < BOUNDARY_TOL_FACTOR * M.bbox_diagonal)
     code = np.full(points.shape[0], BOUNDARY_CODE)
     code[off] = np.where(_pseudonormal_inside(M, points[off], near[off]), INSIDE_CODE, OUTSIDE_CODE)
@@ -1012,7 +1046,7 @@ def signed_interior_distance(M: DiscreteHypersurface, points: np.ndarray) -> np.
     The sign is that of ``_pseudonormal_inside``, so M must be embedded.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    dist, near = _nearest(points, _elements(M))
+    dist, near = _nearest(points, _snapshot(M))
     return np.where(_pseudonormal_inside(M, points, near), dist, -dist)
 
 
@@ -1048,7 +1082,7 @@ def inner_outer_radii(M: DiscreteHypersurface, center) -> RadiiReport:
 # Embeddedness sweep
 
 
-def _close_pairs(el: _Elements) -> np.ndarray:
+def _close_pairs(el: _Derived) -> np.ndarray:
     """Element pairs (i, j) whose centroids lie within twice the largest reach, each once.
 
     Such centroids lie in the same cell or in adjacent ones, so each
@@ -1068,7 +1102,7 @@ def _close_pairs(el: _Elements) -> np.ndarray:
     i = a_first[run] + k // b_count[run]
     j = b_first[run] + k % b_count[run]
     d2 = sum((row[i] - row[j]) ** 2 for row in grid.sites)
-    limit = 2.0 * el.reach * (1.0 + 1e-12)
+    limit = 2.0 * grid.reach * (1.0 + 1e-12)
     keep = ((a != b)[run] | (i < j)) & (d2 <= limit * limit)
     return np.column_stack([grid.order[i[keep]], grid.order[j[keep]]])
 
@@ -1081,7 +1115,7 @@ def is_embedded(M: DiscreteHypersurface) -> bool:
     (``_close_pairs``).  Pairs that share a vertex are dropped and the rest
     get an exact pair test.
     """
-    el = _elements(M)
+    el = _snapshot(M)
     idx = el.idx
     pairs = _close_pairs(el)
     shares = np.any(idx[pairs[:, 0]][:, :, None] == idx[pairs[:, 1]][:, None, :], axis=(1, 2))

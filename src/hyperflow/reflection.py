@@ -14,7 +14,6 @@ import enum
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cache, lru_cache, partial
 
 import numpy as np
 
@@ -25,13 +24,9 @@ from .hypersurface import (
     BOUNDARY_TOL_FACTOR,
     Containment,
     DiscreteHypersurface,
-    _curve_kernel,
-    _elements,
-    _face_kernel,
-    _feature_normals,
     _point,
-    _pseudonormal_inside,
     _segment_min,
+    _snapshot,
     contains_point,
     signed_interior_distance,
 )
@@ -224,72 +219,6 @@ def _plane_rows(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.searchsorted(flat, np.arange(mask.shape[0] + 1) * n), plane, flat - plane * n
 
 
-@lru_cache(maxsize=1)
-def _inscribed_ball(M: DiscreteHypersurface) -> tuple[np.ndarray, float, float, Callable[[], tuple | None]]:
-    """A ball inside M, its rounding slack, and M's element planes on demand.
-
-    The ball is the vertex centroid x0 and a radius, at most 0 when there is
-    none.  x0 at depth d0 > 0 clears M by d0, so the open ball B(x0, d0)
-    lies inside M and an image p there has depth at least d0 - |p - x0|.
-    The radius is d0 less the slack, 1e-12 of the largest coordinate, which
-    covers the rounding of the depths, the reflections, the heights and
-    |p - x0| of points near M.  d0 and the side of x0 are those of
-    ``classify_points`` and ``signed_interior_distance``, but x0 is measured
-    against every element in one kernel call.  For one point deep inside,
-    that is cheaper than the centroid-grid query up to several thousand
-    elements (best of several on a 2-core x86 host): 0.09 against 0.36-0.40
-    ms on a 256-gon, 0.5-0.8 against 0.9 ms at 1 280 triangles, 1.0 against
-    1.2-1.4 ms at 5 120, and 3.5-3.8 against 1.5-2.3 ms at 20 480.
-
-    The planes are those of ``_element_planes``, with the slack in their
-    offsets, or None when M fails its convexity test: on a surface that is
-    not convex their least depth is a weak bound and says nothing of the
-    nearest element.  They are formed at the first call of the returned
-    function and kept with the ball, since a frame whose images the ball
-    settles never needs them.  All of it is kept for the last surface asked
-    about, as ``_elements``: the planes checked at one frame share it.
-    """
-    x0 = M.vertices.mean(axis=0)
-    el = _elements(M)
-    dist = el.distance(np.broadcast_to(x0, el.corners[0].shape), *el.corners)
-    d0 = dist.min()
-    slack = 1e-12 * float(np.abs(M.vertices).max())
-    planes = cache(partial(_element_planes, M, slack))
-    # a boundary point, or one outside, gives no ball; of the nearest
-    # elements the sign reads the last, as the grid query does
-    if not (d0 >= BOUNDARY_TOL_FACTOR * M.bbox_diagonal
-            and _pseudonormal_inside(M, x0[None, :], np.flatnonzero(dist == d0)[-1:])[0]):
-        return x0, 0.0, slack, planes
-    return x0, float(d0) - slack, slack, planes
-
-
-def _element_planes(M: DiscreteHypersurface, slack: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """The element planes of a convex M, None when M is not convex.
-
-    Returns the unit outward normals n_e of the elements, (E, d), and the
-    offsets n_e . a_e - slack, with a_e the element's first corner.  M is
-    convex when every consecutive edge cross product of a curve is >= 0, or
-    when for every edge of a mesh the centroid of its second face lies
-    strictly on the inner side of its first face's plane.  One pass and no
-    tolerance: a flat region that rounds to "not convex" only leaves its
-    images to be measured, since the bound is sound on any embedded M.
-    """
-    if M.dimension == 1:
-        ex, ey = _curve_kernel(M).edge
-        convex = bool(np.all(ex[:-1] * ey[1:] - ey[:-1] * ex[1:] >= 0.0))
-    else:
-        tri = _face_kernel(M)
-        first, second = M.topology.edge_faces.T
-        centroid = sum(tri.ext[i, second] for i in range(3)) / 3.0
-        convex = bool(np.all(np.einsum("ij,ij->i", centroid - tri.ext[0, first], tri.cross[first]) < 0.0))
-    if not convex:
-        return None
-    normals = np.ascontiguousarray(_feature_normals(M)[:, 0])
-    offsets = np.einsum("ij,ij->i", normals, _elements(M).corners[0])
-    offsets -= slack
-    return normals, offsets
-
-
 def _plane_depths(
     planes: tuple[np.ndarray, np.ndarray], points: np.ndarray, margin: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -326,14 +255,15 @@ def _least_depths(M: DiscreteHypersurface, reflected: np.ndarray, bounds: np.nda
     ``bounds`` holds, for each image, its plane's U = 2 s_min, with s_min
     the height of the plane's crosser nearest the plane: that crosser's
     image lies 2 s_min from the crosser itself, a point of M, so the plane's
-    least depth is at most U.  First the ball of ``_inscribed_ball``: an
+    least depth is at most U.  First the inscribed ball of ``_snapshot``: an
     image p with d0 - |p - x0| > U is inside and deeper than U, and reads
     +inf with no query.  On a surface that is not convex every image the
     ball leaves is measured, in one ``signed_interior_distance`` call.
 
-    On a convex M every image the ball leaves gets its plane depths in one
-    blocked pass, ``_plane_depths`` with margin delta = 4 slack, and is
-    routed by its least plane depth ``least``:
+    On a convex M every image the ball leaves gets its depths below the
+    element planes of ``_snapshot`` in one blocked pass, ``_plane_depths``
+    with margin delta = 4 slack, and is routed by its least plane depth
+    ``least``:
 
     - least > U: the image reads +inf.  By the pseudonormal theorem that
       ``signed_interior_distance`` rests on, a point outside an embedded M
@@ -365,23 +295,23 @@ def _least_depths(M: DiscreteHypersurface, reflected: np.ndarray, bounds: np.nda
     pseudonormal: the image lies deeper than the boundary band, where the
     pseudonormal test and its winding-number tie-break both read inside.
     """
-    x0, radius, slack, planes = _inscribed_ball(M)
+    el = _snapshot(M)
+    x0, radius, slack = el.ball
     # with no ball (radius <= 0) every image is unsure, as U > 0; a norm
     # that overflows leaves its image unsure, and the query rejects it
     with np.errstate(over="ignore"):
         unsure = np.flatnonzero(radius - np.linalg.norm(reflected - x0, axis=1) <= bounds)
     depth = np.full(reflected.shape[0], np.inf)
-    if unsure.size and planes() is not None:
+    if unsure.size and el.planes is not None:
         delta = 4.0 * slack
         points = reflected[unsure]
-        least, owner, elems = _plane_depths(planes(), points, delta)
+        least, owner, elems = _plane_depths(el.planes, points, delta)
         certified = least > bounds[unsure]
         inner = least > BOUNDARY_TOL_FACTOR * M.bbox_diagonal + delta
         measured = inner & ~certified
         if measured.any():
             take = measured[owner]  # the pairs run point by point, so each point's candidates are one run
             owner, elems = owner[take], elems[take]
-            el = _elements(M)
             d = el.distance(points[owner], *(c[elems] for c in el.corners))
             depth[unsure[measured]] = _segment_min(d, elems, np.bincount(owner, minlength=unsure.size)[measured])[0]
         unsure = unsure[~(inner | certified)]

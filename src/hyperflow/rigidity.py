@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CenterOutside, EmptyTrajectory, HyperflowError, PreconditionFailed
+from .errors import CenterOutside, HyperflowError, PreconditionFailed
 from .flow_engine import FlowResidual, Trajectory, _heights, flow_residual
 from .geometry import fibonacci_sphere_directions, uniform_circle_directions
 from .hypersurface import _point, inner_outer_radii
@@ -76,8 +76,6 @@ class PointOriginReport:
 
 def comes_out_of_point(traj: Trajectory, y_inf, radii) -> PointOriginReport:
     """Check that the trajectory fits in every ball B_r(y_inf) near its start."""
-    if not traj.frames:
-        raise EmptyTrajectory("trajectory has no frames")
     y_inf = _point("y_inf", y_inf, traj.frames[0][1])
     radii = _radii(radii)
 

@@ -47,3 +47,27 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         if name not in KEEP and not any(name in r for j, r in enumerate(refs) if j != k)
     ]
     assert uncalled == []
+
+
+def _is_memo(node: ast.AST) -> bool:
+    """Whether ``node`` names ``functools.lru_cache`` or ``functools.cache``, called or not."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (isinstance(node, ast.Name) and node.id in ("lru_cache", "cache")) or (
+        isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache"))
+
+
+def test_one_memo_holds_what_is_derived_from_a_surface():
+    # hypersurface._snapshot keeps every per-surface structure; the RKC
+    # coefficients are keyed by the stage count
+    memos = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        decorators = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                decorators.update(map(id, node.decorator_list))
+                memos += [f"{path.stem}.{node.name}" for d in node.decorator_list if _is_memo(d)]
+        memos += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in decorators and _is_memo(node.func)]
+    assert sorted(memos) == ["flow_engine._rkc_coefficients", "hypersurface._snapshot"]

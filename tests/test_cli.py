@@ -178,6 +178,11 @@ def test_rigidity_audit_family_exit_codes(tmp_path):
     assert witnesses and witnesses[0] is not None
 
 
+def test_the_default_rigidity_audit_passes(tmp_path):
+    # at t0 = 0 the sphere family started at radius 1 and missed the origin balls
+    assert run_cli("rigidity-audit", "--out", str(tmp_path / "rig")) == EXIT_OK
+
+
 def test_numeric_failure_exit_code(tmp_path):
     mesh = tmp_path / "peanut.txt"
     write_surface(oracles.peanut_polygon(64), mesh)

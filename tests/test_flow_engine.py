@@ -10,6 +10,7 @@ import pytest
 from hyperflow.errors import (
     ConeExit,
     DegenerateElement,
+    EmptyTrajectory,
     InsufficientFrames,
     MeshDegeneracy,
     NonFiniteState,
@@ -587,7 +588,7 @@ def test_a_curve_flow_equals_the_one_built_from_the_oracle_forms(monkeypatch):
         with monkeypatch.context() as patch:
             # a kernel formed at each use, the two-pass minimum, the general
             # margin, one pass per check and the one-expression update
-            patch.setattr(hypersurface, "_curve_kernel", lambda M: hypersurface._polygon(M.vertices))
+            patch.setattr(hypersurface, "_snapshot", hypersurface._snapshot.__wrapped__)
             patch.setattr(flow_engine, "_local_min_edge", _local_min_edge_oracle)
             patch.setattr(Cone, "interior_margin", margin)
             patch.setattr(flow_engine, "_velocity", _velocity_oracle)
@@ -642,6 +643,12 @@ def test_a_zero_curvature_start_is_the_same_cone_exit_under_both_step_policies()
         assert [e["type"] for e in traj.events] == ["cone_exit"]
         assert len(traj.frames) == 1 and traj.t1 == 0.0
     assert messages[0] == messages[1] == "curvature tuple left the admissible cone (margin -1.000e+00)"
+
+
+def test_the_public_stable_substep_makes_the_start_check():
+    # it divided F's gradient by F^2 = 0 on the collinear vertices
+    with pytest.raises(ConeExit, match="margin -1.000e"):
+        stable_substep(shapes.square_polygon(2.0, per_side=4), F_K)
 
 
 def test_the_cfl_policy_evaluates_the_start_velocity_once(monkeypatch):
@@ -707,6 +714,13 @@ def test_residual_large_on_ellipse_family():
     fam = families.ellipsoid_family(times, rates=(1.0, 2.0), n=1, resolution=128)
     res = flow_residual(fam, F_K)
     assert res.overall_max > 0.1
+
+
+def test_an_empty_trajectory_is_the_typed_error():
+    # the audit, the touch time and the interpolation used to fail further
+    # in, with IndexError or numpy's zero-size ValueError
+    with pytest.raises(EmptyTrajectory, match="no frames"):
+        Trajectory([])
 
 
 def test_residual_of_evolved_trajectory_within_step_budget():

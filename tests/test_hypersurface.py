@@ -27,13 +27,11 @@ from hyperflow.hypersurface import (
     surface_distance,
     write_surface,
     _close_pairs,
-    _curve_kernel,
     _edge_table,
-    _elements,
-    _face_kernel,
     _mesh_jet,
     _nearest,
     _polygon,
+    _snapshot,
     _solve_ldl,
     _tangent_basis,
     _triangles,
@@ -454,24 +452,24 @@ def test_alternating_mesh_snapshots_get_their_own_face_kernels():
     pts = _distance_queries(M1, seed=3)
     want = {}
     for M in (M1, M2):
-        _face_kernel.cache_clear()
+        _snapshot.cache_clear()
         want[id(M)] = (*_fresh_curvature(M), _fresh(signed_interior_distance, M, pts))
-    _face_kernel(M2)
+    _snapshot(M2).kernel
     # each first visit fits the curvature while the memo holds the other snapshot
     for M in (M1, M2, M1, M2):
         normals, principal, signed = want[id(M)]
         assert np.array_equal(M.curvature_data.normals, normals)
         assert np.array_equal(M.curvature_data.principal, principal)
         assert np.array_equal(signed_interior_distance(M, pts), signed)
-        assert _face_kernel(M) is _face_kernel(M)
-        assert not _face_kernel(M).cross.flags.writeable
+        assert _snapshot(M).kernel is _snapshot(M).kernel
+        assert not _snapshot(M).kernel.cross.flags.writeable
 
 
 def test_a_flow_leaves_one_face_kernel_in_the_memo():
     M0 = shapes.icosphere(1.0, 2)
     traj = evolve(M0, speeds.speed_by_name("H", 2), 0.0, FlowConfig(t_end=0.1, dt=0.01, frame_interval=0.01))
     assert len(traj.frames) == 11
-    assert _face_kernel.cache_info().currsize == 1
+    assert _snapshot.cache_info().currsize == 1
     frames = [weakref.ref(M) for _, M in traj.frames[1:]]
     del traj
     gc.collect()
@@ -507,10 +505,10 @@ def test_alternating_curve_snapshots_get_their_own_curve_kernels():
     pts = _distance_queries(M1, seed=3)
     want = {}
     for M in (M1, M2):
-        _curve_kernel.cache_clear()
+        _snapshot.cache_clear()
         want[id(M)] = (*_fresh_curve_curvature(M), _polygon(M.vertices).edge_lengths,
                        _fresh(signed_interior_distance, M, pts))
-    _curve_kernel(M2)
+    _snapshot(M2).kernel
     # each first visit reads the curvature while the memo holds the other snapshot
     for M in (M1, M2, M1, M2):
         normals, principal, lengths, signed = want[id(M)]
@@ -518,15 +516,15 @@ def test_alternating_curve_snapshots_get_their_own_curve_kernels():
         assert np.array_equal(M.curvature_data.principal, principal)
         assert np.array_equal(M.edge_lengths, lengths)
         assert np.array_equal(signed_interior_distance(M, pts), signed)
-        assert _curve_kernel(M) is _curve_kernel(M)
-        assert not any(a.flags.writeable for a in _curve_kernel(M))
+        assert _snapshot(M).kernel is _snapshot(M).kernel
+        assert not any(a.flags.writeable for a in _snapshot(M).kernel)
 
 
 def test_a_curve_flow_leaves_one_curve_kernel_in_the_memo():
     M0 = shapes.ellipse_polygon(2.0, 1.0, 64)
     traj = evolve(M0, speeds.mean_curvature(1), 0.0, FlowConfig(t_end=0.05, dt=0.005, frame_interval=0.005))
     assert len(traj.frames) == 11
-    assert _curve_kernel.cache_info().currsize == 1
+    assert _snapshot.cache_info().currsize == 1
     frames = [weakref.ref(M) for _, M in traj.frames[1:]]
     del traj
     gc.collect()
@@ -556,7 +554,7 @@ def test_building_and_reading_a_family_keeps_one_curve_kernel():
     finally:
         tracemalloc.stop()
     assert len(fam.frames) == 601
-    assert _curve_kernel.cache_info().currsize == 1
+    assert _snapshot.cache_info().currsize == 1
     # a frame keeps its 4 KB of vertices and 6 KB of normals and curvatures;
     # a kernel kept with each frame would add another 10 KB (padded rows,
     # edges and lengths)
@@ -858,7 +856,7 @@ def _all_pairs_nearest(el, points):
 @pytest.mark.parametrize("name", [*_NEAREST_CASES, "square corner diagonals", "pushed icosphere vertices"])
 def test_nearest_is_the_all_pairs_minimum_and_its_last_minimiser(name):
     M, pts = _nearest_case(name)
-    el = _elements(M)
+    el = _snapshot(M)
     best, near = _nearest(pts, el)
     want_best, want_near = _all_pairs_nearest(el, pts)
     assert np.array_equal(best, want_best)
@@ -871,7 +869,7 @@ def test_nearest_is_the_all_pairs_minimum_and_its_last_minimiser(name):
 @pytest.mark.parametrize("name", ["peanut", "half ball", "pushed icosphere vertices"])
 def test_nearest_blocks_do_not_change_the_result(name, monkeypatch):
     M, pts = _nearest_case(name)
-    el = _elements(M)
+    el = _snapshot(M)
     want = _nearest(pts, el)
     # every point is its own ball query, and its pairs span kernel calls
     monkeypatch.setattr(hypersurface, "_QUERY_PAIRS", 1)
@@ -939,7 +937,7 @@ def _around_the_grid(M, el):
 @pytest.mark.parametrize("name", [*_NEAREST_CASES, "square corner diagonals", "pushed icosphere vertices"])
 def test_nearest_has_the_bits_of_the_tree_query(name):
     M, pts = _nearest_case(name)
-    el = _elements(M)
+    el = _snapshot(M)
     pts = np.vstack([pts, _around_the_grid(M, el)])
     best, near = _nearest(pts, el)
     want_best, want_near = _tree_nearest(pts, el)
@@ -1040,7 +1038,7 @@ def test_close_pairs_hold_the_tree_pairs(name):
         "pushed-through icosphere": _pushed_through_icosphere,
         "half ball": _half_ball,
     }[name]()
-    el = _elements(M)
+    el = _snapshot(M)
     cent = sum(el.corners[1:], el.corners[0]) / len(el.corners)
     reach = float(np.max(np.stack([np.linalg.norm(p - cent, axis=1) for p in el.corners])))
     want = cKDTree(cent).query_pairs(2.0 * reach, output_type="ndarray")
@@ -1053,8 +1051,7 @@ def test_close_pairs_hold_the_tree_pairs(name):
 
 def _fresh(query, M, pts):
     """A query with the memo of query structures emptied first."""
-    hypersurface._elements.cache_clear()
-    hypersurface._feature_normals.cache_clear()
+    _snapshot.cache_clear()
     return query(M, pts)
 
 
@@ -1080,8 +1077,7 @@ def test_the_memo_holds_the_last_surface_only():
     frames = [weakref.ref(M) for _, M in traj.frames]
     for _, M in traj.frames:
         signed_interior_distance(M, np.zeros((1, 2)))
-    assert hypersurface._elements.cache_info().currsize == 1
-    assert hypersurface._feature_normals.cache_info().currsize == 1
+    assert _snapshot.cache_info().currsize == 1
     del traj, M
     gc.collect()
     assert [ref() is not None for ref in frames] == [False] * 600 + [True]

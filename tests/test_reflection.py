@@ -13,6 +13,7 @@ from hyperflow.hypersurface import (
     INSIDE_CODE,
     DiscreteHypersurface,
     _distances_and_codes,
+    _snapshot,
     signed_interior_distance,
     surface_distance,
 )
@@ -21,7 +22,6 @@ from hyperflow.reflection import (
     Hyperplane,
     ReflectionStatus,
     ReflectionVerdict,
-    _inscribed_ball,
     _judge,
     _least_depths,
     _plane_depths,
@@ -276,7 +276,7 @@ def test_the_images_the_ball_leaves_are_measured_in_one_call(name, monkeypatch):
     else:
         M, pl = shapes.circle_polygon(1.0, 256, center=(-2.0, 0.0)), plane([-1, 0], 0.5)
     depth, sizes, exact = _depths_measured(M, pl, monkeypatch)
-    x0, radius, *_ = _inscribed_ball(M)
+    x0, radius, _ = _snapshot(M).ball
     s = pl.signed_coordinate(M.vertices)
     crossers = s > INCLUSION_BAND_FACTOR * M.bbox_diagonal
     reflected = pl.reflect(M.vertices[crossers])
@@ -306,8 +306,8 @@ def test_a_plane_with_no_far_vertex_measures_every_image(monkeypatch):
 
 def test_the_inscribed_ball_is_absent_or_thin_on_lopsided_shapes():
     # the oracle surfaces where the ball certifies nothing or next to nothing
-    assert _inscribed_ball(_c_shape())[1] <= 0.0
-    assert 0.0 < _inscribed_ball(_lopsided_circle())[1] < 0.03
+    assert _snapshot(_c_shape()).ball[1] <= 0.0
+    assert 0.0 < _snapshot(_lopsided_circle()).ball[1] < 0.03
 
 
 # the element-plane certificate of convex surfaces
@@ -329,7 +329,7 @@ CONVEX = {
 @pytest.mark.parametrize("name", [*ORACLE_SURFACES, "icosphere s4"])
 def test_element_planes_are_kept_only_for_convex_surfaces(name):
     M = shapes.icosphere(1.0, 4) if name == "icosphere s4" else ORACLE_SURFACES[name]()
-    assert (_inscribed_ball(M)[3]() is not None) == CONVEX.get(name, True)
+    assert (_snapshot(M).planes is not None) == CONVEX.get(name, True)
 
 
 @pytest.mark.parametrize("name", ["peanut", "C shape", "noisy sphere", "ellipsoid s3"])
@@ -357,7 +357,7 @@ def test_the_plane_bound_is_the_depth_inside_and_at_most_0_outside(name):
     # inside a convex polygon or polyhedron the distance to the boundary is
     # the least distance to a face plane; outside, some plane is crossed
     M = ORACLE_SURFACES[name]()
-    planes = _inscribed_ball(M)[3]()
+    planes = _snapshot(M).planes
     rng = np.random.default_rng(19)
     d = M.dimension + 1
     lo, hi = M.vertices.min(axis=0), M.vertices.max(axis=0)
@@ -465,7 +465,7 @@ def test_the_plane_pass_measures_with_the_bits_of_the_grid_query(name, monkeypat
     measured = np.isfinite(depth)
     assert depth[measured].tobytes() == exact[measured].tobytes()
     # the certified set is the ball's and the planes'
-    x0, radius, *_ = _inscribed_ball(M)
+    x0, radius, _ = _snapshot(M).ball
     oracle = _polygon_plane_depths if M.dimension == 1 else _face_plane_depths
     by_planes = oracle(M, reflected) > bounds
     assert np.array_equal(~measured, (radius - np.linalg.norm(reflected - x0, axis=1) > bounds) | by_planes)
@@ -486,7 +486,7 @@ def test_least_depths_memory_is_bounded_by_the_plane_block():
     crossers = s > INCLUSION_BAND_FACTOR * M.bbox_diagonal
     reflected = pl.reflect(M.vertices[crossers])
     bounds = np.full(reflected.shape[0], 2.0 * s[crossers].min())
-    assert _inscribed_ball(M)[3]() is not None  # the memo is filled untraced
+    assert _snapshot(M).planes is not None  # the memo is filled untraced
     signed_interior_distance(M, M.vertices[:1])
     tracemalloc.start()
     try:
@@ -622,7 +622,7 @@ def test_the_inscribed_ball_has_the_radius_of_one_distance_pass(name):
     # x0 measured against every element gives the distance and side of the
     # grid query that classify_points makes
     M = ORACLE_SURFACES[name]()
-    x0, radius, *_ = _inscribed_ball(M)
+    x0, radius, _ = _snapshot(M).ball
     dist, code = _distances_and_codes(M, M.vertices.mean(axis=0)[None, :])
     assert x0.tobytes() == M.vertices.mean(axis=0).tobytes()
     if code[0] != INSIDE_CODE:

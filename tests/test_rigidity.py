@@ -488,7 +488,7 @@ def test_post_touch_stage_measures_few_reflected_vertices(criterion_7_fam, monke
     monkeypatch.setattr(reflection, "_least_depths", count_reflected)
     monkeypatch.setattr(reflection, "signed_interior_distance", count_measured)
     monkeypatch.setattr(hypersurface._Grid, "__init__", count_grids)
-    hypersurface._elements.cache_clear()  # an earlier audit of this family leaves its last frame's grid
+    hypersurface._snapshot.cache_clear()  # an earlier audit of this family leaves its last frame's grid
     report = rigidity_audit(criterion_7_fam, F_K, [0.0, 0.0], directions=_benchmark_directions(0), c_schedule=C_SCHEDULE_7)
     assert report.overall
     assert counts["reflected"] == 203056  # every reflected vertex of the audit

@@ -88,8 +88,7 @@ def test_a_tracer_installed_after_a_query_counts_the_next_query():
         tracing.install(tracer)
         got = hypersurface.signed_interior_distance(M, pts)
         hit = tracer.calls["geometry.point_triangle_distance"], tracer.counts["geometry.point_triangle_distance.pairs"]
-        hypersurface._elements.cache_clear()
-        hypersurface._feature_normals.cache_clear()
+        hypersurface._snapshot.cache_clear()
         hypersurface.signed_interior_distance(M, pts)
         fresh = tracer.calls["geometry.point_triangle_distance"] - hit[0]
     finally:
