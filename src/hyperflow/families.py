@@ -64,6 +64,8 @@ def exponential_sphere_family(
     center=None,
 ) -> Trajectory:
     """Spheres with radius e^t; the model expanding solution."""
+    if not (frame_dt > 0.0):
+        raise ValueError(f"frame_dt must be positive, got {frame_dt}")
     count = int(round((t1 - t0) / frame_dt))
     times = t0 + frame_dt * np.arange(count + 1)
     return sphere_family(times, lambda t: float(np.exp(t)), n=n, center=center, resolution=resolution)

@@ -338,6 +338,8 @@ def evolve(
     stop_on_cone_exit=False, a graceful stop at a cone exit.  Every frame
     keeps the connectivity of M0.
     """
+    if not math.isfinite(t0):
+        raise ValueError("t0 must be finite")
     if not (config.t_end > t0):
         raise ValueError("t_end must exceed t0")
     traj = Trajectory(frames=[(t0, M0)])

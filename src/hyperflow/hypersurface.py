@@ -16,16 +16,17 @@ factorisation on (V,) arrays.  The two-ring table comes from the sorted
 directed edges: each vertex's neighbours' neighbours, sorted and deduplicated
 row by row.  Distances and the embeddedness
 sweep share one element path: a curve's elements are its edges and a mesh's
-are its triangles, pruned by a uniform cell grid over element centroids
-(``_Grid``, numpy only: one stable sort of the cell keys and a start per
-cell).  A distance query measures each point against the element whose
-centroid is nearest in the point's 3^d cell neighbourhood, then against
-every element whose centroid lies within that distance plus the element's
-own reach.  When that ball fits in the neighbourhood its elements are the
-candidates; a wider ball takes the occupied cells it meets, so the work of
-a point follows its ball, not the whole surface.  The points go in blocks
-sized so that a block holds a bounded number of pairs, whatever the
-geometry.  Containment codes and signed distances share one inside rule:
+are its triangles.  Every distance query takes its least distances from
+one measuring step, ``_measure``, so one rule breaks ties: of equally near
+elements, the largest index.  A query of few point-element pairs, such as
+one point, measures every pair; a larger one is pruned by a uniform cell
+grid over element centroids (``_Grid``, numpy only: one stable sort of the
+cell keys and a start per cell).  Each point is measured against one
+element near it, then against every element whose centroid lies within
+that distance plus the element's own reach.  When that ball fits in the
+point's 3^d cell neighbourhood its elements are the candidates; a wider
+ball takes the occupied cells it meets, so the work of a point follows its
+ball, not the whole surface.  Containment codes and signed distances share one inside rule:
 the sign of the angle-weighted pseudonormal of the closest feature, with
 winding numbers only as the tie-break within the boundary band.
 
@@ -73,7 +74,7 @@ from .errors import CenterOutside, DegenerateElement, MeshDegeneracy
 
 BOUNDARY_TOL_FACTOR = 1e-9  # boundary band of containment and signs, relative to bbox diagonal
 _QUERY_PAIRS = 1 << 18  # worst-case point-element pairs per block of query points
-_BALL_PAIRS = 1 << 13  # point-element pairs per distance-kernel call of the ball pass
+_BALL_PAIRS = 1 << 13  # point-element pairs per distance-kernel call, and the most a query measures unpruned
 _RING_SLOTS = 1 << 13  # two-ring slots per vertex block of the jet fit
 
 
@@ -717,22 +718,6 @@ class _Grid:
             col = np.nonzero(hit[rows])[1]
             yield rows, _runs(first[col], sizes[col]), per[rows]
 
-    def settle(self, points, low, site, far) -> tuple[np.ndarray, np.ndarray]:
-        """Make the nearest sites so far, ``low`` and ``site``, exact at the points ``far``.
-
-        Those points are measured against the sites of every occupied cell
-        that comes as near as their nearest site so far, or as the first
-        site of their nearest cell.  A point whose neighbourhood holds a
-        site within its clearance needs no settling.
-        """
-        if far.size:
-            q = points[far]
-            gap2 = self.gap2(q)
-            bound = np.minimum(low[far], self.sq_distances(q, self.boxes[0][gap2.argmin(axis=1)], 1))
-            for rows, pos, per in self.in_cells(gap2 <= bound[:, None] * (1.0 + 1e-12)):
-                low[far[rows]], site[far[rows]] = _segment_min(self.sq_distances(q[rows], pos, per), pos, per)
-        return low, site
-
 
 def _segment_min(values: np.ndarray, pos: np.ndarray, per: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per run of ``per`` values, the least and the largest ``pos`` that attains it; inf and -1 for an empty run."""
@@ -748,6 +733,18 @@ def _segment_min(values: np.ndarray, pos: np.ndarray, per: np.ndarray) -> tuple[
     return low, arg
 
 
+def _measure(el: _Derived, points, owner, elems, per) -> tuple[np.ndarray, np.ndarray]:
+    """Least kernel distance per run of ``per`` (point, element) pairs, and the largest element attaining it.
+
+    The pairs run point by point, and the kernel takes ``_BALL_PAIRS`` of them at a time.
+    """
+    d = np.empty(elems.shape[0])
+    for k in range(0, elems.shape[0], _BALL_PAIRS):
+        o, e = owner[k : k + _BALL_PAIRS], elems[k : k + _BALL_PAIRS]
+        d[k : k + _BALL_PAIRS] = el.distance(points[o], *(c[e] for c in el.corners))
+    return _segment_min(d, elems, per)
+
+
 class _Derived:
     """What is derived from snapshot M, each part formed at its first use.
 
@@ -755,10 +752,9 @@ class _Derived:
     queries are a curve's edges and a mesh's triangles: ``idx`` holds their
     vertex indices and ``corners`` one corner array per element vertex.
     ``grid`` bins their centroids with a cell side of at least twice the
-    largest reach, for the pruned queries (``_nearest`` and
-    ``_close_pairs``); a query that measures points against chosen elements
-    needs no grid.  ``feature_normals`` serve the signed distances, and
-    ``ball`` and ``planes`` the reflection verdicts' certificates.
+    largest reach, for ``_close_pairs`` and the queries that ``_nearest``
+    prunes.  ``feature_normals`` serve the signed distances, and ``ball``
+    and ``planes`` the reflection verdicts' certificates.
     """
 
     def __init__(self, M: DiscreteHypersurface):
@@ -829,25 +825,16 @@ class _Derived:
         d0 - |p - x0|.  The radius is d0 less the slack, 1e-12 of the largest
         coordinate, which covers the rounding of the depths, the reflections,
         the heights and |p - x0| of points near M.  d0 and the side of x0 are
-        those of ``classify_points`` and ``signed_interior_distance``, but x0
-        is measured against every element in one kernel call.  For one point
-        deep inside, that is cheaper than the centroid-grid query up to
-        several thousand elements (best of several on a 2-core x86 host):
-        0.09 against 0.36-0.40 ms on a 256-gon, 0.5-0.8 against 0.9 ms at
-        1 280 triangles, 1.0 against 1.2-1.4 ms at 5 120, and 3.5-3.8 against
-        1.5-2.3 ms at 20 480.
+        those of ``classify_points``; a boundary point, or one outside, gives
+        no ball.
         """
         M = self.M
         x0 = M.vertices.mean(axis=0)
-        dist = self.distance(np.broadcast_to(x0, self.corners[0].shape), *self.corners)
-        d0 = dist.min()
         slack = 1e-12 * float(np.abs(M.vertices).max())
-        # a boundary point, or one outside, gives no ball; of the nearest
-        # elements the sign reads the last, as the grid query does
-        if not (d0 >= BOUNDARY_TOL_FACTOR * M.bbox_diagonal
-                and _pseudonormal_inside(M, x0[None, :], np.flatnonzero(dist == d0)[-1:])[0]):
+        d0, code = _distances_and_codes(M, x0[None, :])
+        if code[0] != INSIDE_CODE:
             return x0, 0.0, slack
-        return x0, float(d0) - slack, slack
+        return x0, float(d0[0]) - slack, slack
 
     @cached_property
     def planes(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -917,32 +904,44 @@ def _in_ball(grid: _Grid, bound, pos, owner, d2) -> np.ndarray:
 def _nearest(points: np.ndarray, el: _Derived) -> tuple[np.ndarray, np.ndarray]:
     """Exact distance from each point to the surface and a nearest element.
 
-    The element whose centroid is nearest among the point's neighbourhood
-    in the centroid grid, or nearest of all when the neighbourhood is
-    empty, gives a first distance ``bound``.  Every element at most that far
-    has its centroid within ``bound`` plus its own reach, so the point is
-    then measured against the elements whose centroids lie in that ball,
-    which holds every exact minimiser.  Where the largest such ball,
-    ``bound`` plus the largest reach, lies within the clearance of the
-    point's neighbourhood, the candidates are the neighbourhood's; elsewhere
-    they come from the occupied cells that the ball meets.  The points go in blocks small enough that a block holds at
-    most ``_QUERY_PAIRS`` pairs even if every neighbourhood holds every
-    element, occupied cells are expanded about ``_BALL_PAIRS`` candidates at
-    a time, and the kernel runs on slices of ``_BALL_PAIRS`` pairs.  Of the
-    exact minimisers, ``near`` is the one with the largest element index.
-    A point that is not finite, or whose squared distance to that nearest
-    centroid overflows, raises ValueError.
+    A query of at most ``_BALL_PAIRS`` point-element pairs measures every
+    pair with no grid.  A deep point's grid query measures most elements
+    anyway, so for one point that is quicker: 0.08 against 0.86 ms on a
+    256-gon and 1.6 against 4.1 ms at 5 120 triangles, grid build included
+    (2-core x86 host).  A larger query is pruned by the grid.  The element whose centroid is nearest in the
+    point's neighbourhood, or the first of the nearest occupied cell when
+    that is empty, gives a first distance ``bound``.  Every element at most
+    that far has its centroid within ``bound`` plus its own reach, so the
+    point is measured against the elements whose centroids lie in that
+    ball, which holds every exact minimiser.  Where the largest such ball
+    lies within the clearance of a non-empty neighbourhood, the candidates
+    are the neighbourhood's; elsewhere they come from the occupied cells
+    that the ball meets.  A block of points holds at most ``_QUERY_PAIRS``
+    pairs even if every neighbourhood holds every element.  Both routes
+    take the least distance and nearest element from ``_measure``.  A point
+    that is not finite, or whose distance overflows, raises ValueError.
     """
     if not np.isfinite(points).all():
         raise ValueError("query points must be finite")
+    n, count = points.shape[0], el.idx.shape[0]
+    if 0 < n * count <= _BALL_PAIRS:
+        with np.errstate(over="ignore", invalid="ignore"):
+            best, near = _measure(el, points, np.arange(n * count) // count, np.tile(np.arange(count), n), np.full(n, count))
+        if not best.max() < np.inf:
+            raise ValueError("query point too far out: its squared distance to the surface overflows")
+        return best, near
     grid = el.grid
-    best = np.empty(points.shape[0])
-    near = np.empty(points.shape[0], dtype=np.intp)
-    step = max(1, _QUERY_PAIRS // el.idx.shape[0])
-    for s in range(0, points.shape[0], step):
+    best = np.empty(n)
+    near = np.empty(n, dtype=np.intp)
+    step = max(1, _QUERY_PAIRS // count)
+    for s in range(0, n, step):
         p = points[s : s + step]
         clear, pos, per, d2 = grid.neighbourhood(p)
-        low, site = grid.settle(p, *_segment_min(d2, pos, per), np.flatnonzero(per == 0))
+        low, site = _segment_min(d2, pos, per)
+        empty = np.flatnonzero(per == 0)
+        if empty.size:
+            site[empty] = grid.boxes[0][grid.gap2(p[empty]).argmin(axis=1)]
+            low[empty] = grid.sq_distances(p[empty], site[empty], 1)
         if not low.max() < np.inf:
             raise ValueError("query point too far out: its squared distance to the surface overflows")
         first = grid.order[site]
@@ -952,6 +951,7 @@ def _nearest(points: np.ndarray, el: _Derived) -> tuple[np.ndarray, np.ndarray]:
         radius += slack
         bound += slack
         narrow = radius <= clear
+        narrow &= per > 0
         owner = np.repeat(np.arange(p.shape[0]), per)
         keep = _in_ball(grid, bound, pos, owner, d2)
         keep &= narrow[owner]
@@ -970,12 +970,8 @@ def _nearest(points: np.ndarray, el: _Derived) -> tuple[np.ndarray, np.ndarray]:
         if wide.size and narrow_pairs:  # narrow and wide points alternate: group the pairs by point
             order = np.argsort(owner, kind="stable")
             owner, elems = owner[order], elems[order]
-        d = np.empty(elems.shape[0])
-        for k in range(0, elems.shape[0], _BALL_PAIRS):
-            o, e = owner[k : k + _BALL_PAIRS], elems[k : k + _BALL_PAIRS]
-            d[k : k + _BALL_PAIRS] = el.distance(p[o], *(c[e] for c in el.corners))
-        # each point's pairs are one run of d, never empty
-        best[s : s + step], near[s : s + step] = _segment_min(d, elems, np.bincount(owner, minlength=p.shape[0]))
+        # each point's pairs are one run, never empty
+        best[s : s + step], near[s : s + step] = _measure(el, p, owner, elems, np.bincount(owner, minlength=p.shape[0]))
     return best, near
 
 

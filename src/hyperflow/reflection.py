@@ -24,8 +24,8 @@ from .hypersurface import (
     BOUNDARY_TOL_FACTOR,
     Containment,
     DiscreteHypersurface,
+    _measure,
     _point,
-    _segment_min,
     _snapshot,
     contains_point,
     signed_interior_distance,
@@ -134,14 +134,14 @@ def _verdicts(
     then certify every image the ball leaves that lies deeper than U, so
     only about a fifth of that ellipsoid's images are measured, and they
     measure most of those as well, each against its nearest element planes
-    alone.  The
-    reflected vertices of every plane share one ball test and one plane
-    pass, the images measured by their planes share one kernel call, and
-    the images left share one ``signed_interior_distance`` call, which
-    measures each point on its own.  On an embedded surface, the
-    precondition of ``signed_interior_distance``, every verdict is bitwise
-    the one that measuring every reflected vertex gives, and the one a call
-    for its plane alone gives.
+    alone.  The reflected vertices of every plane share one ball test and
+    one plane pass, the images measured by their planes share one
+    ``_measure`` pass, and the images left share one
+    ``signed_interior_distance`` call, which measures each point on its
+    own.  On an embedded surface, the precondition of
+    ``signed_interior_distance``, every verdict is bitwise the one that
+    measuring every reflected vertex gives, and the one a call for its
+    plane alone gives.
     """
     for plane in planes:
         if plane.V.shape != (M.dimension + 1,):
@@ -272,9 +272,9 @@ def _least_depths(M: DiscreteHypersurface, reflected: np.ndarray, bounds: np.nda
       plane away from M; so the image is inside and deeper than U.
     - tau < least <= U, with tau = ``BOUNDARY_TOL_FACTOR`` times the
       bounding-box diagonal plus delta: the image is measured against its
-      candidates, the elements e with lb_e <= least + delta, in one kernel
-      call for all such images, and its depth is the least of those
-      distances.
+      candidates, the elements e with lb_e <= least + delta, in one
+      ``_measure`` pass for all such images, and its depth is the least of
+      those distances.
     - least <= tau, or NaN or -inf where the products overflow: the image
       goes to ``signed_interior_distance``, which rejects a far one.
 
@@ -312,8 +312,8 @@ def _least_depths(M: DiscreteHypersurface, reflected: np.ndarray, bounds: np.nda
         if measured.any():
             take = measured[owner]  # the pairs run point by point, so each point's candidates are one run
             owner, elems = owner[take], elems[take]
-            d = el.distance(points[owner], *(c[elems] for c in el.corners))
-            depth[unsure[measured]] = _segment_min(d, elems, np.bincount(owner, minlength=unsure.size)[measured])[0]
+            per = np.bincount(owner, minlength=unsure.size)[measured]
+            depth[unsure[measured]] = _measure(el, points, owner, elems, per)[0]
         unsure = unsure[~(inner | certified)]
     if unsure.size:
         depth[unsure] = signed_interior_distance(M, reflected[unsure])

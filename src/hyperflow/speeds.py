@@ -106,9 +106,6 @@ class SpeedFunction:
     grad: Callable[[np.ndarray], np.ndarray] | None = None
     homogeneity: float | None = None
 
-    def __call__(self, lam) -> float:
-        return eval_speed(self, lam)
-
     def values(self, lams: np.ndarray) -> np.ndarray:
         """Batched raw evaluation (no cone or sign checks)."""
         return np.asarray(self.fn(np.asarray(lams, dtype=float)), dtype=float)

@@ -67,6 +67,8 @@ def integrate_radius(
     dt: float = 1e-3,
 ) -> SphereFlow:
     """Integrate dr/dt = 1/psi(r) with a classical 4th-order one-step method."""
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t0 and t1 must be finite, got {t0} and {t1}")
     if not (t1 > t0):
         raise ValueError("t1 must exceed t0")
     if not (dt > 0.0):

@@ -693,6 +693,13 @@ def test_config_rejects_non_finite_values(kwargs):
         FlowConfig(**kwargs)
 
 
+@pytest.mark.parametrize("t0", [-math.inf, math.nan])
+def test_evolve_rejects_a_non_finite_start_time(t0):
+    # from -inf the step loop ran until the surface left the cone
+    with pytest.raises(ValueError, match="^t0 must be finite$"):
+        evolve(shapes.circle_polygon(1.0, 16), F_K, t0, FlowConfig(t_end=1.0))
+
+
 def test_cfl_policy_runs_without_fixed_dt():
     traj = evolve(shapes.circle_polygon(1.0, 32), F_K, 0.0, FlowConfig(t_end=0.2, dt=None, cfl=0.2))
     r = radii(traj.frames[-1][1])

@@ -879,6 +879,58 @@ def test_nearest_blocks_do_not_change_the_result(name, monkeypatch):
     assert np.array_equal(got[1], want[1])
 
 
+@pytest.mark.parametrize("name", ["256-gon", "s4 icosphere"])
+def test_one_point_queries_build_no_grid(name, monkeypatch):
+    # one point against every element is one kernel pass, cheaper than
+    # forming the centroid grid; a query of many points is pruned by it
+    M = shapes.circle_polygon(1.0, 256) if name == "256-gon" else shapes.icosphere(1.0, 4)
+    grids = []
+    grid_init = hypersurface._Grid.__init__
+
+    def count_grids(self, *args):
+        grids.append(args)
+        grid_init(self, *args)
+
+    monkeypatch.setattr(hypersurface._Grid, "__init__", count_grids)
+    hypersurface._snapshot.cache_clear()
+    centre = M.vertices.mean(axis=0)
+    assert inner_outer_radii(M, centre).rho_minus > 0.99
+    assert contains_point(M, centre) is Containment.INSIDE
+    assert contains_point(M, 3.0 * M.vertices[0]) is Containment.OUTSIDE
+    assert _snapshot(M).ball[1] > 0.99
+    assert grids == []
+    E = shapes.ellipsoid_mesh(1.5, 1.0, 0.75, 3)
+    signed_interior_distance(E, np.random.default_rng(0).uniform(-2.0, 2.0, size=(16, 3)))
+    assert len(grids) == 1
+
+
+@pytest.mark.parametrize("name", ["256-gon centre", "s3 icosphere far points"])
+def test_points_with_empty_neighbourhoods_are_measured_exactly(name):
+    # a point whose cell neighbourhood holds no centroid takes its first
+    # bound from the nearest occupied cell and is measured by the wide route
+    rng = np.random.default_rng(7)
+    if name == "256-gon centre":
+        M = shapes.circle_polygon(1.0, 256)
+        ring = M.vertices[rng.choice(256, size=40, replace=False)] * rng.uniform(0.99, 1.01, size=(40, 1))
+        pts = np.vstack([ring[:20], np.zeros((1, 2)), ring[20:]])
+    else:
+        M = shapes.icosphere(1.0, 3)
+        v = rng.normal(size=(40, 3))
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        pts = v * rng.choice([2.0, 5.0, 40.0], size=(40, 1))
+    el = _snapshot(M)
+    assert pts.shape[0] * el.idx.shape[0] > hypersurface._BALL_PAIRS  # pruned by the grid
+    empty = el.grid.neighbourhood(pts)[2] == 0
+    if name == "256-gon centre":
+        assert np.flatnonzero(empty).tolist() == [20]
+    else:
+        assert np.count_nonzero(empty) >= 20
+    best, near = _nearest(pts, el)
+    want_best, want_near = _all_pairs_nearest(el, pts)
+    assert best.tobytes() == want_best.tobytes()
+    assert near.tobytes() == want_near.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # tree oracles: the centroid kd-tree and the sparse two-ring before the cell grid
 

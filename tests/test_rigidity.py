@@ -495,9 +495,17 @@ def test_post_touch_stage_measures_few_reflected_vertices(criterion_7_fam, monke
     assert counts["finite"] < 0.1 * counts["reflected"]
     assert counts["finite"] == 4816  # the other 198 240 read +inf at once
     assert counts["grid"] == 0
-    # the last frame's inradius and the 12 sphericity frames' containment
-    # tests build the only grids (137 when the grid query measured the images)
-    assert counts["grids"] == 13
+    # the last frame's inradius, the 12 sphericity frames' containment tests
+    # and every inscribed ball are one-point queries, each measured against
+    # every edge with no grid
+    assert counts["grids"] == 0
+
+
+@pytest.mark.parametrize("frame_dt", [0.0, -0.01, math.nan])
+def test_the_exponential_family_needs_a_positive_frame_step(frame_dt):
+    # a zero step divided by zero, and a negative one read as decreasing times
+    with pytest.raises(ValueError, match=f"^frame_dt must be positive, got {frame_dt}$"):
+        families.exponential_sphere_family(-1.0, 0.0, frame_dt, resolution=16)
 
 
 @pytest.mark.parametrize("directions", [0, -2, np.zeros((0, 2))], ids=["zero", "negative", "empty rows"])

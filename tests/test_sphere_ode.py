@@ -34,6 +34,13 @@ CLOSED_FORMS = [
 ]
 
 
+@pytest.mark.parametrize("t0,t1", [(0.0, math.inf), (math.nan, 1.0)])
+def test_integrate_radius_rejects_non_finite_times(t0, t1):
+    # up to t1 = inf the loop never ran and the start sample came back alone
+    with pytest.raises(ValueError, match=f"^t0 and t1 must be finite, got {t0} and {t1}$"):
+        integrate_radius(mean_curvature(1), 1.0, t0, t1)
+
+
 @pytest.mark.parametrize("F,exact", CLOSED_FORMS, ids=[f.name for f, _ in CLOSED_FORMS])
 def test_integrate_radius_matches_closed_form(F, exact):
     dt = 1e-3

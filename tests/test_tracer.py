@@ -43,6 +43,12 @@ def _bindings() -> dict:
 def test_tracer_wraps_every_traced_name_and_restores_it():
     M = shapes.circle_polygon(1.0, 256)
     expected = geometry.point_segment_distance(np.zeros((1, 2)), M.vertices, np.roll(M.vertices, -1, axis=0))
+    # a polygon with more edges than one kernel call takes, so that a
+    # one-point query goes through the centroid grid
+    edges = hypersurface._BALL_PAIRS + 64
+    big = shapes.circle_polygon(1.0, edges)
+    big_expected = geometry.point_segment_distance(np.zeros((1, 2)), big.vertices, np.roll(big.vertices, -1, axis=0))
+    near_vertex = np.array([[1.0 + 0.4 * 2.0 * np.sin(np.pi / edges), 0.0]])  # 0.4 edge lengths out
     tracing = _load_tracer()
     before = _bindings()
     tracer = tracing.Tracer()
@@ -54,21 +60,26 @@ def test_tracer_wraps_every_traced_name_and_restores_it():
         assert changed == tracer.patched_sites
         assert "hyperflow.geometry.point_segment_distance" in changed
 
-        # the paired kernel measures one nearest-centroid edge, then the
-        # ball of centroids within that distance plus the reach: from the
-        # circle's centre the ball holds all 256 edges and gives the
-        # all-pairs value, next to a vertex it holds only the two edges there
         tracer.patch_function(
             geometry, "point_segment_pair_distance", "pair_kernel",
             lambda a, k, r: {"pair_kernel.pairs": r.size},
         )
+        # a one-point query on the 256-gon is one kernel call over every edge
         centre = hypersurface.surface_distance(M, np.array([[0.0, 0.0]]))
-        assert tracer.calls["pair_kernel"] == 2
-        assert tracer.counts["pair_kernel.pairs"] == 1 + 256
+        assert tracer.calls["pair_kernel"] == 1
+        assert tracer.counts["pair_kernel.pairs"] == 256
         assert np.array_equal(centre, expected)
-        hypersurface.surface_distance(M, np.array([[1.01, 0.0]]))
-        assert tracer.calls["pair_kernel"] == 4
-        assert tracer.counts["pair_kernel.pairs"] == 1 + 256 + 1 + 2
+        # through the grid the paired kernel measures one first edge, then
+        # the ball of centroids within that distance plus the reach: from the
+        # circle's centre the ball holds every edge and gives the all-pairs
+        # value, next to a vertex it holds only the two edges there
+        centre = hypersurface.surface_distance(big, np.array([[0.0, 0.0]]))
+        assert tracer.calls["pair_kernel"] == 1 + 1 + 2  # the ball's pairs take two kernel calls
+        assert tracer.counts["pair_kernel.pairs"] == 256 + 1 + edges
+        assert np.array_equal(centre, big_expected)
+        hypersurface.surface_distance(big, near_vertex)
+        assert tracer.calls["pair_kernel"] == 4 + 2
+        assert tracer.counts["pair_kernel.pairs"] == 256 + 1 + edges + 1 + 2
         assert tracer.calls["geometry.point_segment_distance"] == 0
     finally:
         tracer.uninstall()
