@@ -122,7 +122,10 @@ def read_config_file(path) -> dict:
 def _coerce(key: str, value):
     if key not in _TUPLE_KEYS:
         return value
-    return tuple(float(v) for v in (value if isinstance(value, tuple) else (value,)))
+    entries = value if isinstance(value, tuple) else (value,)
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entries):
+        raise ValidationError(f"{key} must be a list of numbers, got {_fmt(value)}")
+    return tuple(float(v) for v in entries)
 
 
 def parse_config(command: str, file_values: dict, overrides: dict) -> SimpleNamespace:

@@ -12,14 +12,16 @@ of query points against every element, with points per block chosen so
 that a block holds about ``_PAIRS`` point-element pairs: their temporaries
 stay a few megabytes whatever the element count.
 
-The paired segment and triangle kernels and the 3D winding number work one
+The paired kernels (segment and triangle distances, and the intersection
+tests of the embeddedness sweep) and the 3D winding number work one
 component at a time: they take the views ``x[..., i]`` and form every dot
 product, cross product, clip, ``where`` and length on (...)-shaped arrays,
 never looping over a length-3 axis.  Dot products sum in the order of
 ``np.einsum``, cross products as ``np.cross`` forms them and lengths in the
-order of ``np.linalg.norm``, so every result has the bits of the row-form
-kernels kept as oracles in the tests.  Only the closest-point forms label
-features.
+order of ``np.linalg.norm``, so every distance and winding number has the
+bits of the row-form kernels kept as oracles in the tests, and the triangle
+test the verdicts of the scalar pair test kept there.  Only the
+closest-point forms label features.
 """
 
 from __future__ import annotations
@@ -255,57 +257,40 @@ def segments_intersect(a1, a2, b1, b2) -> np.ndarray:
     return proper | touching
 
 
-def triangles_intersect(t1: np.ndarray, t2: np.ndarray) -> bool:
-    """Exact-ish intersection test for two triangles in space.
+def triangles_intersect(a1, b1, c1, a2, b2, c2) -> np.ndarray:
+    """Intersection test for paired triangles in space, all shapes (..., 3).
 
-    Separating-plane rejection first, then mutual edge-against-triangle
-    segment tests.  Intended for the few candidate pairs that survive a
-    spatial prune; shared-vertex pairs should be excluded by the caller.
+    A pair is apart when either triangle's plane has the other's three
+    corners beyond 1e-14 on one side.  Otherwise it meets when an edge of
+    either triangle crosses the other's plane inside the triangle, within a
+    1e-12 barycentric band; an edge in the plane and a triangle of zero area
+    cross nothing.  Pairs that share a vertex should be excluded by the caller.
     """
-    n1 = np.cross(t1[1] - t1[0], t1[2] - t1[0])
-    d2 = (t2 - t1[0]) @ n1
-    if np.all(d2 > 1e-14) or np.all(d2 < -1e-14):
-        return False
-    n2 = np.cross(t2[1] - t2[0], t2[2] - t2[0])
-    d1 = (t1 - t2[0]) @ n2
-    if np.all(d1 > 1e-14) or np.all(d1 < -1e-14):
-        return False
-    for tri, other in ((t1, t2), (t2, t1)):
+    t1 = [_parts(x) for x in (a1, b1, c1)]
+    t2 = [_parts(x) for x in (a2, b2, c2)]
+    apart = hit = False
+    for (a, b, c), other in ((t1, t2), (t2, t1)):
+        v0 = [bi - ai for ai, bi in zip(a, b)]
+        v1 = [ci - ai for ai, ci in zip(a, c)]
+        n = [v0[1] * v1[2] - v0[2] * v1[1], v0[2] * v1[0] - v0[0] * v1[2], v0[0] * v1[1] - v0[1] * v1[0]]
+        d = [_dot([pi - ai for pi, ai in zip(p, a)], n) for p in other]
+        apart = apart | (d[0] > 1e-14) & (d[1] > 1e-14) & (d[2] > 1e-14)
+        apart = apart | (d[0] < -1e-14) & (d[1] < -1e-14) & (d[2] < -1e-14)
+        d00, d01, d11 = _dot(v0, v0), _dot(v0, v1), _dot(v1, v1)
+        den = d00 * d11 - d01 * d01
+        flat = (_dot(n, n) == 0.0) | (den == 0.0)
+        den = np.where(flat, 1.0, den)
         for i in range(3):
-            if _segment_hits_triangle(other[i], other[(i + 1) % 3], tri):
-                return True
-    return False
-
-
-def _segment_hits_triangle(p, q, tri) -> bool:
-    n = np.cross(tri[1] - tri[0], tri[2] - tri[0])
-    nn = float(n @ n)
-    if nn == 0.0:
-        return False
-    dp = float((p - tri[0]) @ n)
-    dq = float((q - tri[0]) @ n)
-    if dp * dq > 0.0:
-        return False
-    denom = dp - dq
-    if denom == 0.0:
-        return False  # coplanar segment, treated as non-crossing at this scale
-    t = dp / denom
-    x = p + t * (q - p)
-    # barycentric containment
-    v0 = tri[1] - tri[0]
-    v1 = tri[2] - tri[0]
-    v2 = x - tri[0]
-    d00 = float(v0 @ v0)
-    d01 = float(v0 @ v1)
-    d11 = float(v1 @ v1)
-    d20 = float(v2 @ v0)
-    d21 = float(v2 @ v1)
-    den = d00 * d11 - d01 * d01
-    if den == 0.0:
-        return False
-    v = (d11 * d20 - d01 * d21) / den
-    w = (d00 * d21 - d01 * d20) / den
-    return v >= -1e-12 and w >= -1e-12 and v + w <= 1.0 + 1e-12
+            p, q, dp, dq = other[i], other[(i + 1) % 3], d[i], d[(i + 1) % 3]
+            denom = dp - dq  # 0 when the edge lies in the plane
+            crosses = ~flat & ~(dp * dq > 0.0) & (denom != 0.0)
+            t = np.where(crosses, dp, 0.0) / np.where(crosses, denom, 1.0)
+            v2 = [pi + t * (qi - pi) - ai for pi, qi, ai in zip(p, q, a)]
+            d20, d21 = _dot(v2, v0), _dot(v2, v1)
+            v = (d11 * d20 - d01 * d21) / den
+            w = (d00 * d21 - d01 * d20) / den
+            hit = hit | crosses & (v >= -1e-12) & (w >= -1e-12) & (v + w <= 1.0 + 1e-12)
+    return ~apart & hit
 
 
 def fibonacci_sphere_directions(count: int) -> np.ndarray:

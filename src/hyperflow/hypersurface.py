@@ -16,7 +16,8 @@ factorisation on (V,) arrays.  The two-ring table comes from the sorted
 directed edges: each vertex's neighbours' neighbours, sorted and deduplicated
 row by row.  Distances and the embeddedness
 sweep share one element path: a curve's elements are its edges and a mesh's
-are its triangles.  Every distance query takes its least distances from
+are its triangles, each with one paired distance kernel and one paired
+intersection test.  Every distance query takes its least distances from
 one measuring step, ``_measure``, so one rule breaks ties: of equally near
 elements, the largest index.  A query of few point-element pairs, such as
 one point, measures every pair; a larger one is pruned by a uniform cell
@@ -264,8 +265,6 @@ class DiscreteHypersurface:
 
     def with_vertices(self, vertices: np.ndarray) -> "DiscreteHypersurface":
         """New snapshot with moved vertices, sharing connectivity."""
-        if self.dimension == 1:
-            return DiscreteHypersurface(vertices)
         return DiscreteHypersurface(vertices, self.faces, _topology=self.topology)
 
     @cached_property
@@ -879,6 +878,11 @@ class _Derived:
         """Paired closest point and its feature."""
         return geometry.closest_point_segment if self.M.dimension == 1 else geometry.closest_point_triangle
 
+    @property
+    def intersect(self) -> Callable:
+        """Paired element-element intersection test."""
+        return geometry.segments_intersect if self.M.dimension == 1 else geometry.triangles_intersect
+
 
 @lru_cache(maxsize=1)
 def _snapshot(M: DiscreteHypersurface) -> _Derived:
@@ -1109,18 +1113,19 @@ def is_embedded(M: DiscreteHypersurface) -> bool:
     Two elements can only meet when their centroids lie within twice the
     largest reach, so the centroid grid yields the candidate pairs
     (``_close_pairs``).  Pairs that share a vertex are dropped and the rest
-    get an exact pair test.
+    get the paired intersection test, ``_BALL_PAIRS`` at a time; the sweep
+    stops at the first slice that holds a hit.
     """
     el = _snapshot(M)
     idx = el.idx
     pairs = _close_pairs(el)
     shares = np.any(idx[pairs[:, 0]][:, :, None] == idx[pairs[:, 1]][:, None, :], axis=(1, 2))
     i, j = pairs[~shares].T
-    corners = M.vertices[idx]
-    if M.dimension == 1:
-        hits = geometry.segments_intersect(corners[i, 0], corners[i, 1], corners[j, 0], corners[j, 1])
-        return not bool(np.any(hits))
-    return not any(geometry.triangles_intersect(corners[p], corners[q]) for p, q in zip(i, j))
+    for k in range(0, i.shape[0], _BALL_PAIRS):
+        p, q = i[k : k + _BALL_PAIRS], j[k : k + _BALL_PAIRS]
+        if np.any(el.intersect(*(c[p] for c in el.corners), *(c[q] for c in el.corners))):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1142,7 +1147,7 @@ def read_surface(path) -> DiscreteHypersurface:
     verts: list[list[float]] = []
     faces: list[list[int]] = []
     is_mesh = False
-    for raw in path.read_text().splitlines():
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -1152,9 +1157,13 @@ def read_surface(path) -> DiscreteHypersurface:
             verts.append([float(p) for p in parts[1:4]])
         elif parts[0] == "f":
             is_mesh = True
-            faces.append([int(p.split("/")[0]) - 1 for p in parts[1:4]])
+            if len(parts) != 4:
+                raise ValueError(f"line {lineno}: a face needs 3 vertex indices, got {len(parts) - 1}")
+            faces.append([int(p.split("/")[0]) - 1 for p in parts[1:]])
         else:
-            verts.append([float(p) for p in parts[:2]])
+            if len(parts) != 2:
+                raise ValueError(f"line {lineno}: a curve row needs 2 numbers, got {len(parts)}")
+            verts.append([float(p) for p in parts])
     if is_mesh:
         return DiscreteHypersurface(np.array(verts), np.array(faces, dtype=np.int64))
     return DiscreteHypersurface(np.array(verts))

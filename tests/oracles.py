@@ -1,8 +1,10 @@
 """Test-local oracles and fixtures: small reference versions of what the library does not offer.
 
 ``chebyshev_center``, ``touch_times`` and ``monitor`` give the tests a centre
-search, a first-touch table and a one-plane monitoring run; the shapes and
-the speed catalog are inputs for property suites.
+search, a first-touch table and a one-plane monitoring run, and
+``triangles_intersect`` is the scalar pair test that the paired
+``geometry.triangles_intersect`` replaced; the shapes and the speed catalog
+are inputs for property suites.
 """
 
 import numpy as np
@@ -64,6 +66,59 @@ def monitor(traj, plane, t_start, stride=1):
     f = int(np.flatnonzero(traj.times() >= t_start - 1e-12)[0])
     [([start], run)] = _walk(traj, [plane], [[f]], lambda _: max(1, stride))
     return start, run
+
+
+def triangles_intersect(t1: np.ndarray, t2: np.ndarray) -> bool:
+    """Exact-ish intersection test for two triangles in space.
+
+    Separating-plane rejection first, then mutual edge-against-triangle
+    segment tests.  Intended for the few candidate pairs that survive a
+    spatial prune; shared-vertex pairs should be excluded by the caller.
+    """
+    n1 = np.cross(t1[1] - t1[0], t1[2] - t1[0])
+    d2 = (t2 - t1[0]) @ n1
+    if np.all(d2 > 1e-14) or np.all(d2 < -1e-14):
+        return False
+    n2 = np.cross(t2[1] - t2[0], t2[2] - t2[0])
+    d1 = (t1 - t2[0]) @ n2
+    if np.all(d1 > 1e-14) or np.all(d1 < -1e-14):
+        return False
+    for tri, other in ((t1, t2), (t2, t1)):
+        for i in range(3):
+            if _segment_hits_triangle(other[i], other[(i + 1) % 3], tri):
+                return True
+    return False
+
+
+def _segment_hits_triangle(p, q, tri) -> bool:
+    n = np.cross(tri[1] - tri[0], tri[2] - tri[0])
+    nn = float(n @ n)
+    if nn == 0.0:
+        return False
+    dp = float((p - tri[0]) @ n)
+    dq = float((q - tri[0]) @ n)
+    if dp * dq > 0.0:
+        return False
+    denom = dp - dq
+    if denom == 0.0:
+        return False  # coplanar segment, treated as non-crossing at this scale
+    t = dp / denom
+    x = p + t * (q - p)
+    # barycentric containment
+    v0 = tri[1] - tri[0]
+    v1 = tri[2] - tri[0]
+    v2 = x - tri[0]
+    d00 = float(v0 @ v0)
+    d01 = float(v0 @ v1)
+    d11 = float(v1 @ v1)
+    d20 = float(v2 @ v0)
+    d21 = float(v2 @ v1)
+    den = d00 * d11 - d01 * d01
+    if den == 0.0:
+        return False
+    v = (d11 * d20 - d01 * d21) / den
+    w = (d00 * d21 - d01 * d20) / den
+    return v >= -1e-12 and w >= -1e-12 and v + w <= 1.0 + 1e-12
 
 
 def noisy_sphere(radius: float = 1.0, amplitude: float = 0.01, subdivisions: int = 3, seed: int = 0) -> DiscreteHypersurface:

@@ -403,6 +403,9 @@ REJECTED = [
     # a number where a name belongs, and a word other than true or false for a switch
     ("speed a number", "simulate", ["speed=3"]),
     ("stop_on_cone_exit a word", "simulate", ["stop_on_cone_exit=abc"]),
+    # a switch where a list of numbers belongs
+    ("plane_offsets a switch", "reflect-audit", ["plane_offsets=true"]),
+    ("c_schedule a switch", "rigidity-audit", ["c_schedule=true"]),
 ]
 
 
@@ -431,6 +434,9 @@ def test_rejected_config_is_a_config_error(tmp_path, capsys, command, sets):
     ("reflect-audit", ["shape=1"], "shape"),
     ("simulate", ["stop_on_cone_exit=abc"], "stop_on_cone_exit"),
     ("simulate", ["stop_on_cone_exit=1"], "stop_on_cone_exit"),
+    ("reflect-audit", ["plane_offsets=true"], "plane_offsets"),
+    ("rigidity-audit", ["c_schedule=true"], "c_schedule"),
+    ("simulate", ["shape=ellipse", "axes=2,abc"], "axes"),
     ("rigidity-audit", ["t0=-3", "t_end=0", "resolution=64", "symmetry_tol=-1"], "symmetry_tol"),
 ])
 def test_config_error_names_the_key(tmp_path, capsys, command, sets, key):
@@ -473,7 +479,8 @@ def _bad_input(tmp_path, case):
     if case == "surface plane on a curve":
         return (["reflect-audit", "--set", "shape=circle", "--set", "plane_direction=1,0,0"],
                 "3 components, but the surface lies in 2")
-    curves = ("clockwise polygon", "unequal figure-eight", "simulated figure-eight", "repeated curve vertex")
+    curves = ("clockwise polygon", "unequal figure-eight", "simulated figure-eight", "repeated curve vertex",
+              "three-column curve row")
     path = tmp_path / ("bad.txt" if case in curves else "bad.obj")
     if case == "repeated curve vertex":
         write_surface(shapes.circle_polygon(1.0, 16), path)
@@ -491,6 +498,13 @@ def _bad_input(tmp_path, case):
             return ["simulate", "--set", "shape=mesh", "--set", f"mesh_file={path}", "--set", "t_end=0.01",
                     "--set", "stop_on_cone_exit=false"], str(path)
         return ["reflect-audit", "--set", "shape=mesh", "--set", f"mesh_file={path}"], str(path)
+    if case == "three-column curve row":
+        write_surface(shapes.circle_polygon(1.0, 16), path)
+        path.write_text("".join(f"{line} 5\n" for line in path.read_text().splitlines()))
+        return ["simulate", "--set", "shape=mesh", "--set", f"mesh_file={path}", "--set", "t_end=0.01"], f"{path}: line 1:"
+    if case == "four-index face":
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 3 2 4\nf 1 2 4\nf 2 3 4\nf 3 1 4\n")
+        return ["simulate", "--set", "shape=mesh", "--set", f"mesh_file={path}", "--set", "t_end=0.01"], f"{path}: line 5:"
     if case == "short vertex line":
         path.write_text("v 0 0 0\nv 1 0\nv 0 1 0\nv 0 0 1\nf 1 3 2\nf 1 2 4\nf 2 3 4\nf 3 1 4\n")
     elif case == "zero-area triangle":
@@ -510,7 +524,7 @@ def _bad_input(tmp_path, case):
 @pytest.mark.parametrize("case", [
     "short vertex line", "clockwise polygon", "open mesh", "unknown speed", "offsets above R_star",
     "curve plane on a surface", "surface plane on a curve", "unequal figure-eight", "simulated figure-eight",
-    "repeated curve vertex", "zero-area triangle",
+    "repeated curve vertex", "zero-area triangle", "three-column curve row", "four-index face",
 ])
 def test_bad_input_is_a_one_line_config_error(tmp_path, capsys, case):
     args, named = _bad_input(tmp_path, case)

@@ -8,13 +8,15 @@ earlier kernels, which did the same arithmetic on (..., d) rows with
 number must be equal byte for byte, signed zeros included, on random pairs
 and on the degenerate ones: zero-length edges, collinear triangles, points
 on corners and edges, and axis-aligned elements whose dot products are sums
-of -0 products.
+of -0 products.  The paired triangle intersection test must give the verdict
+of the scalar pair test in ``oracles`` on every pair it is asked about.
 """
 
 import numpy as np
 import pytest
 
 from hyperflow import geometry, shapes
+from hyperflow.hypersurface import _close_pairs, _snapshot
 import oracles
 
 
@@ -230,3 +232,56 @@ def test_winding_number_3d_equals_the_row_oracle(shape):
         points = points[rng.permutation(points.shape[0])[:600]]
     got = geometry.winding_number_3d(M.vertices, M.faces, points)
     assert got.tobytes() == _winding_number_3d_oracle(M.vertices, M.faces, points).tobytes()
+
+
+def _pushed_through_icosphere():
+    ico = shapes.icosphere(1.0, 2)
+    v = ico.vertices.copy()
+    v[0] = -1.8 * v[0]  # pushed through the far side
+    return ico.with_vertices(v)
+
+
+def _triangle_tests_agree(t1, t2):
+    """The paired test's verdicts on rows of corner triples, after checking them against the oracle's."""
+    got = geometry.triangles_intersect(*t1.transpose(1, 0, 2), *t2.transpose(1, 0, 2))
+    assert got.dtype == bool and got.tolist() == [oracles.triangles_intersect(p, q) for p, q in zip(t1, t2)]
+    return got
+
+
+@pytest.mark.parametrize("shape", ["ellipsoid s3", "ellipsoid s4", "noisy sphere s3", "pushed-through icosphere"])
+def test_triangle_intersection_equals_the_pair_oracle_on_close_pairs(shape):
+    # every candidate pair of the embeddedness sweep: close pairs that share no vertex
+    M = {
+        "ellipsoid s3": lambda: shapes.ellipsoid_mesh(1.5, 1.0, 0.75, 3),
+        "ellipsoid s4": lambda: shapes.ellipsoid_mesh(1.5, 1.0, 0.75, 4),
+        "noisy sphere s3": lambda: oracles.noisy_sphere(amplitude=0.05),
+        "pushed-through icosphere": _pushed_through_icosphere,
+    }[shape]()
+    pairs = _close_pairs(_snapshot(M))
+    faces = M.faces[pairs]
+    pairs = pairs[~np.any(faces[:, 0, :, None] == faces[:, 1, None, :], axis=(1, 2))]
+    corners = M.vertices[M.faces]
+    hits = _triangle_tests_agree(corners[pairs[:, 0]], corners[pairs[:, 1]])
+    assert np.any(hits) == (shape == "pushed-through icosphere")
+
+
+FLAT = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+
+
+@pytest.mark.parametrize("other,meets", [
+    # an edge through the interior
+    ([[0.5, 0.5, -1.0], [0.5, 0.5, 1.0], [1.5, 0.2, 1.0]], True),
+    # a corner on the midpoint of edge ab, the rest off the plane
+    ([[1.0, 0.0, 0.0], [1.0, -1.0, 1.0], [1.0, -1.0, -1.0]], True),
+    # coplanar and overlapping: an edge in the plane crosses nothing
+    ([[0.5, 0.5, 0.0], [3.0, 0.5, 0.0], [0.5, 3.0, 0.0]], False),
+    # parallel 1e-15 above, inside the 1e-14 band of the plane test
+    ([[0.0, 0.0, 1e-15], [2.0, 0.0, 1e-15], [0.0, 2.0, 1e-15]], False),
+    # a corner 1e-15 above the interior, the others below the plane
+    ([[0.5, 0.5, 1e-15], [0.5, 0.5, -1.0], [1.0, 0.5, -1.0]], True),
+], ids=["piercing", "edge midpoint", "coplanar overlap", "1e-15 apart", "corner 1e-15 above"])
+def test_triangle_intersection_equals_the_pair_oracle_on_hand_cases(other, meets):
+    other = np.array(other)
+    for t1, t2 in ((FLAT, other), (other, FLAT)):
+        assert _triangle_tests_agree(t1[None], t2[None]).tolist() == [meets]
+        assert geometry.triangles_intersect(*t1, *t2) == meets  # a single pair
