@@ -434,10 +434,10 @@ def test_rejected_config_is_a_config_error(tmp_path, capsys, command, sets):
     ("reflect-audit", ["shape=1"], "shape"),
     ("simulate", ["stop_on_cone_exit=abc"], "stop_on_cone_exit"),
     ("simulate", ["stop_on_cone_exit=1"], "stop_on_cone_exit"),
+    ("rigidity-audit", ["t0=-3", "t_end=0", "resolution=64", "symmetry_tol=-1"], "symmetry_tol"),
     ("reflect-audit", ["plane_offsets=true"], "plane_offsets"),
     ("rigidity-audit", ["c_schedule=true"], "c_schedule"),
     ("simulate", ["shape=ellipse", "axes=2,abc"], "axes"),
-    ("rigidity-audit", ["t0=-3", "t_end=0", "resolution=64", "symmetry_tol=-1"], "symmetry_tol"),
 ])
 def test_config_error_names_the_key(tmp_path, capsys, command, sets, key):
     args = [command, "--set", f"out_dir={tmp_path / 'out'}"]
