@@ -1,4 +1,4 @@
-"""Expand round shapes and compare against the exact radius ODE.
+"""Expand round shapes and compare against the exact round solutions.
 
 Usage: python scripts/run_sphere_expansion.py [--fast]
 """
@@ -40,10 +40,13 @@ def main():
 
     res_curve = 64 if args.fast else 256
     sub_mesh = 3 if args.fast else 4
-    dt = 5e-3 if args.fast else 1e-3
+    # the reference radii are exact, so a curve's error is its RK4 time error
+    # alone: 5.2e-12 relative at dt = 5e-3 and 8.7e-15 at 1e-3 under 1/k
+    dt = 1e-3
+    mesh_dt = 5e-3 if args.fast else dt
 
     print("expanding flows against the separable radius ODE")
-    print(f"  curve resolution {res_curve}, mesh subdivisions {sub_mesh}, dt {dt}")
+    print(f"  curve resolution {res_curve}, mesh subdivisions {sub_mesh}, curve dt {dt}, mesh dt {mesh_dt}")
     run_case(
         f"circle, speed 1/k", shapes.circle_polygon(1.0, res_curve), mean_curvature(1), 1.0, dt
     )
@@ -55,7 +58,7 @@ def main():
         dt,
     )
     run_case(
-        f"icosphere, speed 1/H", shapes.icosphere(1.0, sub_mesh), mean_curvature(2), 0.5, dt
+        f"icosphere, speed 1/H", shapes.icosphere(1.0, sub_mesh), mean_curvature(2), 0.5, mesh_dt
     )
     print(f"closed forms: e = {math.e:.8f}, (1 + 1/2)^2 = 2.25, e^0.25 = {math.exp(0.25):.8f}")
 

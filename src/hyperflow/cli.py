@@ -394,13 +394,14 @@ def _run_reflect_audit(cfg: SimpleNamespace) -> int:
 
 def _run_rigidity_audit(cfg: SimpleNamespace) -> int:
     n = cfg.dimension
+    F = speeds.speed_by_name(cfg.speed, n, cfg.alpha)
     count = int(round((cfg.t_end - cfg.t0) / cfg.frame_dt))
     times = cfg.t0 + cfg.frame_dt * np.arange(count + 1)
     if cfg.family == "sphere":
-        traj = families.sphere_family(times, lambda t: math.exp(t), n=n, resolution=cfg.resolution)
+        # the round solution of F with radius 1 at t = 0
+        traj = families.sphere_family(times, sphere_ode._radii(F, 1.0, 0.0, times), n=n, resolution=cfg.resolution)
     else:
         traj = families.ellipsoid_family(times, rates=cfg.rates, n=n, resolution=cfg.resolution)
-    F = speeds.speed_by_name(cfg.speed, n, cfg.alpha)
     report = rigidity.rigidity_audit(
         traj,
         F,

@@ -7,7 +7,7 @@ template mesh so vertex correspondence is exact across all times.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,35 +24,29 @@ def _unit_template(n: int, resolution: int) -> DiscreteHypersurface:
     raise ValueError("only n = 1 and n = 2 are supported")
 
 
-def _scaled_family(times, n: int, resolution: int, center, scale: Callable[[float], object]) -> Trajectory:
-    """One frame per time: the unit template scaled by scale(t) about the center."""
+def _scaled_family(times, scales, n: int, resolution: int, center) -> Trajectory:
+    """One frame per time: the unit template scaled about the center by that time's scales entry."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.shape[0] < 2 or np.any(np.diff(times) <= 0.0):
         raise ValueError("times must be strictly increasing, with at least two of them")
     template = _unit_template(n, resolution)
     center = np.zeros(n + 1) if center is None else np.asarray(center, dtype=float)
-    frames = [
-        (float(t), template.with_vertices(template.vertices * scale(float(t)) + center)) for t in times
-    ]
+    frames = [(float(t), template.with_vertices(template.vertices * s + center)) for t, s in zip(times, scales)]
     return Trajectory(frames=frames)
 
 
 def sphere_family(
     times: Sequence[float],
-    radius_fn: Callable[[float], float],
+    radii: Sequence[float],
     n: int = 1,
     center=None,
     resolution: int = 256,
 ) -> Trajectory:
-    """Round spheres with radius radius_fn(t), one frame per time."""
-
-    def radius(t: float) -> float:
-        r = float(radius_fn(t))
-        if r <= 0.0:
-            raise ValueError(f"radius_fn({t}) = {r} must be positive")
-        return r
-
-    return _scaled_family(times, n, resolution, center, radius)
+    """Round spheres, one frame per time with the matching radius."""
+    radii = np.asarray(radii, dtype=float)
+    if radii.shape != np.shape(times) or not np.all(np.isfinite(radii) & (radii > 0.0)):
+        raise ValueError("need one positive, finite radius per time")
+    return _scaled_family(times, radii, n, resolution, center)
 
 
 def exponential_sphere_family(
@@ -68,7 +62,7 @@ def exponential_sphere_family(
         raise ValueError(f"frame_dt must be positive, got {frame_dt}")
     count = int(round((t1 - t0) / frame_dt))
     times = t0 + frame_dt * np.arange(count + 1)
-    return sphere_family(times, lambda t: float(np.exp(t)), n=n, center=center, resolution=resolution)
+    return sphere_family(times, np.exp(times), n=n, center=center, resolution=resolution)
 
 
 def ellipsoid_family(
@@ -88,4 +82,4 @@ def ellipsoid_family(
     rates = np.asarray(rates, dtype=float)
     if rates.shape[0] != n + 1:
         raise ValueError(f"need {n + 1} axis rates for n = {n}")
-    return _scaled_family(times, n, resolution, center, lambda t: np.exp(rates * t))
+    return _scaled_family(times, np.exp(np.multiply.outer(times, rates)), n, resolution, center)

@@ -372,12 +372,6 @@ def _polygon(verts: np.ndarray) -> _Polygon:
 # Mesh face kernel
 
 
-def _length(v: np.ndarray) -> np.ndarray:
-    """Lengths of 3-vectors along the last axis, with the bits of ``np.linalg.norm``."""
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    return np.sqrt(x * x + y * y + z * z)
-
-
 class _Triangles(NamedTuple):
     """A triangle mesh's face corners, edges and cross products, formed once.
 
@@ -400,7 +394,7 @@ class _Triangles(NamedTuple):
     def normals(self, num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
         """Outward unit face normals, and vertex normals weighted by the face angles."""
         face_n = self.cross / self.area2[:, None]
-        length = _length(self.edge)
+        length = geometry._length(geometry._parts(self.edge))
         out = np.zeros((num_vertices, 3))
         for i in range(3):
             dot = np.einsum("ij,ij->i", self.edge[i], self.edge[i - 1])
@@ -408,7 +402,7 @@ class _Triangles(NamedTuple):
             weighted = np.arccos(np.clip(cosang, -1.0, 1.0))[:, None] * face_n
             for j in range(3):
                 out[:, j] += np.bincount(self.faces[:, i], weights=weighted[:, j], minlength=num_vertices)
-        norms = _length(out)
+        norms = geometry._length(geometry._parts(out))
         if np.any(norms <= 0.0):
             raise MeshDegeneracy("vertex with vanishing accumulated normal")
         return face_n, out / norms[:, None]
@@ -419,7 +413,7 @@ def _triangles(verts: np.ndarray, faces: np.ndarray) -> _Triangles:
     ext = np.take(verts, faces.T[[0, 1, 2, 0]], axis=0)
     edge = ext[1:] - ext[:-1]
     cross = np.cross(edge[2], edge[0])  # the bits of (b - a) x (c - a): factors swap
-    return _Triangles(faces, ext, edge, cross, _length(cross))
+    return _Triangles(faces, ext, edge, cross, geometry._length(geometry._parts(cross)))
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +530,10 @@ def _mesh_jet(
         [0.5 * m12, 0.5 * m03, 0.25 * m22, 0.5 * m13, 0.25 * m04],
     ]
     atb = [wu, wv, 0.5 * wuu, wuv, 0.5 * wvv]
-    # tiny Tikhonov term keeps thin-ring fits solvable
-    ridge = 1e-12 * np.maximum(sum(row[-1] for row in ata), 1e-30)
+    # a tiny ridge scaled by each diagonal entry keeps thin-ring fits solvable
+    # and the fit covariant under scaling
     for row in ata:
-        row[-1] = row[-1] + ridge
+        row[-1] = row[-1] * (1.0 + 1e-12)
     return n, e1, e2, _solve_ldl(ata, atb)
 
 

@@ -49,9 +49,6 @@ class Cone:
     def custom(cls, predicate: Callable[[np.ndarray], bool]) -> "Cone":
         return cls(kind=CUSTOM, predicate=predicate)
 
-    def contains(self, lam: np.ndarray) -> bool:
-        return bool(self.contains_many(lam)[0])
-
     def contains_many(self, lams: np.ndarray) -> np.ndarray:
         """Vectorised membership test for an (m, n) array of tuples."""
         lams = np.atleast_2d(np.asarray(lams, dtype=float))
@@ -111,13 +108,6 @@ class SpeedFunction:
         return np.asarray(self.fn(np.asarray(lams, dtype=float)), dtype=float)
 
 
-def _as_tuple(F: SpeedFunction, lam) -> np.ndarray:
-    lam = np.asarray(lam, dtype=float).reshape(-1)
-    if lam.shape[0] != F.arity:
-        raise ValueError(f"expected {F.arity} curvatures, got {lam.shape[0]}")
-    return lam
-
-
 def _raw_gradient(F: SpeedFunction, lam: np.ndarray) -> np.ndarray:
     """Gradients at an (..., arity) batch: the closed form when F declares one,
     central differences otherwise."""
@@ -141,15 +131,21 @@ def finite_difference_gradient(fn, lam: np.ndarray) -> np.ndarray:
     return g
 
 
-def eval_speed(F: SpeedFunction, lam) -> float:
-    """Evaluate F at a curvature tuple, enforcing cone membership and sign."""
-    lam = _as_tuple(F, lam)
-    if not F.cone.contains(lam):
-        raise CurvatureOutsideCone(f"{tuple(lam)} outside cone of {F.name}")
-    v = float(F.fn(lam))
-    if not math.isfinite(v) or v <= 0.0:
-        raise NonPositiveSpeed(f"{F.name}{tuple(lam)} = {v}")
-    return v
+def eval_speed(F: SpeedFunction, lam):
+    """Evaluate F at a curvature tuple (a float) or at each tuple of an
+    (..., arity) batch (an array), enforcing cone membership and sign."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    if lam.shape[-1] != F.arity:
+        raise ValueError(f"expected {F.arity} curvatures, got {lam.shape[-1]}")
+    rows = lam.reshape(-1, F.arity)
+    outside = ~F.cone.contains_many(rows)
+    if outside.any():
+        raise CurvatureOutsideCone(f"{tuple(rows[outside][0])} outside cone of {F.name}")
+    v = F.values(lam)
+    bad = ~(np.isfinite(v) & (v > 0.0))
+    if bad.any():
+        raise NonPositiveSpeed(f"{F.name}{tuple(lam[bad][0])} = {v[bad][0]}")
+    return float(v) if lam.ndim == 1 else v
 
 
 # ---------------------------------------------------------------------------

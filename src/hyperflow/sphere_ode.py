@@ -1,17 +1,18 @@
-"""Round solutions of the expansion flow: the radius ODE and ancientness.
+"""Round solutions of the expansion flow: the radius and ancientness.
 
 A sphere of radius r has all principal curvatures equal to 1/r, so the flow
 reduces to the scalar ODE  dr/dt = 1 / psi(r)  with  psi(r) = F(1/r, ..., 1/r).
-Separating variables, the time needed to grow from radius 0 to r0 is
-the integral of psi over (0, r0]: the spherical solution extends infinitely
-far back in time exactly when that integral diverges.  For an
-alpha-homogeneous speed, psi(r) = psi(1) r^(-alpha) and the integral diverges
-iff alpha >= 1; for anything else we probe the integral numerically over
+The round solution through (t0, r0) reaches radius r at t0 plus the integral
+of psi over [r0, r], taken by one Gauss-Legendre rule per octave of radius
+and inverted by Newton's method.  It is ancient exactly when the integral
+over (0, r0] diverges: for an alpha-homogeneous speed, psi(r) = psi(1)
+r^(-alpha) and it diverges iff alpha >= 1; for anything else we probe it over
 geometric shells and refuse to guess when the evidence is inconclusive.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import ConeExit, CurvatureOutsideCone, HyperflowError, IndeterminateDivergence
 from .speeds import SpeedFunction, eval_speed, homogeneity_degree
 
-# psi is never evaluated below this radius (floating-point floor).
+# The shell probe stops at this radius (floating-point floor).
 R_FLOOR = 1e-15
 SHELL_COUNT = 40
 BLOWUP_TOTAL = 1e6
@@ -28,19 +29,72 @@ BLOWUP_TOTAL = 1e6
 # geometrically and the integral is declared convergent.
 CONVERGENT_RATIO = 0.97
 # Gauss-Legendre rule on [-1, 1] applied to each shell; psi is smooth on a
-# shell, which spans a factor of 2 in radius.
+# shell, which spans at most a factor of 2 in radius.
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 ANCIENT = "ancient"
 NON_ANCIENT = "non_ancient"
 
 
-def psi(F: SpeedFunction, r: float) -> float:
-    """Speed of the round sphere of radius r: F evaluated on the diagonal."""
-    if not (r > 0.0) or not math.isfinite(r):
-        raise ValueError(f"radius must be positive and finite, got {r}")
-    lam = np.full(F.arity, 1.0 / max(r, R_FLOOR))
-    return eval_speed(F, lam)
+def psi(F: SpeedFunction, r):
+    """Speeds of the round spheres of radii r, an array: F on the diagonal."""
+    r = np.asarray(r, dtype=float)
+    bad = ~(np.isfinite(r) & (r > 0.0))
+    if bad.any():
+        raise ValueError(f"radius must be positive and finite, got {r[bad].flat[0]}")
+    return eval_speed(F, np.repeat((1.0 / r)[..., None], F.arity, axis=-1))
+
+
+def _shell_rule(F: SpeedFunction, lo, hi) -> np.ndarray:
+    """Integrals of psi over [lo, hi] by the 16-point Gauss-Legendre rule,
+    exact to rounding on a shell up to an octave wide."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    half = 0.5 * (hi - lo)
+    return half * (psi(F, half[..., None] * GAUSS_NODES + (0.5 * (hi + lo))[..., None]) @ GAUSS_WEIGHTS)
+
+
+def _radii(F: SpeedFunction, r0: float, t0: float, times) -> np.ndarray:
+    """Radii at the given times of the round solution with radius r0 at t0.
+
+    A table of t at the octave edges r0 2^j, one shell rule each, grows until
+    it brackets every time; each radius then solves t(r) = t in its octave by
+    Newton's method in u = log r, where dt/du = r psi(r) > 0.  A time at or
+    before the birth time, or at or after the blow-up time, is a ValueError.
+    """
+    times = np.asarray(times, dtype=float)
+    early, late = times.min(initial=t0), times.max(initial=t0)
+    if early < t0 and early <= (birth := initial_time_estimate(F, r0, t0)):
+        raise ValueError(f"t = {early} is at or before the round solution's birth time {birth}")
+    edges, clock = [float(r0)], [float(t0)]
+    try:
+        while clock[0] > early:
+            if edges[0] < 2.0 * np.finfo(float).tiny:
+                raise ValueError(f"the round solution's radius at t = {early} is below the floating-point range")
+            edges.insert(0, 0.5 * edges[0])
+            clock.insert(0, clock[0] - float(_shell_rule(F, edges[0], edges[1])))
+        while clock[-1] <= late:
+            edges.append(2.0 * edges[-1])
+            clock.append(clock[-1] + float(_shell_rule(F, edges[-2], edges[-1])))
+            if clock[-1] == clock[-2]:  # the rest of the integral is below rounding
+                raise ValueError(f"t = {late} is at or after the round solution's blow-up time {clock[-1]}")
+    except CurvatureOutsideCone as exc:  # only a predicate that is no cone leaves the diagonal
+        raise ConeExit(f"sphere curvature left the cone: {exc}") from exc
+    edges, clock = np.array(edges), np.array(clock)
+    j = np.searchsorted(clock, times, side="right") - 1
+    lo, start = edges[j], clock[j]
+    r = lo * np.exp2((times - start) / (clock[j + 1] - start))  # the chord between the octave's ends in u
+    todo = np.arange(times.size)
+    for _ in range(20):  # the catalog speeds need at most 5 steps
+        x = r[todo]
+        g = start[todo] + _shell_rule(F, lo[todo], x) - times[todo]
+        slope = x * psi(F, x)
+        # g carries the rounding of its terms, and one rounding of r moves t by slope eps
+        keep = np.abs(g) > 4.0 * np.finfo(float).eps * (np.abs(start[todo]) + np.abs(times[todo]) + slope)
+        if not keep.any():
+            return r
+        todo, x, du = todo[keep], x[keep], np.clip(-g[keep] / slope[keep], -math.log(2.0), math.log(2.0))
+        r[todo] = np.clip(x * np.exp(du), lo[todo], 2.0 * lo[todo])
+    raise HyperflowError(f"the radius solve did not converge at t = {times[todo[0]]}")
 
 
 @dataclass(frozen=True)
@@ -66,7 +120,7 @@ def integrate_radius(
     t1: float,
     dt: float = 1e-3,
 ) -> SphereFlow:
-    """Integrate dr/dt = 1/psi(r) with a classical 4th-order one-step method."""
+    """The round solution with radius r0 at t0, sampled at t0 + k dt and at t1."""
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"t0 and t1 must be finite, got {t0} and {t1}")
     if not (t1 > t0):
@@ -75,27 +129,10 @@ def integrate_radius(
         raise ValueError("dt must be positive")
     if not (r0 > 0.0):
         raise ValueError("r0 must be positive")
-
-    def rate(r: float) -> float:
-        try:
-            return 1.0 / psi(F, r)
-        except CurvatureOutsideCone as exc:
-            raise ConeExit(f"sphere curvature left the cone at r = {r}") from exc
-
-    ts = [t0]
-    rs = [float(r0)]
-    t, r = t0, float(r0)
-    while t < t1 - 1e-15 * max(1.0, abs(t1)):
-        h = min(dt, t1 - t)
-        k1 = rate(r)
-        k2 = rate(r + 0.5 * h * k1)
-        k3 = rate(r + 0.5 * h * k2)
-        k4 = rate(r + h * k3)
-        r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t + h
-        ts.append(t)
-        rs.append(r)
-    return SphereFlow(samples=np.column_stack([ts, rs]))
+    # a dt that divides the span up to rounding leaves no sliver of a last gap
+    times = t0 + dt * np.arange(math.ceil((t1 - t0) / dt * (1.0 - 1e-12)) + 1)
+    times[-1] = t1
+    return SphereFlow(samples=np.column_stack([times, _radii(F, r0, t0, times)]))
 
 
 @dataclass(frozen=True)
@@ -133,78 +170,52 @@ class AncientnessVerdict:
 
 
 def _shell_integrals(F: SpeedFunction, upper: float) -> list[dict]:
-    """Integrals of psi over [upper 2^-k, upper 2^-(k-1)], k = 1..SHELL_COUNT."""
-    rows = []
-    total = 0.0
-    for k in range(1, SHELL_COUNT + 1):
-        lo = upper * 2.0 ** (-k)
-        hi = upper * 2.0 ** (-(k - 1))
-        if lo < R_FLOOR:
-            break
-        half = 0.5 * (hi - lo)
-        values = [psi(F, r) for r in (half * GAUSS_NODES + 0.5 * (hi + lo)).tolist()]
-        val = half * float(np.dot(GAUSS_WEIGHTS, values))
-        total += val
-        rows.append({"epsilon": lo, "shell_integral": val, "cumulative": total})
-    return rows
-
-
-def _shell_growth(rows: list[dict]) -> float | None:
-    """Growth time read off the shell integrals: inf when they diverge.
-
-    Divergence needs non-decaying shells and a running total past
-    BLOWUP_TOTAL; convergence needs geometric decay, and the mass below the
-    last shell is then bounded by the geometric tail.  None when neither
-    holds.
-    """
-    if len(rows) >= 8:
-        shells = [r["shell_integral"] for r in rows]
-        total = rows[-1]["cumulative"]
-        nondecreasing = all(shells[i + 1] >= shells[i] * (1.0 - 1e-6) for i in range(len(shells) - 1))
-        if nondecreasing and total > BLOWUP_TOTAL:
-            return math.inf
-        tail_ratios = [shells[i + 1] / shells[i] for i in range(len(shells) - 9, len(shells) - 1) if shells[i] > 0]
-        if tail_ratios and max(tail_ratios) < CONVERGENT_RATIO:
-            q = max(tail_ratios)
-            return total + shells[-1] * q / (1.0 - q)
-    return None
+    """Integrals of psi over [upper 2^-k, upper 2^-(k-1)], k = 1..SHELL_COUNT, down to R_FLOOR."""
+    lo = upper * 0.5 ** np.arange(1, SHELL_COUNT + 1)
+    lo = lo[lo >= R_FLOOR]
+    shells = _shell_rule(F, lo, 2.0 * lo).tolist()
+    return [{"epsilon": a, "shell_integral": val, "cumulative": total}
+            for a, val, total in zip(lo.tolist(), shells, itertools.accumulate(shells))]
 
 
 def _growth_time(F: SpeedFunction, r0: float) -> tuple[float, str, tuple[dict, ...]]:
-    """Time for the round solution to grow from radius 0 to r0.
+    """Time for the round solution to grow from radius 0 to r0, with the
+    method and the evidence: the integral of psi over (0, r0], infinite
+    exactly when round solutions are ancient.
 
-    This is the integral of psi over (0, r0], infinite exactly when round
-    solutions are ancient.  Returns (time, method, evidence).
+    Without a degree the shell integrals decide.  Divergence needs
+    non-decaying shells and a running total past BLOWUP_TOTAL; convergence
+    needs geometric decay, and the mass below the last shell is then bounded
+    by the geometric tail.  Anything else raises IndeterminateDivergence.
     """
     try:
         alpha = homogeneity_degree(F)
     except HyperflowError:  # no degree known: probe the integral instead
         alpha = None
     if alpha is not None:
-        psi1 = psi(F, 1.0)
+        psi1 = float(psi(F, 1.0))
         evidence = ({"homogeneity": alpha, "psi_at_1": psi1},)
         if alpha >= 1.0:
             return math.inf, "homogeneous_closed_form", evidence
         return psi1 * r0 ** (1.0 - alpha) / (1.0 - alpha), "homogeneous_closed_form", evidence
     rows = _shell_integrals(F, upper=r0)
-    T = _shell_growth(rows)
-    if T is None:
-        raise IndeterminateDivergence(
-            f"shell probe inconclusive for {F.name} on (0, {r0}] and no homogeneity known"
-        )
-    return T, "numeric_shells", tuple(rows)
+    if len(rows) >= 8:
+        shells = [r["shell_integral"] for r in rows]
+        total = rows[-1]["cumulative"]
+        nondecreasing = all(shells[i + 1] >= shells[i] * (1.0 - 1e-6) for i in range(len(shells) - 1))
+        if nondecreasing and total > BLOWUP_TOTAL:
+            return math.inf, "numeric_shells", tuple(rows)
+        tail_ratios = [shells[i + 1] / shells[i] for i in range(len(shells) - 9, len(shells) - 1) if shells[i] > 0]
+        if tail_ratios and max(tail_ratios) < CONVERGENT_RATIO:
+            q = max(tail_ratios)
+            return total + shells[-1] * q / (1.0 - q), "numeric_shells", tuple(rows)
+    raise IndeterminateDivergence(f"shell probe inconclusive for {F.name} on (0, {r0}] and no homogeneity known")
 
 
 def is_ancient(F: SpeedFunction) -> AncientnessVerdict:
-    """Decide whether round solutions of F extend to time -infinity.
-
-    Speeds with a known scaling degree use the exact rule (degree >= 1).
-    Otherwise the improper integral of psi near 0 is probed over geometric
-    shells; divergence is declared only when shell increments do not decay
-    and the running total blows past a large threshold, convergence only
-    when the increments decay geometrically.  Anything else raises
-    IndeterminateDivergence rather than guessing.
-    """
+    """Decide whether round solutions of F extend to time -infinity: the exact
+    rule (degree >= 1) when F has a degree, else the shell probe of
+    ``_growth_time``, which raises IndeterminateDivergence rather than guess."""
     T, method, evidence = _growth_time(F, 1.0)
     return AncientnessVerdict(
         verdict=ANCIENT if T == math.inf else NON_ANCIENT,

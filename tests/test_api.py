@@ -8,12 +8,6 @@ import hyperflow
 PACKAGE = Path(hyperflow.__file__).parent
 ROOT = PACKAGE.parents[1]
 
-# public names kept with no caller yet, each with its reason
-KEEP = {
-    "initial_time_estimate",  # the birth-time estimate that the ancient families of ROADMAP item 1 start from
-}
-
-
 def _references(node: ast.AST) -> set[str]:
     """Names, attributes and string constants within ``node``."""
     names = set()
@@ -40,11 +34,11 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         and isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not stmt.name.startswith("_")
     ]
-    assert len(defined) > len(KEEP)
+    assert defined
     uncalled = [
         f"{statements[k][0].stem}.{name}"
         for k, name in defined
-        if name not in KEEP and not any(name in r for j, r in enumerate(refs) if j != k)
+        if not any(name in r for j, r in enumerate(refs) if j != k)
     ]
     assert uncalled == []
 

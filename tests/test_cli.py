@@ -588,11 +588,27 @@ def test_surface_resolution_is_capped_at_the_subdivision_limit(tmp_path):
     assert parse_config("rigidity-audit", {}, {**base, "resolution": 6}).resolution == 6
 
 
+def test_sphere_family_before_the_birth_time_is_a_config_error(tmp_path):
+    # k^0.5 grows from radius 0 at t = -2 to radius 1 at t = 0, so the default
+    # t0 = -6 asks for a radius before the solution exists; a RuntimeWarning
+    # would show on stderr
+    src = str(Path(shapes.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); from hyperflow.cli import entrypoint; entrypoint()",
+         "rigidity-audit", "--out", str(tmp_path / "rig"), "--set", "speed=k^alpha", "--set", "alpha=0.5"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr == "config error: t = -6.0 is at or before the round solution's birth time -2.0\n"
+    assert not (tmp_path / "rig").exists()
+
+
 def test_sphere_family_on_surfaces_needs_no_rates(tmp_path):
     rc = run_cli(
         "rigidity-audit", "--out", str(tmp_path / "rig"),
         "--set", "dimension=2", "--set", "resolution=2", "--set", "family=sphere", "--set", "speed=H",
-        "--set", "t0=-4", "--set", "t_end=0", "--set", "frame_dt=0.05",
+        # the family solves 1/H, radius e^(t/2): it must start below c = 0.1, so before t = 2 ln 0.1
+        "--set", "t0=-6", "--set", "t_end=0", "--set", "frame_dt=0.05",
         "--set", "directions=6", "--set", "c_schedule=0.4,0.2,0.1",
     )
     # the audit runs to a verdict; on a 162-vertex icosphere some reflected
@@ -600,3 +616,9 @@ def test_sphere_family_on_surfaces_needs_no_rates(tmp_path):
     assert rc in (EXIT_OK, EXIT_AUDIT)
     report = json.loads((tmp_path / "rig" / "rigidity_report.json").read_text())
     assert all(row["spherical"] for row in report["limit_symmetry"])
+    # the family is the round solution of the configured flow, e^(t/2), not
+    # e^t: it first fits in B_c(0) at the last frame before t = 2 ln c
+    origin = report["origin"]
+    assert origin["radii_checked"] == [0.4, 0.2, 0.1]
+    for c, t in zip(origin["radii_checked"], origin["first_containment_times"]):
+        assert 0.0 < 2.0 * math.log(c) - t <= 0.05 * (1.0 + 1e-9), (c, t)

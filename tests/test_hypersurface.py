@@ -294,8 +294,7 @@ def _batched_mesh_fit(M):
     cols_t = cols.transpose(0, 2, 1)
     ata = cols_t @ cols
     atb = (cols_t @ w[..., None])[..., 0]
-    trace = np.trace(ata, axis1=1, axis2=2)
-    ata = ata + (1e-12 * np.maximum(trace, 1e-30))[:, None, None] * np.eye(5)[None, :, :]
+    ata = ata * (1.0 + 1e-12 * np.eye(5))
     beta = np.linalg.solve(ata, atb[:, :, None])[:, :, 0]
 
     gu, gv, huu, huv, hvv = beta.T
@@ -343,6 +342,40 @@ def test_mesh_fit_equals_the_batched_oracle(shape):
     assert np.all(np.abs(data.principal - principal) <= 1e-7 * np.abs(principal))
 
 
+@pytest.mark.parametrize("level,spread", [(3, 2.33e-2), (4, 5.93e-3)])
+def test_mesh_curvature_is_scale_free(level, spread):
+    # the jet's ridge scales each diagonal entry of the normal equations by
+    # 1 + 1e-12, so the fit commutes with scaling; a ridge of 1e-12 times the
+    # trace weighed as 1/r^2 against the quadratic terms, and max |k r - 1|
+    # on the s3 icosphere went from 2.3e-2 at r = 1 to 0.99 at r = 1e-6
+    M = shapes.icosphere(1.0, level)
+    base = M.curvature_data.principal
+    assert np.abs(base - 1.0).max() == pytest.approx(spread, rel=1e-2)
+    for k in range(21):
+        # scaling by a power of two is exact, and so is the fit's response
+        r = 2.0 ** -k
+        assert np.array_equal(M.with_vertices(M.vertices * r).curvature_data.principal * r, base), k
+    for r in (1e-4, 1e-5, 1e-6):
+        # other scales round the coordinates; at umbilics the principal pair
+        # lifts that to about 1e-8, so the sum and the spread are compared
+        kr = M.with_vertices(M.vertices * r).curvature_data.principal * r
+        assert _relative(kr.sum(axis=1), base.sum(axis=1)) <= 1e-12
+        assert np.abs(kr - 1.0).max() == pytest.approx(np.abs(base - 1.0).max(), rel=1e-9)
+
+
+def test_mesh_evolve_commutes_with_scaling_by_powers_of_two():
+    # 1/H has degree -1, so 2^k times a solution solves the flow too; the
+    # scaling is exact in floating point and the fit is scale-free, so the
+    # frames agree bit for bit
+    E = shapes.ellipsoid_mesh(1.0, 0.8, 0.6, 2)
+    cfg = FlowConfig(t_end=0.05, dt=1e-3)
+    base = evolve(E, speeds.mean_curvature(2), 0.0, cfg).frames
+    for k in (-20, -3, 1, 4):
+        frames = evolve(E.with_vertices(E.vertices * 2.0**k), speeds.mean_curvature(2), 0.0, cfg).frames
+        assert [t for t, _ in frames] == [t for t, _ in base]
+        assert all(np.array_equal(M.vertices, B.vertices * 2.0**k) for (_, M), (_, B) in zip(frames, base)), k
+
+
 # ---------------------------------------------------------------------------
 # whole-mesh oracle: the jet fit before the vertex blocks
 
@@ -370,9 +403,8 @@ def _whole_mesh_jet(verts, topo):
         [0.5 * m12, 0.5 * m03, 0.25 * m22, 0.5 * m13, 0.25 * m04],
     ]
     atb = [total(w * u), total(w * v), 0.5 * total(w * uu), total(w * uv), 0.5 * total(w * vv)]
-    ridge = 1e-12 * np.maximum(sum(row[-1] for row in ata), 1e-30)
     for row in ata:
-        row[-1] = row[-1] + ridge
+        row[-1] = row[-1] * (1.0 + 1e-12)
     return n, e1, e2, _solve_ldl(ata, atb)
 
 

@@ -538,7 +538,7 @@ def test_post_touch_probes_scale_with_the_spacing_around_tau():
     # median spacing of 0.32, so probes spaced by the median would all land
     # before tau and find no frame
     times = -np.geomspace(400.0, 0.5, 301)
-    fam = families.sphere_family(times, lambda t: 1.0 / math.sqrt(-2.0 * t), resolution=128)
+    fam = families.sphere_family(times, 1.0 / np.sqrt(-2.0 * times), resolution=128)
     report = rigidity_audit(fam, F_K, [0.0, 0.0], directions=16, c_schedule=C_SCHEDULE_7)
     rows = list(report.post_touch_verdicts)
     assert len(rows) == 64
@@ -548,7 +548,7 @@ def test_post_touch_probes_scale_with_the_spacing_around_tau():
 
 def test_post_touch_stage_matches_per_plane_oracle_on_coarse_icosphere():
     times = -4.0 + 0.05 * np.arange(81)
-    fam = families.sphere_family(times, math.exp, n=2, resolution=2)
+    fam = families.sphere_family(times, np.exp(times), n=2, resolution=2)
     cs = (0.4, 0.2, 0.1)
     report = rigidity_audit(fam, speed_by_name("H", 2), np.zeros(3), directions=6, c_schedule=cs)
     rows = _oracle_post_touch_rows(fam, np.zeros(3), 6, cs)
@@ -566,7 +566,8 @@ def test_the_audit_makes_one_verdict_call_per_frame(criterion_7_fam, ellipse_fam
     elif case == "criterion 8":
         traj, directions = ellipse_fam, 16
     else:
-        traj = families.sphere_family(-4.0 + 0.05 * np.arange(81), math.exp, n=2, resolution=2)
+        times = -4.0 + 0.05 * np.arange(81)
+        traj = families.sphere_family(times, np.exp(times), n=2, resolution=2)
         F, y, directions, cs = speed_by_name("H", 2), np.zeros(3), 6, (0.4, 0.2, 0.1)
     calls = []
     verdicts = reflection._verdicts

@@ -33,6 +33,16 @@ def test_eval_rejects_outside_cone():
         eval_speed(mean_curvature(2), (-1.0, 1.0))
 
 
+def test_eval_takes_a_batch_and_checks_every_tuple():
+    # a batch gives one speed per tuple; one tuple gives a float
+    assert eval_speed(mean_curvature(2), [[1.0, 1.0], [2.0, 3.0]]).tolist() == [2.0, 5.0]
+    assert isinstance(eval_speed(mean_curvature(2), (1.0, 1.0)), float)
+    with pytest.raises(CurvatureOutsideCone, match="-1.0.* outside cone of H$"):
+        eval_speed(mean_curvature(2), [[1.0, 1.0], [-1.0, 1.0]])
+    with pytest.raises(ValueError, match="^expected 2 curvatures, got 3$"):
+        eval_speed(mean_curvature(2), [[1.0, 1.0, 1.0]])
+
+
 def test_eval_rejects_nonpositive_value():
     F = SpeedFunction(
         name="shifted", arity=1, cone=Cone.positive(), fn=lambda lam: lam[..., 0] - 10.0
@@ -153,9 +163,9 @@ def test_empty_sample_raises():
 def test_positive_cone_invariants():
     cone = Cone.positive()
     for lam in (1e-3, 1.0, 1e3):
-        assert cone.contains(np.full(2, lam))
-    assert not cone.contains(np.array([1.0, 0.0]))
-    assert not cone.contains(np.array([np.inf, 1.0]))
+        assert cone.contains_many(np.full(2, lam))[0]
+    assert not cone.contains_many(np.array([1.0, 0.0]))[0]
+    assert not cone.contains_many(np.array([np.inf, 1.0]))[0]
 
 
 @given(
@@ -166,7 +176,7 @@ def test_positive_cone_invariants():
 def test_positive_cone_convex_on_segments(a, b, w):
     cone = Cone.positive()
     mid = w * np.array(a) + (1.0 - w) * np.array(b)
-    assert cone.contains(mid)
+    assert cone.contains_many(mid)[0]
 
 
 CONE_SAMPLES = np.array([
@@ -181,7 +191,7 @@ CONE_SAMPLES = np.array([
     Cone.custom(lambda lam: bool(lam.sum() > 1.0)),
 ], ids=["positive", "custom"])
 def test_cone_membership_forms_agree(cone):
-    one_by_one = np.array([cone.contains(row) for row in CONE_SAMPLES])
+    one_by_one = np.array([cone.contains_many(row)[0] for row in CONE_SAMPLES])
     with np.errstate(invalid="ignore"):
         by_margin = cone.interior_margin(CONE_SAMPLES) > 0.0
     assert np.array_equal(cone.contains_many(CONE_SAMPLES), one_by_one)

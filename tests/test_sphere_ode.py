@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hyperflow.errors import ConeExit, IndeterminateDivergence
 from hyperflow.speeds import Cone, SpeedFunction, mean_curvature, mean_curvature_power
 from oracles import catalog
 from hyperflow.sphere_ode import (
+    _radii,
     _shell_integrals,
     initial_time_estimate,
     integrate_radius,
@@ -24,14 +26,40 @@ def test_psi_examples():
     assert psi(mean_curvature(2), 2.0) == pytest.approx(1.0)
     assert psi(__import__("hyperflow").curvature_product(2), 2.0) == pytest.approx(0.25)
     assert psi(mean_curvature_power(1, 2.0), 0.5) == pytest.approx(4.0)
+    # one speed per radius, whatever the array's shape
+    assert psi(mean_curvature(2), np.array([[1.0, 2.0, 4.0]])).tolist() == [[2.0, 1.0, 0.5]]
+    with pytest.raises(ValueError, match="^radius must be positive and finite, got 0.0$"):
+        psi(mean_curvature(2), [1.0, 0.0])
 
 
-# closed forms of the separable radius ODE for the three catalog degrees
+EPS = np.finfo(float).eps
+
+
+def _rounding_bound(F, t0, times, radii):
+    """Relative radius error that rounding alone allows.
+
+    The solve stops once t(r) meets t to 4 eps (|t(edge)| + |t| + r psi(r))
+    (``_radii``'s stop rule).  Each octave's shell integral is exact to
+    rounding, and the octave table sums a few of them from t0, so the table
+    adds a few eps times |t0| + |t|.  A time error dt moves the radius by
+    dt / (r psi(r)) relative, and the closed form rounds to a few eps as
+    well.  So the relative error is at most C eps ((|t0| + |t| + 1) / (r psi(r))
+    + 1); C = 16 covers the 4 of the stop rule, the table's sums and the
+    closed forms' own rounding with room to spare.
+    """
+    slope = radii * psi(F, radii)
+    return 16.0 * EPS * ((abs(t0) + np.abs(times) + 1.0) / slope + 1.0)
+
+
+# closed forms of the separable radius ODE: (speed, r0, t0, t1, radius at t)
 CLOSED_FORMS = [
-    (mean_curvature(1), lambda t: math.exp(t)),                # dr/dt = r
-    (mean_curvature(2), lambda t: math.exp(t / 2.0)),          # dr/dt = r/2
-    (mean_curvature_power(1, 0.5), lambda t: (1.0 + t / 2.0) ** 2),  # dr/dt = sqrt(r)
+    (mean_curvature(1), 1.0, -6.0, 1.0, np.exp),                                 # dr/dt = r
+    (mean_curvature(2), 1.0, -6.0, 1.0, lambda t: np.exp(t / 2.0)),              # dr/dt = r/2 in R^3
+    (mean_curvature_power(1, 0.5), 1.0, -1.9, 3.0, lambda t: (1.0 + t / 2.0) ** 2),  # dr/dt = sqrt(r)
+    (mean_curvature_power(1, 2.0), 1.0, -5.0, 0.9, lambda t: 1.0 / (1.0 - t)),   # dr/dt = r^2
+    (mean_curvature_power(1, 2.0), 0.25, -5.0, 3.9, lambda t: 0.25 / (1.0 - 0.25 * t)),
 ]
+CLOSED_FORM_IDS = ["k", "H", "k^0.5", "k^2", "k^2 r0=0.25"]
 
 
 @pytest.mark.parametrize("t0,t1", [(0.0, math.inf), (math.nan, 1.0)])
@@ -41,15 +69,32 @@ def test_integrate_radius_rejects_non_finite_times(t0, t1):
         integrate_radius(mean_curvature(1), 1.0, t0, t1)
 
 
-@pytest.mark.parametrize("F,exact", CLOSED_FORMS, ids=[f.name for f, _ in CLOSED_FORMS])
-def test_integrate_radius_matches_closed_form(F, exact):
-    dt = 1e-3
-    flow = integrate_radius(F, r0=1.0, t0=0.0, t1=1.0, dt=dt)
-    got = flow.samples[-1, 1]
-    want = exact(1.0)
-    # acceptance gate is 10*dt relative; the one-step 4th-order method does far better
-    assert abs(got - want) / want < 10.0 * dt
-    assert abs(got - want) / want < 1e-9
+@pytest.mark.parametrize("F,r0,t0,t1,exact", CLOSED_FORMS, ids=CLOSED_FORM_IDS)
+def test_integrate_radius_matches_closed_form(F, r0, t0, t1, exact):
+    # the samples start at t0 with radius exact(t0) and run to t1
+    flow = integrate_radius(F, r0=float(exact(t0)), t0=t0, t1=t1, dt=1e-3)
+    times, radii = flow.samples.T
+    want = exact(times)
+    assert np.all(np.abs(radii / want - 1.0) <= _rounding_bound(F, t0, times, want))
+
+
+@pytest.mark.parametrize("F,r0,t0,t1,exact", CLOSED_FORMS, ids=CLOSED_FORM_IDS)
+def test_radii_through_a_point_match_closed_form(F, r0, t0, t1, exact):
+    # the round solution with radius r0 at t = 0, asked for at times on both sides
+    times = np.linspace(t0, t1, 701)
+    want = exact(times)
+    got = _radii(F, r0, 0.0, times)
+    assert np.all(np.abs(got / want - 1.0) <= _rounding_bound(F, 0.0, times, want))
+
+
+def test_radii_of_a_mixed_speed_match_its_closed_form():
+    # F = k + k^3: psi(r) = 1/r + 1/r^3, so from r = 1 at t = 0 the radius r
+    # is reached at t = ln r - 1/(2 r^2) + 1/2
+    F = _undeclared("k+k3", lambda lam: lam[..., 0] + lam[..., 0] ** 3)
+    radii = np.geomspace(1e-3, 50.0, 2001)
+    times = np.log(radii) - 0.5 / radii**2 + 0.5
+    got = _radii(F, 1.0, 0.0, times)
+    assert np.all(np.abs(got / radii - 1.0) <= _rounding_bound(F, 0.0, times, radii))
 
 
 def test_radius_strictly_increasing():
@@ -62,8 +107,32 @@ def test_radius_strictly_increasing():
 
 
 def test_integration_lands_exactly_on_t1():
+    # dt is the sample spacing: samples at t0 + k dt, then t1 itself
     flow = integrate_radius(mean_curvature(1), 1.0, 0.0, 0.0105, dt=1e-3)
-    assert flow.samples[-1, 0] == pytest.approx(0.0105, abs=1e-15)
+    assert flow.samples[-1, 0] == 0.0105
+    assert flow.samples[:-1, 0].tolist() == (1e-3 * np.arange(11)).tolist()
+    # a spacing that divides the span up to rounding leaves no sliver of a last gap
+    flow = integrate_radius(mean_curvature(1), 1.0, 0.0, 1.0, dt=1e-3)
+    assert flow.samples.shape == (1001, 2) and flow.samples[-1, 0] == 1.0
+
+
+@pytest.mark.parametrize("F,t,when", [
+    (mean_curvature_power(1, 0.5), -2.5, "at or before the round solution's birth time -2.0"),
+    (mean_curvature_power(1, 2.0), 1.0, "at or after the round solution's blow-up time"),
+], ids=["before birth", "at blow-up"])
+def test_times_outside_the_lifespan_are_value_errors(F, t, when):
+    # k^0.5 from r = 1 at t = 0 is born at t = -2; k^2 blows up at t = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^t = {t} is {when}"):
+            _radii(F, 1.0, 0.0, np.array([0.0, t]))
+
+
+def test_integration_up_to_the_blow_up_is_a_value_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^t = 1.0 is at or after the round solution's blow-up time"):
+            integrate_radius(mean_curvature_power(1, 2.0), 1.0, 0.0, 1.0)
 
 
 def test_cone_exit_during_integration():
