@@ -22,12 +22,12 @@ one measuring step, ``_measure``, so one rule breaks ties: of equally near
 elements, the largest index.  A query of few point-element pairs, such as
 one point, measures every pair; a larger one is pruned by a uniform cell
 grid over element centroids (``_Grid``, numpy only: one stable sort of the
-cell keys and a start per cell).  Each point is measured against one
-element near it, then against every element whose centroid lies within
-that distance plus the element's own reach.  When that ball fits in the
-point's 3^d cell neighbourhood its elements are the candidates; a wider
-ball takes the occupied cells it meets, so the work of a point follows its
-ball, not the whole surface.  Containment codes and signed distances share one inside rule:
+cell keys and a start per cell).  Each point is measured against the
+element whose centroid is nearest in the nearest occupied cell, then
+against every element whose centroid lies within that distance plus the
+element's own reach, taken from the occupied cells that ball meets, so the
+work of a point follows its ball, not the whole surface.  Containment codes
+and signed distances share one inside rule:
 the sign of the angle-weighted pseudonormal of the closest feature, with
 winding numbers only as the tie-break within the boundary band.
 
@@ -64,7 +64,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -592,12 +592,11 @@ class _Grid:
     a cube whose volume is that of the sites' bounding box over their
     number, so the grid has O(sites) cells.  The sites of cell k are
     ``order[start[k] : start[k + 1]]``, and ``sites`` holds their
-    coordinates in that order, one row per axis.  A point's neighbourhood is
-    the 3^d block of cells around the cell of its coordinates clipped into
-    the layers that hold sites, so a point past the sites still gets the
-    cells nearest it.  The block is 3^(d-1) runs of three cells along the
-    last axis, and the sites of each run are one slice of ``order``.  Sites
-    beyond the block are reached through the boxes of the occupied cells.
+    coordinates in that order, one row per axis.  A query reaches the sites
+    through the boxes of the occupied cells: the squared gap from a point to
+    each box (``gap2``) finds the nearest cell and the cells that a ball
+    meets, and the sites of the marked cells come out point by point
+    (``in_cells``), each cell's sites one slice of ``order``.
     """
 
     def __init__(self, sites: np.ndarray, extent: np.ndarray):
@@ -612,8 +611,6 @@ class _Grid:
         # cell coordinates are positive, so truncation floors them
         key = ((sites - self.origin) / self.side).astype(np.intp)
         self.shape = shape = (((hi - self.origin) / self.side).astype(np.intp) + 2).tolist()
-        # the largest coordinate, in cells, of the layers that hold sites
-        self.top = np.array([math.nextafter(k - 1.0, 0.0) for k in shape])
         stride = [1]
         for k in shape[:0:-1]:
             stride.insert(0, stride[0] * k)  # C order
@@ -624,14 +621,7 @@ class _Grid:
         self.extent = extent[self.order]
         self.start = np.zeros(math.prod(shape) + 1, dtype=np.intp)
         np.cumsum(np.bincount(lin, minlength=self.start.shape[0] - 1), out=self.start[1:])
-        # key offsets from a cell to the first cells of its neighbourhood's
-        # runs, and where the sites of the three cells from each key on begin
-        self.run_offsets = np.array([np.dot(off, self.stride[:-1]) - 1
-                                     for off in itertools.product((-1, 0, 1), repeat=d - 1)])
-        self.run_start = self.start[:-3]
-        self.run_count = self.start[3:] - self.run_start
-        for a in (self.origin, self.top, self.stride, self.order, self.sites, self.extent, self.start,
-                  self.run_offsets, self.run_count):
+        for a in (self.origin, self.stride, self.order, self.sites, self.extent, self.start):
             a.setflags(write=False)
 
     @cached_property
@@ -664,37 +654,20 @@ class _Grid:
                 total = diff if total is None else np.add(total, diff, out=total)
         return total
 
-    def neighbourhood(self, points: np.ndarray) -> tuple:
-        """The sites in each point's neighbourhood, and its clearance.
-
-        Returns the clearance, the sites' positions in cell order point by
-        point, the count per point and the squared distances.  The
-        clearance, one cell plus the least distance from the clipped point
-        to a face of its cell, less 1e-12 of it for rounding, is at most the
-        distance to any site outside the neighbourhood.
-        """
-        rel = np.clip((points - self.origin) / self.side, 1.0, self.top)
-        key = rel.astype(np.intp)
-        rel -= key
-        clear = reduce(np.minimum, np.minimum(rel, 1.0 - rel).T)
-        clear += 1.0
-        clear *= self.side * (1.0 - 1e-12)
-        cells = (key @ self.stride)[:, None] + self.run_offsets
-        count = self.run_count[cells]
-        pos = _runs(self.run_start[cells].ravel(), count.ravel())
-        per = count.sum(axis=1)
-        return clear, pos, per, self.sq_distances(points, pos, per)
-
     def gap2(self, points: np.ndarray) -> np.ndarray:
-        """Squared distance from each point to the nearest point of each occupied cell."""
+        """Squared distance from each point to the nearest point of each occupied cell.
+
+        A square or sum that overflows reads inf, as in ``sq_distances``.
+        """
         total = np.zeros((points.shape[0], self.occupied.shape[0]))
         gap = np.empty_like(total)
-        for c, p in zip(self.centre, points.T):
-            np.abs(np.subtract(c, p[:, None], out=gap), out=gap)
-            gap -= 0.5 * self.side
-            np.maximum(gap, 0.0, out=gap)
-            gap *= gap
-            total += gap
+        with np.errstate(over="ignore"):
+            for c, p in zip(self.centre, points.T):
+                np.abs(np.subtract(c, p[:, None], out=gap), out=gap)
+                gap -= 0.5 * self.side
+                np.maximum(gap, 0.0, out=gap)
+                gap *= gap
+                total += gap
         return total
 
     def in_cells(self, hit: np.ndarray):
@@ -713,17 +686,11 @@ class _Grid:
 
 
 def _segment_min(values: np.ndarray, pos: np.ndarray, per: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per run of ``per`` values, the least and the largest ``pos`` that attains it; inf and -1 for an empty run."""
+    """Per run of ``per`` values, none of them empty, the least and the largest ``pos`` that attains it."""
     starts = np.cumsum(per)
     starts -= per
-    if per.all():
-        low = np.minimum.reduceat(values, starts)
-        return low, np.maximum.reduceat(np.where(values == np.repeat(low, per), pos, -1), starts)
-    low, arg = np.full(per.shape[0], np.inf), np.full(per.shape[0], -1)
-    has = per > 0
-    if values.size:
-        low[has], arg[has] = _segment_min(values, pos, per[has])
-    return low, arg
+    low = np.minimum.reduceat(values, starts)
+    return low, np.maximum.reduceat(np.where(values == np.repeat(low, per), pos, -1), starts)
 
 
 def _measure(el: _Derived, points, owner, elems, per) -> tuple[np.ndarray, np.ndarray]:
@@ -891,14 +858,6 @@ def _inside(M: DiscreteHypersurface, points: np.ndarray) -> np.ndarray:
     return np.abs(geometry.winding_number_3d(M.vertices, M.faces, points)) > 0.5
 
 
-def _in_ball(grid: _Grid, bound, pos, owner, d2) -> np.ndarray:
-    """Whether each candidate's centroid lies within its point's ``bound`` plus the element's reach."""
-    limit = bound[owner]
-    limit += grid.extent[pos]
-    limit *= limit
-    return d2 <= limit
-
-
 def _nearest(points: np.ndarray, el: _Derived) -> tuple[np.ndarray, np.ndarray]:
     """Exact distance from each point to the surface and a nearest element.
 
@@ -906,17 +865,15 @@ def _nearest(points: np.ndarray, el: _Derived) -> tuple[np.ndarray, np.ndarray]:
     pair with no grid.  A deep point's grid query measures most elements
     anyway, so for one point that is quicker: 0.08 against 0.86 ms on a
     256-gon and 1.6 against 4.1 ms at 5 120 triangles, grid build included
-    (2-core x86 host).  A larger query is pruned by the grid.  The element whose centroid is nearest in the
-    point's neighbourhood, or the first of the nearest occupied cell when
-    that is empty, gives a first distance ``bound``.  Every element at most
-    that far has its centroid within ``bound`` plus its own reach, so the
-    point is measured against the elements whose centroids lie in that
-    ball, which holds every exact minimiser.  Where the largest such ball
-    lies within the clearance of a non-empty neighbourhood, the candidates
-    are the neighbourhood's; elsewhere they come from the occupied cells
-    that the ball meets.  A block of points holds at most ``_QUERY_PAIRS``
-    pairs even if every neighbourhood holds every element.  Both routes
-    take the least distance and nearest element from ``_measure``.  A point
+    (2-core x86 host).  A larger query is pruned by the grid.  The element
+    whose centroid is nearest among the sites of the occupied cell nearest
+    the point gives a first distance ``bound``.  Every element at most that
+    far has its centroid within ``bound`` plus its own reach, so the point
+    is measured against the elements whose centroids lie in that ball, taken
+    from the occupied cells that the ball meets; they hold every exact
+    minimiser, whatever the first bound.  A block of points holds at most
+    ``_QUERY_PAIRS`` pairs even if every ball holds every element.  The least
+    distance and nearest element come from one ``_measure`` pass.  A point
     that is not finite, or whose distance overflows, raises ValueError.
     """
     if not np.isfinite(points).all():
@@ -929,46 +886,35 @@ def _nearest(points: np.ndarray, el: _Derived) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError("query point too far out: its squared distance to the surface overflows")
         return best, near
     grid = el.grid
+    first, sizes = grid.boxes
     best = np.empty(n)
     near = np.empty(n, dtype=np.intp)
     step = max(1, _QUERY_PAIRS // count)
     for s in range(0, n, step):
         p = points[s : s + step]
-        clear, pos, per, d2 = grid.neighbourhood(p)
-        low, site = _segment_min(d2, pos, per)
-        empty = np.flatnonzero(per == 0)
-        if empty.size:
-            site[empty] = grid.boxes[0][grid.gap2(p[empty]).argmin(axis=1)]
-            low[empty] = grid.sq_distances(p[empty], site[empty], 1)
+        gap = grid.gap2(p)
+        cell = gap.argmin(axis=1)
+        per = sizes[cell]
+        pos = _runs(first[cell], per)
+        low, site = _segment_min(grid.sq_distances(p, pos, per), pos, per)
         if not low.max() < np.inf:
             raise ValueError("query point too far out: its squared distance to the surface overflows")
-        first = grid.order[site]
-        bound = el.distance(p, *(c[first] for c in el.corners))
+        bound = el.distance(p, *(c[grid.order[site]] for c in el.corners))
         radius = bound + grid.reach
         slack = radius * 1e-12  # rounding margin of the balls
         radius += slack
         bound += slack
-        narrow = radius <= clear
-        narrow &= per > 0
-        owner = np.repeat(np.arange(p.shape[0]), per)
-        keep = _in_ball(grid, bound, pos, owner, d2)
-        keep &= narrow[owner]
-        pairs = [(owner[keep], grid.order[pos[keep]])]
-        wide = np.flatnonzero(~narrow)
-        if wide.size:
-            hit = grid.gap2(p[wide]) <= (radius * radius)[wide, None]
-            for rows, pos, per in grid.in_cells(hit):
-                at = wide[rows]
-                owner = np.repeat(at, per)
-                keep = _in_ball(grid, bound, pos, owner, grid.sq_distances(p[at], pos, per))
-                pairs.append((owner[keep], grid.order[pos[keep]]))
-        narrow_pairs = pairs[0][0].size
+        pairs = []
+        for rows, pos, per in grid.in_cells(gap <= (radius * radius)[:, None]):
+            owner = np.repeat(np.arange(rows.start, rows.stop), per)
+            limit = bound[owner]
+            limit += grid.extent[pos]
+            limit *= limit
+            keep = grid.sq_distances(p[rows], pos, per) <= limit
+            pairs.append((owner[keep], grid.order[pos[keep]]))
         owner, elems = (np.concatenate(x) for x in zip(*pairs))
         del pairs
-        if wide.size and narrow_pairs:  # narrow and wide points alternate: group the pairs by point
-            order = np.argsort(owner, kind="stable")
-            owner, elems = owner[order], elems[order]
-        # each point's pairs are one run, never empty
+        # each point's pairs are one run, in point order and never empty
         best[s : s + step], near[s : s + step] = _measure(el, p, owner, elems, np.bincount(owner, minlength=p.shape[0]))
     return best, near
 

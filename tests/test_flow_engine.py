@@ -34,7 +34,7 @@ from hyperflow.hypersurface import (
     enclosed_volume,
 )
 from hyperflow import families, flow_engine, hypersurface, shapes
-from hyperflow.speeds import Cone, mean_curvature
+from hyperflow.speeds import Cone, SpeedFunction, mean_curvature
 import oracles
 
 
@@ -393,6 +393,97 @@ def test_rkc_steps_are_second_order_in_time():
     errs = [_perimeter_law_error(256, dt) for dt in (1e-3, 5e-4, 2.5e-4)]
     assert stable_substep(shapes.ellipse_polygon(2.0, 1.0, 256), F_K) < 2.5e-4
     assert errs[0] / errs[1] >= 3.0 and errs[1] / errs[2] >= 3.0
+
+
+def _rkc_circle(dt, monkeypatch):
+    """A 1024-gon circle under 1/k to t = 0.1: its events, the (step, stages)
+    of every RKC step taken, and the last radius's relative error against
+    e^t with its spread."""
+    steps = []
+
+    def recording_rkc_step(M, F, h, s, start):
+        steps.append((h, s))
+        return rkc_step(M, F, h, s, start)
+
+    rkc_step = flow_engine._rkc_step
+    monkeypatch.setattr(flow_engine, "_rkc_step", recording_rkc_step)
+    traj = evolve(shapes.circle_polygon(1.0, 1024), F_K, 0.0, FlowConfig(t_end=0.1, dt=dt))
+    t, M = traj.frames[-1]
+    r = radii(M)
+    return traj.events, steps, abs(r.mean() / math.exp(t) - 1.0), r.max() - r.min()
+
+
+def test_a_step_past_the_stage_ceiling_is_equal_rkc_steps_of_second_order(monkeypatch):
+    # a requested step that needs more than RKC_MAX_STAGES stages runs as
+    # equal RKC steps; the circle stays a regular polygon whose radius obeys
+    # r' = r, so its error is RKC's time error alone, second order in the
+    # step actually taken (dt / 3 here, dt / 2 at dt / 2)
+    events, steps, err, spread = _rkc_circle(0.05, monkeypatch)
+    assert [e["detail"] for e in events] == ["requested dt 5.000e-02 executed as 177 evaluations (was 4)"]
+    # the last requested step is t_end - t, which may round below dt
+    assert [s for _, s in steps] == [59] * 6 and [h for h, _ in steps] == pytest.approx([0.05 / 3] * 6, rel=1e-14)
+    assert spread < 1e-12
+    events, half, half_err, spread = _rkc_circle(0.025, monkeypatch)
+    assert [e["detail"] for e in events] == ["requested dt 2.500e-02 executed as 102 evaluations (was 4)"]
+    assert [s for _, s in half] == [51] * 8 and [h for h, _ in half] == pytest.approx([0.025 / 2] * 8, rel=1e-14)
+    assert spread < 1e-12
+    order = math.log(err / half_err) / math.log(steps[0][0] / half[0][0])
+    assert abs(order - 2.0) < 0.2
+
+
+def test_a_speed_non_positive_at_a_step_start_raises_before_the_step_is_sized(monkeypatch):
+    # k - 2 lies inside the positive cone on the unit circle but is -1 there;
+    # the start check raises under both policies, and no stiffness is formed
+    F = SpeedFunction(name="k - 2", arity=1, cone=Cone.positive(), fn=lambda lam: lam[..., 0] - 2.0)
+
+    def no_sizing(*args):
+        raise AssertionError("the step was sized")
+
+    monkeypatch.setattr(flow_engine, "_stable_substep", no_sizing)
+    for dt in (1e-3, None):
+        cfg = FlowConfig(t_end=0.1, dt=dt, stop_on_cone_exit=False)
+        with pytest.raises(NonPositiveSpeed, match=r"^k - 2 non-positive along the surface$"):
+            evolve(shapes.circle_polygon(1.0, 64), F, 0.0, cfg)
+
+
+def test_a_constant_speed_has_no_stability_limit(monkeypatch):
+    # a constant speed has a zero gradient, so no vertex adds stiffness: every
+    # requested step, however long, is one RK4 step and no count change is
+    # logged; the circle's radius grows by t, so RK4 is exact to rounding
+    F = SpeedFunction(name="1", arity=1, cone=Cone.positive(), fn=lambda lam: np.ones(lam.shape[:-1]))
+    M = shapes.circle_polygon(1.0, 64)
+    assert stable_substep(M, F) == math.inf
+    calls = []
+
+    def counting_velocity(M, F):
+        calls.append(M)
+        return _velocity(M, F)
+
+    monkeypatch.setattr(flow_engine, "_velocity", counting_velocity)
+    traj = evolve(M, F, 0.0, FlowConfig(t_end=0.5, dt=0.1, frame_interval=0.1))
+    assert traj.events == []
+    assert len(calls) == 4 * 5
+    for t, X in traj.frames:
+        assert radii(X) == pytest.approx(1.0 + t, rel=1e-14)
+
+
+@pytest.mark.parametrize("dt", [1e-3, None], ids=["fixed dt", "cfl"])
+def test_curve_evolve_commutes_with_exact_symmetries(dt):
+    # a 90 degree rotation, scaling by 2^k and a cyclic relabelling of the
+    # vertices are exact in floating point, and 1/k commutes with each (a
+    # scaled solution keeps its times, as 1/k has degree -1), so the frames
+    # map bit for bit, with the same frame times and events
+    E = shapes.ellipse_polygon(1.0, 0.6, 128)
+    cfg = FlowConfig(t_end=0.05, dt=dt)
+    base = evolve(E, F_K, 0.0, cfg)
+    assert any(e["type"] == "stability_stages" for e in base.events)
+    maps = [lambda v: np.column_stack([-v[:, 1], v[:, 0]]), lambda v: np.roll(v, 5, axis=0)]
+    maps += [partial(np.multiply, 2.0**k) for k in (-20, -1, 3)]
+    for g in maps:
+        traj = evolve(E.with_vertices(g(E.vertices)), F_K, 0.0, cfg)
+        assert [t for t, _ in traj.frames] == [t for t, _ in base.frames]
+        assert traj.events == base.events
+        assert all(np.array_equal(M.vertices, g(B.vertices)) for (_, M), (_, B) in zip(traj.frames, base.frames))
 
 
 def test_curve_perimeter_law_is_fourth_order_in_space():
